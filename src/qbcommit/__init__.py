@@ -55,10 +55,8 @@ from .binding import (
     alice_cheat_prob,
     min_over_states,
     minimax_cheat,
-    payoff_matrix_sample,
 )
 from .bounds import (
-    AnalysisReport,
     BoundCheck,
     EpsilonDeltaPoint,
     GapResult,
@@ -66,7 +64,6 @@ from .bounds import (
     ScanResult,
     check_bounds,
     epsilon_delta_scan,
-    full_analysis,
     kraus_gap,
     minimize_kraus_gap,
     payoff_floor,
@@ -84,7 +81,6 @@ from .fileio import (
 
 __all__ = [
     "__version__",
-    "AnalysisReport",
     "BindingReport",
     "BoundCheck",
     "BracketInversionError",
@@ -120,7 +116,6 @@ __all__ = [
     "dilate",
     "dump_json",
     "epsilon_delta_scan",
-    "full_analysis",
     "helstrom_prob",
     "identity_protocol",
     "jsonable",
@@ -133,7 +128,6 @@ __all__ = [
     "minimize_kraus_gap",
     "parse_protocol",
     "payoff_floor",
-    "payoff_matrix_sample",
     "phase_flip_pair",
     "random_kraus_family",
     "random_protocol",

@@ -319,12 +319,3 @@ def minimax_cheat(
         inner_trace=inner.trace,
         swapped=swapped,
     )
-
-
-def payoff_matrix_sample(spec: ProtocolSpec, cheats, states, direction: str = "01"):
-    """Payoff table over explicit cheat and state samples (rows: cheats)."""
-    out = np.empty((len(cheats), len(states)), dtype=float)
-    for i, v in enumerate(cheats):
-        for j, phi in enumerate(states):
-            out[i, j] = alice_cheat_prob(spec, v, phi, direction=direction)
-    return out

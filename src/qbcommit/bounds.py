@@ -16,14 +16,13 @@ import numpy as np
 
 from . import linalg
 from .binding import alice_cheat_prob, minimax_cheat
-from .concealment import cb_lower_bound, cb_upper_bound, analyze_concealment
+from .concealment import cb_lower_bound, cb_upper_bound
 from .optimize import SolverTrace, ascend_params
 from .protocol import (
     ProtocolSpec,
     align_families,
     kraus_gap_operator,
     require_valid,
-    validate,
 )
 
 BOUND_TOL = 1e-9
@@ -351,65 +350,3 @@ def scan_to_csv(result: ScanResult) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class AnalysisReport:
-    """Everything the one-shot analyzer measures about a protocol."""
-
-    label: str
-    validation: object
-    concealment: object
-    binding: object
-    identity_check: BoundCheck
-    minimized_check: BoundCheck
-    minimized_gap: GapResult
-    seed: int
-    version: str
-
-
-def full_analysis(
-    spec: ProtocolSpec,
-    seed: int = 0,
-    cb_restarts: int = 16,
-    outer_restarts: int = 8,
-    outer_iters: int = 200,
-    inner_restarts: int = 16,
-    n_states: int = 10,
-) -> AnalysisReport:
-    """Validation, both cheat analyses, and both bound checks in one pass."""
-    report = validate(spec)
-    gap_min = minimize_kraus_gap(spec, restarts=max(2, cb_restarts // 2), seed=seed)
-    concealment = analyze_concealment(
-        spec, restarts=cb_restarts, seed=seed, cheat=gap_min.unitary
-    )
-    binding = minimax_cheat(
-        spec,
-        outer_restarts=outer_restarts,
-        outer_iters=outer_iters,
-        inner_restarts=inner_restarts,
-        seed=seed,
-    )
-    identity_check = check_bounds(
-        spec, n_states=n_states, seed=seed, cb_lower=concealment.cb_lower
-    )
-    minimized_check = check_bounds(
-        spec,
-        cheat=gap_min.unitary,
-        n_states=n_states,
-        seed=seed,
-        cb_lower=concealment.cb_lower,
-    )
-    from . import __version__
-
-    return AnalysisReport(
-        label=spec.label,
-        validation=report,
-        concealment=concealment,
-        binding=binding,
-        identity_check=identity_check,
-        minimized_check=minimized_check,
-        minimized_gap=gap_min,
-        seed=int(seed),
-        version=__version__,
-    )

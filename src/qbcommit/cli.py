@@ -23,7 +23,7 @@ from .bounds import (
     scan_to_csv,
 )
 from .binding import minimax_cheat
-from .concealment import analyze_concealment
+from .concealment import analyze_concealment, cb_lower_bound
 from .errors import BracketInversionError, ProtocolFileError, ProtocolValidationError
 from .fileio import dump_json, jsonable, load_protocol, load_scan_config
 from .protocol import validate
@@ -188,7 +188,9 @@ def _cmd_bind(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = load_protocol(args.protocol)
-    kwargs = {"n_states": args.states, "seed": args.seed, "cb_restarts": args.restarts}
+    # The norm bound does not depend on the reindexing: both checks share it.
+    cb_lower = cb_lower_bound(spec, restarts=args.restarts, seed=args.seed).value
+    kwargs = {"n_states": args.states, "seed": args.seed, "cb_lower": cb_lower}
     if args.tol is not None:
         kwargs["tol"] = args.tol
     identity_check = check_bounds(spec, **kwargs)

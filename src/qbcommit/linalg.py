@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import SpectralDecompositionError
 
-# Guard against accidentally materializing huge Kronecker products.
-DEFAULT_MAX_TENSOR_ENTRIES = 2**20
-
 STATE_NORM_TOL = 1e-12
 UNITARY_CONSTRUCTION_TOL = 1e-10
 
@@ -51,23 +48,6 @@ def normalize_state(v) -> np.ndarray:
     if nrm < 1e-15:
         raise ValueError("cannot normalize a zero vector")
     return a / nrm
-
-
-def tensor_product(a, b, max_entries: int = DEFAULT_MAX_TENSOR_ENTRIES) -> np.ndarray:
-    """Kronecker product with the first factor on the slow index.
-
-    Raises ValueError if the result would hold more than ``max_entries``
-    entries.
-    """
-    a = as_operator(a)
-    b = as_operator(b)
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > max_entries:
-        raise ValueError(
-            f"tensor product would hold {entries} entries, above the "
-            f"configured maximum {max_entries}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(m, dims, traced_slots) -> np.ndarray:
@@ -180,12 +160,9 @@ def hermitian_from_params(params) -> np.ndarray:
         raise ValueError("parameters have non-finite entries")
     h = np.zeros((m, m), dtype=complex)
     h[np.diag_indices(m)] = p[:m]
-    k = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            h[i, j] = p[k] + 1j * p[k + 1]
-            h[j, i] = p[k] - 1j * p[k + 1]
-            k += 2
+    upper = np.triu_indices(m, 1)
+    h[upper] = p[m::2] + 1j * p[m + 1 :: 2]
+    h[upper[::-1]] = p[m::2] - 1j * p[m + 1 :: 2]
     return h
 
 
@@ -198,12 +175,9 @@ def params_from_hermitian(h) -> np.ndarray:
     h = 0.5 * (h + h.conj().T)
     p = np.empty(m * m, dtype=float)
     p[:m] = np.real(np.diag(h))
-    k = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            p[k] = h[i, j].real
-            p[k + 1] = h[i, j].imag
-            k += 2
+    upper = h[np.triu_indices(m, 1)]
+    p[m::2] = upper.real
+    p[m + 1 :: 2] = upper.imag
     return p
 
 
@@ -266,12 +240,10 @@ def unitary_param_gradient(params, wirtinger_grad) -> np.ndarray:
 
     out = np.empty(m * m, dtype=float)
     out[:m] = 2.0 * np.real(np.diag(wmat))
-    k = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[k] = 2.0 * np.real(wmat[j, i] + wmat[i, j])
-            out[k + 1] = 2.0 * (np.imag(wmat[i, j]) - np.imag(wmat[j, i]))
-            k += 2
+    upper = np.triu_indices(m, 1)
+    above, below = wmat[upper], wmat.T[upper]
+    out[m::2] = 2.0 * np.real(below + above)
+    out[m + 1 :: 2] = 2.0 * (np.imag(above) - np.imag(below))
     return out
 
 

@@ -1,15 +1,28 @@
-"""Multi-start projected gradient search on the complex unit sphere.
+"""Backtracking gradient search on the complex unit sphere or on flat parameters.
 
-The engine below drives both the concealment maximizer and the binding
-minimizer. Determinism contract: results are a pure function of the inputs
-and the seed. Every restart derives its own generator from (seed, tags,
-restart index), restarts run sequentially, and the reduction keeps the
-earliest restart on ties, so adding restarts can only improve the result.
+One line-search engine drives the concealment maximizer, the binding
+minimizer over states and the ascents over unitary parameters. The geometry
+is its only argument that changes the steps: on the sphere the gradient is
+projected onto the tangent space and trial points are renormalized; on a
+flat real parameter vector neither happens. Each iteration doubles the last
+accepted step, backtracks until the Armijo condition holds, then halves
+while smaller steps keep paying. A start ends on a small gradient, on a run
+of accepted steps that each gain almost nothing, or when no step down to
+``MIN_STEP`` meets the Armijo condition. The last case is treated as
+stationary: it happens at jump extrema, such as the binding payoff at a
+claimed branch's kernel state, where the value jumps the wrong way in every
+direction and no gradient, analytic or finite-difference, yields a step.
+
+Determinism contract: results are a pure function of the inputs and the
+seed. Every restart derives its own generator from (seed, tags, restart
+index), restarts run sequentially, and the reduction keeps the earliest
+restart on ties, so adding restarts can only improve the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,27 +55,81 @@ class SphereResult:
     trace: SolverTrace
 
 
+class _Geometry(NamedTuple):
+    tangent: Callable  # (point, gradient) -> ascent direction at the point
+    retract: Callable  # trial point -> point of the search space
+    max_step: float
+
+
 def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Remove the radial component; the sphere tangent piece remains."""
     return grad - np.real(np.vdot(psi, grad)) * psi
 
 
-def _fd_gradient(fun, psi: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    """Central finite differences over the real coordinates of psi.
+_SPHERE = _Geometry(_project, linalg.normalize_state, 1e3)
+_FLAT = _Geometry(lambda x, g: g, lambda x: x, 1e2)
 
-    Fallback for points where the analytic subgradient stalls, e.g. near
-    eigenvalue degeneracies of a trace-norm objective.
-    """
-    grad = np.zeros_like(psi)
-    for i in range(psi.size):
-        for unit in (1.0, 1.0j):
-            bump = np.zeros_like(psi)
-            bump[i] = unit * h
-            fp = fun(linalg.normalize_state(psi + bump))
-            fm = fun(linalg.normalize_state(psi - bump))
-            delta = (fp - fm) / (2.0 * h)
-            grad[i] += delta * unit / 2.0
-    return grad
+
+def _line_search(
+    fun_grad,
+    x: np.ndarray,
+    geometry: _Geometry,
+    sgn: float,
+    *,
+    tol: float,
+    max_iter: int,
+    stall_tol: float,
+    stall_limit: int,
+    polish=None,
+    stop_value: float | None = None,
+):
+    """Ascend ``sgn * fun`` from ``x``; returns (x, value, iterations, converged)."""
+    tangent, retract, max_step = geometry
+    f, g = fun_grad(x)
+    step = 1.0
+    stalled = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        if polish is not None:
+            cand = polish(x)
+            if cand is not None:
+                cand = retract(cand)
+                fc, gc = fun_grad(cand)
+                if sgn * (fc - f) > 1e-15:
+                    stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
+                    x, f, g = cand, fc, gc
+        if stalled >= stall_limit:
+            return x, f, it, True
+        if stop_value is not None and sgn * f >= sgn * stop_value:
+            return x, f, it, True
+        r = tangent(x, g)
+        gn = float(np.linalg.norm(r))
+        if gn <= tol:
+            return x, f, it, True
+        direction = sgn * r
+        eta = min(step * 2.0, max_step)
+        while eta > MIN_STEP:
+            cand = retract(x + eta * direction)
+            fc, gc = fun_grad(cand)
+            if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
+                break
+            eta *= 0.5
+        else:
+            # No step down to MIN_STEP meets the Armijo condition: stationary.
+            return x, f, it, True
+        # A bare Armijo pass can sit on a reflecting step that crosses a
+        # valley with almost no progress; probing smaller steps while they
+        # keep improving escapes that.
+        for _ in range(6):
+            half = retract(x + 0.5 * eta * direction)
+            fh, gh = fun_grad(half)
+            if sgn * (fh - fc) <= 0.0:
+                break
+            cand, fc, gc = half, fh, gh
+            eta *= 0.5
+        stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
+        x, f, g, step = cand, fc, gc, eta
+    return x, f, it, False
 
 
 def search_sphere(
@@ -109,68 +176,20 @@ def search_sphere(
     best_vec = None
 
     for start_idx, psi in enumerate(starts):
-        f, g = fun_grad(psi)
-        step = 1.0
-        used_fd = False
-        converged = False
-        it = 0
-        stalled = 0
-        for it in range(1, max_iter + 1):
-            if polish is not None:
-                cand = polish(psi)
-                if cand is not None:
-                    cand = linalg.normalize_state(cand)
-                    fc, gc = fun_grad(cand)
-                    if sgn * (fc - f) > 1e-15:
-                        stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
-                        psi, f, g = cand, fc, gc
-            if stalled >= stall_limit:
-                converged = True
-                break
-            r = _project(psi, g)
-            gn = float(np.linalg.norm(r))
-            if gn <= tol:
-                converged = True
-                break
-            direction = sgn * r
-            eta = min(step * 2.0, 1e3)
-            accepted = False
-            while eta > MIN_STEP:
-                cand = linalg.normalize_state(psi + eta * direction)
-                fc, gc = fun_grad(cand)
-                if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
-                    # A bare Armijo pass can sit on a reflecting step that
-                    # crosses a valley with almost no progress; probing
-                    # smaller steps while they keep improving escapes that.
-                    for _ in range(6):
-                        half = linalg.normalize_state(psi + 0.5 * eta * direction)
-                        fh, gh = fun_grad(half)
-                        if sgn * (fh - fc) <= 0.0:
-                            break
-                        cand, fc, gc = half, fh, gh
-                        eta *= 0.5
-                    stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
-                    psi, f, g = cand, fc, gc
-                    step = eta
-                    accepted = True
-                    break
-                eta *= 0.5
-            if accepted:
-                continue
-            if not used_fd:
-                used_fd = True
-                g = _fd_gradient(lambda v: fun_grad(v)[0], psi)
-                step = 1.0
-                continue
-            # No ascent direction left within step resolution: stationary.
-            converged = True
-            break
-
+        psi, f, it, converged = _line_search(
+            fun_grad,
+            psi,
+            _SPHERE,
+            sgn,
+            tol=tol,
+            max_iter=max_iter,
+            stall_tol=stall_tol,
+            stall_limit=stall_limit,
+            polish=polish,
+        )
         trace.iterations.append(it)
         trace.converged.append(converged)
         trace.values.append(float(f))
-        if used_fd:
-            trace.notes.append(f"start {start_idx}: finite-difference fallback used")
         if best_val is None or sgn * (f - best_val) > 0.0:
             best_val = float(f)
             best_vec = psi
@@ -196,42 +215,15 @@ def ascend_params(
     each improve by less than ``stall_tol`` (plateau crawling), or once
     ``stop_value`` is reached. Returns (params, value, iterations, converged).
     """
-    p = np.array(start, dtype=float, copy=True)
-    f, g = fun_grad(p)
-    step = 1.0
-    converged = False
-    it = 0
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        if stop_value is not None and f >= stop_value:
-            converged = True
-            break
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            converged = True
-            break
-        eta = min(step * 2.0, 1e2)
-        accepted = False
-        while eta > MIN_STEP:
-            cand = p + eta * g
-            fc, gc = fun_grad(cand)
-            if fc - f >= ARMIJO * eta * gn * gn:
-                # Same probe as on the sphere: shrink past a reflecting step
-                # while smaller steps keep paying.
-                for _ in range(6):
-                    half = p + 0.5 * eta * g
-                    fh, gh = fun_grad(half)
-                    if fh <= fc:
-                        break
-                    cand, fc, gc = half, fh, gh
-                    eta *= 0.5
-                stalled = stalled + 1 if fc - f < stall_tol else 0
-                p, f, g = cand, fc, gc
-                step = eta
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted or stalled >= stall_limit:
-            converged = True
-            break
+    p, f, it, converged = _line_search(
+        fun_grad,
+        np.array(start, dtype=float, copy=True),
+        _FLAT,
+        1.0,
+        tol=tol,
+        max_iter=max_iter,
+        stall_tol=stall_tol,
+        stall_limit=stall_limit,
+        stop_value=stop_value,
+    )
     return p, float(f), it, converged

@@ -17,7 +17,6 @@ from . import linalg
 from .errors import ProtocolValidationError, SpectralDecompositionError
 
 COMPLETENESS_TOL = 1e-9
-CHEAT_UNITARITY_TOL = 1e-8
 DILATION_UNITARITY_TOL = 1e-10
 
 
@@ -249,12 +248,7 @@ def apply_cheat_unitary(family: KrausFamily, v) -> KrausFamily:
         raise ValueError(
             f"cheat unitary shape {v.shape} does not match cardinality {m}"
         )
-    res = linalg.unitarity_residual(v)
-    if res > CHEAT_UNITARITY_TOL:
-        raise ValueError(
-            f"cheat matrix is not unitary: residual {res!r} exceeds "
-            f"{CHEAT_UNITARITY_TOL!r}"
-        )
+    linalg.require_unitary(v)
     new_ops = np.einsum("jl,lab->jab", v, family.stack())
     return KrausFamily.from_ops(list(new_ops))
 
@@ -292,12 +286,7 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
         raise ValueError(
             f"cheat unitary shape {cheat.shape} does not match cardinality {m}"
         )
-    res = linalg.unitarity_residual(cheat)
-    if res > CHEAT_UNITARITY_TOL:
-        raise ValueError(
-            f"cheat matrix is not unitary: residual {res!r} exceeds "
-            f"{CHEAT_UNITARITY_TOL!r}"
-        )
+    linalg.require_unitary(cheat)
     delta = np.einsum("jl,lab->jab", cheat, spec.bit0.stack()) - spec.bit1.stack()
     return np.einsum("jax,jay->xy", delta.conj(), delta)
 

@@ -5,7 +5,6 @@ from qbcommit.binding import (
     alice_cheat_prob,
     min_over_states,
     minimax_cheat,
-    payoff_matrix_sample,
 )
 from qbcommit.families import (
     concealing_pair,
@@ -190,16 +189,3 @@ def test_minimax_swapped_report():
     assert rep.swapped.direction == "10"
     assert rep.swapped.swapped is None
     assert 0.0 <= rep.swapped.minimax_estimate <= 1.0 + 1e-9
-
-
-def test_payoff_matrix_sample_shape_and_values():
-    spec = dephasing_protocol()
-    eye = np.eye(2, dtype=complex)
-    other = linalg.random_unitary(2, linalg.spawn_rng(44))
-    zero = np.array([1.0, 0.0])
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    mat = payoff_matrix_sample(spec, [eye, other], [zero, plus])
-    assert mat.shape == (2, 2)
-    assert abs(mat[0, 0] - 0.5) < 1e-12
-    assert abs(mat[0, 1] - 0.25) < 1e-12
-    assert abs(mat[1, 0] - alice_cheat_prob(spec, other, zero)) < 1e-15

@@ -5,7 +5,6 @@ from qbcommit.bounds import (
     ScanBudgets,
     check_bounds,
     epsilon_delta_scan,
-    full_analysis,
     kraus_gap,
     minimize_kraus_gap,
     payoff_floor,
@@ -117,26 +116,3 @@ def test_scan_csv_layout_and_determinism():
     assert first[-2] == "4"
     assert first[-3] == "2"
     assert csv_a.endswith("\n")
-
-
-def test_full_analysis_phase_pair():
-    rep = full_analysis(
-        phase_flip_pair(),
-        seed=0,
-        cb_restarts=6,
-        outer_restarts=2,
-        outer_iters=40,
-        inner_restarts=4,
-        n_states=5,
-    )
-    assert rep.validation.accepted
-    assert abs(rep.concealment.cb_lower - 2.0) < 1e-8
-    assert abs(rep.concealment.cb_upper - 2.0) < 1e-12
-    assert rep.binding.minimax_estimate <= 1e-9
-    assert rep.binding.swapped is not None
-    assert abs(rep.identity_check.kraus_gap - 4.0) < 1e-12
-    assert abs(rep.minimized_check.kraus_gap - 2.0) < 1e-6
-    assert abs(rep.minimized_gap.value - rep.minimized_check.kraus_gap) < 1e-12
-    assert rep.identity_check.violations == []
-    assert rep.minimized_check.violations == []
-    assert rep.version

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import qbcommit.bounds
 import qbcommit.cli as cli
+from qbcommit.concealment import cb_lower_bound
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import concealing_pair, dephasing_protocol, phase_flip_pair
 from qbcommit.fileio import write_protocol_file
@@ -178,6 +180,34 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
     data = json.loads(out)
     assert data["minimized"]["violations"] == []
     assert data["minimized_gap"] <= data["identity"]["kraus_gap"] + 1e-12
+
+
+def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cb_lower_bound(*args, **kwargs)
+
+    for module in (cli, qbcommit.bounds):
+        monkeypatch.setattr(module, "cb_lower_bound", counting)
+    code = cli.main(
+        [
+            "bounds",
+            dephasing_file,
+            "--restarts",
+            "4",
+            "--states",
+            "3",
+            "--minimize",
+            "--format",
+            "structured",
+        ]
+    )
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(calls) == 1
+    assert data["identity"]["quarter_cb_lower"] == data["minimized"]["quarter_cb_lower"]
 
 
 @pytest.fixture

@@ -5,21 +5,6 @@ from qbcommit import linalg
 from qbcommit.errors import SpectralDecompositionError
 
 
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        np.testing.assert_allclose(linalg.tensor_product(a, b), np.kron(a, b))
-
-
-def test_tensor_product_entry_cap():
-    a = np.zeros((1 << 11, 1))
-    b = np.zeros((1 << 11, 1))
-    with pytest.raises(ValueError):
-        linalg.tensor_product(a, b, max_entries=1 << 20)
-
-
 def test_partial_trace_of_product_states():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -98,6 +83,24 @@ def test_hermitian_params_round_trip():
         p = linalg.params_from_hermitian(h)
         assert p.size == dim * dim
         np.testing.assert_allclose(linalg.hermitian_from_params(p), h, atol=1e-12)
+
+
+def test_hermitian_params_layout_matches_loop_reference():
+    # Diagonal first, then (real, imag) pairs of the strict upper triangle in
+    # row-major order, built entry by entry.
+    for dim in range(1, 10):
+        p = linalg.spawn_rng(23, dim).standard_normal(dim * dim)
+        ref = np.zeros((dim, dim), dtype=complex)
+        ref[np.diag_indices(dim)] = p[:dim]
+        k = dim
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                ref[i, j] = p[k] + 1j * p[k + 1]
+                ref[j, i] = p[k] - 1j * p[k + 1]
+                k += 2
+        h = linalg.hermitian_from_params(p)
+        assert h.tobytes() == ref.tobytes()
+        assert linalg.params_from_hermitian(h).tobytes() == p.tobytes()
 
 
 def test_unitary_params_round_trip():

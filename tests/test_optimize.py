@@ -127,3 +127,26 @@ def test_ascend_params_stop_value_short_circuits():
     assert converged
     assert value >= 5.0
     assert iters < 500
+
+
+def test_search_sphere_stops_at_jump_minimum():
+    # The value is 0 only where psi[1] == 0 exactly, as the binding payoff is
+    # lower only on a claimed branch's kernel: every step leaves that set and
+    # jumps up, so the first line search fails and the start is stationary.
+    def fun_grad(psi):
+        value = 0.0 if psi[1] == 0 else 1.0 + psi[1].real
+        return value, np.array([0.0, 0.5])
+
+    res = search_sphere(
+        fun_grad,
+        2,
+        maximize=False,
+        restarts=0,
+        seed=0,
+        extra_starts=[np.array([1.0, 0.0])],
+    )
+    assert res.value == 0.0
+    np.testing.assert_array_equal(res.vector, [1.0, 0.0])
+    assert res.trace.iterations == [1]
+    assert res.trace.converged == [True]
+    assert res.trace.notes == []
