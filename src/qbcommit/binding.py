@@ -77,23 +77,31 @@ def _payoff_pieces(committed_stack, claimed_stack, cheat):
 
 
 def _payoff_fun_grad(a, claimed_stack, zero_tol):
-    # The branch weights d are computed along the exact same einsum path as
-    # in alice_cheat_prob so the dropped-outcome decision never disagrees
-    # between the solver objective and a recomputation of the payoff.
-    def fun_grad(phi: np.ndarray):
-        c = np.einsum("x,jxy,y->j", phi.conj(), a, phi)
-        w = np.einsum("jab,b->ja", claimed_stack, phi)
-        d = np.real(np.einsum("ja,ja->j", w.conj(), w))
+    # Batched over the rows of phis. The branch weights d follow the einsum path
+    # of alice_cheat_prob, so the dropped-outcome decision never disagrees with
+    # a recomputation of the payoff. A row that drops an outcome sums its kept
+    # terms alone: zeros in the sum would change its rounding.
+    a_conj = a.conj()
+    claimed_conj = claimed_stack.conj()
+
+    def fun_grad(phis: np.ndarray):
+        c = np.einsum("rx,jxy,ry->rj", phis.conj(), a, phis)
+        w = np.einsum("jab,rb->rja", claimed_stack, phis)
+        d = np.einsum("rja,rja->rj", w.conj(), w).real
         mask = d > zero_tol
-        value = float(np.sum(np.abs(c[mask]) ** 2 / d[mask]))
-        am = a[mask]
-        cm = c[mask]
-        dm = d[mask]
-        grad = np.einsum("j,jxy,y->x", cm.conj() / dm, am, phi)
-        grad += np.einsum("j,jyx,y->x", cm / dm, am.conj(), phi)
-        bphi = np.einsum("jay,ja->jy", claimed_stack[mask].conj(), w[mask])
-        grad -= np.einsum("j,jy->y", np.abs(cm) ** 2 / dm**2, bphi)
-        return value, grad
+        d = np.where(mask, d, 1.0)
+        c2 = np.abs(c) ** 2
+        terms = np.where(mask, c2 / d, 0.0)
+        values = terms.sum(axis=1)
+        if not mask.all():
+            for r in np.flatnonzero(~mask.all(axis=1)):
+                values[r] = terms[r][mask[r]].sum()
+        scale = np.where(mask, c / d, 0.0)
+        grads = np.einsum("rj,jxy,ry->rx", scale.conj(), a, phis)
+        grads += np.einsum("rj,jyx,ry->rx", scale, a_conj, phis)
+        bphi = np.einsum("jay,rja->rjy", claimed_conj, w)
+        grads -= np.einsum("rj,rjy->ry", np.where(mask, c2 / d**2, 0.0), bphi)
+        return values, grads
 
     return fun_grad
 

@@ -20,6 +20,7 @@ from .concealment import cb_lower_bound, cb_upper_bound
 from .optimize import SolverTrace, ascend_params
 from .protocol import (
     ProtocolSpec,
+    _kraus_delta,
     align_families,
     kraus_gap_operator,
     require_valid,
@@ -66,7 +67,7 @@ def minimize_kraus_gap(
 
     def fun_grad(params):
         v = linalg.unitary_from_params(params)
-        delta = np.einsum("jl,lab->jab", v, e0) - e1
+        delta = _kraus_delta(v, e0, e1)
         s = np.einsum("jax,jay->xy", delta.conj(), delta)
         vals, vecs = linalg.eigh_or_error(s)
         top = vecs[:, -1]

@@ -88,9 +88,9 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p, default_format="text", formats=("text", "structured")):
+def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--tol", type=float, default=None, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=None, help=tol_help)
     p.add_argument(
         "--format",
         choices=formats,
@@ -109,17 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a protocol file for completeness")
     p.add_argument("protocol")
-    _add_common(p)
+    _add_common(p, "completeness tolerance")
 
     p = sub.add_parser("conceal", help="bracket Bob's distinguishing advantage")
     p.add_argument("protocol")
-    _add_common(p)
+    _add_common(p, "solver tolerance")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--ref-dim", type=int, default=None)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
     p.add_argument("protocol")
-    _add_common(p)
+    _add_common(p, "solver tolerance")
     p.add_argument("--direction", choices=("01", "10"), default="01")
     p.add_argument("--outer-restarts", type=int, default=8)
     p.add_argument("--outer-iters", type=int, default=200)
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="check both trade-off inequalities")
     p.add_argument("protocol")
-    _add_common(p)
+    _add_common(p, "slack before an inequality counts as violated")
     p.add_argument("--restarts", type=int, default=8, help="norm solver restarts")
     p.add_argument("--states", type=int, default=10, help="sampled states per check")
     p.add_argument(
@@ -143,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="trade-off scan over a protocol family")
     p.add_argument("config")
-    _add_common(p, default_format="csv", formats=("csv", "text", "structured"))
+    _add_common(
+        p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
+    )
     p.add_argument("--cb-restarts", type=int, default=8)
     p.add_argument("--outer-restarts", type=int, default=4)
     p.add_argument("--outer-iters", type=int, default=80)
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     spec = load_protocol(args.protocol)
-    report = validate(spec)
+    report = validate(spec) if args.tol is None else validate(spec, tol=args.tol)
     _emit(render_report(report, args.format), args.output)
     return 0 if report.accepted else 2
 

@@ -64,9 +64,10 @@ def _difference_objective(spec: ProtocolSpec, ref_dim: int):
     For a unit vector psi, the value is the trace norm of the extended
     channel difference applied to |psi><psi|. The subgradient comes from the
     spectral sign operator S: the value equals <psi| D*(S) |psi> with D* the
-    adjoint difference map, so d value / d conj(psi) = D*(S) psi. The polish
-    candidate is the top eigenvector of D*(S), which never decreases the
-    objective and sharpens convergence near the optimum.
+    adjoint difference map, so d value / d conj(psi) = D*(S) psi. The
+    objective maps this over the rows of a batch of states. The polish
+    candidate is the top eigenvector of D*(S) at one state, which never
+    decreases the objective and sharpens convergence near the optimum.
     """
     k0, k1, dim_total, _ = _extended_stacks(spec, ref_dim)
     din, dout = spec.dim_in, spec.dim_out
@@ -88,9 +89,13 @@ def _difference_objective(spec: ProtocolSpec, ref_dim: int):
         back = back.reshape(dim_total, dim_total)
         return value, back
 
-    def fun_grad(psi: np.ndarray):
-        value, back = pieces(psi)
-        return value, back @ psi
+    def fun_grad(psis: np.ndarray):
+        values = np.empty(len(psis))
+        grads = np.empty_like(psis)
+        for r, psi in enumerate(psis):
+            values[r], back = pieces(psi)
+            grads[r] = back @ psi
+        return values, grads
 
     def polish(psi: np.ndarray):
         _, back = pieces(psi)

@@ -33,10 +33,18 @@ def as_state(v, tol: float = STATE_NORM_TOL) -> np.ndarray:
         raise ValueError(f"expected a state vector, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("state has non-finite entries")
-    nrm = np.linalg.norm(a)
+    nrm = vector_norm(a)
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"state norm {nrm!r} differs from 1 beyond {tol!r}")
     return a
+
+
+def vector_norm(v: np.ndarray):
+    """``np.linalg.norm`` of a 1-d array, same arithmetic, without its dispatch."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(v.dot(v))
 
 
 def normalize_state(v) -> np.ndarray:
@@ -44,7 +52,7 @@ def normalize_state(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1:
         raise ValueError(f"expected a state vector, got array of ndim {a.ndim}")
-    nrm = np.linalg.norm(a)
+    nrm = vector_norm(a)
     if nrm < 1e-15:
         raise ValueError("cannot normalize a zero vector")
     return a / nrm
@@ -268,7 +276,7 @@ def random_state(dim: int, seed) -> np.ndarray:
         raise ValueError(f"state dimension must be positive, got {dim}")
     rng = _as_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= vector_norm(v)
     idx = int(np.flatnonzero(np.abs(v) > 1e-12)[0])
     v *= np.exp(-1j * np.angle(v[idx]))
     return v

@@ -13,10 +13,15 @@ stationary: it happens at jump extrema, such as the binding payoff at a
 claimed branch's kernel state, where the value jumps the wrong way in every
 direction and no gradient, analytic or finite-difference, yields a step.
 
+The engine is a generator: it yields each point to evaluate and receives
+(value, gradient) back. ``search_sphere`` advances all its starts in lockstep,
+one batched objective call per round; a start's trajectory depends only on
+its own values, so the result equals running the starts one by one.
+
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
-index), restarts run sequentially, and the reduction keeps the earliest
-restart on ties, so adding restarts can only improve the result.
+index), and the reduction runs in start order and keeps the earliest start
+on ties, so adding restarts can only improve the result.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class _Geometry(NamedTuple):
 
 def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Remove the radial component; the sphere tangent piece remains."""
-    return grad - np.real(np.vdot(psi, grad)) * psi
+    return grad - np.vdot(psi, grad).real * psi
 
 
 _SPHERE = _Geometry(_project, linalg.normalize_state, 1e3)
@@ -71,7 +76,6 @@ _FLAT = _Geometry(lambda x, g: g, lambda x: x, 1e2)
 
 
 def _line_search(
-    fun_grad,
     x: np.ndarray,
     geometry: _Geometry,
     sgn: float,
@@ -83,9 +87,10 @@ def _line_search(
     polish=None,
     stop_value: float | None = None,
 ):
-    """Ascend ``sgn * fun`` from ``x``; returns (x, value, iterations, converged)."""
+    """Ascend ``sgn * fun`` from ``x``: yields points, is sent (value, gradient)
+    back for each, and returns (x, value, iterations, converged)."""
     tangent, retract, max_step = geometry
-    f, g = fun_grad(x)
+    f, g = yield x
     step = 1.0
     stalled = 0
     it = 0
@@ -94,7 +99,7 @@ def _line_search(
             cand = polish(x)
             if cand is not None:
                 cand = retract(cand)
-                fc, gc = fun_grad(cand)
+                fc, gc = yield cand
                 if sgn * (fc - f) > 1e-15:
                     stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
                     x, f, g = cand, fc, gc
@@ -103,14 +108,14 @@ def _line_search(
         if stop_value is not None and sgn * f >= sgn * stop_value:
             return x, f, it, True
         r = tangent(x, g)
-        gn = float(np.linalg.norm(r))
+        gn = float(linalg.vector_norm(r))
         if gn <= tol:
             return x, f, it, True
         direction = sgn * r
         eta = min(step * 2.0, max_step)
         while eta > MIN_STEP:
             cand = retract(x + eta * direction)
-            fc, gc = fun_grad(cand)
+            fc, gc = yield cand
             if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
                 break
             eta *= 0.5
@@ -122,7 +127,7 @@ def _line_search(
         # keep improving escapes that.
         for _ in range(6):
             half = retract(x + 0.5 * eta * direction)
-            fh, gh = fun_grad(half)
+            fh, gh = yield half
             if sgn * (fh - fc) <= 0.0:
                 break
             cand, fc, gc = half, fh, gh
@@ -149,12 +154,17 @@ def search_sphere(
 ) -> SphereResult:
     """Best stationary value of ``fun_grad`` over unit vectors of ``dim``.
 
-    ``fun_grad(psi)`` returns (value, d value / d conj(psi)). ``extra_starts``
-    are deterministic starting vectors tried before the seeded random ones;
-    ``polish`` may propose a candidate vector from the current iterate and is
-    accepted only on strict improvement, keeping the search monotone. A run
-    of ``stall_limit`` accepted steps each gaining less than ``stall_tol``
-    ends the start early; near-flat regions are not worth crawling.
+    ``fun_grad`` is batched: for unit vectors stacked as rows of an
+    ``(R, dim)`` array it returns values ``(R,)`` and gradients d value /
+    d conj(psi) ``(R, dim)``. The starts advance in lockstep, each round one
+    call on the pending points of the unfinished starts; a start's trajectory
+    depends only on its own values, so the result equals running the starts
+    one by one. ``extra_starts`` are deterministic starting vectors tried before
+    the seeded random ones; ``polish`` may propose a candidate vector from a
+    start's current iterate and is accepted only on strict improvement,
+    keeping the search monotone. A run of ``stall_limit`` accepted steps each
+    gaining less than ``stall_tol`` ends the start early; near-flat regions
+    are not worth crawling.
     """
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
@@ -172,30 +182,30 @@ def search_sphere(
         tol=float(tol),
         max_iter=int(max_iter),
     )
-    best_val = None
-    best_vec = None
+    opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
+    searches = [_line_search(s, _SPHERE, sgn, polish=polish, **opts) for s in starts]
+    pending = [next(search) for search in searches]
+    outcomes = [None] * len(searches)
+    active = list(range(len(searches)))
+    while active:
+        values, grads = fun_grad(np.array([pending[i] for i in active]))
+        still = []
+        for i, f, g in zip(active, values, grads):
+            try:
+                pending[i] = searches[i].send((f, g))
+                still.append(i)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        active = still
 
-    for start_idx, psi in enumerate(starts):
-        psi, f, it, converged = _line_search(
-            fun_grad,
-            psi,
-            _SPHERE,
-            sgn,
-            tol=tol,
-            max_iter=max_iter,
-            stall_tol=stall_tol,
-            stall_limit=stall_limit,
-            polish=polish,
-        )
+    for start_idx, (_, f, it, converged) in enumerate(outcomes):
         trace.iterations.append(it)
         trace.converged.append(converged)
         trace.values.append(float(f))
-        if best_val is None or sgn * (f - best_val) > 0.0:
-            best_val = float(f)
-            best_vec = psi
+        if start_idx == 0 or sgn * (f - trace.values[trace.best_start]) > 0.0:
             trace.best_start = start_idx
-
-    return SphereResult(value=best_val, vector=best_vec, trace=trace)
+    best = outcomes[trace.best_start]
+    return SphereResult(value=float(best[1]), vector=best[0], trace=trace)
 
 
 def ascend_params(
@@ -215,15 +225,13 @@ def ascend_params(
     each improve by less than ``stall_tol`` (plateau crawling), or once
     ``stop_value`` is reached. Returns (params, value, iterations, converged).
     """
-    p, f, it, converged = _line_search(
-        fun_grad,
-        np.array(start, dtype=float, copy=True),
-        _FLAT,
-        1.0,
-        tol=tol,
-        max_iter=max_iter,
-        stall_tol=stall_tol,
-        stall_limit=stall_limit,
-        stop_value=stop_value,
-    )
+    opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
+    x = np.array(start, dtype=float, copy=True)
+    search = _line_search(x, _FLAT, 1.0, stop_value=stop_value, **opts)
+    p = next(search)
+    try:
+        while True:
+            p = search.send(fun_grad(p))
+    except StopIteration as done:
+        p, f, it, converged = done.value
     return p, float(f), it, converged

@@ -287,8 +287,13 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
             f"cheat unitary shape {cheat.shape} does not match cardinality {m}"
         )
     linalg.require_unitary(cheat)
-    delta = np.einsum("jl,lab->jab", cheat, spec.bit0.stack()) - spec.bit1.stack()
+    delta = _kraus_delta(cheat, spec.bit0.stack(), spec.bit1.stack())
     return np.einsum("jax,jay->xy", delta.conj(), delta)
+
+
+def _kraus_delta(cheat: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Branch differences sum_l cheat[j, l] e0_l - e1_j; no unitarity check."""
+    return np.einsum("jl,lab->jab", cheat, e0) - e1
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@ import numpy as np
 
 from qbcommit import linalg
 from qbcommit.binding import (
+    ZERO_OUTCOME_TOL,
+    _kernel_starts,
+    _payoff_fun_grad,
+    _payoff_pieces,
     alice_cheat_prob,
     min_over_states,
     minimax_cheat,
 )
 from qbcommit.families import (
     concealing_pair,
+    decoy_protocol,
     dephasing_protocol,
     identity_protocol,
     phase_flip_pair,
@@ -66,6 +71,39 @@ def test_alice_matches_loop_reference():
         assert abs(got - want) < 1e-12
         count += 1
     assert count == 40
+
+
+def test_payoff_objective_rows_match_payoff_and_finite_differences():
+    # One batch mixes generic states with claimed-branch kernel states, where
+    # an outcome is dropped: every row must agree with alice_cheat_prob.
+    for spec in (dephasing_protocol(), decoy_protocol(2)):
+        rng = linalg.spawn_rng(42, spec.cardinality)
+        claimed = spec.bit1.stack()
+        v = linalg.random_unitary(spec.cardinality, rng)
+        fun_grad = _payoff_fun_grad(
+            _payoff_pieces(spec.bit0.stack(), claimed, v), claimed, ZERO_OUTCOME_TOL
+        )
+        generic = [linalg.random_state(spec.dim_in, rng) for _ in range(3)]
+        kernel = _kernel_starts(claimed)
+        assert kernel
+        phis = np.stack(generic[:2] + kernel + generic[2:])
+        values, grads = fun_grad(phis)
+        assert values.shape == (len(phis),) and grads.shape == phis.shape
+        for phi, value in zip(phis, values):
+            # The objective forms the overlaps along another einsum path than
+            # alice_cheat_prob, so the two agree to rounding, not bit for bit.
+            assert abs(value - alice_cheat_prob(spec, v, phi)) < 1e-14
+        h = 1e-6
+        for r in (0, 1, len(phis) - 1):
+            phi, grad = phis[r], grads[r]
+            for k in range(spec.dim_in):
+                for unit in (1.0, 1j):
+                    step = np.zeros(spec.dim_in, dtype=complex)
+                    step[k] = h * unit
+                    up, down = fun_grad(np.stack([phi + step, phi - step]))[0]
+                    # d f = 2 Re(conj(grad) . d psi) for the Wirtinger gradient.
+                    want = 2.0 * np.real(np.conj(grad[k]) * unit)
+                    assert abs((up - down) / (2.0 * h) - want) < 1e-6
 
 
 def test_alice_payoff_within_unit_interval():

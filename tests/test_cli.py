@@ -32,6 +32,18 @@ def test_validate_accepts_good_protocol(phase_file, capsys):
     assert "accepted: true" in out
 
 
+def test_validate_reports_given_tol(dephasing_file, capsys):
+    assert cli.main(["validate", dephasing_file, "--tol", "0.5"]) == 0
+    assert "tol: 0.5" in capsys.readouterr().out.splitlines()
+
+
+def test_bounds_help_names_the_inequality_slack(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["bounds", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "slack before an inequality counts as violated" in help_text
+
+
 def test_validate_rejects_incomplete_family(tmp_path, capsys):
     path = tmp_path / "half.json"
     half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]

@@ -75,6 +75,15 @@ def test_normalize_state():
         linalg.normalize_state(np.zeros(2))
 
 
+def test_vector_norm_matches_numpy_bit_for_bit():
+    rng = linalg.spawn_rng(72)
+    for n in range(1, 65):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+        z = x + 1j * rng.standard_normal(n)
+        assert linalg.vector_norm(x) == np.linalg.norm(x)
+        assert linalg.vector_norm(z) == np.linalg.norm(z)
+
+
 def test_hermitian_params_round_trip():
     for dim in range(1, 6):
         rng = linalg.spawn_rng(21, dim)

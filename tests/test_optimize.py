@@ -1,7 +1,19 @@
 import numpy as np
 
 from qbcommit import linalg
+from qbcommit.binding import ZERO_OUTCOME_TOL, _kernel_starts, _payoff_fun_grad, _payoff_pieces
+from qbcommit.families import dephasing_protocol
 from qbcommit.optimize import ascend_params, search_sphere
+
+
+def rowwise(fun_grad):
+    """Batched objective for search_sphere from a one-state objective."""
+
+    def batched(points):
+        pairs = [fun_grad(p) for p in points]
+        return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
+
+    return batched
 
 
 def quadratic_form(h):
@@ -19,10 +31,10 @@ def test_search_sphere_finds_extreme_eigenvalues():
         h = (z + z.conj().T) / 2.0
         vals = np.linalg.eigvalsh(h)
         top = search_sphere(
-            quadratic_form(h), dim, maximize=True, restarts=8, seed=0
+            rowwise(quadratic_form(h)), dim, maximize=True, restarts=8, seed=0
         )
         bot = search_sphere(
-            quadratic_form(h), dim, maximize=False, restarts=8, seed=0
+            rowwise(quadratic_form(h)), dim, maximize=False, restarts=8, seed=0
         )
         assert abs(top.value - vals[-1]) < 1e-6
         assert abs(bot.value - vals[0]) < 1e-6
@@ -33,8 +45,8 @@ def test_search_sphere_deterministic():
     rng = linalg.spawn_rng(61)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (z + z.conj().T) / 2.0
-    a = search_sphere(quadratic_form(h), 4, maximize=True, restarts=5, seed=3)
-    b = search_sphere(quadratic_form(h), 4, maximize=True, restarts=5, seed=3)
+    a = search_sphere(rowwise(quadratic_form(h)), 4, maximize=True, restarts=5, seed=3)
+    b = search_sphere(rowwise(quadratic_form(h)), 4, maximize=True, restarts=5, seed=3)
     assert a.value == b.value
     np.testing.assert_array_equal(a.vector, b.vector)
     assert a.trace.values == b.trace.values
@@ -44,7 +56,7 @@ def test_search_sphere_deterministic():
 def test_search_sphere_extra_start_is_used():
     h = np.diag([1.0, 0.0])
     res = search_sphere(
-        quadratic_form(h),
+        rowwise(quadratic_form(h)),
         2,
         maximize=True,
         restarts=0,
@@ -66,7 +78,7 @@ def test_search_sphere_escapes_reflecting_valley():
         t = float(np.real(np.vdot(psi, z @ psi)))
         return t * t, 2.0 * t * (z @ psi)
 
-    res = search_sphere(fun_grad, 2, maximize=False, restarts=4, seed=0, tol=1e-10)
+    res = search_sphere(rowwise(fun_grad), 2, maximize=False, restarts=4, seed=0, tol=1e-10)
     assert res.value < 1e-18
     assert max(res.trace.iterations) < 25
 
@@ -80,7 +92,7 @@ def test_search_sphere_polish_only_improves():
         return np.array([0.0, 1.0, 0.0])  # worse than the start, must be ignored
 
     res = search_sphere(
-        quadratic_form(h),
+        rowwise(quadratic_form(h)),
         3,
         maximize=True,
         restarts=0,
@@ -94,7 +106,7 @@ def test_search_sphere_polish_only_improves():
 
 def test_search_sphere_trace_bookkeeping():
     h = np.diag([1.0, -1.0])
-    res = search_sphere(quadratic_form(h), 2, maximize=True, restarts=3, seed=7)
+    res = search_sphere(rowwise(quadratic_form(h)), 2, maximize=True, restarts=3, seed=7)
     assert len(res.trace.values) == 3
     assert len(res.trace.iterations) == 3
     assert len(res.trace.converged) == 3
@@ -138,7 +150,7 @@ def test_search_sphere_stops_at_jump_minimum():
         return value, np.array([0.0, 0.5])
 
     res = search_sphere(
-        fun_grad,
+        rowwise(fun_grad),
         2,
         maximize=False,
         restarts=0,
@@ -150,3 +162,27 @@ def test_search_sphere_stops_at_jump_minimum():
     assert res.trace.iterations == [1]
     assert res.trace.converged == [True]
     assert res.trace.notes == []
+
+
+def test_lockstep_starts_match_one_start_searches():
+    # At the identity cheat the dephasing payoff is flat at 1/2 except near
+    # the claimed kernels: random starts stop at once, kernel starts crawl.
+    spec = dephasing_protocol()
+    claimed = spec.bit1.stack()
+    a = _payoff_pieces(spec.bit0.stack(), claimed, np.eye(2, dtype=complex))
+    fun_grad = _payoff_fun_grad(a, claimed, ZERO_OUTCOME_TOL)
+    starts = _kernel_starts(claimed) + [
+        linalg.random_state(2, linalg.spawn_rng(5, r)) for r in range(6)
+    ]
+    together = search_sphere(fun_grad, 2, maximize=False, restarts=0, seed=5, extra_starts=starts)
+    alone = [
+        search_sphere(fun_grad, 2, maximize=False, restarts=0, seed=5, extra_starts=[s])
+        for s in starts
+    ]
+    assert max(together.trace.iterations) > 5 * min(together.trace.iterations)
+    assert together.trace.values == [res.value for res in alone]
+    assert together.trace.iterations == [res.trace.iterations[0] for res in alone]
+    assert together.trace.converged == [res.trace.converged[0] for res in alone]
+    best = min(range(len(alone)), key=lambda i: (alone[i].value, i))
+    assert together.trace.best_start == best
+    np.testing.assert_array_equal(together.vector, alone[best].vector)
