@@ -215,6 +215,8 @@ def minimax_cheat(
     estimate is an honestly achieved value. The search stops early once the
     payoff cannot improve any further (it is capped at one).
     """
+    if outer_restarts < 1:
+        raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
@@ -239,11 +241,10 @@ def minimax_cheat(
             v0 = align_families(committed, claimed)
         else:
             v0 = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
-        params = linalg.params_from_unitary(v0)
         warm = [None]
 
-        def surrogate(p, _ridx=ridx, _warm=warm):
-            v = linalg.unitary_from_params(p)
+        def surrogate(rows, _ridx=ridx, _warm=warm):
+            (v,), eig = linalg.unitaries_from_params(rows)
             a = _payoff_pieces(ck, cl, v)
             starts = list(kernel)
             if _warm[0] is not None:
@@ -265,13 +266,14 @@ def minimax_cheat(
             )
             _warm[0] = res.vector
             gv = _wirtinger_cheat_gradient(ck, cl, v, res.vector, ZERO_OUTCOME_TOL)
-            return res.value, linalg.unitary_param_gradient(p, gv)
+            return [res.value], linalg.unitary_param_gradient(eig, gv[None])
 
         # Payoffs live in [0, 1]; chasing gains below a few 1e-8 only crawls
         # the dropped-outcome boundary layer, so the ascent stalls out there.
-        params, _, iters, converged = ascend_params(
+        [(params, _, iters, converged)] = ascend_params(
             surrogate,
-            params,
+            [linalg.params_from_unitary(v0)],
+            trace=outer_trace,
             max_iter=outer_iters,
             tol=tol,
             stop_value=PERFECT_PAYOFF_STOP,

@@ -46,6 +46,24 @@ class GapResult:
     trace: SolverTrace
 
 
+def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
+    """Batched ascent objective: minus each parameter row's Kraus gap and its
+    gradient, both from one eigendecomposition of the row's H."""
+
+    def fun_grad(params):
+        v, eig = linalg.unitaries_from_params(params)
+        delta = _kraus_delta(v, e0, e1)
+        s = np.einsum("rjax,rjay->rxy", delta.conj(), delta)
+        vals, vecs = linalg.eigh_or_error(s)
+        top = vecs[:, :, -1]
+        du = np.einsum("rjab,rb->rja", delta, top)
+        eu = np.einsum("lab,rb->rla", e0, top)
+        grad_v = np.einsum("rja,rla->rjl", du, eu.conj())
+        return -vals[:, -1], linalg.unitary_param_gradient(eig, -grad_v)
+
+    return fun_grad
+
+
 def minimize_kraus_gap(
     spec: ProtocolSpec,
     restarts: int = 8,
@@ -56,25 +74,18 @@ def minimize_kraus_gap(
     """Search for the reindexing that brings the two families closest.
 
     Gradient descent on the unitary's real parameters from the identity, the
-    Procrustes alignment of the families, and seeded random unitaries. The
-    descent is monotone from each start, so the result never exceeds the
-    identity gap.
+    Procrustes alignment of the families, and seeded random unitaries, all
+    starts in lockstep. The descent is monotone from each start, so the
+    result never exceeds the identity gap.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     require_valid(spec)
     m = spec.cardinality
-    e0 = spec.bit0.stack()
-    e1 = spec.bit1.stack()
-
-    def fun_grad(params):
-        v = linalg.unitary_from_params(params)
-        delta = _kraus_delta(v, e0, e1)
-        s = np.einsum("jax,jay->xy", delta.conj(), delta)
-        vals, vecs = linalg.eigh_or_error(s)
-        top = vecs[:, -1]
-        du = np.einsum("jab,b->ja", delta, top)
-        eu = np.einsum("lab,b->la", e0, top)
-        grad_v = np.einsum("ja,la->jl", du, eu.conj())
-        return -float(vals[-1]), linalg.unitary_param_gradient(params, -grad_v)
+    starts = [np.eye(m), align_families(spec.bit0, spec.bit1)][:restarts]
+    starts += [
+        linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
+    ]
 
     trace = SolverTrace(
         seed=int(seed),
@@ -84,30 +95,22 @@ def minimize_kraus_gap(
         max_iter=int(max_iter),
     )
     trace.notes.append("start 0: identity, start 1: Procrustes alignment")
-
-    best = None  # (gap, params)
-    for ridx in range(restarts):
-        if ridx == 0:
-            v0 = np.eye(m)
-        elif ridx == 1:
-            v0 = align_families(spec.bit0, spec.bit1)
-        else:
-            v0 = linalg.random_unitary(m, linalg.spawn_rng(seed, 6, ridx))
-        params, value, iters, converged = ascend_params(
-            fun_grad, linalg.params_from_unitary(v0), max_iter=max_iter, tol=tol
-        )
-        gap = -value
+    results = ascend_params(
+        _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack()),
+        [linalg.params_from_unitary(v0) for v0 in starts],
+        trace=trace,
+        max_iter=max_iter,
+        tol=tol,
+    )
+    for _, value, iters, converged in results:
         trace.iterations.append(iters)
         trace.converged.append(converged)
-        trace.values.append(gap)
-        if best is None or gap < best[0]:
-            best = (gap, params)
-            trace.best_start = ridx
-
-    gap, params = best
+        trace.values.append(-value)
+    # min keeps the first of equal gaps: the earliest start wins ties.
+    best = trace.best_start = min(range(len(results)), key=trace.values.__getitem__)
     return GapResult(
-        value=float(max(gap, 0.0)),
-        unitary=linalg.unitary_from_params(params),
+        value=float(max(trace.values[best], 0.0)),
+        unitary=linalg.unitary_from_params(results[best][0]),
         trace=trace,
     )
 

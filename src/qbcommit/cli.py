@@ -88,6 +88,17 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
+def _count(minimum: int):
+    """Argparse type for a budget count: an integer of at least ``minimum``."""
+
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--tol", type=float, default=None, help=tol_help)
@@ -114,16 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conceal", help="bracket Bob's distinguishing advantage")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--ref-dim", type=int, default=None)
+    p.add_argument("--restarts", type=_count(0), default=16)
+    p.add_argument("--ref-dim", type=_count(1), default=None)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
     p.add_argument("--direction", choices=("01", "10"), default="01")
-    p.add_argument("--outer-restarts", type=int, default=8)
-    p.add_argument("--outer-iters", type=int, default=200)
-    p.add_argument("--inner-restarts", type=int, default=16)
+    p.add_argument("--outer-restarts", type=_count(1), default=8)
+    p.add_argument("--outer-iters", type=_count(0), default=200)
+    p.add_argument("--inner-restarts", type=_count(1), default=16)
     p.add_argument(
         "--no-swapped",
         action="store_true",
@@ -133,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="check both trade-off inequalities")
     p.add_argument("protocol")
     _add_common(p, "slack before an inequality counts as violated")
-    p.add_argument("--restarts", type=int, default=8, help="norm solver restarts")
-    p.add_argument("--states", type=int, default=10, help="sampled states per check")
+    p.add_argument("--restarts", type=_count(0), default=8, help="norm solver restarts")
+    p.add_argument("--states", type=_count(1), default=10, help="sampled states per check")
     p.add_argument(
         "--minimize",
         action="store_true",
@@ -146,10 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
     )
-    p.add_argument("--cb-restarts", type=int, default=8)
-    p.add_argument("--outer-restarts", type=int, default=4)
-    p.add_argument("--outer-iters", type=int, default=80)
-    p.add_argument("--inner-restarts", type=int, default=8)
+    p.add_argument("--cb-restarts", type=_count(0), default=8)
+    p.add_argument("--outer-restarts", type=_count(1), default=4)
+    p.add_argument("--outer-iters", type=_count(0), default=80)
+    p.add_argument("--inner-restarts", type=_count(1), default=8)
 
     return parser
 

@@ -8,6 +8,8 @@ the slowest-varying index, matching ``numpy.kron`` ordering.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import SpectralDecompositionError
@@ -152,25 +154,32 @@ def require_unitary(v, tol: float = 1e-8) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(m: int):
+    """Row and column indices of the strict upper triangle, row-major."""
+    return np.triu_indices(m, 1)
+
+
 def hermitian_from_params(params) -> np.ndarray:
     """Assemble a Hermitian matrix from ``m**2`` real parameters.
 
     Layout: the first ``m`` entries are the diagonal; the rest are
     (real, imag) pairs for the strictly upper triangle in row-major order.
+    A stack of parameter rows ``(R, m**2)`` gives a stack ``(R, m, m)``.
     """
     p = np.asarray(params, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("parameters must be a flat real vector")
-    m = int(round(np.sqrt(p.size)))
-    if m * m != p.size:
-        raise ValueError(f"parameter count {p.size} is not a perfect square")
+    if p.ndim not in (1, 2):
+        raise ValueError("parameters must be a flat real vector or a stack of them")
+    m = int(round(np.sqrt(p.shape[-1])))
+    if m * m != p.shape[-1]:
+        raise ValueError(f"parameter count {p.shape[-1]} is not a perfect square")
     if not np.all(np.isfinite(p)):
         raise ValueError("parameters have non-finite entries")
-    h = np.zeros((m, m), dtype=complex)
-    h[np.diag_indices(m)] = p[:m]
-    upper = np.triu_indices(m, 1)
-    h[upper] = p[m::2] + 1j * p[m + 1 :: 2]
-    h[upper[::-1]] = p[m::2] - 1j * p[m + 1 :: 2]
+    h = np.zeros(p.shape[:-1] + (m, m), dtype=complex)
+    h[..., range(m), range(m)] = p[..., :m]
+    rows, cols = _upper_indices(m)
+    h[..., rows, cols] = p[..., m::2] + 1j * p[..., m + 1 :: 2]
+    h[..., cols, rows] = p[..., m::2] - 1j * p[..., m + 1 :: 2]
     return h
 
 
@@ -183,23 +192,35 @@ def params_from_hermitian(h) -> np.ndarray:
     h = 0.5 * (h + h.conj().T)
     p = np.empty(m * m, dtype=float)
     p[:m] = np.real(np.diag(h))
-    upper = h[np.triu_indices(m, 1)]
+    upper = h[_upper_indices(m)]
     p[m::2] = upper.real
     p[m + 1 :: 2] = upper.imag
     return p
 
 
-def unitary_from_params(params) -> np.ndarray:
-    """Map ``m**2`` real parameters to exp(i H) for the assembled Hermitian H."""
-    h = hermitian_from_params(params)
-    w, u = eigh_or_error(h)
-    v = (u * np.exp(1j * w)) @ u.conj().T
-    res = unitarity_residual(v)
+def unitaries_from_params(params):
+    """Map parameter rows ``(R, m**2)`` to exp(i H) for each assembled H.
+
+    Returns the unitaries ``(R, m, m)`` and the eigendecomposition ``(w, u)``
+    that :func:`unitary_param_gradient` reuses. Every row must come out finite
+    and unitary within ``UNITARY_CONSTRUCTION_TOL``.
+    """
+    w, u = eigh_or_error(hermitian_from_params(params))
+    v = (u * np.exp(1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    if not np.isfinite(v).all():
+        raise ValueError("matrix has non-finite entries")
+    gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
+    res = float(_singular_values(gram)[..., 0].max())
     if res > UNITARY_CONSTRUCTION_TOL:
         raise SpectralDecompositionError(
             f"constructed matrix misses unitarity: residual {res!r}"
         )
-    return v
+    return v, (w, u)
+
+
+def unitary_from_params(params) -> np.ndarray:
+    """Map ``m**2`` real parameters to exp(i H) for the assembled Hermitian H."""
+    return unitaries_from_params(np.asarray(params, dtype=float)[None])[0][0]
 
 
 def params_from_unitary(v) -> np.ndarray:
@@ -220,38 +241,40 @@ def params_from_unitary(v) -> np.ndarray:
     return params_from_hermitian(h)
 
 
-def unitary_param_gradient(params, wirtinger_grad) -> np.ndarray:
-    """Pull a gradient on the unitary back to the real parameter vector.
+def unitary_param_gradient(eig, wirtinger_grad) -> np.ndarray:
+    """Pull gradients on the unitaries back to the real parameter rows.
 
-    ``wirtinger_grad`` is d f / d conj(V) for a real-valued f evaluated at
-    V = unitary_from_params(params); the result is the ordinary gradient of
-    f with respect to the real parameters, computed through the spectral
-    first-divided-difference kernel of the matrix exponential.
+    ``eig`` is the ``(w, u)`` pair that :func:`unitaries_from_params` returned
+    for the rows; ``wirtinger_grad`` stacks d f / d conj(V) ``(R, m, m)`` for a
+    real-valued f at each V. The result ``(R, m**2)`` is the ordinary gradient
+    of f with respect to each row's real parameters, computed through the
+    spectral first-divided-difference kernel of the matrix exponential.
     """
-    p = np.asarray(params, dtype=float)
-    h = hermitian_from_params(p)
-    m = h.shape[0]
-    g = as_operator(wirtinger_grad)
-    if g.shape != (m, m):
-        raise ValueError(f"gradient shape {g.shape} does not match unitary size {m}")
-    w, u = eigh_or_error(h)
-    # First divided differences of x -> exp(i x) on the eigenvalue grid.
-    diff = w[:, None] - w[None, :]
+    w, u = eig
+    m = w.shape[-1]
+    g = np.asarray(wirtinger_grad, dtype=complex)
+    if g.shape != u.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match unitaries {u.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("matrix has non-finite entries")
+    # First divided differences of x -> exp(i x) on each eigenvalue grid.
+    diff = w[:, :, None] - w[:, None, :]
     ew = np.exp(1j * w)
-    num = ew[:, None] - ew[None, :]
+    num = ew[:, :, None] - ew[:, None, :]
     small = np.abs(diff) < 1e-12
-    kernel = np.where(small, 1j * ew[:, None], num / np.where(small, 1.0, diff))
+    kernel = np.where(small, 1j * ew[:, :, None], num / np.where(small, 1.0, diff))
 
-    gt = u.conj().T @ g @ u
+    uh = u.conj().swapaxes(-1, -2)
+    gt = uh @ g @ u
     d = np.conj(gt) * kernel
-    wmat = u @ d.T @ u.conj().T
+    wmat = u @ d.swapaxes(-1, -2) @ uh
 
-    out = np.empty(m * m, dtype=float)
-    out[:m] = 2.0 * np.real(np.diag(wmat))
-    upper = np.triu_indices(m, 1)
-    above, below = wmat[upper], wmat.T[upper]
-    out[m::2] = 2.0 * np.real(below + above)
-    out[m + 1 :: 2] = 2.0 * (np.imag(above) - np.imag(below))
+    out = np.empty(w.shape[:-1] + (m * m,), dtype=float)
+    out[:, :m] = 2.0 * np.real(np.diagonal(wmat, axis1=-2, axis2=-1))
+    rows, cols = _upper_indices(m)
+    above, below = wmat[:, rows, cols], wmat[:, cols, rows]
+    out[:, m::2] = 2.0 * np.real(below + above)
+    out[:, m + 1 :: 2] = 2.0 * (np.imag(above) - np.imag(below))
     return out
 
 

@@ -14,9 +14,10 @@ claimed branch's kernel state, where the value jumps the wrong way in every
 direction and no gradient, analytic or finite-difference, yields a step.
 
 The engine is a generator: it yields each point to evaluate and receives
-(value, gradient) back. ``search_sphere`` advances all its starts in lockstep,
-one batched objective call per round; a start's trajectory depends only on
-its own values, so the result equals running the starts one by one.
+(value, gradient) back. ``search_sphere`` and ``ascend_params`` advance all
+their starts in lockstep, one batched objective call per round on the pending
+points of the unfinished starts; a start's trajectory depends only on its own
+values, so the result equals running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -50,6 +51,7 @@ class SolverTrace:
     converged: list = field(default_factory=list)
     values: list = field(default_factory=list)
     best_start: int = -1
+    line_search_failures: int = 0
     notes: list = field(default_factory=list)
 
 
@@ -88,7 +90,8 @@ def _line_search(
     stop_value: float | None = None,
 ):
     """Ascend ``sgn * fun`` from ``x``: yields points, is sent (value, gradient)
-    back for each, and returns (x, value, iterations, converged)."""
+    back for each, and returns (x, value, iterations, converged, stuck), where
+    ``stuck`` says that no step down to ``MIN_STEP`` met the Armijo condition."""
     tangent, retract, max_step = geometry
     f, g = yield x
     step = 1.0
@@ -104,13 +107,13 @@ def _line_search(
                     stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
                     x, f, g = cand, fc, gc
         if stalled >= stall_limit:
-            return x, f, it, True
+            return x, f, it, True, False
         if stop_value is not None and sgn * f >= sgn * stop_value:
-            return x, f, it, True
+            return x, f, it, True, False
         r = tangent(x, g)
         gn = float(linalg.vector_norm(r))
         if gn <= tol:
-            return x, f, it, True
+            return x, f, it, True, False
         direction = sgn * r
         eta = min(step * 2.0, max_step)
         while eta > MIN_STEP:
@@ -121,7 +124,7 @@ def _line_search(
             eta *= 0.5
         else:
             # No step down to MIN_STEP meets the Armijo condition: stationary.
-            return x, f, it, True
+            return x, f, it, True, True
         # A bare Armijo pass can sit on a reflecting step that crosses a
         # valley with almost no progress; probing smaller steps while they
         # keep improving escapes that.
@@ -134,7 +137,26 @@ def _line_search(
             eta *= 0.5
         stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
         x, f, g, step = cand, fc, gc, eta
-    return x, f, it, False
+    return x, f, it, False, False
+
+
+def _lockstep(searches, fun_grad) -> list:
+    """Run line-search generators together, one batched call per round on
+    the pending points of the unfinished ones; returns their outcomes."""
+    pending = [next(search) for search in searches]
+    outcomes = [None] * len(searches)
+    active = list(range(len(searches)))
+    while active:
+        values, grads = fun_grad(np.array([pending[i] for i in active]))
+        still = []
+        for i, f, g in zip(active, values, grads):
+            try:
+                pending[i] = searches[i].send((f, g))
+                still.append(i)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        active = still
+    return outcomes
 
 
 def search_sphere(
@@ -184,24 +206,13 @@ def search_sphere(
     )
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
     searches = [_line_search(s, _SPHERE, sgn, polish=polish, **opts) for s in starts]
-    pending = [next(search) for search in searches]
-    outcomes = [None] * len(searches)
-    active = list(range(len(searches)))
-    while active:
-        values, grads = fun_grad(np.array([pending[i] for i in active]))
-        still = []
-        for i, f, g in zip(active, values, grads):
-            try:
-                pending[i] = searches[i].send((f, g))
-                still.append(i)
-            except StopIteration as done:
-                outcomes[i] = done.value
-        active = still
+    outcomes = _lockstep(searches, fun_grad)
 
-    for start_idx, (_, f, it, converged) in enumerate(outcomes):
+    for start_idx, (_, f, it, converged, stuck) in enumerate(outcomes):
         trace.iterations.append(it)
         trace.converged.append(converged)
         trace.values.append(float(f))
+        trace.line_search_failures += stuck
         if start_idx == 0 or sgn * (f - trace.values[trace.best_start]) > 0.0:
             trace.best_start = start_idx
     best = outcomes[trace.best_start]
@@ -210,28 +221,28 @@ def search_sphere(
 
 def ascend_params(
     fun_grad,
-    start: np.ndarray,
+    starts,
     *,
+    trace: SolverTrace,
     max_iter: int,
     tol: float = 1e-7,
     stop_value: float | None = None,
     stall_tol: float = 1e-9,
     stall_limit: int = 12,
-):
-    """Backtracking gradient ascent on an unconstrained real parameter vector.
+) -> list:
+    """Backtracking gradient ascent on unconstrained real parameter vectors.
 
-    ``fun_grad(p)`` returns (value, gradient). Stops on gradient norm, on
-    step-size exhaustion, on ``stall_limit`` consecutive accepted steps that
-    each improve by less than ``stall_tol`` (plateau crawling), or once
-    ``stop_value`` is reached. Returns (params, value, iterations, converged).
+    ``fun_grad`` is batched: for parameter vectors stacked as rows ``(R, n)``
+    it returns values ``(R,)`` and gradients ``(R, n)``. All ``starts`` ascend
+    in lockstep, each as if it ran alone, and stop on gradient norm, on step
+    exhaustion (counted in ``trace.line_search_failures``), on ``stall_limit``
+    accepted steps in a row that each gain less than ``stall_tol``, or once
+    ``stop_value`` is reached. Returns (params, value, iterations, converged)
+    per start, in start order.
     """
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
-    x = np.array(start, dtype=float, copy=True)
-    search = _line_search(x, _FLAT, 1.0, stop_value=stop_value, **opts)
-    p = next(search)
-    try:
-        while True:
-            p = search.send(fun_grad(p))
-    except StopIteration as done:
-        p, f, it, converged = done.value
-    return p, float(f), it, converged
+    opts["stop_value"] = stop_value
+    searches = [_line_search(np.array(s, dtype=float), _FLAT, 1.0, **opts) for s in starts]
+    outcomes = _lockstep(searches, fun_grad)
+    trace.line_search_failures += sum(stuck for *_, stuck in outcomes)
+    return [(p, float(f), it, converged) for p, f, it, converged, _ in outcomes]

@@ -292,8 +292,8 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
 
 
 def _kraus_delta(cheat: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """Branch differences sum_l cheat[j, l] e0_l - e1_j; no unitarity check."""
-    return np.einsum("jl,lab->jab", cheat, e0) - e1
+    """Branch differences sum_l cheat[..., j, l] e0_l - e1_j; no unitarity check."""
+    return np.einsum("...jl,lab->...jab", cheat, e0) - e1
 
 
 @dataclass(frozen=True)

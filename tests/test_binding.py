@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qbcommit import linalg
 from qbcommit.binding import (
@@ -227,3 +228,8 @@ def test_minimax_swapped_report():
     assert rep.swapped.direction == "10"
     assert rep.swapped.swapped is None
     assert 0.0 <= rep.swapped.minimax_estimate <= 1.0 + 1e-9
+
+
+def test_minimax_rejects_zero_outer_restarts():
+    with pytest.raises(ValueError, match="outer_restarts must be at least 1"):
+        minimax_cheat(dephasing_protocol(), outer_restarts=0)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
+from qbcommit import linalg
 from qbcommit.bounds import (
+    _gap_fun_grad,
     SCAN_CSV_HEADER,
     ScanBudgets,
     check_bounds,
@@ -13,9 +16,13 @@ from qbcommit.bounds import (
 from qbcommit.families import (
     FAMILY_REGISTRY,
     concealing_pair,
+    decoy_protocol,
     dephasing_protocol,
     phase_flip_pair,
+    random_protocol,
 )
+from qbcommit.optimize import SolverTrace, ascend_params
+from qbcommit.protocol import align_families
 
 
 def test_kraus_gap_phase_pair_identity():
@@ -116,3 +123,51 @@ def test_scan_csv_layout_and_determinism():
     assert first[-2] == "4"
     assert first[-3] == "2"
     assert csv_a.endswith("\n")
+
+
+def test_minimize_kraus_gap_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        minimize_kraus_gap(dephasing_protocol(), restarts=0)
+
+
+def test_gap_ascent_lockstep_matches_one_start_calls():
+    # The starts minimize_kraus_gap builds: identity, Procrustes alignment,
+    # then seeded random unitaries. On the dephasing protocol the first two
+    # starts end on the same gap, so the tie rule decides the best start.
+    seed, restarts = 3, 6
+    specs = (
+        random_protocol(3, 3, 3, np.random.default_rng(31)),
+        decoy_protocol(2),
+        dephasing_protocol(),
+    )
+    for spec in specs:
+        m = spec.cardinality
+        unitaries = [np.eye(m), align_families(spec.bit0, spec.bit1)]
+        for r in range(2, restarts):
+            unitaries.append(linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)))
+        starts = [linalg.params_from_unitary(v) for v in unitaries]
+        fun_grad = _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack())
+
+        def ascend(points):
+            trace = SolverTrace(seed, restarts, 0, 1e-8, 200)
+            return ascend_params(fun_grad, points, trace=trace, max_iter=200, tol=1e-8)
+
+        together = ascend(starts)
+        alone = [ascend([s])[0] for s in starts]
+        assert len({it for _, _, it, _ in alone}) > 1
+        for (p1, v1, it1, c1), (p2, v2, it2, c2) in zip(together, alone):
+            assert p1.tobytes() == p2.tobytes()
+            assert (v1, it1, c1) == (v2, it2, c2)
+
+        # Reference reduction: start order, strict < keeps the earliest tie.
+        best = None
+        for ridx, (params, value, _, _) in enumerate(alone):
+            if best is None or -value < best[0]:
+                best = (-value, ridx, params)
+        res = minimize_kraus_gap(spec, restarts=restarts, seed=seed)
+        assert res.trace.values == [-value for _, value, _, _ in alone]
+        assert res.trace.iterations == [it for _, _, it, _ in alone]
+        assert res.trace.converged == [c for _, _, _, c in alone]
+        assert res.trace.best_start == best[1]
+        assert res.value == max(best[0], 0.0)
+        assert res.unitary.tobytes() == linalg.unitary_from_params(best[2]).tobytes()

@@ -292,3 +292,35 @@ def test_bracket_inversion_exits_three(phase_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "inconsistent bounds" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("bind", "--outer-restarts", "0"),
+        ("bind", "--inner-restarts", "0"),
+        ("bind", "--outer-iters", "-1"),
+        ("conceal", "--restarts", "-1"),
+        ("conceal", "--ref-dim", "0"),
+        ("bounds", "--restarts", "-1"),
+        ("bounds", "--states", "-1"),
+        ("bounds", "--states", "0"),
+        ("scan", "--outer-restarts", "0"),
+        ("scan", "--inner-restarts", "0"),
+        ("scan", "--cb-restarts", "-1"),
+        ("scan", "--outer-iters", "-1"),
+    ],
+)
+def test_budget_count_below_minimum_exits_two(
+    command, option, value, dephasing_file, decoy_config, capsys
+):
+    path = decoy_config if command == "scan" else dephasing_file
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+def test_budget_count_minimums_are_accepted(dephasing_file, capsys):
+    assert cli.main(["bounds", dephasing_file, "--restarts", "0", "--states", "1"]) == 0
+    assert "sampled_payoffs: [" in capsys.readouterr().out

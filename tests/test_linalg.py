@@ -147,7 +147,8 @@ def test_unitary_param_gradient_matches_finite_differences():
             v = linalg.unitary_from_params(p)
             return float(np.real(np.sum(np.conj(g) * v) + np.sum(g * np.conj(v))))
 
-        grad = linalg.unitary_param_gradient(p0, g)
+        _, eig = linalg.unitaries_from_params(p0[None])
+        grad = linalg.unitary_param_gradient(eig, g[None])[0]
         h = 1e-6
         for i in range(p0.size):
             bump = np.zeros_like(p0)
@@ -168,13 +169,46 @@ def test_unitary_param_gradient_degenerate_eigenvalues():
         v = linalg.unitary_from_params(p)
         return float(np.real(np.sum(np.conj(g) * v) + np.sum(g * np.conj(v))))
 
-    grad = linalg.unitary_param_gradient(p0, g)
+    _, eig = linalg.unitaries_from_params(p0[None])
+    grad = linalg.unitary_param_gradient(eig, g[None])[0]
     h = 1e-6
     for i in range(p0.size):
         bump = np.zeros_like(p0)
         bump[i] = h
         fd = (f(p0 + bump) - f(p0 - bump)) / (2.0 * h)
         assert abs(grad[i] - fd) < 5e-6
+
+
+def test_batched_parametrization_rows_match_one_row_results():
+    # Zero and 1e-13-scaled rows give (near-)degenerate spectra, where the
+    # divided-difference kernel takes its diagonal limit.
+    for m in range(1, 8):
+        rng = linalg.spawn_rng(25, m)
+        for batch in (1, 3, 8):
+            scales = [(0.0, 1e-13, 1.0)[(batch + r) % 3] for r in range(batch)]
+            p = rng.standard_normal((batch, m * m)) * np.array(scales)[:, None]
+            g = rng.standard_normal((batch, m, m)) + 1j * rng.standard_normal((batch, m, m))
+            v, eig = linalg.unitaries_from_params(p)
+            grad = linalg.unitary_param_gradient(eig, g)
+            assert v.shape == (batch, m, m) and grad.shape == (batch, m * m)
+            for r in range(batch):
+                v1, eig1 = linalg.unitaries_from_params(p[r : r + 1])
+                assert v[r].tobytes() == v1[0].tobytes()
+                assert v[r].tobytes() == linalg.unitary_from_params(p[r]).tobytes()
+                grad1 = linalg.unitary_param_gradient(eig1, g[r : r + 1])
+                assert grad[r].tobytes() == grad1[0].tobytes()
+
+
+def test_batched_parametrization_rejects_non_finite_rows():
+    p = np.zeros((3, 4))
+    p[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.unitaries_from_params(p)
+    _, eig = linalg.unitaries_from_params(np.zeros((3, 4)))
+    g = np.zeros((3, 2, 2), dtype=complex)
+    g[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.unitary_param_gradient(eig, g)
 
 
 def test_require_unitary():

@@ -3,11 +3,11 @@ import numpy as np
 from qbcommit import linalg
 from qbcommit.binding import ZERO_OUTCOME_TOL, _kernel_starts, _payoff_fun_grad, _payoff_pieces
 from qbcommit.families import dephasing_protocol
-from qbcommit.optimize import ascend_params, search_sphere
+from qbcommit.optimize import SolverTrace, ascend_params, search_sphere
 
 
 def rowwise(fun_grad):
-    """Batched objective for search_sphere from a one-state objective."""
+    """Batched objective for the search engines from a one-point objective."""
 
     def batched(points):
         pairs = [fun_grad(p) for p in points]
@@ -51,6 +51,7 @@ def test_search_sphere_deterministic():
     np.testing.assert_array_equal(a.vector, b.vector)
     assert a.trace.values == b.trace.values
     assert a.trace.best_start == b.trace.best_start
+    assert a.trace.line_search_failures == b.trace.line_search_failures == 0
 
 
 def test_search_sphere_extra_start_is_used():
@@ -121,8 +122,9 @@ def test_ascend_params_concave_quadratic():
         d = p - target
         return -float(d @ d), -2.0 * d
 
-    p, value, iters, converged = ascend_params(
-        fun_grad, np.zeros(3), max_iter=200, tol=1e-10
+    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-10, max_iter=200)
+    [(p, value, iters, converged)] = ascend_params(
+        rowwise(fun_grad), [np.zeros(3)], trace=trace, max_iter=200, tol=1e-10
     )
     assert converged
     assert abs(value) < 1e-12
@@ -133,8 +135,9 @@ def test_ascend_params_stop_value_short_circuits():
     def fun_grad(p):
         return float(p[0]), np.array([1.0])
 
-    p, value, iters, converged = ascend_params(
-        fun_grad, np.zeros(1), max_iter=500, tol=1e-12, stop_value=5.0
+    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-12, max_iter=500)
+    [(p, value, iters, converged)] = ascend_params(
+        rowwise(fun_grad), [np.zeros(1)], trace=trace, max_iter=500, tol=1e-12, stop_value=5.0
     )
     assert converged
     assert value >= 5.0
@@ -161,6 +164,7 @@ def test_search_sphere_stops_at_jump_minimum():
     np.testing.assert_array_equal(res.vector, [1.0, 0.0])
     assert res.trace.iterations == [1]
     assert res.trace.converged == [True]
+    assert res.trace.line_search_failures == 1
     assert res.trace.notes == []
 
 
