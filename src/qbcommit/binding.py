@@ -61,13 +61,9 @@ def alice_cheat_prob(
         raise ValueError(
             f"state length {phi.size} does not match input dimension {spec.dim_in}"
         )
-    effective = np.einsum("jl,lab->jab", cheat, committed.stack())
-    u = np.einsum("jab,b->ja", effective, phi)
-    w = np.einsum("jab,b->ja", claimed.stack(), phi)
-    overlaps = np.einsum("ja,ja->j", u.conj(), w)
-    weights = np.real(np.einsum("ja,ja->j", w.conj(), w))
-    mask = weights > zero_tol
-    return float(np.sum(np.abs(overlaps[mask]) ** 2 / weights[mask]))
+    a = _payoff_pieces(committed.stack(), claimed.stack(), cheat)
+    (value,), _ = _payoff_fun_grad(a, claimed.stack(), zero_tol)(phi[None])
+    return float(value)
 
 
 def _payoff_pieces(committed_stack, claimed_stack, cheat):
@@ -77,10 +73,10 @@ def _payoff_pieces(committed_stack, claimed_stack, cheat):
 
 
 def _payoff_fun_grad(a, claimed_stack, zero_tol):
-    # Batched over the rows of phis. The branch weights d follow the einsum path
-    # of alice_cheat_prob, so the dropped-outcome decision never disagrees with
-    # a recomputation of the payoff. A row that drops an outcome sums its kept
-    # terms alone: zeros in the sum would change its rounding.
+    # Batched over the rows of phis; alice_cheat_prob evaluates one row here,
+    # so a reported payoff and the solver's value at the same point agree bit
+    # for bit. A row that drops an outcome sums its kept terms alone: zeros in
+    # the sum would change its rounding.
     a_conj = a.conj()
     claimed_conj = claimed_stack.conj()
 

@@ -4,7 +4,10 @@ Bob's optimal cheating probability is 1/2 + 1/4 times the completely bounded
 norm of the channel difference. The exact norm is bracketed from below by a
 variational search over pure inputs on the committed space extended with a
 reference, and from above by cheap certified routes; the bracket transfers
-directly to Bob's cheating probability.
+directly to Bob's cheating probability. The search's objective evaluates a
+whole batch of states per call and takes its gradient from the branch images
+K_m psi it already has, so it never builds the adjoint map's matrix; only
+the eigenvector polish does, once per call.
 """
 
 from __future__ import annotations
@@ -52,54 +55,56 @@ def helstrom_prob(spec: ProtocolSpec, psi) -> float:
     return 0.5 + 0.25 * linalg.trace_norm(out1 - out0)
 
 
-def _extended_stacks(spec: ProtocolSpec, ref_dim: int):
-    k0 = spec.bit0.stack()
-    k1 = spec.bit1.stack()
-    return k0, k1, spec.dim_in * ref_dim, spec.dim_out * ref_dim
-
-
 def _difference_objective(spec: ProtocolSpec, ref_dim: int):
     """Trace-norm objective with analytic subgradient and eigenvector polish.
 
     For a unit vector psi, the value is the trace norm of the extended
     channel difference applied to |psi><psi|. The subgradient comes from the
     spectral sign operator S: the value equals <psi| D*(S) |psi> with D* the
-    adjoint difference map, so d value / d conj(psi) = D*(S) psi. The
-    objective maps this over the rows of a batch of states. The polish
-    candidate is the top eigenvector of D*(S) at one state, which never
-    decreases the objective and sharpens convergence near the optimum.
+    adjoint difference map, so d value / d conj(psi) = D*(S) psi. Since
+    D*(S) psi = sum_m A_m† S A_m psi over the extended operators
+    A_m = K_m ⊗ I_ref (bit 1 minus bit 0), the gradient comes from the branch
+    images u_m = A_m psi that the value already needs, as v_m = S u_m and then
+    sum_m A_m† v_m, without forming D*(S). The objective does this for a whole
+    batch of states at once, with one stacked eigendecomposition. The polish
+    candidate is the top eigenvector of the Hermitian part of D*(S) at one
+    state, built from the extended stacks; it never decreases the objective
+    and sharpens convergence near the optimum.
     """
-    k0, k1, dim_total, _ = _extended_stacks(spec, ref_dim)
-    din, dout = spec.dim_in, spec.dim_out
+    din, n = spec.dim_in, spec.dim_in * ref_dim
+    k0, k1 = spec.bit0.stack(), spec.bit1.stack()
+    # Adjoint of each Kraus stack flattened over the Kraus index: (din, m * dout).
+    k0h, k1h = (k.reshape(-1, din).conj().T for k in (k0, k1))
+    # The operators K_m ⊗ I_ref of each bit: (m, dout * ref, n).
+    a0, a1 = (
+        np.einsum("mab,rs->marbs", k, np.eye(ref_dim)).reshape(len(k), -1, n) for k in (k0, k1)
+    )
 
-    def pieces(psi: np.ndarray):
-        mat = psi.reshape(din, ref_dim)
-        u1 = np.einsum("mab,br->mar", k1, mat).reshape(len(k1), -1)
-        u0 = np.einsum("mab,br->mar", k0, mat).reshape(len(k0), -1)
-        out = np.einsum("ma,mb->ab", u1, u1.conj()) - np.einsum(
-            "ma,mb->ab", u0, u0.conj()
+    def sign_and_images(psis: np.ndarray):
+        mats = psis.reshape(len(psis), din, ref_dim)
+        u1 = np.einsum("mab,Rbr->Rmar", k1, mats).reshape(len(psis), len(k1), -1)
+        u0 = np.einsum("mab,Rbr->Rmar", k0, mats).reshape(len(psis), len(k0), -1)
+        out = np.einsum("Rma,Rmb->Rab", u1, u1.conj()) - np.einsum(
+            "Rma,Rmb->Rab", u0, u0.conj()
         )
         w, vecs = linalg.eigh_or_error(out)
-        value = float(np.sum(np.abs(w)))
-        sign = (vecs * np.sign(w)) @ vecs.conj().T
-        s4 = sign.reshape(dout, ref_dim, dout, ref_dim)
-        back = np.einsum("mae,arbt,mbf->erft", k1.conj(), s4, k1) - np.einsum(
-            "mae,arbt,mbf->erft", k0.conj(), s4, k0
-        )
-        back = back.reshape(dim_total, dim_total)
-        return value, back
+        sign = (vecs * np.sign(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        return np.sum(np.abs(w), axis=1), sign, u0, u1
 
     def fun_grad(psis: np.ndarray):
-        values = np.empty(len(psis))
-        grads = np.empty_like(psis)
-        for r, psi in enumerate(psis):
-            values[r], back = pieces(psi)
-            grads[r] = back @ psi
-        return values, grads
+        values, sign, u0, u1 = sign_and_images(psis)
+        # v_m = S u_m, then sum_m (K_m ⊗ I)† v_m; bit 1 minus bit 0.
+        sign_t = sign.transpose(0, 2, 1)
+        v1 = (u1 @ sign_t).reshape(len(psis), -1, ref_dim)
+        v0 = (u0 @ sign_t).reshape(len(psis), -1, ref_dim)
+        return values, (k1h @ v1 - k0h @ v0).reshape(len(psis), n)
 
     def polish(psi: np.ndarray):
-        _, back = pieces(psi)
-        w, vecs = linalg.eigh_or_error(0.5 * (back + back.conj().T))
+        _, (sign,), _, _ = sign_and_images(psi[None])
+        # D*(S) = A1† (S A1) - A0† (S A0), each stack flattened over its Kraus index.
+        adj1, adj0 = (a.reshape(-1, n).conj().T @ (sign @ a).reshape(-1, n) for a in (a1, a0))
+        back = adj1 - adj0
+        _, vecs = linalg.eigh_or_error(0.5 * (back + back.conj().T))
         return vecs[:, -1]
 
     return fun_grad, polish
@@ -125,10 +130,10 @@ def cb_lower_bound(
     if ref < 1:
         raise ValueError(f"reference dimension must be positive, got {ref}")
     fun_grad, polish = _difference_objective(spec, ref)
-    extra = []
-    if ref == spec.dim_in:
-        # Maximally entangled start; frequently already the maximizer.
-        extra.append(np.eye(spec.dim_in, dtype=complex).reshape(-1) / sqrt(spec.dim_in))
+    # Maximally entangled start on the first min(dim_in, ref) levels of each
+    # factor; frequently already the maximizer.
+    k = min(spec.dim_in, ref)
+    entangled = np.eye(spec.dim_in, ref, dtype=complex).reshape(-1) / sqrt(k)
     result = search_sphere(
         fun_grad,
         spec.dim_in * ref,
@@ -137,7 +142,7 @@ def cb_lower_bound(
         seed=seed,
         tol=tol,
         max_iter=max_iter,
-        extra_starts=extra,
+        extra_starts=[entangled],
         polish=polish,
         rng_tags=(1,),
     )

@@ -9,15 +9,23 @@ accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
 of accepted steps that each gain almost nothing, or when no step down to
 ``MIN_STEP`` meets the Armijo condition. The last case is treated as
-stationary: it happens at jump extrema, such as the binding payoff at a
-claimed branch's kernel state, where the value jumps the wrong way in every
-direction and no gradient, analytic or finite-difference, yields a step.
+stationary and counted in ``SolverTrace.line_search_failures``: it happens at
+jump extrema, such as the binding payoff at a claimed branch's kernel state,
+where the value jumps the wrong way in every direction and no gradient,
+analytic or finite-difference, yields a step. It also happens at a smooth
+optimum that a start has reached within round-off while its gradient norm is
+still above ``tol``: there the gains the Armijo test asks for are below what
+double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
+way), so the count is not a count of stuck starts alone.
 
 The engine is a generator: it yields each point to evaluate and receives
-(value, gradient) back. ``search_sphere`` and ``ascend_params`` advance all
-their starts in lockstep, one batched objective call per round on the pending
-points of the unfinished starts; a start's trajectory depends only on its own
-values, so the result equals running the starts one by one.
+(value, gradient) back. Gradients are the objectives' own analytic ones
+(d value / d conj(psi) on the sphere), each taken from the pieces its value
+already computed; the engine takes no finite differences. ``search_sphere``
+and ``ascend_params`` advance all their starts in lockstep, one batched
+objective call per round on the pending points of the unfinished starts; a
+start's trajectory depends only on its own values, so the result equals
+running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -40,7 +48,12 @@ MIN_STEP = 1e-14
 
 @dataclass
 class SolverTrace:
-    """Reproducibility record attached to optimizer-backed reports."""
+    """Reproducibility record attached to optimizer-backed reports.
+
+    ``line_search_failures`` counts the starts that ended because no step
+    down to ``MIN_STEP`` met the Armijo condition: stuck at a jump extremum,
+    or within round-off of a smooth optimum with the gradient norm above ``tol``.
+    """
 
     seed: int
     restarts: int

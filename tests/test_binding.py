@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from qbcommit.families import (
     phase_flip_pair,
     random_protocol,
 )
+from qbcommit.fileio import load_protocol
 from qbcommit.protocol import KrausFamily, ProtocolSpec
+
+PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
 
 def loop_payoff(committed_ops, claimed_ops, cheat, phi, zero_tol=1e-14):
@@ -91,9 +96,7 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
         values, grads = fun_grad(phis)
         assert values.shape == (len(phis),) and grads.shape == phis.shape
         for phi, value in zip(phis, values):
-            # The objective forms the overlaps along another einsum path than
-            # alice_cheat_prob, so the two agree to rounding, not bit for bit.
-            assert abs(value - alice_cheat_prob(spec, v, phi)) < 1e-14
+            assert value == alice_cheat_prob(spec, v, phi)
         h = 1e-6
         for r in (0, 1, len(phis) - 1):
             phi, grad = phis[r], grads[r]
@@ -105,6 +108,22 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
                     # d f = 2 Re(conj(grad) . d psi) for the Wirtinger gradient.
                     want = 2.0 * np.real(np.conj(grad[k]) * unit)
                     assert abs((up - down) / (2.0 * h) - want) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, budget",
+    [
+        ("concealing-pair", {}),
+        ("dephasing-zx", {"outer_restarts": 2, "outer_iters": 10}),
+    ],
+)
+def test_payoff_at_saddle_equals_minimax_estimate(name, budget):
+    # The reported payoff re-evaluates the estimate's own cheat and state, so
+    # it must be the same number, in both directions.
+    spec = load_protocol(PROTOCOLS / f"{name}.json")
+    report = minimax_cheat(spec, seed=1, **budget)
+    for rep in (report, report.swapped):
+        assert rep.payoff_at_saddle == rep.minimax_estimate
 
 
 def test_alice_payoff_within_unit_interval():

@@ -93,6 +93,18 @@ def test_conceal_structured_output(phase_file, capsys):
     assert isinstance(data["witness_state"], list)
 
 
+@pytest.mark.parametrize("ref_dim", ["1", "3"])
+def test_conceal_without_restarts_at_other_ref_dim(dephasing_file, ref_dim, capsys):
+    # The deterministic entangled start exists at every reference size, so
+    # a search with no random restarts still has a start.
+    argv = ["conceal", dephasing_file, "--restarts", "0", "--ref-dim", ref_dim]
+    assert cli.main(argv + ["--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["solver_trace"]["extra_starts"] == 1
+    assert data["solver_trace"]["restarts"] == 0
+    assert abs(data["cb_lower"] - 1.0) < 1e-9
+
+
 def test_conceal_output_file(phase_file, tmp_path, capsys):
     dest = tmp_path / "report.txt"
     code = cli.main(["conceal", phase_file, "--restarts", "4", "--output", str(dest)])

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from qbcommit import linalg
 from qbcommit.concealment import (
+    _difference_objective,
     analyze_concealment,
     cb_lower_bound,
     cb_upper_bound,
@@ -9,6 +11,7 @@ from qbcommit.concealment import (
 )
 from qbcommit.families import (
     concealing_pair,
+    decoy_protocol,
     dephasing_protocol,
     identity_protocol,
     phase_flip_pair,
@@ -125,3 +128,111 @@ def test_cb_lower_rejects_bad_ref_dim():
         pass
     else:
         raise AssertionError("ref_dim=0 should be rejected")
+
+
+def test_cb_lower_ref_dim_other_than_input_has_entangled_start():
+    # With no random restarts the deterministic start alone must carry the
+    # search: |0>|0> for a trivial reference, (|00> + |11>)/sqrt(2) for a
+    # reference larger than the input. Both already reach the optimum 1.
+    spec = dephasing_protocol()
+    for ref_dim in (1, 3):
+        res = cb_lower_bound(spec, restarts=0, seed=0, ref_dim=ref_dim)
+        assert res.trace.extra_starts == 1
+        assert res.vector.shape == (2 * ref_dim,)
+        assert abs(res.value - 1.0) < 1e-9
+
+
+def _objective_cases():
+    """(spec, ref_dim) pairs: random 3x3 and 4x4 protocols and decoy-k2,
+    whose output space is larger than its input, each at reference sizes
+    1, dim_in and dim_in + 1."""
+    specs = [
+        random_protocol(3, 3, 2, seed=61),
+        random_protocol(3, 3, 4, seed=62),
+        random_protocol(4, 4, 3, seed=63),
+        decoy_protocol(2),
+    ]
+    return [(spec, ref) for spec in specs for ref in (1, spec.dim_in, spec.dim_in + 1)]
+
+
+OBJECTIVE_CASES = _objective_cases()
+OBJECTIVE_IDS = [f"{spec.label}-ref{ref}" for spec, ref in OBJECTIVE_CASES]
+
+
+def _reference_adjoint(spec, ref_dim, psi):
+    """D*(S) at psi, one state at a time, through a three-operand einsum.
+
+    The output difference has round-off eigenvalues on its kernel whenever
+    its rank is below its size, and their signs enter D*(S) (though not
+    D*(S) psi). So S is built along the objective's own arithmetic, which
+    makes the kernel signs agree.
+    """
+    k0, k1 = spec.bit0.stack(), spec.bit1.stack()
+    mat = psi.reshape(spec.dim_in, ref_dim)
+    u1 = np.einsum("mab,br->mar", k1, mat).reshape(len(k1), -1)
+    u0 = np.einsum("mab,br->mar", k0, mat).reshape(len(k0), -1)
+    out = np.einsum("ma,mb->ab", u1, u1.conj()) - np.einsum("ma,mb->ab", u0, u0.conj())
+    w, vecs = np.linalg.eigh(out)
+    sign = (vecs * np.sign(w)) @ vecs.conj().T
+    s4 = sign.reshape(spec.dim_out, ref_dim, spec.dim_out, ref_dim)
+    back = np.einsum("mae,arbt,mbf->erft", k1.conj(), s4, k1) - np.einsum(
+        "mae,arbt,mbf->erft", k0.conj(), s4, k0
+    )
+    n = spec.dim_in * ref_dim
+    return back.reshape(n, n)
+
+
+def _states(dim, count, *tags):
+    return np.stack([linalg.random_state(dim, linalg.spawn_rng(*tags, i)) for i in range(count)])
+
+
+@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
+def test_difference_objective_matches_helstrom_and_reference_adjoint(spec, ref_dim):
+    fun_grad, _ = _difference_objective(spec, ref_dim)
+    psis = _states(spec.dim_in * ref_dim, 4, 71, ref_dim)
+    values, grads = fun_grad(psis)
+    assert values.shape == (4,) and grads.shape == psis.shape
+    for psi, value, grad in zip(psis, values, grads):
+        assert abs(value - 4.0 * (helstrom_prob(spec, psi) - 0.5)) < 1e-12
+        assert np.abs(grad - _reference_adjoint(spec, ref_dim, psi) @ psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
+def test_difference_objective_gradient_matches_finite_differences(spec, ref_dim):
+    fun_grad, _ = _difference_objective(spec, ref_dim)
+    n = spec.dim_in * ref_dim
+    psis = _states(n, 2, 72, ref_dim)
+    _, grads = fun_grad(psis)
+    h = 1e-6
+    for r, (psi, grad) in enumerate(zip(psis, grads)):
+        for direction in _states(n, 3, 73, ref_dim, r):
+            tangent = direction - np.vdot(psi, direction) * psi
+            up, down = fun_grad(np.stack([psi + h * tangent, psi - h * tangent]))[0]
+            # d f = 2 Re(conj(grad) . d psi) for the Wirtinger gradient.
+            want = 2.0 * np.real(np.vdot(grad, tangent))
+            assert abs((up - down) / (2.0 * h) - want) < 1e-6
+
+
+@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
+def test_difference_objective_batch_rows_equal_one_row_calls(spec, ref_dim):
+    fun_grad, _ = _difference_objective(spec, ref_dim)
+    for count in (1, 3, 8):
+        psis = _states(spec.dim_in * ref_dim, count, 74, ref_dim, count)
+        values, grads = fun_grad(psis)
+        for psi, value, grad in zip(psis, values, grads):
+            (one_value,), (one_grad,) = fun_grad(psi[None])
+            assert value == one_value
+            assert np.array_equal(grad, one_grad)
+
+
+@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
+def test_difference_objective_polish_is_top_eigenvector(spec, ref_dim):
+    _, polish = _difference_objective(spec, ref_dim)
+    for psi in _states(spec.dim_in * ref_dim, 2, 75, ref_dim):
+        back = _reference_adjoint(spec, ref_dim, psi)
+        herm = 0.5 * (back + back.conj().T)
+        top = np.linalg.eigvalsh(herm)[-1]
+        cand = polish(psi)
+        assert abs(linalg.vector_norm(cand) - 1.0) < 1e-12
+        assert abs(np.vdot(cand, herm @ cand).real - top) < 1e-12
+        assert np.abs(herm @ cand - top * cand).max() < 1e-10
