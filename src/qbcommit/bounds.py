@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .binding import alice_cheat_prob, minimax_cheat
-from .concealment import cb_lower_bound, cb_upper_bound
+from .concealment import analyze_concealment, cb_lower_bound
 from .optimize import SolverTrace, ascend_params
 from .protocol import (
     ProtocolSpec,
@@ -278,7 +278,9 @@ def epsilon_delta_scan(
 
     ``family`` maps a parameter value to a protocol. Parameters whose
     protocol fails to build or validate are recorded as skipped with the
-    reason instead of aborting the scan.
+    reason instead of aborting the scan. The norm bracket comes from
+    ``analyze_concealment``, so an inverted bracket raises
+    ``BracketInversionError`` as it does for a single protocol.
     """
     if budgets is None:
         budgets = ScanBudgets()
@@ -291,11 +293,10 @@ def epsilon_delta_scan(
         except Exception as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
-        lo = cb_lower_bound(
+        conceal = analyze_concealment(
             spec, restarts=budgets.cb_restarts, seed=seed, tol=budgets.tol
-        ).value
-        hi, _ = cb_upper_bound(spec)
-        lo = min(lo, hi)
+        )
+        lo, hi = conceal.cb_lower, conceal.cb_upper
         binding = minimax_cheat(
             spec,
             outer_restarts=budgets.outer_restarts,

@@ -23,7 +23,7 @@ from .bounds import (
     scan_to_csv,
 )
 from .binding import minimax_cheat
-from .concealment import analyze_concealment, cb_lower_bound
+from .concealment import CERTIFIED_WIDTH, analyze_concealment, cb_lower_bound
 from .errors import BracketInversionError, ProtocolFileError, ProtocolValidationError
 from .fileio import dump_json, jsonable, load_protocol, load_scan_config
 from .protocol import validate
@@ -111,6 +111,12 @@ def _add_common(p, tol_help, default_format="text", formats=("text", "structured
     p.add_argument("--output", default=None, help="write output to this file")
 
 
+_RESTARTS_HELP = (
+    "random restarts of the norm search; they run only while the bracket "
+    f"certified at the entangled start is wider than CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbcommit",
@@ -125,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conceal", help="bracket Bob's distinguishing advantage")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
-    p.add_argument("--restarts", type=_count(0), default=16)
+    p.add_argument("--restarts", type=_count(0), default=16, help=_RESTARTS_HELP)
     p.add_argument("--ref-dim", type=_count(1), default=None)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
@@ -144,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="check both trade-off inequalities")
     p.add_argument("protocol")
     _add_common(p, "slack before an inequality counts as violated")
-    p.add_argument("--restarts", type=_count(0), default=8, help="norm solver restarts")
+    p.add_argument("--restarts", type=_count(0), default=8, help=_RESTARTS_HELP)
     p.add_argument("--states", type=_count(1), default=10, help="sampled states per check")
     p.add_argument(
         "--minimize",
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
     )
-    p.add_argument("--cb-restarts", type=_count(0), default=8)
+    p.add_argument("--cb-restarts", type=_count(0), default=8, help=_RESTARTS_HELP)
     p.add_argument("--outer-restarts", type=_count(1), default=4)
     p.add_argument("--outer-iters", type=_count(0), default=80)
     p.add_argument("--inner-restarts", type=_count(1), default=8)

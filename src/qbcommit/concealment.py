@@ -3,11 +3,16 @@
 Bob's optimal cheating probability is 1/2 + 1/4 times the completely bounded
 norm of the channel difference. The exact norm is bracketed from below by a
 variational search over pure inputs on the committed space extended with a
-reference, and from above by cheap certified routes; the bracket transfers
-directly to Bob's cheating probability. The search's objective evaluates a
-whole batch of states per call and takes its gradient from the branch images
-K_m psi it already has, so it never builds the adjoint map's matrix; only
-the eigenvector polish does, once per call.
+reference, and from above by Watrous's dual for the cb norm of a difference
+of channels: ||Phi1 - Phi0||_cb <= 2 ||Tr_out Z|| for every Z >= 0 with
+Z >= J, J the Choi operator of the difference. One Z is built from the
+search's witness and meets the lower bound at a stationary point, so the
+bracket closes; when it closes at the entangled start, the random restarts
+are skipped. The bracket transfers directly to Bob's cheating probability.
+The search's objective evaluates a whole batch of states per call and takes
+its gradient from the branch images K_m psi it already has, so it never
+builds the adjoint map's matrix; only the eigenvector polish does, once per
+call.
 """
 
 from __future__ import annotations
@@ -20,19 +25,19 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import SolverTrace, SphereResult, search_sphere
-from .protocol import (
-    ProtocolSpec,
-    align_families,
-    apply_extended_channel,
-    choi,
-    kraus_gap_operator,
-    require_valid,
-)
+from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
 CB_NORM_CAP = 2.0
 
 BRACKET_GUARD = 1e-8
+
+# Random restarts run only while the entangled start's bracket is wider.
+CERTIFIED_WIDTH = 1e-5
+
+# Weight mixed evenly into the witness's Schmidt coefficients before its dual
+# is built, so that the reference factor of the state is invertible.
+SCHMIDT_FLOOR = 1e-7
 
 
 def helstrom_prob(spec: ProtocolSpec, psi) -> float:
@@ -110,6 +115,92 @@ def _difference_objective(spec: ProtocolSpec, ref_dim: int):
     return fun_grad, polish
 
 
+def _choi_difference(spec: ProtocolSpec) -> np.ndarray:
+    """Choi operator of the channel difference with the output on the slow slot.
+
+    J = sum_ab (Phi1 - Phi0)(|a><b|) ⊗ |a><b|, so for a state psi whose
+    coefficient matrix is M (input rows, reference columns) the extended
+    output difference is (I ⊗ B) J (I ⊗ B)† with B = M^T.
+    """
+    din, dout = spec.dim_in, spec.dim_out
+    diff = (choi(spec.bit1) - choi(spec.bit0)).reshape(din, dout, din, dout)
+    return diff.transpose(1, 0, 3, 2).reshape(dout * din, dout * din)
+
+
+def _sandwich(x: np.ndarray, b: np.ndarray, dout: int) -> np.ndarray:
+    """(I_out ⊗ b) x (I_out ⊗ b)† for x on the output ⊗ b's column space."""
+    r, c = b.shape
+    out = np.einsum("ra,iajb,sb->irjs", b, x.reshape(dout, c, dout, c), b.conj())
+    return out.reshape(dout * r, dout * r)
+
+
+def _witness_z(j: np.ndarray, witness: np.ndarray, din: int, dout: int) -> np.ndarray:
+    """Dual candidate (I ⊗ B⁻¹) out₊ (I ⊗ B⁻¹)† from a witness state.
+
+    The witness is reduced to its Schmidt form on din x din: the eigenvectors
+    U of M M† and its Schmidt weights, zero-padded when the reference is
+    smaller than the input, with the reference isometry dropped (it does not
+    change the value). The weights are flattened by ``SCHMIDT_FLOOR`` so that
+    B = diag(s) U^T is invertible, and out₊ is the positive part of the output
+    difference at that state. The candidate is feasible by construction: it
+    is positive, and it minus J is (I ⊗ B⁻¹) out₋ (I ⊗ B⁻¹)†. Its reduced
+    operator B⁻¹ σ₊ B⁻† has the spectrum of ρ_ref^-1/2 σ₊ ρ_ref^-1/2, which is
+    flat on the support at a stationary witness, so the dual value meets the
+    trace norm there.
+    """
+    m = witness.reshape(din, -1)
+    weights, u = linalg.eigh_or_error(m @ m.conj().T)
+    weights = (1.0 - SCHMIDT_FLOOR) * np.maximum(weights, 0.0) + SCHMIDT_FLOOR / din
+    root = np.sqrt(weights)
+    w, vecs = linalg.eigh_or_error(_sandwich(j, root[:, None] * u.T, dout))
+    out_plus = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+    return _sandwich(out_plus, u.conj() / root, dout)
+
+
+def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
+    """Watrous's dual value 2 ||Tr_out Z|| for a candidate Z, made feasible
+    and rounded up; returns (bound, repair).
+
+    Any Hermitian Z becomes feasible (Z >= 0 and Z >= J) once t I is added,
+    with the repair t = max(0, -λmin Z, -λmin(Z - J)); that adds 2 t dout to
+    the value. A backward-stable Hermitian eigensolver errs by at most about
+    n eps times the operator norm of an n x n matrix, and the repair scales the
+    error in t by dout, so the value is raised by
+    2 (dout + 1) n eps (||Z|| + ||J||): round-off never puts the route below
+    the true norm.
+    """
+    n = len(z)
+    (zvals, gapvals), _ = linalg.eigh_or_error(np.stack([z, z - j]))
+    repair = max(0.0, -zvals[0], -gapvals[0])
+    reduced, _ = linalg.eigh_or_error(linalg.partial_trace(z, [dout, n // dout], [0]))
+    value = 2.0 * (reduced[-1] + repair * dout)
+    z_norm = max(-zvals[0], zvals[-1])
+    allowance = 2.0 * (dout + 1) * n * np.finfo(float).eps * (z_norm + j_norm)
+    return float(value + allowance), float(repair)
+
+
+def _dual_routes(spec: ProtocolSpec, witness=None) -> dict:
+    """Dual upper bounds on the cb norm, {route: (bound, repair)}.
+
+    ``j_plus`` takes Z = J₊, the positive part of the Choi difference; its
+    value never exceeds the Choi trace norm, because Tr J = 0.
+    ``witness_dual`` takes the candidate built from a witness state.
+    """
+    din, dout = spec.dim_in, spec.dim_out
+    j = _choi_difference(spec)
+    w, vecs = linalg.eigh_or_error(j)
+    j_norm = max(-w[0], w[-1])
+    candidates = {"j_plus": (vecs * np.maximum(w, 0.0)) @ vecs.conj().T}
+    if witness is not None:
+        witness = linalg.as_state(witness)
+        if witness.size % din != 0:
+            raise ValueError(
+                f"witness length {witness.size} is not a multiple of the input dimension {din}"
+            )
+        candidates["witness_dual"] = _witness_z(j, witness, din, dout)
+    return {name: _dual_bound(z, j, dout, j_norm) for name, z in candidates.items()}
+
+
 def cb_lower_bound(
     spec: ProtocolSpec,
     restarts: int = 16,
@@ -120,11 +211,18 @@ def cb_lower_bound(
 ) -> SphereResult:
     """Certified lower bound on the cb norm of the channel difference.
 
-    Multi-start projected gradient ascent over pure states of the committed
-    space extended by ``ref_dim`` (defaults to the committed dimension, which
-    suffices for exactness of the variational form). The achieved objective
-    is itself the bound; the witness state is returned alongside.
+    Projected gradient ascent over pure states of the committed space
+    extended by ``ref_dim`` (defaults to the committed dimension, which
+    suffices for exactness of the variational form). The maximally entangled
+    start runs first, alone. When the dual bound built from its witness lies
+    within ``CERTIFIED_WIDTH`` of its value, no restart could gain more, so
+    that result is returned with a note saying so. Otherwise the search runs
+    again from the entangled start plus ``restarts`` seeded random ones,
+    with the same result as if the first run had not happened. The achieved
+    objective is itself the bound; the witness state is returned alongside.
     """
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
     require_valid(spec)
     ref = spec.dim_in if ref_dim is None else int(ref_dim)
     if ref < 1:
@@ -134,11 +232,8 @@ def cb_lower_bound(
     # factor; frequently already the maximizer.
     k = min(spec.dim_in, ref)
     entangled = np.eye(spec.dim_in, ref, dtype=complex).reshape(-1) / sqrt(k)
-    result = search_sphere(
-        fun_grad,
-        spec.dim_in * ref,
+    opts = dict(
         maximize=True,
-        restarts=restarts,
         seed=seed,
         tol=tol,
         max_iter=max_iter,
@@ -146,39 +241,46 @@ def cb_lower_bound(
         polish=polish,
         rng_tags=(1,),
     )
+    result = search_sphere(fun_grad, spec.dim_in * ref, restarts=0, **opts)
+    if restarts > 0:
+        duals = _dual_routes(spec, result.vector)
+        upper = min(CB_NORM_CAP, *(bound for bound, _ in duals.values()))
+        width = upper - max(0.0, result.value)
+        if width <= CERTIFIED_WIDTH:
+            result.trace.notes.append(
+                f"entangled start certified: bracket width {width!r} <= "
+                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
+            )
+        else:
+            result = search_sphere(fun_grad, spec.dim_in * ref, restarts=restarts, **opts)
     result.value = max(0.0, result.value)
     return result
 
 
-def cb_upper_bound(spec: ProtocolSpec, cheat=None):
+def cb_upper_bound(spec: ProtocolSpec, witness=None):
     """Cheapest certified upper bound on the cb norm of the channel difference.
 
-    Three routes, all valid upper bounds, minimum reported:
-    the trace norm of the Choi-operator difference; twice the square root of
-    the Kraus gap at a reindexing unitary (identity and a Procrustes
-    alignment always, plus any caller-supplied one); and the universal cap
-    of 2 for a pair of trace-preserving channels.
+    Returns (value, routes), the value being the minimum of the routes:
+    ``witness_dual``, the dual bound built from a ``witness`` state on the
+    committed space ⊗ a reference of any size (only when one is given);
+    ``j_plus``, the dual bound at the positive part of the Choi difference;
+    and ``channel_pair_cap``, the universal cap of 2 for a pair of
+    trace-preserving channels. The dual routes are rounded up for
+    round-off, so the cap wins where a dual route meets it exactly.
     """
     require_valid(spec)
-    routes = {}
-    routes["choi_trace_norm"] = linalg.trace_norm(choi(spec.bit1) - choi(spec.bit0))
-    candidates = {
-        "kraus_gap_identity": np.eye(spec.cardinality, dtype=complex),
-        "kraus_gap_aligned": align_families(spec.bit0, spec.bit1),
-    }
-    if cheat is not None:
-        candidates["kraus_gap_supplied"] = linalg.as_operator(cheat)
-    for name, v in candidates.items():
-        gap = linalg.operator_norm(kraus_gap_operator(spec, v))
-        routes[name] = 2.0 * sqrt(gap)
+    routes = {name: bound for name, (bound, _) in _dual_routes(spec, witness).items()}
     routes["channel_pair_cap"] = CB_NORM_CAP
-    value = min(routes.values())
-    return value, routes
+    return min(routes.values()), routes
 
 
 @dataclass
 class ConcealmentReport:
-    """Bracketed cb norm of the channel difference and Bob's cheating bound."""
+    """Bracketed cb norm of the channel difference and Bob's cheating bound.
+
+    ``dual_repair`` is the multiple t of the identity that the witness's dual
+    candidate needed to become feasible; 0 when round-off left it feasible.
+    """
 
     label: str
     cb_lower: float
@@ -187,6 +289,7 @@ class ConcealmentReport:
     bob_cheat_upper: float
     witness_state: np.ndarray
     upper_routes: dict
+    dual_repair: float
     solver_trace: SolverTrace
 
 
@@ -197,7 +300,6 @@ def analyze_concealment(
     tol: float = 1e-8,
     ref_dim: int | None = None,
     max_iter: int = 500,
-    cheat=None,
 ) -> ConcealmentReport:
     """Assemble the concealment bracket for one protocol.
 
@@ -208,7 +310,7 @@ def analyze_concealment(
     lower = cb_lower_bound(
         spec, restarts=restarts, seed=seed, tol=tol, ref_dim=ref_dim, max_iter=max_iter
     )
-    upper, routes = cb_upper_bound(spec, cheat=cheat)
+    upper, routes = cb_upper_bound(spec, lower.vector)
     if lower.value > upper + BRACKET_GUARD:
         raise BracketInversionError(
             f"certified lower bound {lower.value!r} exceeds upper bound "
@@ -223,5 +325,6 @@ def analyze_concealment(
         bob_cheat_upper=0.5 + 0.25 * upper,
         witness_state=lower.vector,
         upper_routes=routes,
+        dual_repair=_dual_routes(spec, lower.vector)["witness_dual"][1],
         solver_trace=lower.trace,
     )

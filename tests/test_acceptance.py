@@ -119,9 +119,9 @@ def test_criterion_4_helstrom_capped_by_bracket(criterion_log):
         dout = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         spec = random_protocol(din, dout, m, seed=rng)
-        upper, _ = cb_upper_bound(spec)
-        cap = 0.5 + 0.25 * upper + 1e-8
         witness = cb_lower_bound(spec, restarts=4, seed=i).vector
+        upper, _ = cb_upper_bound(spec, witness)
+        cap = 0.5 + 0.25 * upper + 1e-8
         states = [witness] + [
             linalg.random_state(din * din, rng) for _ in range(10)
         ]

@@ -94,7 +94,7 @@ def test_scan_decoy_closed_forms():
     for k, pt in enumerate(result.points):
         assert pt.param == float(k)
         assert abs(pt.eps_lo - 0.5**k) < 1e-6
-        assert abs(pt.eps_hi - 2.0 * 0.5**k) < 1e-9
+        assert abs(pt.eps_hi - 0.5**k) < 1e-9
         assert abs(pt.minimax - (1.0 - 0.75 * 0.5**k)) < 1e-4
         assert abs(pt.delta - (1.0 - pt.minimax)) < 1e-15
         assert pt.eps_lo <= pt.eps_hi + 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qbcommit.bounds
+import qbcommit.concealment
 import qbcommit.cli as cli
 from qbcommit.concealment import cb_lower_bound
 from qbcommit.errors import BracketInversionError
@@ -42,6 +43,15 @@ def test_bounds_help_names_the_inequality_slack(capsys):
         cli.main(["bounds", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "slack before an inequality counts as violated" in help_text
+
+
+@pytest.mark.parametrize("command", ["conceal", "bounds", "scan"])
+def test_restarts_help_names_the_certified_width(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "run only while the bracket certified at the entangled start" in help_text
+    assert "CERTIFIED_WIDTH = 1e-05" in help_text
 
 
 def test_validate_rejects_incomplete_family(tmp_path, capsys):
@@ -276,7 +286,7 @@ def test_scan_structured_output(decoy_config, capsys):
     data = json.loads(out)
     assert data["label"] == "demo"
     assert len(data["points"]) == 2
-    assert abs(data["points"][1]["eps_hi"] - 1.0) < 1e-9
+    assert abs(data["points"][1]["eps_hi"] - 0.5) < 1e-9
 
 
 def test_scan_text_output(decoy_config, capsys):
@@ -304,6 +314,19 @@ def test_bracket_inversion_exits_three(phase_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "inconsistent bounds" in err
+
+
+def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
+    # An upper route below the achieved lower bound must stop the scan with
+    # exit 3, as it stops conceal, instead of being clipped away.
+    monkeypatch.setattr(
+        qbcommit.concealment, "cb_upper_bound", lambda spec, witness=None: (-1.0, {})
+    )
+    code = cli.main(["scan", decoy_config, *SCAN_BUDGET_ARGS])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "inconsistent bounds" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from qbcommit import linalg
+from qbcommit.optimize import search_sphere
 from qbcommit.concealment import (
+    CERTIFIED_WIDTH,
+    _choi_difference,
     _difference_objective,
+    _dual_routes,
+    _witness_z,
     analyze_concealment,
     cb_lower_bound,
     cb_upper_bound,
     helstrom_prob,
 )
 from qbcommit.families import (
-    concealing_pair,
     decoy_protocol,
     dephasing_protocol,
     identity_protocol,
@@ -65,7 +69,7 @@ def test_cb_lower_identity_is_zero():
 def test_cb_upper_routes_phase_flip():
     spec = phase_flip_pair()
     upper, routes = cb_upper_bound(spec)
-    assert abs(routes["choi_trace_norm"] - 4.0) < 1e-12
+    assert abs(routes["j_plus"] - 2.0) < 1e-12
     assert routes["channel_pair_cap"] == 2.0
     assert abs(upper - 2.0) < 1e-12
 
@@ -73,21 +77,101 @@ def test_cb_upper_routes_phase_flip():
 def test_cb_upper_routes_dephasing():
     spec = dephasing_protocol()
     upper, routes = cb_upper_bound(spec)
-    assert abs(routes["choi_trace_norm"] - 2.0) < 1e-12
+    assert abs(routes["j_plus"] - 1.0) < 1e-12
     assert upper <= 2.0
 
 
-def test_cb_upper_supplied_cheat_route():
-    spec, _relating = concealing_pair(seed=3)
-    # Alignment already recovers the relating unitary here; supplying an
-    # arbitrary extra unitary must only add a route, never hurt the bound.
-    base, base_routes = cb_upper_bound(spec)
-    v = linalg.random_unitary(spec.cardinality, linalg.spawn_rng(9))
-    upper, routes = cb_upper_bound(spec, cheat=v)
-    assert "kraus_gap_supplied" in routes
-    assert "kraus_gap_supplied" not in base_routes
-    assert upper <= base + 1e-12
-    assert base <= 1e-8
+def _certificate_specs():
+    """Random protocols, three of them with fewer outputs than inputs."""
+    shapes = [(2, 2, 2), (3, 3, 2), (3, 2, 3), (4, 2, 2), (4, 3, 2), (3, 3, 3)]
+    return [random_protocol(din, dout, m, seed=520 + i) for i, (din, dout, m) in enumerate(shapes)]
+
+
+CERTIFICATE_SPECS = _certificate_specs()
+
+
+@pytest.mark.parametrize("spec", CERTIFICATE_SPECS, ids=[s.label for s in CERTIFICATE_SPECS])
+def test_witness_dual_candidate_is_feasible_up_to_its_repair(spec):
+    din, dout = spec.dim_in, spec.dim_out
+    j = _choi_difference(spec)
+    for ref_dim in (1, din, din + 1):
+        for psi in _states(din * ref_dim, 2, 76, ref_dim):
+            z = _witness_z(j, psi, din, dout)
+            (_, t_plus), (_, t) = _dual_routes(spec, psi).values()
+            slack = 1e-12 * max(1.0, np.abs(z).max())
+            assert np.linalg.eigvalsh(z)[0] >= -t - slack
+            assert np.linalg.eigvalsh(z - j)[0] >= -t - slack
+            assert 0.0 <= t_plus <= 1e-12
+
+
+@pytest.mark.parametrize("spec", CERTIFICATE_SPECS, ids=[s.label for s in CERTIFICATE_SPECS])
+def test_witness_dual_never_below_the_lower_bound(spec):
+    din = spec.dim_in
+    best = max(
+        cb_lower_bound(spec, restarts=4, seed=3, ref_dim=ref_dim).value
+        for ref_dim in (1, din, din + 1)
+    )
+    for ref_dim in (1, din, din + 1):
+        witness = cb_lower_bound(spec, restarts=4, seed=3, ref_dim=ref_dim).vector
+        # Any state, a poor one included, yields a bound on the full norm.
+        for psi in [witness, *_states(din * ref_dim, 2, 77, ref_dim)]:
+            upper, routes = cb_upper_bound(spec, psi)
+            assert routes["witness_dual"] >= best
+            assert routes["j_plus"] >= best
+            assert upper >= best
+
+
+def test_dual_routes_close_the_bracket_at_closed_forms():
+    # Both dual routes meet dephasing's 1 and every decoy value 2^-k.
+    for spec, exact in [(dephasing_protocol(), 1.0)] + [
+        (decoy_protocol(k), 0.5**k) for k in (1, 2, 3)
+    ]:
+        rep = analyze_concealment(spec, restarts=4, seed=0)
+        assert abs(rep.cb_lower - exact) < 1e-12
+        assert exact <= rep.upper_routes["witness_dual"] <= exact + 1e-12
+        assert exact <= rep.upper_routes["j_plus"] <= exact + 1e-12
+        assert rep.cb_upper - rep.cb_lower <= 1e-12
+
+
+def test_certified_start_runs_no_random_restarts():
+    for spec in [dephasing_protocol(), random_protocol(3, 3, 2, seed=61)]:
+        res = cb_lower_bound(spec, restarts=8, seed=0)
+        assert res.trace.restarts == 0
+        assert len(res.trace.values) == 1
+        (note,) = res.trace.notes
+        assert "entangled start certified" in note
+        assert f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}" in note
+        upper, _ = cb_upper_bound(spec, res.vector)
+        assert upper - res.value <= CERTIFIED_WIDTH
+
+
+def test_uncertified_start_runs_the_full_search_unchanged():
+    # The witness of the entangled start is nearly a product state here, and
+    # its certificate is far wider than CERTIFIED_WIDTH, so the restarts run.
+    spec = random_protocol(4, 2, 2, seed=504)
+    res = cb_lower_bound(spec, restarts=6, seed=2)
+    fun_grad, polish = _difference_objective(spec, 4)
+    entangled = np.eye(4, dtype=complex).reshape(-1) / 2.0
+    direct = search_sphere(
+        fun_grad,
+        16,
+        maximize=True,
+        restarts=6,
+        seed=2,
+        extra_starts=[entangled],
+        polish=polish,
+        rng_tags=(1,),
+    )
+    assert res.trace.restarts == 6
+    assert res.trace.notes == []
+    assert res.value == max(0.0, direct.value)
+    assert np.array_equal(res.vector, direct.vector)
+    assert res.trace == direct.trace
+
+
+def test_report_carries_the_dual_repair():
+    rep = analyze_concealment(random_protocol(3, 3, 3, seed=62), restarts=4, seed=0)
+    assert 0.0 <= rep.dual_repair <= 1e-9
 
 
 def test_bracket_ordering_random_protocols():
@@ -109,7 +193,9 @@ def test_analyze_concealment_report_fields():
     assert abs(rep.cb_upper - 2.0) < 1e-12
     assert abs(rep.bob_cheat_upper - 1.0) < 1e-12
     assert rep.witness_state.shape == (4,)
-    assert rep.solver_trace.restarts == 6
+    # The entangled start is certified, so the trace records no restarts.
+    assert rep.solver_trace.restarts == 0
+    assert "entangled start certified" in rep.solver_trace.notes[0]
 
 
 def test_cb_lower_ref_dim_one_still_bounded():
