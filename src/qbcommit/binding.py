@@ -6,6 +6,14 @@ claiming the other bit. Her per-outcome success is a normalized squared
 overlap between the reindexed committed branch and the claimed branch; the
 protocol is binding exactly when no reindexing passes verification for every
 input state Bob might have sent, since Bob keeps his choice to himself.
+
+The estimate is an achieved value: a cheat and the worst state a search
+found for it. It is bracketed from above by a dual certificate over Bob's
+mixed strategies. For weights mu on finitely many states, the averaged
+payoff is a sum of quadratic forms in the rows of the cheat, so it is at most
+Tr Y + sum_j lambda_max(M_j - Y) for any Hermitian Y. The weights and Y are
+built from the search's cheat and worst state; when the certificate meets
+the estimate at the Procrustes start, the outer ascent is skipped.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import BracketInversionError
 from .optimize import SolverTrace, SphereResult, ascend_params, search_sphere
 from .protocol import ProtocolSpec, align_families, require_valid
 
@@ -22,6 +31,17 @@ ZERO_OUTCOME_TOL = 1e-14
 KERNEL_SINGULAR_TOL = 1e-7
 MAX_KERNEL_STARTS = 8
 PERFECT_PAYOFF_STOP = 1.0 - 1e-9
+
+# A payoff is a sum of squared overlaps of a unit vector's orthogonal
+# pieces, normalized: by Cauchy-Schwarz it never exceeds one.
+PAYOFF_CAP = 1.0
+
+# The outer ascent is skipped once the certificate at the Procrustes start
+# lies within this much of its estimate (payoffs live in [0, 1]).
+CERTIFIED_WIDTH = 1e-5
+
+# An estimate above the certificate by more than this is a solver bug.
+BRACKET_GUARD = 1e-8
 
 DIRECTIONS = ("01", "10")
 
@@ -32,6 +52,13 @@ def _directed(spec: ProtocolSpec, direction: str):
     if direction == "01":
         return spec.bit0, spec.bit1
     return spec.bit1, spec.bit0
+
+
+def _require_cheat(cheat, m: int) -> np.ndarray:
+    cheat = linalg.require_unitary(cheat)
+    if cheat.shape != (m, m):
+        raise ValueError(f"cheat unitary shape {cheat.shape} does not match cardinality {m}")
+    return cheat
 
 
 def alice_cheat_prob(
@@ -50,20 +77,20 @@ def alice_cheat_prob(
     """
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
-    cheat = linalg.require_unitary(cheat)
-    m = spec.cardinality
-    if cheat.shape != (m, m):
-        raise ValueError(
-            f"cheat unitary shape {cheat.shape} does not match cardinality {m}"
-        )
+    cheat = _require_cheat(cheat, spec.cardinality)
     phi = linalg.as_state(state)
     if phi.size != spec.dim_in:
         raise ValueError(
             f"state length {phi.size} does not match input dimension {spec.dim_in}"
         )
-    a = _payoff_pieces(committed.stack(), claimed.stack(), cheat)
-    (value,), _ = _payoff_fun_grad(a, claimed.stack(), zero_tol)(phi[None])
+    (value,) = _payoffs(committed.stack(), claimed.stack(), cheat, phi[None], zero_tol)
     return float(value)
+
+
+def _payoffs(committed_stack, claimed_stack, cheat, phis, zero_tol) -> np.ndarray:
+    """Payoffs of one checked cheat at the unit rows of ``phis``; no validation."""
+    a = _payoff_pieces(committed_stack, claimed_stack, cheat)
+    return _payoff_fun_grad(a, claimed_stack, zero_tol)(phis)[0]
 
 
 def _payoff_pieces(committed_stack, claimed_stack, cheat):
@@ -123,6 +150,19 @@ def _kernel_starts(claimed_stack) -> list:
     return starts[:MAX_KERNEL_STARTS]
 
 
+def _worst_state(committed_stack, claimed_stack, cheat, starts, **opts) -> SphereResult:
+    """Payoff descent over states at one checked cheat, from ``starts`` and
+    ``opts["restarts"]`` seeded random states; no validation."""
+    a = _payoff_pieces(committed_stack, claimed_stack, cheat)
+    return search_sphere(
+        _payoff_fun_grad(a, claimed_stack, ZERO_OUTCOME_TOL),
+        claimed_stack.shape[-1],
+        maximize=False,
+        extra_starts=starts,
+        **opts,
+    )
+
+
 def min_over_states(
     spec: ProtocolSpec,
     cheat,
@@ -141,35 +181,110 @@ def min_over_states(
     """
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
-    cheat = linalg.require_unitary(cheat)
-    if cheat.shape != (spec.cardinality, spec.cardinality):
-        raise ValueError(
-            f"cheat unitary shape {cheat.shape} does not match cardinality "
-            f"{spec.cardinality}"
-        )
-    a = _payoff_pieces(committed.stack(), claimed.stack(), cheat)
-    starts = list(extra_starts) + _kernel_starts(claimed.stack())
-    return search_sphere(
-        _payoff_fun_grad(a, claimed.stack(), ZERO_OUTCOME_TOL),
-        spec.dim_in,
-        maximize=False,
+    cheat = _require_cheat(cheat, spec.cardinality)
+    cl = claimed.stack()
+    return _worst_state(
+        committed.stack(),
+        cl,
+        cheat,
+        list(extra_starts) + _kernel_starts(cl),
         restarts=restarts,
         seed=seed,
         tol=tol,
         max_iter=max_iter,
-        extra_starts=starts,
         rng_tags=(2,),
     )
 
 
+def _project_simplex(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (sort and threshold).
+
+    The vectors hold one entry per certificate state, so Python's ``sorted``
+    serves; numpy's sort would map its SIMD sort library into memory."""
+    u = np.array(sorted(y, reverse=True))
+    excess = np.cumsum(u) - 1.0
+    k = np.flatnonzero(u * np.arange(1, y.size + 1) > excess)[-1]
+    return np.maximum(y - excess[k] / (k + 1), 0.0)
+
+
+def _simplex_min_norm(gram: np.ndarray, max_iter: int = 1000) -> np.ndarray:
+    """Weights w on the simplex minimizing w^T gram w, by projected gradient
+    descent from the uniform weights; ``gram`` is positive semidefinite, so
+    its trace bounds its top eigenvalue and gives a safe step."""
+    w = np.full(len(gram), 1.0 / len(gram))
+    step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
+    for _ in range(max_iter):
+        new = _project_simplex(w - step * (gram @ w))
+        moved = np.abs(new - w).sum()
+        w = new
+        if moved <= 1e-12:
+            break
+    return w
+
+
+def _dual_bound(committed_stack, claimed_stack, cheat, states):
+    """Certified upper bound on max_V min_phi P(V, phi), and the weights it used.
+
+    For weights mu on the unit ``states`` phi_i, the averaged payoff of a
+    cheat V with rows v_j is sum_j v_j† M_j v_j, with
+    M_j = sum_i mu_i b_ij b_ij† / d_ij, b_ijl = <committed_l phi_i|claimed_j phi_i>
+    and d_ij = |claimed_j phi_i|², terms with d_ij at most ``ZERO_OUTCOME_TOL``
+    dropped as the payoff drops them. The rows are orthonormal, so for any
+    Hermitian Y the average is at most Tr Y + sum_j lambda_max(M_j - Y); a
+    minimum is at most any average, so this bounds the maximin too.
+
+    The weights are the minimum-norm point of the convex hull of the payoff
+    gradients on the unitary group at ``cheat``, over the states whose payoff
+    there is within ``CERTIFIED_WIDTH`` of the smallest (weighting one costs
+    at most that much). At a maximin point that point is zero, and ``cheat``
+    is stationary for the average. Y is the Hermitian part of the KKT
+    multiplier sum_j M_j v_j v_j†; at a maximizer of the average
+    each v_j is a top eigenvector of M_j - Y with eigenvalue 0, so the bound
+    meets the average. A backward-stable eigensolver errs by about m eps
+    times the norm of an m x m matrix; over the m terms and the trace, the
+    value is raised by 2 (m + 1) m eps (sum_j |M_j| + m |Y|), Frobenius norms,
+    so round-off never puts it below the true bound.
+    """
+    phis = np.stack([linalg.normalize_state(s) for s in states])
+    u = np.einsum("lab,sb->sla", committed_stack, phis)
+    w = np.einsum("jab,sb->sja", claimed_stack, phis)
+    b = np.einsum("sla,sja->sjl", u.conj(), w)
+    d = np.einsum("sja,sja->sj", w.conj(), w).real
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > ZERO_OUTCOME_TOL)
+    c = np.einsum("jl,sjl->sj", cheat.conj(), b)
+    payoffs = (np.abs(c) ** 2 * inv_d).sum(axis=1)
+    active = np.flatnonzero(payoffs <= payoffs.min() + CERTIFIED_WIDTH)
+    # Each gradient is the skew-Hermitian part of sum_j M_ij v_j v_j†.
+    grads = np.einsum("sj,sja,jb->sab", (c.conj() * inv_d)[active], b[active], cheat.conj())
+    skew = (grads - grads.conj().transpose(0, 2, 1)).reshape(len(active), -1)
+    weights = np.zeros(len(phis))
+    weights[active] = _simplex_min_norm((skew.conj() @ skew.T).real)
+    m_j = np.einsum("s,sj,sja,sjb->jab", weights, inv_d, b, b.conj())
+    y = np.einsum("jab,jb,jc->ac", m_j, cheat, cheat.conj())
+    y = 0.5 * (y + y.conj().T)
+    tops = linalg.eigh_or_error(m_j - y)[0][:, -1]
+    m = len(cheat)
+    norms = np.linalg.norm(m_j, axis=(1, 2)).sum() + m * np.linalg.norm(y)
+    allowance = 2.0 * (m + 1) * m * np.finfo(float).eps * norms
+    return float(np.trace(y).real + tops.sum() + allowance), weights
+
+
 @dataclass
 class BindingReport:
-    """Saddle estimate of Alice's best worst-case cheating probability."""
+    """Saddle estimate of Alice's best worst-case cheating probability.
+
+    ``binding_upper`` is a certified upper bound on the maximin payoff,
+    the minimum of ``upper_routes``: ``witness_dual``, the dual certificate
+    built at the estimate's cheat from the claimed-branch kernel states and
+    the worst state, and ``payoff_cap``, which is 1.
+    """
 
     label: str
     direction: str
     minimax_estimate: float
     payoff_at_saddle: float
+    binding_upper: float
+    upper_routes: dict
     best_cheat_unitary: np.ndarray
     worst_state: np.ndarray
     solver_trace: SolverTrace
@@ -199,32 +314,67 @@ def minimax_cheat(
     tol: float = 1e-7,
     include_swapped: bool = True,
 ) -> BindingReport:
-    """Estimate of max over cheats of the worst-case payoff.
+    """Estimate of max over cheats of the worst-case payoff, with a certified
+    upper bound.
 
-    Outer gradient ascent over the real parameters of the cheat unitary with
-    the inner minimum handled by Danskin's rule at the current worst state.
-    The first outer restart starts from the Procrustes alignment of the two
-    families, which is already optimal for perfectly concealing protocols;
-    the rest start from seeded Haar unitaries. During the ascent the inner
-    minimum runs on a reduced budget with a warm start; every restart's
+    The Procrustes alignment of the two families is scored first: the worst
+    state the full inner search (``min_over_states``, whose starts include
+    the claimed-branch kernel states) finds there gives the estimate, and
+    the dual certificate built from the kernel states and that worst state
+    bounds the maximin from above. When the payoff there is within 1e-9 of its cap, or the bound lies
+    within ``CERTIFIED_WIDTH`` of the estimate, no cheat can do better by more
+    than that, so that result is returned: its trace reads one restart of 0
+    iterations, with a note saying why the outer ascent was skipped.
+
+    Otherwise the outer gradient ascent runs over the real parameters of the
+    cheat unitary, with the inner minimum handled by Danskin's rule at the
+    current worst state. The first outer restart starts from the Procrustes
+    alignment, the rest from seeded Haar unitaries. During the ascent the
+    inner minimum runs on a reduced budget with a warm start; every restart's
     candidate is re-scored with the full inner budget, so the reported
-    estimate is an honestly achieved value. The search stops early once the
-    payoff cannot improve any further (it is capped at one).
+    estimate is an honestly achieved value, and the certificate is rebuilt
+    at the winner. The search stops early once the payoff cannot improve any
+    further (it is capped at one). An estimate above the certified bound by
+    more than ``BRACKET_GUARD`` raises ``BracketInversionError``.
     """
     if outer_restarts < 1:
         raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
-    din = spec.dim_in
     ck = committed.stack()
     cl = claimed.stack()
     kernel = _kernel_starts(cl)
     eval_restarts = min(2, inner_restarts)
 
+    def score(v):
+        return min_over_states(
+            spec, v, direction=direction, restarts=inner_restarts, seed=seed, tol=min(tol, 1e-8)
+        )
+
+    def upper_routes(v, worst):
+        witness, _ = _dual_bound(ck, cl, v, kernel + [worst])
+        routes = {"witness_dual": witness, "payoff_cap": PAYOFF_CAP}
+        return min(routes.values()), routes
+
+    procrustes = linalg.params_from_unitary(align_families(committed, claimed))
+    best_v = linalg.unitary_from_params(procrustes)
+    inner = score(best_v)
+    upper, routes = upper_routes(best_v, inner.vector)
+    width = upper - inner.value
+    if inner.value >= PERFECT_PAYOFF_STOP:
+        skip = "stopped after restart 0: payoff within 1e-9 of its cap"
+    elif width <= CERTIFIED_WIDTH:
+        skip = (
+            f"Procrustes start certified: binding_upper - estimate {width!r} <= "
+            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; outer ascent skipped"
+        )
+    else:
+        skip = None
+
     outer_trace = SolverTrace(
         seed=int(seed),
-        restarts=int(outer_restarts),
+        restarts=1 if skip else int(outer_restarts),
         extra_starts=0,
         tol=float(tol),
         max_iter=int(outer_iters),
@@ -232,30 +382,39 @@ def minimax_cheat(
     outer_trace.notes.append("start 0: Procrustes alignment of the two families")
 
     best = None  # (estimate, params, inner SphereResult)
-    for ridx in range(outer_restarts):
+    if skip:
+        outer_trace.notes.append(skip)
+        outer_trace.iterations.append(0)
+        outer_trace.converged.append(True)
+        outer_trace.values.append(inner.value)
+        outer_trace.best_start = 0
+        best = (inner.value, procrustes, inner)
+    # A capped or certified Procrustes start leaves the ascent nothing to gain.
+    for ridx in range(0 if skip else outer_restarts):
         if ridx == 0:
-            v0 = align_families(committed, claimed)
+            start = procrustes
         else:
-            v0 = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
+            start = linalg.params_from_unitary(
+                linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
+            )
         warm = [None]
 
         def surrogate(rows, _ridx=ridx, _warm=warm):
             (v,), eig = linalg.unitaries_from_params(rows)
-            a = _payoff_pieces(ck, cl, v)
             starts = list(kernel)
             if _warm[0] is not None:
                 starts.append(_warm[0])
             # Loose budget: this minimum only steers the outer ascent, the
             # restart is re-scored afterwards with the full inner budget.
-            res = search_sphere(
-                _payoff_fun_grad(a, cl, ZERO_OUTCOME_TOL),
-                din,
-                maximize=False,
+            res = _worst_state(
+                ck,
+                cl,
+                v,
+                starts,
                 restarts=eval_restarts,
                 seed=seed,
                 tol=max(tol, 1e-6),
                 max_iter=40,
-                extra_starts=starts,
                 rng_tags=(4, _ridx),
                 stall_tol=1e-7,
                 stall_limit=5,
@@ -268,7 +427,7 @@ def minimax_cheat(
         # the dropped-outcome boundary layer, so the ascent stalls out there.
         [(params, _, iters, converged)] = ascend_params(
             surrogate,
-            [linalg.params_from_unitary(v0)],
+            [start],
             trace=outer_trace,
             max_iter=outer_iters,
             tol=tol,
@@ -276,14 +435,7 @@ def minimax_cheat(
             stall_tol=2e-8,
             stall_limit=10,
         )
-        inner = min_over_states(
-            spec,
-            linalg.unitary_from_params(params),
-            direction=direction,
-            restarts=inner_restarts,
-            seed=seed,
-            tol=min(tol, 1e-8),
-        )
+        inner = score(linalg.unitary_from_params(params))
         outer_trace.iterations.append(iters)
         outer_trace.converged.append(converged)
         outer_trace.values.append(inner.value)
@@ -297,9 +449,16 @@ def minimax_cheat(
             break
 
     estimate, params, inner = best
-    best_v = linalg.unitary_from_params(params)
     worst = inner.vector
-    payoff = alice_cheat_prob(spec, best_v, worst, direction=direction)
+    if not skip:
+        best_v = linalg.unitary_from_params(params)
+        upper, routes = upper_routes(best_v, worst)
+    if estimate > upper + BRACKET_GUARD:
+        raise BracketInversionError(
+            f"binding estimate {estimate!r} exceeds certified upper bound {upper!r} "
+            f"for protocol {spec.label!r}, direction {direction}"
+        )
+    (payoff,) = _payoffs(ck, cl, best_v, worst[None], ZERO_OUTCOME_TOL)
 
     swapped = None
     if include_swapped:
@@ -319,6 +478,8 @@ def minimax_cheat(
         direction=direction,
         minimax_estimate=float(estimate),
         payoff_at_saddle=float(payoff),
+        binding_upper=float(upper),
+        upper_routes=routes,
         best_cheat_unitary=best_v,
         worst_state=worst,
         solver_trace=outer_trace,

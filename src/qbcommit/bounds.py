@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .binding import alice_cheat_prob, minimax_cheat
+from .binding import ZERO_OUTCOME_TOL, _payoffs, minimax_cheat
 from .concealment import analyze_concealment, cb_lower_bound
 from .optimize import SolverTrace, ascend_params
 from .protocol import (
@@ -166,19 +166,21 @@ def check_bounds(
     if cheat is None:
         cheat = np.eye(spec.cardinality)
     cheat = linalg.require_unitary(cheat)
-    gap = kraus_gap(spec, cheat)
+    # kraus_gap_operator checks the cheat's shape and unitarity.
+    gap = linalg.operator_norm(kraus_gap_operator(spec, cheat))
     if cb_lower is None:
         cb_lower = cb_lower_bound(spec, restarts=cb_restarts, seed=seed).value
     quarter = cb_lower / 4.0
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
 
-    payoffs = []
+    phis = np.array(
+        [linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
+    ).reshape(n_states, spec.dim_in)
+    stacks = spec.bit0.stack(), spec.bit1.stack()
+    payoffs = _payoffs(*stacks, cheat, phis, ZERO_OUTCOME_TOL).tolist()
     violations = []
-    for i in range(n_states):
-        phi = linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i))
-        p = alice_cheat_prob(spec, cheat, phi)
-        payoffs.append(p)
+    for i, (phi, p) in enumerate(zip(phis, payoffs)):
         if p < floor - tol:
             violations.append(
                 {

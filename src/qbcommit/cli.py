@@ -6,8 +6,8 @@ disagree; JSON is dumped with sorted keys and scans default to CSV, which
 makes every format byte deterministic for a fixed seed.
 
 Exit codes: 0 on success, 2 for unreadable or invalid inputs, 3 when the
-concealment bracket comes out inverted (a numerical inconsistency, not an
-input problem).
+concealment or binding bracket comes out inverted (a numerical
+inconsistency, not an input problem).
 """
 
 from __future__ import annotations

@@ -3,16 +3,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qbcommit.binding
+import qbcommit.bounds
+import qbcommit.concealment
 from qbcommit import linalg
 from qbcommit.binding import (
+    CERTIFIED_WIDTH,
     ZERO_OUTCOME_TOL,
+    _dual_bound,
     _kernel_starts,
     _payoff_fun_grad,
     _payoff_pieces,
+    _payoffs,
     alice_cheat_prob,
     min_over_states,
     minimax_cheat,
 )
+from qbcommit.bounds import check_bounds
+from qbcommit.errors import BracketInversionError
 from qbcommit.families import (
     concealing_pair,
     decoy_protocol,
@@ -22,7 +30,7 @@ from qbcommit.families import (
     random_protocol,
 )
 from qbcommit.fileio import load_protocol
-from qbcommit.protocol import KrausFamily, ProtocolSpec
+from qbcommit.protocol import KrausFamily, ProtocolSpec, align_families
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
@@ -252,3 +260,145 @@ def test_minimax_swapped_report():
 def test_minimax_rejects_zero_outer_restarts():
     with pytest.raises(ValueError, match="outer_restarts must be at least 1"):
         minimax_cheat(dephasing_protocol(), outer_restarts=0)
+
+
+def _certificate_inputs(spec, rep):
+    committed, claimed = (spec.bit0, spec.bit1) if rep.direction == "01" else (spec.bit1, spec.bit0)
+    cl = claimed.stack()
+    return committed.stack(), cl, _kernel_starts(cl) + [rep.worst_state]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [random_protocol(2, 2, 2, seed=s) for s in (0, 1)]
+    + [random_protocol(3, 3, 3, seed=s) for s in (1, 2)]
+    + [dephasing_protocol(), decoy_protocol(1)],
+    ids=["r22-0", "r22-1", "r33-1", "r33-2", "dephasing", "decoy-k1"],
+)
+def test_binding_upper_bounds_estimate_and_weighted_payoffs(spec):
+    rep = minimax_cheat(spec, outer_restarts=2, outer_iters=6, inner_restarts=2, seed=3)
+    rng = linalg.spawn_rng(44, spec.cardinality)
+    for r in (rep, rep.swapped):
+        assert r.binding_upper >= r.minimax_estimate
+        assert r.binding_upper == min(r.upper_routes.values())
+        assert r.upper_routes["payoff_cap"] == 1.0
+        ck, cl, states = _certificate_inputs(spec, r)
+        bound, mu = _dual_bound(ck, cl, r.best_cheat_unitary, states)
+        assert bound == r.upper_routes["witness_dual"]
+        assert abs(mu.sum() - 1.0) < 1e-12 and (mu >= 0.0).all()
+        phis = np.stack([linalg.normalize_state(s) for s in states])
+        for _ in range(200):
+            v = linalg.random_unitary(spec.cardinality, rng)
+            assert mu @ _payoffs(ck, cl, v, phis, ZERO_OUTCOME_TOL) <= bound
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decoy_certified_at_closed_form(k):
+    closed = 1.0 - 0.75 * 2.0**-k
+    rep = minimax_cheat(decoy_protocol(k), outer_restarts=2, outer_iters=20, inner_restarts=4)
+    for r in (rep, rep.swapped):
+        assert abs(r.minimax_estimate - closed) < 1e-6
+        assert abs(r.binding_upper - closed) < 1e-6
+        assert r.binding_upper - r.minimax_estimate <= CERTIFIED_WIDTH
+
+
+@pytest.mark.parametrize("spec, closed", [(dephasing_protocol(), 0.25), (decoy_protocol(2), 0.8125)])
+def test_certificate_closes_at_complex_reindexing(spec, closed):
+    # Mixing the committed family by a unitary and rephasing the claimed
+    # branches leaves the maximin unchanged, but makes the cheat complex.
+    rng = linalg.spawn_rng(45)
+    mix = linalg.random_unitary(spec.cardinality, rng)
+    phases = np.exp(2j * np.pi * rng.random(spec.cardinality))
+    scrambled = ProtocolSpec(
+        label="scrambled",
+        bit0=KrausFamily.from_ops(np.einsum("lk,kab->lab", mix, spec.bit0.stack())),
+        bit1=KrausFamily.from_ops(phases[:, None, None] * spec.bit1.stack()),
+    )
+    rep = minimax_cheat(scrambled, outer_restarts=2, outer_iters=5, inner_restarts=2, include_swapped=False)
+    assert np.abs(rep.best_cheat_unitary.imag).max() > 0.1
+    assert abs(rep.binding_upper - closed) < 1e-6
+    assert rep.binding_upper - rep.minimax_estimate <= CERTIFIED_WIDTH
+
+
+def test_dephasing_certified_skip_matches_procrustes_score():
+    spec = dephasing_protocol()
+    rep = minimax_cheat(spec, outer_restarts=4, inner_restarts=8, seed=5, tol=1e-7)
+    for r in (rep, rep.swapped):
+        assert abs(r.binding_upper - 0.25) < 1e-6
+        assert r.binding_upper - r.minimax_estimate <= CERTIFIED_WIDTH
+        trace = r.solver_trace
+        assert any("outer ascent skipped" in note for note in trace.notes)
+        assert (trace.restarts, trace.iterations, trace.best_start) == (1, [0], 0)
+        committed, claimed = (spec.bit0, spec.bit1) if r.direction == "01" else (spec.bit1, spec.bit0)
+        v = linalg.unitary_from_params(linalg.params_from_unitary(align_families(committed, claimed)))
+        direct = min_over_states(spec, v, direction=r.direction, restarts=8, seed=5, tol=1e-8)
+        assert r.minimax_estimate == direct.value
+        assert np.array_equal(r.worst_state, direct.vector)
+        assert np.array_equal(r.best_cheat_unitary, v)
+
+
+def test_uncertified_protocol_runs_outer_ascent():
+    rep = minimax_cheat(
+        random_protocol(3, 3, 3, seed=1), outer_restarts=2, outer_iters=3, inner_restarts=2
+    )
+    for r in (rep, rep.swapped):
+        assert r.binding_upper - r.minimax_estimate > CERTIFIED_WIDTH
+        assert r.solver_trace.restarts == 2 and len(r.solver_trace.iterations) == 2
+        assert not any("skipped" in note for note in r.solver_trace.notes)
+
+
+def test_estimate_above_certificate_raises(monkeypatch):
+    monkeypatch.setattr(
+        qbcommit.binding, "_dual_bound", lambda *args: (0.25 - 1e-6, np.ones(1))
+    )
+    with pytest.raises(BracketInversionError, match="exceeds certified upper bound"):
+        minimax_cheat(dephasing_protocol(), include_swapped=False)
+
+
+@pytest.mark.parametrize("zero_tol", [1e-16, 1e-14, 1e-12, 1e-10])
+@pytest.mark.parametrize("spec, closed", [(decoy_protocol(1), 0.625), (dephasing_protocol(), 0.25)])
+def test_zero_outcome_tol_sweep(monkeypatch, zero_tol, spec, closed):
+    # The headline values sit on claimed-branch kernel states, where an
+    # outcome is dropped; the cut that decides the drop must not move them.
+    monkeypatch.setattr(qbcommit.binding, "ZERO_OUTCOME_TOL", zero_tol)
+    rep = minimax_cheat(spec, outer_restarts=2, outer_iters=20, inner_restarts=4)
+    for r in (rep, rep.swapped):
+        assert r.minimax_estimate <= r.binding_upper
+        assert abs(r.minimax_estimate - closed) < 1e-4
+        assert abs(r.binding_upper - closed) < 1e-4
+
+
+def _count_calls(monkeypatch, module, name, *modules):
+    """Patch ``name`` in ``module`` (and in ``modules``) to log each call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for mod in (module, *modules):
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_validation_runs_once_per_public_call(monkeypatch):
+    # minimax_cheat validates once per direction and scores through the
+    # public min_over_states, which validates its own input; the ascent's
+    # surrogate searches and the reported payoff validate nothing.
+    validations = _count_calls(
+        monkeypatch, qbcommit.binding, "require_valid", qbcommit.bounds, qbcommit.concealment
+    )
+    scores = _count_calls(monkeypatch, qbcommit.binding, "min_over_states")
+    budget = dict(outer_restarts=2, outer_iters=3, inner_restarts=2)
+    spec = random_protocol(3, 3, 3, seed=1)
+    minimax_cheat(spec, include_swapped=False, **budget)
+    # Uncertified: the Procrustes start and both restarts' candidates.
+    assert (len(validations), len(scores)) == (4, 3)
+    # A certified protocol scores once per direction.
+    del validations[:], scores[:]
+    minimax_cheat(decoy_protocol(1), **budget)
+    assert (len(validations), len(scores)) == (4, 2)
+    del validations[:]
+    check_bounds(spec, cheat=linalg.random_unitary(3, 7), n_states=6, cb_lower=0.5)
+    assert len(validations) == 1

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
 import qbcommit.cli as cli
-from qbcommit.concealment import cb_lower_bound
+from qbcommit.concealment import CERTIFIED_WIDTH, cb_lower_bound
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import concealing_pair, dephasing_protocol, phase_flip_pair
 from qbcommit.fileio import write_protocol_file
@@ -149,6 +154,45 @@ def test_bind_concealing_pair(tmp_path, capsys):
     assert data["minimax_estimate"] >= 0.999
     assert data["direction"] == "01"
     assert data["swapped"] is None
+
+
+def test_bind_reports_certified_upper_bound(dephasing_file, capsys):
+    code = cli.main(["bind", dephasing_file, "--format", "structured"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for rep in (data, data["swapped"]):
+        assert set(rep["upper_routes"]) == {"witness_dual", "payoff_cap"}
+        assert rep["binding_upper"] == min(rep["upper_routes"].values())
+        assert 0.0 <= rep["binding_upper"] - rep["minimax_estimate"] <= CERTIFIED_WIDTH
+        assert any("outer ascent skipped" in n for n in rep["solver_trace"]["notes"])
+
+
+def test_bind_inversion_exits_three(dephasing_file, monkeypatch, capsys):
+    monkeypatch.setattr(qbcommit.binding, "_dual_bound", lambda *args: (0.1, np.ones(1)))
+    code = cli.main(["bind", dephasing_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "inconsistent bounds" in captured.err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # Importing scipy.optimize costs a third of a second and about 20 MB.
+    src = str(Path(qbcommit.binding.__file__).resolve().parents[1])
+    probe = (
+        "import sys, qbcommit.cli\n"
+        "qbcommit.cli.main(['bind', sys.argv[1], '--no-swapped'])\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+    )
+    protocol = Path(src).parent / "protocols" / "identity.json"
+    res = subprocess.run(
+        [sys.executable, "-c", probe, str(protocol)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def test_bind_swapped_direction_flag(dephasing_file, capsys):

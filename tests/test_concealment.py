@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qbcommit.concealment
 from qbcommit import linalg
 from qbcommit.optimize import search_sphere
 from qbcommit.concealment import (
@@ -172,6 +173,32 @@ def test_uncertified_start_runs_the_full_search_unchanged():
 def test_report_carries_the_dual_repair():
     rep = analyze_concealment(random_protocol(3, 3, 3, seed=62), restarts=4, seed=0)
     assert 0.0 <= rep.dual_repair <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec, witnesses",
+    [(dephasing_protocol(), 1), (random_protocol(4, 2, 2, seed=504), 2)],
+    ids=["certified", "uncertified"],
+)
+def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, witnesses):
+    # The report comes from the public cb_lower_bound and cb_upper_bound; the
+    # skip test, the upper routes and dual_repair share one build per witness.
+    names = ("cb_lower_bound", "cb_upper_bound", "_witness_z")
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(qbcommit.concealment, name)
+
+        def counting(*args, _log=calls[name], _fn=fn, **kwargs):
+            _log.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(qbcommit.concealment, name, counting)
+    rep = analyze_concealment(spec, restarts=4, seed=2)
+    assert [len(calls[name]) for name in names] == [1, 1, witnesses]
+    assert (rep.cb_upper, rep.upper_routes) == cb_upper_bound(spec, rep.witness_state)
+    # Later calls at the same witness reuse the build as well.
+    assert rep.dual_repair == _dual_routes(spec, rep.witness_state.copy())["witness_dual"][1]
+    assert len(calls["_witness_z"]) == witnesses
 
 
 def test_bracket_ordering_random_protocols():
