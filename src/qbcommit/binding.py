@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import SolverTrace, SphereResult, ascend_params, search_sphere
+from .optimize import CERTIFIED_WIDTH, SolverTrace, SphereResult, ascend_params, search_sphere
 from .protocol import ProtocolSpec, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
@@ -35,10 +35,6 @@ PERFECT_PAYOFF_STOP = 1.0 - 1e-9
 # A payoff is a sum of squared overlaps of a unit vector's orthogonal
 # pieces, normalized: by Cauchy-Schwarz it never exceeds one.
 PAYOFF_CAP = 1.0
-
-# The outer ascent is skipped once the certificate at the Procrustes start
-# lies within this much of its estimate (payoffs live in [0, 1]).
-CERTIFIED_WIDTH = 1e-5
 
 # An estimate above the certificate by more than this is a solver bug.
 BRACKET_GUARD = 1e-8
@@ -274,9 +270,11 @@ class BindingReport:
     """Saddle estimate of Alice's best worst-case cheating probability.
 
     ``binding_upper`` is a certified upper bound on the maximin payoff,
-    the minimum of ``upper_routes``: ``witness_dual``, the dual certificate
-    built at the estimate's cheat from the claimed-branch kernel states and
-    the worst state, and ``payoff_cap``, which is 1.
+    the minimum of ``upper_routes``: ``witness_dual``, the smallest of the
+    dual certificates built at every cheat the full inner search scored (the
+    Procrustes start and each outer restart's end point), each from the
+    claimed-branch kernel states and that cheat's worst state, and
+    ``payoff_cap``, which is 1.
     """
 
     label: str
@@ -321,21 +319,23 @@ def minimax_cheat(
     state the full inner search (``min_over_states``, whose starts include
     the claimed-branch kernel states) finds there gives the estimate, and
     the dual certificate built from the kernel states and that worst state
-    bounds the maximin from above. When the payoff there is within 1e-9 of its cap, or the bound lies
-    within ``CERTIFIED_WIDTH`` of the estimate, no cheat can do better by more
-    than that, so that result is returned: its trace reads one restart of 0
-    iterations, with a note saying why the outer ascent was skipped.
+    bounds the maximin from above. When the payoff there is within 1e-9 of
+    its cap, or the bound lies within ``CERTIFIED_WIDTH`` of the estimate, no
+    cheat can do better by more than that, so that result is returned: its
+    trace reads one restart of 0 iterations, with a note saying why the
+    outer ascent was skipped.
 
-    Otherwise the outer gradient ascent runs over the real parameters of the
-    cheat unitary, with the inner minimum handled by Danskin's rule at the
-    current worst state. The first outer restart starts from the Procrustes
-    alignment, the rest from seeded Haar unitaries. During the ascent the
-    inner minimum runs on a reduced budget with a warm start; every restart's
-    candidate is re-scored with the full inner budget, so the reported
-    estimate is an honestly achieved value, and the certificate is rebuilt
-    at the winner. The search stops early once the payoff cannot improve any
-    further (it is capped at one). An estimate above the certified bound by
-    more than ``BRACKET_GUARD`` raises ``BracketInversionError``.
+    Otherwise the outer gradient ascent runs on the unitary group, with the
+    inner minimum handled by Danskin's rule at the current worst state. The
+    first outer restart starts from the Procrustes alignment, the rest from
+    seeded Haar unitaries. During the ascent the inner minimum runs on a
+    reduced budget with a warm start; every restart's candidate is re-scored
+    with the full inner budget, so the reported estimate is an honestly
+    achieved value, and a certificate is built at each re-scored candidate;
+    the smallest one is reported. The search stops early once the payoff
+    cannot improve any further (it is capped at one). An estimate above the
+    certified bound by more than ``BRACKET_GUARD`` raises
+    ``BracketInversionError``.
     """
     if outer_restarts < 1:
         raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
@@ -352,16 +352,13 @@ def minimax_cheat(
             spec, v, direction=direction, restarts=inner_restarts, seed=seed, tol=min(tol, 1e-8)
         )
 
-    def upper_routes(v, worst):
-        witness, _ = _dual_bound(ck, cl, v, kernel + [worst])
-        routes = {"witness_dual": witness, "payoff_cap": PAYOFF_CAP}
-        return min(routes.values()), routes
+    def certificate(v, worst):
+        return _dual_bound(ck, cl, v, kernel + [worst])[0]
 
-    procrustes = linalg.params_from_unitary(align_families(committed, claimed))
-    best_v = linalg.unitary_from_params(procrustes)
-    inner = score(best_v)
-    upper, routes = upper_routes(best_v, inner.vector)
-    width = upper - inner.value
+    procrustes = align_families(committed, claimed)
+    inner = score(procrustes)
+    witness = certificate(procrustes, inner.vector)
+    width = min(witness, PAYOFF_CAP) - inner.value
     if inner.value >= PERFECT_PAYOFF_STOP:
         skip = "stopped after restart 0: payoff within 1e-9 of its cap"
     elif width <= CERTIFIED_WIDTH:
@@ -381,7 +378,7 @@ def minimax_cheat(
     )
     outer_trace.notes.append("start 0: Procrustes alignment of the two families")
 
-    best = None  # (estimate, params, inner SphereResult)
+    best = None  # (estimate, cheat, inner SphereResult)
     if skip:
         outer_trace.notes.append(skip)
         outer_trace.iterations.append(0)
@@ -394,13 +391,11 @@ def minimax_cheat(
         if ridx == 0:
             start = procrustes
         else:
-            start = linalg.params_from_unitary(
-                linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
-            )
+            start = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
         warm = [None]
 
-        def surrogate(rows, _ridx=ridx, _warm=warm):
-            (v,), eig = linalg.unitaries_from_params(rows)
+        def surrogate(cheats, _ridx=ridx, _warm=warm):
+            (v,) = cheats
             starts = list(kernel)
             if _warm[0] is not None:
                 starts.append(_warm[0])
@@ -421,11 +416,11 @@ def minimax_cheat(
             )
             _warm[0] = res.vector
             gv = _wirtinger_cheat_gradient(ck, cl, v, res.vector, ZERO_OUTCOME_TOL)
-            return [res.value], linalg.unitary_param_gradient(eig, gv[None])
+            return [res.value], gv[None]
 
         # Payoffs live in [0, 1]; chasing gains below a few 1e-8 only crawls
         # the dropped-outcome boundary layer, so the ascent stalls out there.
-        [(params, _, iters, converged)] = ascend_params(
+        [(v, _, iters, converged)] = ascend_params(
             surrogate,
             [start],
             trace=outer_trace,
@@ -435,12 +430,14 @@ def minimax_cheat(
             stall_tol=2e-8,
             stall_limit=10,
         )
-        inner = score(linalg.unitary_from_params(params))
+        inner = score(v)
+        # Every (mu, Y) certifies, so each scored cheat's certificate counts.
+        witness = min(witness, certificate(v, inner.vector))
         outer_trace.iterations.append(iters)
         outer_trace.converged.append(converged)
         outer_trace.values.append(inner.value)
         if best is None or inner.value > best[0]:
-            best = (inner.value, params, inner)
+            best = (inner.value, v, inner)
             outer_trace.best_start = ridx
         if best[0] >= PERFECT_PAYOFF_STOP:
             outer_trace.notes.append(
@@ -448,11 +445,10 @@ def minimax_cheat(
             )
             break
 
-    estimate, params, inner = best
+    estimate, best_v, inner = best
     worst = inner.vector
-    if not skip:
-        best_v = linalg.unitary_from_params(params)
-        upper, routes = upper_routes(best_v, worst)
+    routes = {"witness_dual": witness, "payoff_cap": PAYOFF_CAP}
+    upper = min(routes.values())
     if estimate > upper + BRACKET_GUARD:
         raise BracketInversionError(
             f"binding estimate {estimate!r} exceeds certified upper bound {upper!r} "

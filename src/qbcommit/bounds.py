@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .binding import ZERO_OUTCOME_TOL, _payoffs, minimax_cheat
 from .concealment import analyze_concealment, cb_lower_bound
-from .optimize import SolverTrace, ascend_params
+from .optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
 from .protocol import (
     ProtocolSpec,
     _kraus_delta,
@@ -39,19 +39,25 @@ def kraus_gap(spec: ProtocolSpec, cheat=None) -> float:
 
 @dataclass
 class GapResult:
-    """Outcome of minimizing the Kraus gap over reindexings."""
+    """Outcome of minimizing the Kraus gap over reindexings.
+
+    ``lower`` is a certified lower bound on the gap at every reindexing,
+    Tr S(P) / dim_in at the Procrustes alignment P, rounded down for
+    round-off; ``value`` is the gap the returned ``unitary`` achieves.
+    """
 
     value: float
+    lower: float
     unitary: np.ndarray
     trace: SolverTrace
 
 
 def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
-    """Batched ascent objective: minus each parameter row's Kraus gap and its
-    gradient, both from one eigendecomposition of the row's H."""
+    """Batched ascent objective: minus the Kraus gap of each unitary in an
+    ``(R, m, m)`` stack and its gradient d / d conj(V), both from one
+    eigendecomposition of the row's gap operator S."""
 
-    def fun_grad(params):
-        v, eig = linalg.unitaries_from_params(params)
+    def fun_grad(v):
         delta = _kraus_delta(v, e0, e1)
         s = np.einsum("rjax,rjay->rxy", delta.conj(), delta)
         vals, vecs = linalg.eigh_or_error(s)
@@ -59,9 +65,30 @@ def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
         du = np.einsum("rjab,rb->rja", delta, top)
         eu = np.einsum("lab,rb->rla", e0, top)
         grad_v = np.einsum("rja,rla->rjl", du, eu.conj())
-        return -vals[:, -1], linalg.unitary_param_gradient(eig, -grad_v)
+        return -vals[:, -1], -grad_v
 
     return fun_grad
+
+
+def _trace_lower_bound(e0: np.ndarray, e1: np.ndarray) -> float:
+    """Certified lower bound on the Kraus gap over all unitary reindexings.
+
+    For unitary U the reindexed family keeps sum_J E0_J(U)† E0_J(U), so
+    Tr S(U) = |E0|² + |E1|² - 2 Re Tr(U† N), Frobenius norms, with
+    N_Jl = Tr(E0_l† E1_J), and the Procrustes alignment minimizes it at
+    |E0|² + |E1|² - 2 |N|_1. The top eigenvalue is at least the mean, so
+    every gap is at least that minimum over dim_in. No completeness is
+    assumed. Every sum has at most n = m dim_in dim_out terms, N's nuclear
+    norm comes from a backward-stable SVD, and |N|_1 <= (|E0|² + |E1|²) / 2,
+    so the computed trace errs by about 2 n eps (|E0|² + |E1|²); twice that
+    is subtracted, so round-off never puts the bound above the true one.
+    """
+    m, dout, din = e0.shape
+    scale = np.vdot(e0, e0).real + np.vdot(e1, e1).real
+    overlap = np.einsum("jab,lab->jl", e1.conj(), e0)
+    trace = scale - 2.0 * linalg.trace_norm(overlap)
+    allowance = 4.0 * m * din * dout * np.finfo(float).eps * scale
+    return max(0.0, float(trace - allowance) / din)
 
 
 def minimize_kraus_gap(
@@ -73,19 +100,23 @@ def minimize_kraus_gap(
 ) -> GapResult:
     """Search for the reindexing that brings the two families closest.
 
-    Gradient descent on the unitary's real parameters from the identity, the
-    Procrustes alignment of the families, and seeded random unitaries, all
-    starts in lockstep. The descent is monotone from each start, so the
-    result never exceeds the identity gap.
+    The identity and the Procrustes alignment of the families are scored
+    first, in one call. When the better of them lies within
+    ``CERTIFIED_WIDTH`` of the trace bound ``GapResult.lower``, no
+    reindexing can do better by more than that, so it is returned (the
+    earlier start on a tie) with a note saying the ascent was skipped.
+    Otherwise gradient descent on the unitary group runs from both and from
+    seeded random unitaries, all starts in lockstep. The descent is
+    monotone from each start, so the result never exceeds the identity gap.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     require_valid(spec)
     m = spec.cardinality
-    starts = [np.eye(m), align_families(spec.bit0, spec.bit1)][:restarts]
-    starts += [
-        linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
-    ]
+    e0, e1 = spec.bit0.stack(), spec.bit1.stack()
+    fun_grad = _gap_fun_grad(e0, e1)
+    lower = _trace_lower_bound(e0, e1)
+    starts = [np.eye(m, dtype=complex), align_families(spec.bit0, spec.bit1)][:restarts]
 
     trace = SolverTrace(
         seed=int(seed),
@@ -95,13 +126,28 @@ def minimize_kraus_gap(
         max_iter=int(max_iter),
     )
     trace.notes.append("start 0: identity, start 1: Procrustes alignment")
-    results = ascend_params(
-        _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack()),
-        [linalg.params_from_unitary(v0) for v0 in starts],
-        trace=trace,
-        max_iter=max_iter,
-        tol=tol,
-    )
+    checked = linalg.require_unitary(np.array(starts), tol=linalg.UNITARY_CONSTRUCTION_TOL)
+    gaps = (-fun_grad(checked)[0]).tolist()
+    best = min(range(len(gaps)), key=gaps.__getitem__)
+    width = gaps[best] - lower
+    if width <= CERTIFIED_WIDTH:
+        trace.restarts = len(starts)
+        trace.notes.append(
+            f"trace certificate closes: gap - lower {width!r} <= "
+            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; ascent skipped"
+        )
+        trace.iterations = [0] * len(starts)
+        trace.converged = [True] * len(starts)
+        trace.values = gaps
+        trace.best_start = best
+        return GapResult(
+            value=float(max(gaps[best], 0.0)), lower=lower, unitary=starts[best], trace=trace
+        )
+
+    starts += [
+        linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
+    ]
+    results = ascend_params(fun_grad, starts, trace=trace, max_iter=max_iter, tol=tol)
     for _, value, iters, converged in results:
         trace.iterations.append(iters)
         trace.converged.append(converged)
@@ -110,7 +156,8 @@ def minimize_kraus_gap(
     best = trace.best_start = min(range(len(results)), key=trace.values.__getitem__)
     return GapResult(
         value=float(max(trace.values[best], 0.0)),
-        unitary=linalg.unitary_from_params(results[best][0]),
+        lower=lower,
+        unitary=results[best][0],
         trace=trace,
     )
 

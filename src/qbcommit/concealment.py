@@ -24,16 +24,13 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import SolverTrace, SphereResult, search_sphere
+from .optimize import CERTIFIED_WIDTH, SolverTrace, SphereResult, search_sphere
 from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
 CB_NORM_CAP = 2.0
 
 BRACKET_GUARD = 1e-8
-
-# Random restarts run only while the entangled start's bracket is wider.
-CERTIFIED_WIDTH = 1e-5
 
 # Weight mixed evenly into the witness's Schmidt coefficients before its dual
 # is built, so that the reference factor of the state is invertible.

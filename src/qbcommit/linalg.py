@@ -8,8 +8,6 @@ the slowest-varying index, matching ``numpy.kron`` ordering.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import SpectralDecompositionError
@@ -138,144 +136,43 @@ def eigh_or_error(m: np.ndarray):
         ) from exc
 
 
+def polar_factor(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor ``u @ vh`` of a square matrix, from one SVD: the
+    unitary closest to ``a`` in Frobenius norm."""
+    try:
+        u, _, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralDecompositionError(
+            f"singular value decomposition failed to converge: {exc}"
+        ) from exc
+    return u @ vh
+
+
 def unitarity_residual(v) -> float:
-    """Operator-norm distance of ``v.conj().T @ v`` from the identity."""
-    v = as_operator(v)
-    if v.shape[0] != v.shape[1]:
-        raise ValueError(f"expected a square matrix, got {v.shape}")
-    return operator_norm(v.conj().T @ v - np.eye(v.shape[0]))
+    """Operator-norm distance of ``v.conj().T @ v`` from the identity; for a
+    stack of square matrices ``(..., m, m)``, the largest over the stack."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("matrix has non-finite entries")
+    if v.size == 0:
+        return 0.0
+    gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
+    return float(_singular_values(gram)[..., 0].max())
 
 
 def require_unitary(v, tol: float = 1e-8) -> np.ndarray:
-    v = as_operator(v)
+    """``v`` as a complex array, checked finite and unitary within ``tol``.
+
+    A stack of square matrices is checked in one batched call. This is the
+    package's one unitarity check.
+    """
+    v = np.asarray(v, dtype=complex)
     res = unitarity_residual(v)
     if res > tol:
         raise ValueError(f"matrix is not unitary: residual {res!r} exceeds {tol!r}")
     return v
-
-
-@lru_cache(maxsize=None)
-def _upper_indices(m: int):
-    """Row and column indices of the strict upper triangle, row-major."""
-    return np.triu_indices(m, 1)
-
-
-def hermitian_from_params(params) -> np.ndarray:
-    """Assemble a Hermitian matrix from ``m**2`` real parameters.
-
-    Layout: the first ``m`` entries are the diagonal; the rest are
-    (real, imag) pairs for the strictly upper triangle in row-major order.
-    A stack of parameter rows ``(R, m**2)`` gives a stack ``(R, m, m)``.
-    """
-    p = np.asarray(params, dtype=float)
-    if p.ndim not in (1, 2):
-        raise ValueError("parameters must be a flat real vector or a stack of them")
-    m = int(round(np.sqrt(p.shape[-1])))
-    if m * m != p.shape[-1]:
-        raise ValueError(f"parameter count {p.shape[-1]} is not a perfect square")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("parameters have non-finite entries")
-    h = np.zeros(p.shape[:-1] + (m, m), dtype=complex)
-    h[..., range(m), range(m)] = p[..., :m]
-    rows, cols = _upper_indices(m)
-    h[..., rows, cols] = p[..., m::2] + 1j * p[..., m + 1 :: 2]
-    h[..., cols, rows] = p[..., m::2] - 1j * p[..., m + 1 :: 2]
-    return h
-
-
-def params_from_hermitian(h) -> np.ndarray:
-    """Inverse of :func:`hermitian_from_params` (Hermitized input)."""
-    h = as_operator(h)
-    m = h.shape[0]
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got {h.shape}")
-    h = 0.5 * (h + h.conj().T)
-    p = np.empty(m * m, dtype=float)
-    p[:m] = np.real(np.diag(h))
-    upper = h[_upper_indices(m)]
-    p[m::2] = upper.real
-    p[m + 1 :: 2] = upper.imag
-    return p
-
-
-def unitaries_from_params(params):
-    """Map parameter rows ``(R, m**2)`` to exp(i H) for each assembled H.
-
-    Returns the unitaries ``(R, m, m)`` and the eigendecomposition ``(w, u)``
-    that :func:`unitary_param_gradient` reuses. Every row must come out finite
-    and unitary within ``UNITARY_CONSTRUCTION_TOL``.
-    """
-    w, u = eigh_or_error(hermitian_from_params(params))
-    v = (u * np.exp(1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    if not np.isfinite(v).all():
-        raise ValueError("matrix has non-finite entries")
-    gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
-    res = float(_singular_values(gram)[..., 0].max())
-    if res > UNITARY_CONSTRUCTION_TOL:
-        raise SpectralDecompositionError(
-            f"constructed matrix misses unitarity: residual {res!r}"
-        )
-    return v, (w, u)
-
-
-def unitary_from_params(params) -> np.ndarray:
-    """Map ``m**2`` real parameters to exp(i H) for the assembled Hermitian H."""
-    return unitaries_from_params(np.asarray(params, dtype=float)[None])[0][0]
-
-
-def params_from_unitary(v) -> np.ndarray:
-    """Real parameters whose :func:`unitary_from_params` image is ``v``.
-
-    Uses the principal logarithm: eigenphases are taken in (-pi, pi], so
-    the round trip reproduces ``v`` but not necessarily the original
-    parameter vector.
-    """
-    import scipy.linalg
-
-    v = require_unitary(v, tol=1e-8)
-    # Schur of a (near-)unitary matrix is diagonal with orthonormal vectors,
-    # which stays stable under degenerate eigenvalues, unlike np.linalg.eig.
-    t, z = scipy.linalg.schur(v, output="complex")
-    phases = np.angle(np.diag(t))
-    h = (z * phases) @ z.conj().T
-    return params_from_hermitian(h)
-
-
-def unitary_param_gradient(eig, wirtinger_grad) -> np.ndarray:
-    """Pull gradients on the unitaries back to the real parameter rows.
-
-    ``eig`` is the ``(w, u)`` pair that :func:`unitaries_from_params` returned
-    for the rows; ``wirtinger_grad`` stacks d f / d conj(V) ``(R, m, m)`` for a
-    real-valued f at each V. The result ``(R, m**2)`` is the ordinary gradient
-    of f with respect to each row's real parameters, computed through the
-    spectral first-divided-difference kernel of the matrix exponential.
-    """
-    w, u = eig
-    m = w.shape[-1]
-    g = np.asarray(wirtinger_grad, dtype=complex)
-    if g.shape != u.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match unitaries {u.shape}")
-    if not np.isfinite(g).all():
-        raise ValueError("matrix has non-finite entries")
-    # First divided differences of x -> exp(i x) on each eigenvalue grid.
-    diff = w[:, :, None] - w[:, None, :]
-    ew = np.exp(1j * w)
-    num = ew[:, :, None] - ew[:, None, :]
-    small = np.abs(diff) < 1e-12
-    kernel = np.where(small, 1j * ew[:, :, None], num / np.where(small, 1.0, diff))
-
-    uh = u.conj().swapaxes(-1, -2)
-    gt = uh @ g @ u
-    d = np.conj(gt) * kernel
-    wmat = u @ d.swapaxes(-1, -2) @ uh
-
-    out = np.empty(w.shape[:-1] + (m * m,), dtype=float)
-    out[:, :m] = 2.0 * np.real(np.diagonal(wmat, axis1=-2, axis2=-1))
-    rows, cols = _upper_indices(m)
-    above, below = wmat[:, rows, cols], wmat[:, cols, rows]
-    out[:, m::2] = 2.0 * np.real(below + above)
-    out[:, m + 1 :: 2] = 2.0 * (np.imag(above) - np.imag(below))
-    return out
 
 
 def _as_rng(seed) -> np.random.Generator:

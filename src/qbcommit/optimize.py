@@ -1,10 +1,12 @@
-"""Backtracking gradient search on the complex unit sphere or on flat parameters.
+"""Backtracking gradient search on the complex unit sphere or the unitary group.
 
 One line-search engine drives the concealment maximizer, the binding
-minimizer over states and the ascents over unitary parameters. The geometry
+minimizer over states and the ascents over unitary reindexings. The geometry
 is its only argument that changes the steps: on the sphere the gradient is
-projected onto the tangent space and trial points are renormalized; on a
-flat real parameter vector neither happens. Each iteration doubles the last
+projected onto the tangent space and trial points are renormalized; on the
+unitary group U(m) the iterate is the unitary V itself, the gradient is
+projected onto V times the skew-Hermitian matrices, and trial points are
+retracted to their polar factor. Each iteration doubles the last
 accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
 of accepted steps that each gain almost nothing, or when no step down to
@@ -20,12 +22,12 @@ way), so the count is not a count of stuck starts alone.
 
 The engine is a generator: it yields each point to evaluate and receives
 (value, gradient) back. Gradients are the objectives' own analytic ones
-(d value / d conj(psi) on the sphere), each taken from the pieces its value
-already computed; the engine takes no finite differences. ``search_sphere``
-and ``ascend_params`` advance all their starts in lockstep, one batched
-objective call per round on the pending points of the unfinished starts; a
-start's trajectory depends only on its own values, so the result equals
-running the starts one by one.
+(d value / d conj(x), x a state or a unitary), each taken from the pieces
+its value already computed; the engine takes no finite differences.
+``search_sphere`` and ``ascend_params`` advance all their starts in
+lockstep, one batched objective call per round on the pending points of the
+unfinished starts; a start's trajectory depends only on its own values, so
+the result equals running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -44,6 +46,11 @@ from . import linalg
 
 ARMIJO = 1e-4
 MIN_STEP = 1e-14
+
+# A search whose value a certified bound meets within this much skips its
+# remaining starts. Every certificate in the package (cb norm in [0, 2],
+# binding payoff in [0, 1], Kraus gap) uses this one width.
+CERTIFIED_WIDTH = 1e-5
 
 
 @dataclass
@@ -86,8 +93,16 @@ def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - np.vdot(psi, grad).real * psi
 
 
+def _skew_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Riemannian gradient V skew(V† ∇) on U(m), with ∇ = 2 ``grad`` the
+    Euclidean gradient of a real function of V: a step along it gains its
+    squared Frobenius norm to first order, as the Armijo test assumes."""
+    a = v.conj().T @ grad
+    return v @ (a - a.conj().T)
+
+
 _SPHERE = _Geometry(_project, linalg.normalize_state, 1e3)
-_FLAT = _Geometry(lambda x, g: g, lambda x: x, 1e2)
+_UNITARY = _Geometry(_skew_tangent, linalg.polar_factor, 1e2)
 
 
 def _line_search(
@@ -124,7 +139,7 @@ def _line_search(
         if stop_value is not None and sgn * f >= sgn * stop_value:
             return x, f, it, True, False
         r = tangent(x, g)
-        gn = float(linalg.vector_norm(r))
+        gn = float(linalg.vector_norm(r.ravel()))
         if gn <= tol:
             return x, f, it, True, False
         direction = sgn * r
@@ -243,19 +258,27 @@ def ascend_params(
     stall_tol: float = 1e-9,
     stall_limit: int = 12,
 ) -> list:
-    """Backtracking gradient ascent on unconstrained real parameter vectors.
+    """Backtracking gradient ascent on the unitary group U(m).
 
-    ``fun_grad`` is batched: for parameter vectors stacked as rows ``(R, n)``
-    it returns values ``(R,)`` and gradients ``(R, n)``. All ``starts`` ascend
-    in lockstep, each as if it ran alone, and stop on gradient norm, on step
-    exhaustion (counted in ``trace.line_search_failures``), on ``stall_limit``
-    accepted steps in a row that each gain less than ``stall_tol``, or once
-    ``stop_value`` is reached. Returns (params, value, iterations, converged)
-    per start, in start order.
+    ``fun_grad`` is batched: for unitaries stacked as ``(R, m, m)`` it
+    returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``.
+    Each stack is first checked finite and unitary within
+    ``linalg.UNITARY_CONSTRUCTION_TOL``. Steps follow the Riemannian gradient
+    and retract to the polar factor of the trial point, so every iterate is
+    unitary. All ``starts`` ascend in lockstep, each as if it ran alone, and
+    stop on gradient norm, on step exhaustion (counted in
+    ``trace.line_search_failures``), on ``stall_limit`` accepted steps in a
+    row that each gain less than ``stall_tol``, or once ``stop_value`` is
+    reached. Returns (unitary, value, iterations, converged) per start, in
+    start order.
     """
+
+    def checked(points):
+        return fun_grad(linalg.require_unitary(points, tol=linalg.UNITARY_CONSTRUCTION_TOL))
+
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
     opts["stop_value"] = stop_value
-    searches = [_line_search(np.array(s, dtype=float), _FLAT, 1.0, **opts) for s in starts]
-    outcomes = _lockstep(searches, fun_grad)
+    searches = [_line_search(np.array(s, dtype=complex), _UNITARY, 1.0, **opts) for s in starts]
+    outcomes = _lockstep(searches, checked)
     trace.line_search_failures += sum(stuck for *_, stuck in outcomes)
-    return [(p, float(f), it, converged) for p, f, it, converged, _ in outcomes]
+    return [(v, float(f), it, converged) for v, f, it, converged, _ in outcomes]

@@ -21,7 +21,7 @@ from qbcommit.families import (
     phase_flip_pair,
     random_protocol,
 )
-from qbcommit.optimize import SolverTrace, ascend_params
+from qbcommit.optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
 from qbcommit.protocol import align_families
 
 
@@ -132,42 +132,81 @@ def test_minimize_kraus_gap_rejects_zero_restarts():
 
 def test_gap_ascent_lockstep_matches_one_start_calls():
     # The starts minimize_kraus_gap builds: identity, Procrustes alignment,
-    # then seeded random unitaries. On the dephasing protocol the first two
-    # starts end on the same gap, so the tie rule decides the best start.
+    # then seeded random unitaries. The random protocol's trace certificate
+    # does not close, so every start ascends.
     seed, restarts = 3, 6
-    specs = (
-        random_protocol(3, 3, 3, np.random.default_rng(31)),
-        decoy_protocol(2),
-        dephasing_protocol(),
-    )
-    for spec in specs:
-        m = spec.cardinality
-        unitaries = [np.eye(m), align_families(spec.bit0, spec.bit1)]
-        for r in range(2, restarts):
-            unitaries.append(linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)))
-        starts = [linalg.params_from_unitary(v) for v in unitaries]
-        fun_grad = _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack())
+    spec = random_protocol(3, 3, 3, np.random.default_rng(31))
+    m = spec.cardinality
+    unitaries = [np.eye(m), align_families(spec.bit0, spec.bit1)]
+    for r in range(2, restarts):
+        unitaries.append(linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)))
+    fun_grad = _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack())
 
-        def ascend(points):
-            trace = SolverTrace(seed, restarts, 0, 1e-8, 200)
-            return ascend_params(fun_grad, points, trace=trace, max_iter=200, tol=1e-8)
+    def ascend(points):
+        trace = SolverTrace(seed, restarts, 0, 1e-8, 200)
+        return ascend_params(fun_grad, points, trace=trace, max_iter=200, tol=1e-8)
 
-        together = ascend(starts)
-        alone = [ascend([s])[0] for s in starts]
-        assert len({it for _, _, it, _ in alone}) > 1
-        for (p1, v1, it1, c1), (p2, v2, it2, c2) in zip(together, alone):
-            assert p1.tobytes() == p2.tobytes()
-            assert (v1, it1, c1) == (v2, it2, c2)
+    together = ascend(unitaries)
+    alone = [ascend([v])[0] for v in unitaries]
+    assert len({it for _, _, it, _ in alone}) > 1
+    for (v1, f1, it1, c1), (v2, f2, it2, c2) in zip(together, alone):
+        assert v1.tobytes() == v2.tobytes()
+        assert (f1, it1, c1) == (f2, it2, c2)
 
-        # Reference reduction: start order, strict < keeps the earliest tie.
-        best = None
-        for ridx, (params, value, _, _) in enumerate(alone):
-            if best is None or -value < best[0]:
-                best = (-value, ridx, params)
-        res = minimize_kraus_gap(spec, restarts=restarts, seed=seed)
-        assert res.trace.values == [-value for _, value, _, _ in alone]
-        assert res.trace.iterations == [it for _, _, it, _ in alone]
-        assert res.trace.converged == [c for _, _, _, c in alone]
-        assert res.trace.best_start == best[1]
-        assert res.value == max(best[0], 0.0)
-        assert res.unitary.tobytes() == linalg.unitary_from_params(best[2]).tobytes()
+    # Reference reduction: start order, strict < keeps the earliest tie.
+    best = None
+    for ridx, (v, value, _, _) in enumerate(alone):
+        if best is None or -value < best[0]:
+            best = (-value, ridx, v)
+    res = minimize_kraus_gap(spec, restarts=restarts, seed=seed)
+    assert res.value - res.lower > CERTIFIED_WIDTH
+    assert not any("skipped" in note for note in res.trace.notes)
+    assert res.trace.values == [-value for _, value, _, _ in alone]
+    assert res.trace.iterations == [it for _, _, it, _ in alone]
+    assert res.trace.converged == [c for _, _, _, c in alone]
+    assert res.trace.best_start == best[1]
+    assert res.value == max(best[0], 0.0)
+    assert res.unitary.tobytes() == best[2].tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, closed",
+    [(decoy_protocol(2), 0.25), (dephasing_protocol(), 1.0), (concealing_pair(seed=7)[0], 0.0)],
+    ids=["decoy-k2", "dephasing", "concealing"],
+)
+def test_trace_certificate_proves_start_optimal(spec, closed):
+    # The top eigenvalue of the gap operator is degenerate at both starts of
+    # decoy-k2 and dephasing, so no ascent step leaves them; the trace bound
+    # shows that none needs to.
+    res = minimize_kraus_gap(spec, restarts=6, seed=3)
+    assert abs(res.value - closed) < 1e-12
+    assert 0.0 <= res.value - res.lower <= CERTIFIED_WIDTH
+    assert res.trace.iterations == [0, 0] and res.trace.line_search_failures == 0
+    assert any("ascent skipped" in note for note in res.trace.notes)
+    assert abs(kraus_gap(spec, res.unitary) - res.value) < 1e-12
+
+
+def test_trace_certificate_met_only_after_ascent_on_phase_flip():
+    # Tr(Z† I) = 0, so the Procrustes alignment is the identity, whose gap 4
+    # (S = diag(0, 4)) is the largest any phase has. Every phase has trace 4,
+    # so the bound is 2, which only the phases +-i reach: the certificate
+    # cannot close at the starts, and the random restarts find those phases.
+    res = minimize_kraus_gap(phase_flip_pair(), restarts=6, seed=3)
+    assert abs(res.lower - 2.0) < 1e-12
+    assert 0.0 <= res.value - res.lower <= 1e-6
+    assert res.trace.values[:2] == [4.0, 4.0] and res.trace.best_start >= 2
+    assert not any("skipped" in note for note in res.trace.notes)
+
+
+@pytest.mark.parametrize("din", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_trace_lower_bound_holds_at_every_reindexing(din, m):
+    spec = random_protocol(din, din, m, np.random.default_rng([41, din, m]))
+    res = minimize_kraus_gap(spec, restarts=3, seed=din * m, max_iter=60)
+    assert 0.0 <= res.lower <= res.value
+    assert res.lower <= kraus_gap(spec, res.unitary)
+    rng = linalg.spawn_rng(42, din, m)
+    for _ in range(20):
+        assert res.lower <= kraus_gap(spec, linalg.random_unitary(m, rng))
+
+

@@ -11,10 +11,11 @@ import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
 import qbcommit.cli as cli
-from qbcommit.concealment import CERTIFIED_WIDTH, cb_lower_bound
+from qbcommit.concealment import cb_lower_bound
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import concealing_pair, dephasing_protocol, phase_flip_pair
 from qbcommit.fileio import write_protocol_file
+from qbcommit.optimize import CERTIFIED_WIDTH
 
 
 @pytest.fixture
@@ -57,6 +58,13 @@ def test_restarts_help_names_the_certified_width(command, capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "run only while the bracket certified at the entangled start" in help_text
     assert "CERTIFIED_WIDTH = 1e-05" in help_text
+
+
+def test_bounds_minimize_help_names_the_certified_width(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["bounds", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "the gap's trace bound meets it within CERTIFIED_WIDTH = 1e-05" in help_text
 
 
 def test_validate_rejects_incomplete_family(tmp_path, capsys):
@@ -177,12 +185,15 @@ def test_bind_inversion_exits_three(dephasing_file, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    # Importing scipy.optimize costs a third of a second and about 20 MB.
+    # The package is numpy-only; importing scipy.optimize alone costs a third
+    # of a second and about 20 MB.
     src = str(Path(qbcommit.binding.__file__).resolve().parents[1])
     probe = (
         "import sys, qbcommit.cli\n"
         "qbcommit.cli.main(['bind', sys.argv[1], '--no-swapped'])\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by bind'\n"
+        "qbcommit.cli.main(['bounds', sys.argv[1], '--minimize', '--restarts', '0'])\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by bounds --minimize'\n"
     )
     protocol = Path(src).parent / "protocols" / "identity.json"
     res = subprocess.run(
@@ -258,6 +269,8 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
     data = json.loads(out)
     assert data["minimized"]["violations"] == []
     assert data["minimized_gap"] <= data["identity"]["kraus_gap"] + 1e-12
+    # The trace bound certifies dephasing's gap at the starts.
+    assert 0.0 <= data["minimized_gap"] - data["minimized_gap_lower"] <= CERTIFIED_WIDTH
 
 
 def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):

@@ -84,131 +84,16 @@ def test_vector_norm_matches_numpy_bit_for_bit():
         assert linalg.vector_norm(z) == np.linalg.norm(z)
 
 
-def test_hermitian_params_round_trip():
+def test_polar_factor_is_closest_unitary():
+    # u @ vh of the SVD: unitary, and it maximizes Re Tr(A† V) at the trace norm.
     for dim in range(1, 6):
-        rng = linalg.spawn_rng(21, dim)
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (z + z.conj().T) / 2.0
-        p = linalg.params_from_hermitian(h)
-        assert p.size == dim * dim
-        np.testing.assert_allclose(linalg.hermitian_from_params(p), h, atol=1e-12)
-
-
-def test_hermitian_params_layout_matches_loop_reference():
-    # Diagonal first, then (real, imag) pairs of the strict upper triangle in
-    # row-major order, built entry by entry.
-    for dim in range(1, 10):
-        p = linalg.spawn_rng(23, dim).standard_normal(dim * dim)
-        ref = np.zeros((dim, dim), dtype=complex)
-        ref[np.diag_indices(dim)] = p[:dim]
-        k = dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ref[i, j] = p[k] + 1j * p[k + 1]
-                ref[j, i] = p[k] - 1j * p[k + 1]
-                k += 2
-        h = linalg.hermitian_from_params(p)
-        assert h.tobytes() == ref.tobytes()
-        assert linalg.params_from_hermitian(h).tobytes() == p.tobytes()
-
-
-def test_unitary_params_round_trip():
-    for dim in range(1, 6):
-        v = linalg.random_unitary(dim, linalg.spawn_rng(22, dim))
-        p = linalg.params_from_unitary(v)
-        v2 = linalg.unitary_from_params(p)
-        np.testing.assert_allclose(v2, v, atol=1e-10)
-        assert linalg.unitarity_residual(v2) < 1e-12
-
-
-def test_unitary_from_params_is_unitary():
-    rng = np.random.default_rng(5)
-    for dim in (1, 2, 3, 4):
-        p = rng.standard_normal(dim * dim) * 2.0
-        v = linalg.unitary_from_params(p)
-        assert v.shape == (dim, dim)
-        assert linalg.unitarity_residual(v) < 1e-12
-
-
-def test_unitary_from_params_rejects_bad_length():
-    with pytest.raises(ValueError):
-        linalg.unitary_from_params(np.zeros(5))
-
-
-def test_unitary_param_gradient_matches_finite_differences():
-    # Pushing a Wirtinger gradient through V = exp(iH(p)) is the one piece
-    # of calculus everything else leans on, so it gets a direct check.
-    for dim in (1, 2, 3):
-        rng = linalg.spawn_rng(23, dim)
-        p0 = linalg.params_from_unitary(linalg.random_unitary(dim, rng))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-        def f(p):
-            v = linalg.unitary_from_params(p)
-            return float(np.real(np.sum(np.conj(g) * v) + np.sum(g * np.conj(v))))
-
-        _, eig = linalg.unitaries_from_params(p0[None])
-        grad = linalg.unitary_param_gradient(eig, g[None])[0]
-        h = 1e-6
-        for i in range(p0.size):
-            bump = np.zeros_like(p0)
-            bump[i] = h
-            fd = (f(p0 + bump) - f(p0 - bump)) / (2.0 * h)
-            assert abs(grad[i] - fd) < 5e-6
-
-
-def test_unitary_param_gradient_degenerate_eigenvalues():
-    # Identity has a fully degenerate spectrum; the divided-difference kernel
-    # must fall back to its diagonal limit there.
-    dim = 3
-    p0 = np.zeros(dim * dim)
-    rng = linalg.spawn_rng(24)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-    def f(p):
-        v = linalg.unitary_from_params(p)
-        return float(np.real(np.sum(np.conj(g) * v) + np.sum(g * np.conj(v))))
-
-    _, eig = linalg.unitaries_from_params(p0[None])
-    grad = linalg.unitary_param_gradient(eig, g[None])[0]
-    h = 1e-6
-    for i in range(p0.size):
-        bump = np.zeros_like(p0)
-        bump[i] = h
-        fd = (f(p0 + bump) - f(p0 - bump)) / (2.0 * h)
-        assert abs(grad[i] - fd) < 5e-6
-
-
-def test_batched_parametrization_rows_match_one_row_results():
-    # Zero and 1e-13-scaled rows give (near-)degenerate spectra, where the
-    # divided-difference kernel takes its diagonal limit.
-    for m in range(1, 8):
-        rng = linalg.spawn_rng(25, m)
-        for batch in (1, 3, 8):
-            scales = [(0.0, 1e-13, 1.0)[(batch + r) % 3] for r in range(batch)]
-            p = rng.standard_normal((batch, m * m)) * np.array(scales)[:, None]
-            g = rng.standard_normal((batch, m, m)) + 1j * rng.standard_normal((batch, m, m))
-            v, eig = linalg.unitaries_from_params(p)
-            grad = linalg.unitary_param_gradient(eig, g)
-            assert v.shape == (batch, m, m) and grad.shape == (batch, m * m)
-            for r in range(batch):
-                v1, eig1 = linalg.unitaries_from_params(p[r : r + 1])
-                assert v[r].tobytes() == v1[0].tobytes()
-                assert v[r].tobytes() == linalg.unitary_from_params(p[r]).tobytes()
-                grad1 = linalg.unitary_param_gradient(eig1, g[r : r + 1])
-                assert grad[r].tobytes() == grad1[0].tobytes()
-
-
-def test_batched_parametrization_rejects_non_finite_rows():
-    p = np.zeros((3, 4))
-    p[1, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        linalg.unitaries_from_params(p)
-    _, eig = linalg.unitaries_from_params(np.zeros((3, 4)))
-    g = np.zeros((3, 2, 2), dtype=complex)
-    g[2, 0, 1] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        linalg.unitary_param_gradient(eig, g)
+        rng = linalg.spawn_rng(22, dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        p = linalg.polar_factor(a)
+        assert linalg.unitarity_residual(p) < 1e-14
+        assert abs(np.trace(a.conj().T @ p).real - linalg.trace_norm(a)) < 1e-12
+        v = linalg.random_unitary(dim, rng)
+        np.testing.assert_allclose(linalg.polar_factor(v), v, atol=1e-14)
 
 
 def test_require_unitary():
@@ -216,6 +101,22 @@ def test_require_unitary():
     linalg.require_unitary(v)
     with pytest.raises(ValueError):
         linalg.require_unitary(v * 1.01)
+
+
+def test_require_unitary_checks_every_row_of_a_stack():
+    stack = np.array([linalg.random_unitary(3, linalg.spawn_rng(32, r)) for r in range(4)])
+    assert linalg.require_unitary(stack, tol=1e-14).shape == (4, 3, 3)
+    assert linalg.unitarity_residual(stack) == max(linalg.unitarity_residual(v) for v in stack)
+    bent = stack.copy()
+    bent[2] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        linalg.require_unitary(bent, tol=linalg.UNITARY_CONSTRUCTION_TOL)
+    bent[2] = stack[2]
+    bent[3, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.require_unitary(bent)
+    with pytest.raises(ValueError, match="square"):
+        linalg.require_unitary(np.zeros((2, 3)))
 
 
 def test_random_state_deterministic_and_phase_fixed():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qbcommit import linalg
 from qbcommit.binding import ZERO_OUTCOME_TOL, _kernel_starts, _payoff_fun_grad, _payoff_pieces
@@ -115,33 +116,53 @@ def test_search_sphere_trace_bookkeeping():
     assert res.trace.seed == 7
 
 
-def test_ascend_params_concave_quadratic():
-    target = np.array([0.3, -1.2, 2.0])
+def trace_overlap(a):
+    """Re Tr(A† V) and its gradient d / d conj(V) = A / 2, on the unitary group."""
 
-    def fun_grad(p):
-        d = p - target
-        return -float(d @ d), -2.0 * d
+    def fun_grad(v):
+        return float(np.vdot(a, v).real), 0.5 * a
 
-    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-10, max_iter=200)
-    [(p, value, iters, converged)] = ascend_params(
-        rowwise(fun_grad), [np.zeros(3)], trace=trace, max_iter=200, tol=1e-10
-    )
-    assert converged
-    assert abs(value) < 1e-12
-    np.testing.assert_allclose(p, target, atol=1e-6)
+    return fun_grad
+
+
+def test_ascend_params_reaches_trace_norm_at_polar_factor():
+    # max over unitary V of Re Tr(A† V) is the trace norm of A, at polar(A).
+    for dim in (1, 2, 3, 4):
+        rng = linalg.spawn_rng(61, dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        starts = [np.eye(dim), linalg.random_unitary(dim, rng)]
+        trace = SolverTrace(seed=0, restarts=0, extra_starts=2, tol=1e-10, max_iter=500)
+        results = ascend_params(
+            rowwise(trace_overlap(a)), starts, trace=trace, max_iter=500, tol=1e-10
+        )
+        for v, value, iters, converged in results:
+            assert converged and iters < 500
+            assert linalg.unitarity_residual(v) < 1e-13
+            # A small singular value flattens the optimum; the stall rule
+            # ends the ascent a few 1e-10 short there.
+            assert abs(value - linalg.trace_norm(a)) < 1e-9
+            np.testing.assert_allclose(v, linalg.polar_factor(a), atol=1e-4)
 
 
 def test_ascend_params_stop_value_short_circuits():
-    def fun_grad(p):
-        return float(p[0]), np.array([1.0])
-
+    rng = linalg.spawn_rng(62)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    start = np.eye(3)
+    stop = 0.5 * (np.trace(a).real + linalg.trace_norm(a))
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-12, max_iter=500)
-    [(p, value, iters, converged)] = ascend_params(
-        rowwise(fun_grad), [np.zeros(1)], trace=trace, max_iter=500, tol=1e-12, stop_value=5.0
+    [(v, value, iters, converged)] = ascend_params(
+        rowwise(trace_overlap(a)), [start], trace=trace, max_iter=500, tol=1e-12, stop_value=stop
     )
     assert converged
-    assert value >= 5.0
+    assert stop <= value < linalg.trace_norm(a) - 1e-3
     assert iters < 500
+
+
+def test_ascend_params_rejects_non_unitary_start():
+    a = np.eye(2, dtype=complex)
+    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
+    with pytest.raises(ValueError, match="not unitary"):
+        ascend_params(rowwise(trace_overlap(a)), [1.001 * np.eye(2)], trace=trace, max_iter=10)
 
 
 def test_search_sphere_stops_at_jump_minimum():
