@@ -29,7 +29,6 @@ from .protocol import (
     choi,
     choi_distance,
     dilate,
-    kraus_gap_operator,
     require_valid,
     validate,
 )
@@ -65,6 +64,7 @@ from .bounds import (
     check_bounds,
     epsilon_delta_scan,
     kraus_gap,
+    kraus_gap_operator,
     minimize_kraus_gap,
     payoff_floor,
     scan_to_csv,

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import CERTIFIED_WIDTH, SolverTrace, SphereResult, ascend_params, search_sphere
-from .protocol import ProtocolSpec, align_families, require_valid
+from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
 KERNEL_SINGULAR_TOL = 1e-7
@@ -48,13 +48,6 @@ def _directed(spec: ProtocolSpec, direction: str):
     if direction == "01":
         return spec.bit0, spec.bit1
     return spec.bit1, spec.bit0
-
-
-def _require_cheat(cheat, m: int) -> np.ndarray:
-    cheat = linalg.require_unitary(cheat)
-    if cheat.shape != (m, m):
-        raise ValueError(f"cheat unitary shape {cheat.shape} does not match cardinality {m}")
-    return cheat
 
 
 def alice_cheat_prob(
@@ -381,10 +374,7 @@ def minimax_cheat(
     best = None  # (estimate, cheat, inner SphereResult)
     if skip:
         outer_trace.notes.append(skip)
-        outer_trace.iterations.append(0)
-        outer_trace.converged.append(True)
-        outer_trace.values.append(inner.value)
-        outer_trace.best_start = 0
+        outer_trace.record([inner.value], [0], [True], maximize=True)
         best = (inner.value, procrustes, inner)
     # A capped or certified Procrustes start leaves the ascent nothing to gain.
     for ridx in range(0 if skip else outer_restarts):
@@ -433,12 +423,8 @@ def minimax_cheat(
         inner = score(v)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
         witness = min(witness, certificate(v, inner.vector))
-        outer_trace.iterations.append(iters)
-        outer_trace.converged.append(converged)
-        outer_trace.values.append(inner.value)
-        if best is None or inner.value > best[0]:
+        if outer_trace.record([inner.value], [iters], [converged], maximize=True) == ridx:
             best = (inner.value, v, inner)
-            outer_trace.best_start = ridx
         if best[0] >= PERFECT_PAYOFF_STOP:
             outer_trace.notes.append(
                 f"stopped after restart {ridx}: payoff within 1e-9 of its cap"

@@ -1,8 +1,8 @@
 """Inequalities tying concealment to binding, and the trade-off scan.
 
-Both bounds pivot on the reindexed Kraus gap, the operator norm of
-sum_J (E0_J(V) - E1_J)^dagger (E0_J(V) - E1_J). A small gap for some
-reindexing V forces the two channels close in diamond norm (so Bob learns
+Both bounds pivot on the reindexed Kraus gap, the largest eigenvalue of the
+positive operator S(V) = sum_J (E0_J(V) - E1_J)^dagger (E0_J(V) - E1_J). A
+small gap for some reindexing V forces the two channels close in diamond norm (so Bob learns
 little) and simultaneously hands Alice a cheat whose worst-case payoff is
 large. The scan walks a protocol family and records both sides so the
 trade-off curve can be plotted.
@@ -18,23 +18,44 @@ from . import linalg
 from .binding import ZERO_OUTCOME_TOL, _payoffs, minimax_cheat
 from .concealment import analyze_concealment, cb_lower_bound
 from .optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
-from .protocol import (
-    ProtocolSpec,
-    _kraus_delta,
-    align_families,
-    kraus_gap_operator,
-    require_valid,
-)
+from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 BOUND_TOL = 1e-9
 
 
+def _gap_operators(v: np.ndarray, e0: np.ndarray, e1: np.ndarray):
+    """Branch differences sum_l v[r, j, l] e0_l - e1_j and gap operators
+    S_r = sum_j delta_rj† delta_rj of an ``(R, m, m)`` stack; no unitarity check."""
+    delta = np.einsum("...jl,lab->...jab", v, e0) - e1
+    return delta, np.einsum("rjax,rjay->rxy", delta.conj(), delta)
+
+
+def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
+    """Positive operator summing |bit0-reindexed-by-cheat minus bit1|² termwise.
+
+    The squared-modulus convention is op†op, so the result is a positive
+    semidefinite operator on the input space whose size bounds how far the
+    reindexed bit-0 family sits from the bit-1 family.
+    """
+    cheat = _require_cheat(cheat, spec.cardinality)
+    return _gap_operators(cheat[None], spec.bit0.stack(), spec.bit1.stack())[1][0]
+
+
+def _gap(spec: ProtocolSpec, cheat: np.ndarray) -> float:
+    """Gap at one checked cheat, taken as a one-row stack the way the ascent
+    takes it, so both give the same number for the same unitary."""
+    _, s = _gap_operators(cheat[None], spec.bit0.stack(), spec.bit1.stack())
+    return max(float(linalg.eigh_or_error(s)[0][0, -1]), 0.0)
+
+
 def kraus_gap(spec: ProtocolSpec, cheat=None) -> float:
-    """Operator norm of the summed squared differences of matched branches."""
+    """Largest eigenvalue of the gap operator S at ``cheat`` (the identity by
+    default), clamped at 0: the number ``minimize_kraus_gap`` reports for the
+    same unitary."""
     require_valid(spec)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
-    return linalg.operator_norm(kraus_gap_operator(spec, cheat))
+    return _gap(spec, _require_cheat(cheat, spec.cardinality))
 
 
 @dataclass
@@ -58,8 +79,7 @@ def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
     eigendecomposition of the row's gap operator S."""
 
     def fun_grad(v):
-        delta = _kraus_delta(v, e0, e1)
-        s = np.einsum("rjax,rjay->rxy", delta.conj(), delta)
+        delta, s = _gap_operators(v, e0, e1)
         vals, vecs = linalg.eigh_or_error(s)
         top = vecs[:, :, -1]
         du = np.einsum("rjab,rb->rja", delta, top)
@@ -117,48 +137,35 @@ def minimize_kraus_gap(
     fun_grad = _gap_fun_grad(e0, e1)
     lower = _trace_lower_bound(e0, e1)
     starts = [np.eye(m, dtype=complex), align_families(spec.bit0, spec.bit1)][:restarts]
+    checked = linalg.require_unitary(np.array(starts), tol=linalg.UNITARY_CONSTRUCTION_TOL)
+    gaps = (-fun_grad(checked)[0]).tolist()
+    width = min(gaps) - lower
+    certified = width <= CERTIFIED_WIDTH
 
     trace = SolverTrace(
         seed=int(seed),
-        restarts=int(restarts),
+        restarts=len(starts) if certified else int(restarts),
         extra_starts=0,
         tol=float(tol),
         max_iter=int(max_iter),
     )
     trace.notes.append("start 0: identity, start 1: Procrustes alignment")
-    checked = linalg.require_unitary(np.array(starts), tol=linalg.UNITARY_CONSTRUCTION_TOL)
-    gaps = (-fun_grad(checked)[0]).tolist()
-    best = min(range(len(gaps)), key=gaps.__getitem__)
-    width = gaps[best] - lower
-    if width <= CERTIFIED_WIDTH:
-        trace.restarts = len(starts)
+    if certified:
         trace.notes.append(
             f"trace certificate closes: gap - lower {width!r} <= "
             f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; ascent skipped"
         )
-        trace.iterations = [0] * len(starts)
-        trace.converged = [True] * len(starts)
-        trace.values = gaps
-        trace.best_start = best
-        return GapResult(
-            value=float(max(gaps[best], 0.0)), lower=lower, unitary=starts[best], trace=trace
-        )
-
-    starts += [
-        linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
-    ]
-    results = ascend_params(fun_grad, starts, trace=trace, max_iter=max_iter, tol=tol)
-    for _, value, iters, converged in results:
-        trace.iterations.append(iters)
-        trace.converged.append(converged)
-        trace.values.append(-value)
-    # min keeps the first of equal gaps: the earliest start wins ties.
-    best = trace.best_start = min(range(len(results)), key=trace.values.__getitem__)
+        iterations, converged = [0] * len(starts), [True] * len(starts)
+    else:
+        starts += [
+            linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
+        ]
+        results = ascend_params(fun_grad, starts, trace=trace, max_iter=max_iter, tol=tol)
+        starts, values, iterations, converged = zip(*results)
+        gaps = [-value for value in values]
+    best = trace.record(gaps, iterations, converged, maximize=False)
     return GapResult(
-        value=float(max(trace.values[best], 0.0)),
-        lower=lower,
-        unitary=results[best][0],
-        trace=trace,
+        value=max(trace.values[best], 0.0), lower=lower, unitary=starts[best], trace=trace
     )
 
 
@@ -212,9 +219,8 @@ def check_bounds(
     require_valid(spec)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
-    cheat = linalg.require_unitary(cheat)
-    # kraus_gap_operator checks the cheat's shape and unitarity.
-    gap = linalg.operator_norm(kraus_gap_operator(spec, cheat))
+    cheat = _require_cheat(cheat, spec.cardinality)
+    gap = _gap(spec, cheat)
     if cb_lower is None:
         cb_lower = cb_lower_bound(spec, restarts=cb_restarts, seed=seed).value
     quarter = cb_lower / 4.0

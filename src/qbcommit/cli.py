@@ -47,28 +47,21 @@ def _is_scalar(value) -> bool:
 def _render_text(data, lines, indent=0):
     pad = "  " * indent
     if isinstance(data, dict):
-        for key in sorted(data):
-            value = data[key]
-            if _is_scalar(value):
-                lines.append(f"{pad}{key}: {_render_scalar(value)}")
-            elif isinstance(value, list) and all(_is_scalar(v) for v in value):
-                inline = ", ".join(_render_scalar(v) for v in value)
-                lines.append(f"{pad}{key}: [{inline}]")
-            else:
-                lines.append(f"{pad}{key}:")
-                _render_text(value, lines, indent + 1)
+        entries = [(key, ": ", data[key]) for key in sorted(data)]
     elif isinstance(data, list):
-        for i, value in enumerate(data):
-            if _is_scalar(value):
-                lines.append(f"{pad}[{i}] {_render_scalar(value)}")
-            elif isinstance(value, list) and all(_is_scalar(v) for v in value):
-                inline = ", ".join(_render_scalar(v) for v in value)
-                lines.append(f"{pad}[{i}] [{inline}]")
-            else:
-                lines.append(f"{pad}[{i}]:")
-                _render_text(value, lines, indent + 1)
+        entries = [(f"[{i}]", " ", value) for i, value in enumerate(data)]
     else:
         lines.append(f"{pad}{_render_scalar(data)}")
+        return
+    for head, sep, value in entries:
+        if _is_scalar(value):
+            lines.append(f"{pad}{head}{sep}{_render_scalar(value)}")
+        elif isinstance(value, list) and all(_is_scalar(v) for v in value):
+            inline = ", ".join(_render_scalar(v) for v in value)
+            lines.append(f"{pad}{head}{sep}[{inline}]")
+        else:
+            lines.append(f"{pad}{head}:")
+            _render_text(value, lines, indent + 1)
 
 
 def render_report(data, fmt: str) -> str:

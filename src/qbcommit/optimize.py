@@ -6,7 +6,9 @@ is its only argument that changes the steps: on the sphere the gradient is
 projected onto the tangent space and trial points are renormalized; on the
 unitary group U(m) the iterate is the unitary V itself, the gradient is
 projected onto V times the skew-Hermitian matrices, and trial points are
-retracted to their polar factor. Each iteration doubles the last
+retracted to their polar factor. A polar factor is unitary by construction,
+so ``ascend_params`` checks the starts it is given and the unitaries it
+returns, not each trial point. Each iteration doubles the last
 accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
 of accepted steps that each gain almost nothing, or when no step down to
@@ -73,6 +75,16 @@ class SolverTrace:
     best_start: int = -1
     line_search_failures: int = 0
     notes: list = field(default_factory=list)
+
+    def record(self, values, iterations, converged, maximize: bool) -> int:
+        """Append per-start outcomes in start order; set and return
+        ``best_start``, the earliest start holding the best value so far."""
+        self.values.extend(float(v) for v in values)
+        self.iterations.extend(iterations)
+        self.converged.extend(converged)
+        pick = max if maximize else min
+        self.best_start = pick(range(len(self.values)), key=self.values.__getitem__)
+        return self.best_start
 
 
 @dataclass
@@ -236,15 +248,10 @@ def search_sphere(
     searches = [_line_search(s, _SPHERE, sgn, polish=polish, **opts) for s in starts]
     outcomes = _lockstep(searches, fun_grad)
 
-    for start_idx, (_, f, it, converged, stuck) in enumerate(outcomes):
-        trace.iterations.append(it)
-        trace.converged.append(converged)
-        trace.values.append(float(f))
-        trace.line_search_failures += stuck
-        if start_idx == 0 or sgn * (f - trace.values[trace.best_start]) > 0.0:
-            trace.best_start = start_idx
-    best = outcomes[trace.best_start]
-    return SphereResult(value=float(best[1]), vector=best[0], trace=trace)
+    vectors, values, iterations, converged, stuck = zip(*outcomes)
+    best = trace.record(values, iterations, converged, maximize)
+    trace.line_search_failures += sum(stuck)
+    return SphereResult(value=trace.values[best], vector=vectors[best], trace=trace)
 
 
 def ascend_params(
@@ -262,23 +269,24 @@ def ascend_params(
 
     ``fun_grad`` is batched: for unitaries stacked as ``(R, m, m)`` it
     returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``.
-    Each stack is first checked finite and unitary within
-    ``linalg.UNITARY_CONSTRUCTION_TOL``. Steps follow the Riemannian gradient
-    and retract to the polar factor of the trial point, so every iterate is
-    unitary. All ``starts`` ascend in lockstep, each as if it ran alone, and
-    stop on gradient norm, on step exhaustion (counted in
-    ``trace.line_search_failures``), on ``stall_limit`` accepted steps in a
-    row that each gain less than ``stall_tol``, or once ``stop_value`` is
-    reached. Returns (unitary, value, iterations, converged) per start, in
-    start order.
+    Steps follow the Riemannian gradient and retract to the polar factor of
+    the trial point. A polar factor is unitary by construction, so trial
+    points are not checked; what enters and what leaves is: the stack of
+    ``starts`` and the stack of returned unitaries are each checked finite
+    and unitary within ``linalg.UNITARY_CONSTRUCTION_TOL``, so a bad start
+    or a broken retraction raises ``ValueError``. All ``starts`` ascend in lockstep,
+    each as if it ran alone, and stop on gradient norm, on step exhaustion
+    (counted in ``trace.line_search_failures``), on ``stall_limit``
+    accepted steps in a row that each gain less than ``stall_tol``, or once
+    ``stop_value`` is reached. Returns (unitary, value, iterations,
+    converged) per start, in start order.
     """
-
-    def checked(points):
-        return fun_grad(linalg.require_unitary(points, tol=linalg.UNITARY_CONSTRUCTION_TOL))
-
+    check_tol = linalg.UNITARY_CONSTRUCTION_TOL
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
     opts["stop_value"] = stop_value
-    searches = [_line_search(np.array(s, dtype=complex), _UNITARY, 1.0, **opts) for s in starts]
-    outcomes = _lockstep(searches, checked)
+    starts = linalg.require_unitary(np.array(starts), tol=check_tol)
+    searches = [_line_search(s, _UNITARY, 1.0, **opts) for s in starts]
+    outcomes = _lockstep(searches, fun_grad)
+    linalg.require_unitary(np.array([v for v, *_ in outcomes]), tol=check_tol)
     trace.line_search_failures += sum(stuck for *_, stuck in outcomes)
     return [(v, float(f), it, converged) for v, f, it, converged, _ in outcomes]

@@ -236,19 +236,24 @@ def choi_distance(fam_a: KrausFamily, fam_b: KrausFamily) -> float:
     return float(np.linalg.norm(choi(fam_a) - choi(fam_b)))
 
 
+def _require_cheat(cheat, cardinality: int) -> np.ndarray:
+    """``cheat`` as a finite complex ``cardinality`` x ``cardinality`` matrix,
+    checked unitary; every public function that takes a cheat calls this."""
+    cheat = linalg.as_operator(cheat)
+    if cheat.shape != (cardinality, cardinality):
+        raise ValueError(
+            f"cheat unitary shape {cheat.shape} does not match cardinality {cardinality}"
+        )
+    return linalg.require_unitary(cheat)
+
+
 def apply_cheat_unitary(family: KrausFamily, v) -> KrausFamily:
     """Reindex a family by a unitary on the opening-label space.
 
     The new operator J is sum_L v[J, L] * op_L; the induced channel is
     unchanged and the cardinality is kept.
     """
-    v = linalg.as_operator(v)
-    m = family.cardinality
-    if v.shape != (m, m):
-        raise ValueError(
-            f"cheat unitary shape {v.shape} does not match cardinality {m}"
-        )
-    linalg.require_unitary(v)
+    v = _require_cheat(v, family.cardinality)
     new_ops = np.einsum("jl,lab->jab", v, family.stack())
     return KrausFamily.from_ops(list(new_ops))
 
@@ -271,29 +276,6 @@ def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SpectralDecompositionError(f"alignment SVD failed: {exc}") from exc
     return qh.conj().T @ p.conj().T
-
-
-def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
-    """Positive operator summing |bit0-reindexed-by-cheat minus bit1|² termwise.
-
-    The squared-modulus convention is op†op, so the result is a positive
-    semidefinite operator on the input space whose size bounds how far the
-    reindexed bit-0 family sits from the bit-1 family.
-    """
-    cheat = linalg.as_operator(cheat)
-    m = spec.cardinality
-    if cheat.shape != (m, m):
-        raise ValueError(
-            f"cheat unitary shape {cheat.shape} does not match cardinality {m}"
-        )
-    linalg.require_unitary(cheat)
-    delta = _kraus_delta(cheat, spec.bit0.stack(), spec.bit1.stack())
-    return np.einsum("jax,jay->xy", delta.conj(), delta)
-
-
-def _kraus_delta(cheat: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """Branch differences sum_l cheat[..., j, l] e0_l - e1_j; no unitarity check."""
-    return np.einsum("...jl,lab->...jab", cheat, e0) - e1
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
+import qbcommit.protocol
 from qbcommit import linalg
 from qbcommit.binding import (
     CERTIFIED_WIDTH,
@@ -142,16 +143,6 @@ def test_alice_payoff_within_unit_interval():
         phi = linalg.random_state(2, rng)
         p = alice_cheat_prob(spec, v, phi)
         assert -1e-12 <= p <= 1.0 + 1e-9
-
-
-def test_alice_rejects_nonunitary_cheat():
-    spec = dephasing_protocol()
-    try:
-        alice_cheat_prob(spec, np.ones((2, 2)), np.array([1.0, 0.0]))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("non-unitary cheat should be rejected")
 
 
 def test_permutation_reindexing_equivariance():
@@ -397,21 +388,25 @@ def _count_calls(monkeypatch, module, name, *modules):
 
 def test_validation_runs_once_per_public_call(monkeypatch):
     # minimax_cheat validates once per direction and scores through the
-    # public min_over_states, which validates its own input; the ascent's
-    # surrogate searches and the reported payoff validate nothing.
+    # public min_over_states, which validates its own input and checks its
+    # cheat; the ascent's surrogate searches and the reported payoff check
+    # nothing.
     validations = _count_calls(
         monkeypatch, qbcommit.binding, "require_valid", qbcommit.bounds, qbcommit.concealment
+    )
+    cheats = _count_calls(
+        monkeypatch, qbcommit.protocol, "_require_cheat", qbcommit.binding, qbcommit.bounds
     )
     scores = _count_calls(monkeypatch, qbcommit.binding, "min_over_states")
     budget = dict(outer_restarts=2, outer_iters=3, inner_restarts=2)
     spec = random_protocol(3, 3, 3, seed=1)
     minimax_cheat(spec, include_swapped=False, **budget)
     # Uncertified: the Procrustes start and both restarts' candidates.
-    assert (len(validations), len(scores)) == (4, 3)
+    assert (len(validations), len(scores), len(cheats)) == (4, 3, 3)
     # A certified protocol scores once per direction.
-    del validations[:], scores[:]
+    del validations[:], scores[:], cheats[:]
     minimax_cheat(decoy_protocol(1), **budget)
-    assert (len(validations), len(scores)) == (4, 2)
-    del validations[:]
+    assert (len(validations), len(scores), len(cheats)) == (4, 2, 2)
+    del validations[:], cheats[:]
     check_bounds(spec, cheat=linalg.random_unitary(3, 7), n_states=6, cb_lower=0.5)
-    assert len(validations) == 1
+    assert (len(validations), len(cheats)) == (1, 1)

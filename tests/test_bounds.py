@@ -125,6 +125,16 @@ def test_scan_csv_layout_and_determinism():
     assert csv_a.endswith("\n")
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kraus_gap_equals_minimized_value(seed):
+    # Both take the clamped top eigenvalue of the same one-row stack, so the
+    # reported gap and the gap of the returned unitary agree bit for bit.
+    spec = random_protocol(3, 3, 3, seed=seed)
+    res = minimize_kraus_gap(spec)
+    assert kraus_gap(spec, res.unitary) == res.value
+    assert check_bounds(spec, cheat=res.unitary, n_states=1, cb_lower=0.0).kraus_gap == res.value
+
+
 def test_minimize_kraus_gap_rejects_zero_restarts():
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         minimize_kraus_gap(dephasing_protocol(), restarts=0)

@@ -13,7 +13,12 @@ import qbcommit.concealment
 import qbcommit.cli as cli
 from qbcommit.concealment import cb_lower_bound
 from qbcommit.errors import BracketInversionError
-from qbcommit.families import concealing_pair, dephasing_protocol, phase_flip_pair
+from qbcommit.families import (
+    concealing_pair,
+    dephasing_protocol,
+    phase_flip_pair,
+    random_protocol,
+)
 from qbcommit.fileio import write_protocol_file
 from qbcommit.optimize import CERTIFIED_WIDTH
 
@@ -271,6 +276,15 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
     assert data["minimized_gap"] <= data["identity"]["kraus_gap"] + 1e-12
     # The trace bound certifies dephasing's gap at the starts.
     assert 0.0 <= data["minimized_gap"] - data["minimized_gap_lower"] <= CERTIFIED_WIDTH
+
+
+def test_bounds_minimize_reports_one_gap_per_unitary(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    write_protocol_file(path, random_protocol(3, 3, 3, seed=0))
+    argv = ["bounds", str(path), "--restarts", "2", "--states", "3", "--minimize"]
+    assert cli.main([*argv, "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["minimized"]["kraus_gap"] == data["minimized_gap"]
 
 
 def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbcommit import linalg
+from qbcommit import linalg, optimize
 from qbcommit.binding import ZERO_OUTCOME_TOL, _kernel_starts, _payoff_fun_grad, _payoff_pieces
 from qbcommit.families import dephasing_protocol
 from qbcommit.optimize import SolverTrace, ascend_params, search_sphere
@@ -163,6 +163,17 @@ def test_ascend_params_rejects_non_unitary_start():
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
     with pytest.raises(ValueError, match="not unitary"):
         ascend_params(rowwise(trace_overlap(a)), [1.001 * np.eye(2)], trace=trace, max_iter=10)
+
+
+def test_ascend_params_checks_the_unitaries_it_returns(monkeypatch):
+    # Trial points are not checked: a retraction that leaves the group is
+    # caught on the way out.
+    bent = optimize._UNITARY._replace(retract=lambda a: 1.001 * linalg.polar_factor(a))
+    monkeypatch.setattr(optimize, "_UNITARY", bent)
+    a = linalg.spawn_rng(63).standard_normal((2, 2)).astype(complex)
+    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
+    with pytest.raises(ValueError, match="not unitary"):
+        ascend_params(rowwise(trace_overlap(a)), [np.eye(2)], trace=trace, max_iter=10)
 
 
 def test_search_sphere_stops_at_jump_minimum():

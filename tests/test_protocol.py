@@ -145,10 +145,28 @@ def test_cheat_unitary_leaves_channel_invariant():
         assert qc.choi_distance(fam, mixed) < 1e-12
 
 
-def test_apply_cheat_unitary_rejects_nonunitary():
-    fam = qc.random_kraus_family(2, 2, 2, linalg.spawn_rng(52))
-    with pytest.raises(ValueError):
-        qc.apply_cheat_unitary(fam, np.array([[1.0, 0.0], [0.0, 1.5]]))
+CHEAT_ENTRY_POINTS = {
+    "alice_cheat_prob": lambda spec, v: qc.alice_cheat_prob(spec, v, np.array([1.0, 0.0])),
+    "min_over_states": lambda spec, v: qc.min_over_states(spec, v, restarts=1),
+    "kraus_gap": qc.kraus_gap,
+    "kraus_gap_operator": qc.kraus_gap_operator,
+    "apply_cheat_unitary": lambda spec, v: qc.apply_cheat_unitary(spec.bit0, v),
+    "check_bounds": lambda spec, v: qc.check_bounds(spec, v, n_states=1, cb_lower=0.5),
+}
+BAD_CHEATS = {
+    "wrong-size": (np.eye(3), "does not match cardinality"),
+    "non-square": (np.eye(2, 3), "does not match cardinality"),
+    "non-finite": (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    "non-unitary": (np.diag([1.0, 1.5]), "not unitary"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CHEATS.values(), ids=BAD_CHEATS.keys())
+@pytest.mark.parametrize("entry", CHEAT_ENTRY_POINTS.values(), ids=CHEAT_ENTRY_POINTS.keys())
+def test_every_cheat_entry_point_rejects_bad_cheats(entry, bad):
+    cheat, message = bad
+    with pytest.raises(ValueError, match=message):
+        entry(qc.dephasing_protocol(), cheat)
 
 
 def test_align_families_recovers_relating_unitary():
