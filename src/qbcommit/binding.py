@@ -24,7 +24,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import CERTIFIED_WIDTH, SolverTrace, SphereResult, ascend_params, search_sphere
+from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
+from .optimize import ascend_params, search_sphere
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
@@ -35,9 +36,6 @@ PERFECT_PAYOFF_STOP = 1.0 - 1e-9
 # A payoff is a sum of squared overlaps of a unit vector's orthogonal
 # pieces, normalized: by Cauchy-Schwarz it never exceeds one.
 PAYOFF_CAP = 1.0
-
-# An estimate above the certificate by more than this is a solver bug.
-BRACKET_GUARD = 1e-8
 
 DIRECTIONS = ("01", "10")
 
@@ -55,14 +53,13 @@ def alice_cheat_prob(
     cheat,
     state,
     direction: str = "01",
-    zero_tol: float = ZERO_OUTCOME_TOL,
 ) -> float:
     """Alice's verification-passing probability for one cheat and one state.
 
     Direction "01" means committed 0, claimed 1; "10" swaps the roles.
     Opening outcomes whose claimed branch has squared norm at most
-    ``zero_tol`` occur with vanishing probability under an honest claim and
-    contribute zero.
+    ``ZERO_OUTCOME_TOL`` occur with vanishing probability under an honest
+    claim and contribute zero.
     """
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
@@ -72,14 +69,14 @@ def alice_cheat_prob(
         raise ValueError(
             f"state length {phi.size} does not match input dimension {spec.dim_in}"
         )
-    (value,) = _payoffs(committed.stack(), claimed.stack(), cheat, phi[None], zero_tol)
+    (value,) = _payoffs(committed.stack(), claimed.stack(), cheat, phi[None])
     return float(value)
 
 
-def _payoffs(committed_stack, claimed_stack, cheat, phis, zero_tol) -> np.ndarray:
+def _payoffs(committed_stack, claimed_stack, cheat, phis) -> np.ndarray:
     """Payoffs of one checked cheat at the unit rows of ``phis``; no validation."""
     a = _payoff_pieces(committed_stack, claimed_stack, cheat)
-    return _payoff_fun_grad(a, claimed_stack, zero_tol)(phis)[0]
+    return _payoff_fun_grad(a, claimed_stack)(phis)[0]
 
 
 def _payoff_pieces(committed_stack, claimed_stack, cheat):
@@ -88,7 +85,7 @@ def _payoff_pieces(committed_stack, claimed_stack, cheat):
     return np.einsum("jax,jay->jxy", effective.conj(), claimed_stack)
 
 
-def _payoff_fun_grad(a, claimed_stack, zero_tol):
+def _payoff_fun_grad(a, claimed_stack):
     # Batched over the rows of phis; alice_cheat_prob evaluates one row here,
     # so a reported payoff and the solver's value at the same point agree bit
     # for bit. A row that drops an outcome sums its kept terms alone: zeros in
@@ -100,7 +97,7 @@ def _payoff_fun_grad(a, claimed_stack, zero_tol):
         c = np.einsum("rx,jxy,ry->rj", phis.conj(), a, phis)
         w = np.einsum("jab,rb->rja", claimed_stack, phis)
         d = np.einsum("rja,rja->rj", w.conj(), w).real
-        mask = d > zero_tol
+        mask = d > ZERO_OUTCOME_TOL
         d = np.where(mask, d, 1.0)
         c2 = np.abs(c) ** 2
         terms = np.where(mask, c2 / d, 0.0)
@@ -144,7 +141,7 @@ def _worst_state(committed_stack, claimed_stack, cheat, starts, **opts) -> Spher
     ``opts["restarts"]`` seeded random states; no validation."""
     a = _payoff_pieces(committed_stack, claimed_stack, cheat)
     return search_sphere(
-        _payoff_fun_grad(a, claimed_stack, ZERO_OUTCOME_TOL),
+        _payoff_fun_grad(a, claimed_stack),
         claimed_stack.shape[-1],
         maximize=False,
         extra_starts=starts,
@@ -160,7 +157,6 @@ def min_over_states(
     seed: int = 0,
     tol: float = 1e-8,
     max_iter: int = 300,
-    extra_starts=(),
 ) -> SphereResult:
     """Upper bound on the payoff over all states Bob could have chosen.
 
@@ -176,7 +172,7 @@ def min_over_states(
         committed.stack(),
         cl,
         cheat,
-        list(extra_starts) + _kernel_starts(cl),
+        _kernel_starts(cl),
         restarts=restarts,
         seed=seed,
         tol=tol,
@@ -283,14 +279,14 @@ class BindingReport:
     swapped: "BindingReport | None" = None
 
 
-def _wirtinger_cheat_gradient(committed_stack, claimed_stack, cheat, phi, zero_tol):
+def _wirtinger_cheat_gradient(committed_stack, claimed_stack, cheat, phi):
     """d payoff / d conj(cheat) at fixed state, for the outer maximizer."""
     u0 = np.einsum("lab,b->la", committed_stack, phi)
     w = np.einsum("jab,b->ja", claimed_stack, phi)
     pair = np.einsum("ja,la->jl", w, u0.conj())
     c = np.einsum("jl,jl->j", cheat.conj(), pair)
     d = np.real(np.einsum("ja,ja->j", w.conj(), w))
-    mask = d > zero_tol
+    mask = d > ZERO_OUTCOME_TOL
     scale = np.where(mask, np.conj(c) / np.where(mask, d, 1.0), 0.0)
     return scale[:, None] * pair
 
@@ -308,10 +304,11 @@ def minimax_cheat(
     """Estimate of max over cheats of the worst-case payoff, with a certified
     upper bound.
 
-    The Procrustes alignment of the two families is scored first: the worst
-    state the full inner search (``min_over_states``, whose starts include
-    the claimed-branch kernel states) finds there gives the estimate, and
-    the dual certificate built from the kernel states and that worst state
+    The protocol is validated once, for both directions. The Procrustes
+    alignment of the two families is scored first: the worst state that
+    ``min_over_states``'s full inner search (whose starts include the
+    claimed-branch kernel states) finds there gives the estimate, and the
+    dual certificate built from the kernel states and that worst state
     bounds the maximin from above. When the payoff there is within 1e-9 of
     its cap, or the bound lies within ``CERTIFIED_WIDTH`` of the estimate, no
     cheat can do better by more than that, so that result is returned: its
@@ -328,27 +325,42 @@ def minimax_cheat(
     the smallest one is reported. The search stops early once the payoff
     cannot improve any further (it is capped at one). An estimate above the
     certified bound by more than ``BRACKET_GUARD`` raises
-    ``BracketInversionError``.
+    ``BracketInversionError``. With ``include_swapped`` the other direction
+    is estimated the same way and reported as ``swapped``.
     """
+    require_valid(spec)
+    budgets = (outer_restarts, outer_iters, inner_restarts, seed, tol)
+    report = _minimax(spec, direction, *budgets)
+    if include_swapped:
+        report.swapped = _minimax(spec, "10" if direction == "01" else "01", *budgets)
+    return report
+
+
+def _minimax(
+    spec, direction, outer_restarts, outer_iters, inner_restarts, seed, tol
+) -> BindingReport:
+    """``minimax_cheat`` in one direction, without validation."""
     if outer_restarts < 1:
         raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
-    require_valid(spec)
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
     ck = committed.stack()
     cl = claimed.stack()
     kernel = _kernel_starts(cl)
-    eval_restarts = min(2, inner_restarts)
+    # Scores search as min_over_states does. The loose budget only steers the
+    # outer ascent; each restart's end point is re-scored with the full one.
+    full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, 1e-8), max_iter=300)
+    loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
     def score(v):
-        return min_over_states(
-            spec, v, direction=direction, restarts=inner_restarts, seed=seed, tol=min(tol, 1e-8)
-        )
+        return _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
 
     def certificate(v, worst):
         return _dual_bound(ck, cl, v, kernel + [worst])[0]
 
-    procrustes = align_families(committed, claimed)
+    procrustes = linalg.require_unitary(
+        align_families(committed, claimed), tol=linalg.UNITARY_CONSTRUCTION_TOL
+    )
     inner = score(procrustes)
     witness = certificate(procrustes, inner.vector)
     width = min(witness, PAYOFF_CAP) - inner.value
@@ -389,23 +401,11 @@ def minimax_cheat(
             starts = list(kernel)
             if _warm[0] is not None:
                 starts.append(_warm[0])
-            # Loose budget: this minimum only steers the outer ascent, the
-            # restart is re-scored afterwards with the full inner budget.
             res = _worst_state(
-                ck,
-                cl,
-                v,
-                starts,
-                restarts=eval_restarts,
-                seed=seed,
-                tol=max(tol, 1e-6),
-                max_iter=40,
-                rng_tags=(4, _ridx),
-                stall_tol=1e-7,
-                stall_limit=5,
+                ck, cl, v, starts, rng_tags=(4, _ridx), stall_tol=1e-7, stall_limit=5, **loose
             )
             _warm[0] = res.vector
-            gv = _wirtinger_cheat_gradient(ck, cl, v, res.vector, ZERO_OUTCOME_TOL)
+            gv = _wirtinger_cheat_gradient(ck, cl, v, res.vector)
             return [res.value], gv[None]
 
         # Payoffs live in [0, 1]; chasing gains below a few 1e-8 only crawls
@@ -440,20 +440,7 @@ def minimax_cheat(
             f"binding estimate {estimate!r} exceeds certified upper bound {upper!r} "
             f"for protocol {spec.label!r}, direction {direction}"
         )
-    (payoff,) = _payoffs(ck, cl, best_v, worst[None], ZERO_OUTCOME_TOL)
-
-    swapped = None
-    if include_swapped:
-        swapped = minimax_cheat(
-            spec,
-            direction="10" if direction == "01" else "01",
-            outer_restarts=outer_restarts,
-            outer_iters=outer_iters,
-            inner_restarts=inner_restarts,
-            seed=seed,
-            tol=tol,
-            include_swapped=False,
-        )
+    (payoff,) = _payoffs(ck, cl, best_v, worst[None])
 
     return BindingReport(
         label=spec.label,
@@ -466,5 +453,4 @@ def minimax_cheat(
         worst_state=worst,
         solver_trace=outer_trace,
         inner_trace=inner.trace,
-        swapped=swapped,
     )

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .binding import ZERO_OUTCOME_TOL, _payoffs, minimax_cheat
-from .concealment import analyze_concealment, cb_lower_bound
+from .binding import _minimax, _payoffs
+from .concealment import _concealment_report, _lower_search
 from .optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
@@ -37,6 +37,7 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
     semidefinite operator on the input space whose size bounds how far the
     reindexed bit-0 family sits from the bit-1 family.
     """
+    require_valid(spec)
     cheat = _require_cheat(cheat, spec.cardinality)
     return _gap_operators(cheat[None], spec.bit0.stack(), spec.bit1.stack())[1][0]
 
@@ -222,7 +223,7 @@ def check_bounds(
     cheat = _require_cheat(cheat, spec.cardinality)
     gap = _gap(spec, cheat)
     if cb_lower is None:
-        cb_lower = cb_lower_bound(spec, restarts=cb_restarts, seed=seed).value
+        cb_lower = _lower_search(spec, cb_restarts, seed)[0].value
     quarter = cb_lower / 4.0
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
@@ -231,7 +232,7 @@ def check_bounds(
         [linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
     ).reshape(n_states, spec.dim_in)
     stacks = spec.bit0.stack(), spec.bit1.stack()
-    payoffs = _payoffs(*stacks, cheat, phis, ZERO_OUTCOME_TOL).tolist()
+    payoffs = _payoffs(*stacks, cheat, phis).tolist()
     violations = []
     for i, (phi, p) in enumerate(zip(phis, payoffs)):
         if p < floor - tol:
@@ -333,8 +334,9 @@ def epsilon_delta_scan(
 
     ``family`` maps a parameter value to a protocol. Parameters whose
     protocol fails to build or validate are recorded as skipped with the
-    reason instead of aborting the scan. The norm bracket comes from
-    ``analyze_concealment``, so an inverted bracket raises
+    reason instead of aborting the scan; each protocol is validated once.
+    The norm bracket is ``analyze_concealment``'s and the estimate is
+    ``minimax_cheat``'s in direction "01", so an inverted bracket raises
     ``BracketInversionError`` as it does for a single protocol.
     """
     if budgets is None:
@@ -348,18 +350,16 @@ def epsilon_delta_scan(
         except Exception as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
-        conceal = analyze_concealment(
-            spec, restarts=budgets.cb_restarts, seed=seed, tol=budgets.tol
-        )
+        conceal = _concealment_report(spec, budgets.cb_restarts, seed, budgets.tol)
         lo, hi = conceal.cb_lower, conceal.cb_upper
-        binding = minimax_cheat(
+        binding = _minimax(
             spec,
-            outer_restarts=budgets.outer_restarts,
-            outer_iters=budgets.outer_iters,
-            inner_restarts=budgets.inner_restarts,
-            seed=seed,
-            tol=budgets.tol,
-            include_swapped=False,
+            "01",
+            budgets.outer_restarts,
+            budgets.outer_iters,
+            budgets.inner_restarts,
+            seed,
+            budgets.tol,
         )
         est = binding.minimax_estimate
         points.append(

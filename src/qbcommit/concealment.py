@@ -24,13 +24,11 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import CERTIFIED_WIDTH, SolverTrace, SphereResult, search_sphere
+from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult, search_sphere
 from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
 CB_NORM_CAP = 2.0
-
-BRACKET_GUARD = 1e-8
 
 # Weight mixed evenly into the witness's Schmidt coefficients before its dual
 # is built, so that the reference factor of the state is invertible.
@@ -176,20 +174,13 @@ def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
     return float(value + allowance), float(repair)
 
 
-# analyze_concealment asks for the dual routes of its final witness up to
-# three times: in the skip test, in cb_upper_bound and for dual_repair. The
-# latest build is kept, keyed by the protocol object and the witness entries.
-_latest_duals: list = [None]
-
-
 def _dual_routes(spec: ProtocolSpec, witness=None) -> dict:
-    """Dual upper bounds on the cb norm, {route: (bound, repair)}.
+    """Dual upper bounds on the cb norm, {route: (bound, repair)}; no
+    protocol validation.
 
     ``j_plus`` takes Z = J₊, the positive part of the Choi difference; its
     value never exceeds the Choi trace norm, because Tr J = 0.
     ``witness_dual`` takes the candidate built from a witness state.
-    A repeated call for the same protocol and witness returns the latest
-    witness result; callers must not modify it.
     """
     din, dout = spec.dim_in, spec.dim_out
     if witness is not None:
@@ -198,20 +189,62 @@ def _dual_routes(spec: ProtocolSpec, witness=None) -> dict:
             raise ValueError(
                 f"witness length {witness.size} is not a multiple of the input dimension {din}"
             )
-    latest = _latest_duals[0]
-    if witness is not None and latest is not None and latest[0] is spec:
-        if np.array_equal(latest[1], witness):
-            return latest[2]
     j = _choi_difference(spec)
     w, vecs = linalg.eigh_or_error(j)
     j_norm = max(-w[0], w[-1])
     candidates = {"j_plus": (vecs * np.maximum(w, 0.0)) @ vecs.conj().T}
     if witness is not None:
         candidates["witness_dual"] = _witness_z(j, witness, din, dout)
-    routes = {name: _dual_bound(z, j, dout, j_norm) for name, z in candidates.items()}
-    if witness is not None:
-        _latest_duals[0] = (spec, witness.copy(), routes)
-    return routes
+    return {name: _dual_bound(z, j, dout, j_norm) for name, z in candidates.items()}
+
+
+def _capped(duals: dict):
+    """(value, routes): the bounds of ``duals`` plus the cap, and their least."""
+    routes = {name: bound for name, (bound, _) in duals.items()}
+    routes["channel_pair_cap"] = CB_NORM_CAP
+    return min(routes.values()), routes
+
+
+def _lower_search(spec, restarts, seed, tol=1e-8, ref_dim=None, max_iter=500):
+    """``cb_lower_bound`` without validation; returns (result, duals).
+
+    ``duals`` are the dual routes at the returned witness when the skip test
+    built them there, and None when the restarts ran or there were none.
+    """
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
+    ref = spec.dim_in if ref_dim is None else int(ref_dim)
+    if ref < 1:
+        raise ValueError(f"reference dimension must be positive, got {ref}")
+    fun_grad, polish = _difference_objective(spec, ref)
+    # Maximally entangled start on the first min(dim_in, ref) levels of each
+    # factor; frequently already the maximizer.
+    k = min(spec.dim_in, ref)
+    entangled = np.eye(spec.dim_in, ref, dtype=complex).reshape(-1) / sqrt(k)
+    opts = dict(
+        maximize=True,
+        seed=seed,
+        tol=tol,
+        max_iter=max_iter,
+        extra_starts=[entangled],
+        polish=polish,
+        rng_tags=(1,),
+    )
+    result = search_sphere(fun_grad, spec.dim_in * ref, restarts=0, **opts)
+    duals = None
+    if restarts > 0:
+        duals = _dual_routes(spec, result.vector)
+        width = _capped(duals)[0] - max(0.0, result.value)
+        if width <= CERTIFIED_WIDTH:
+            result.trace.notes.append(
+                f"entangled start certified: bracket width {width!r} <= "
+                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
+            )
+        else:
+            result = search_sphere(fun_grad, spec.dim_in * ref, restarts=restarts, **opts)
+            duals = None
+    result.value = max(0.0, result.value)
+    return result, duals
 
 
 def cb_lower_bound(
@@ -234,40 +267,8 @@ def cb_lower_bound(
     with the same result as if the first run had not happened. The achieved
     objective is itself the bound; the witness state is returned alongside.
     """
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
     require_valid(spec)
-    ref = spec.dim_in if ref_dim is None else int(ref_dim)
-    if ref < 1:
-        raise ValueError(f"reference dimension must be positive, got {ref}")
-    fun_grad, polish = _difference_objective(spec, ref)
-    # Maximally entangled start on the first min(dim_in, ref) levels of each
-    # factor; frequently already the maximizer.
-    k = min(spec.dim_in, ref)
-    entangled = np.eye(spec.dim_in, ref, dtype=complex).reshape(-1) / sqrt(k)
-    opts = dict(
-        maximize=True,
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        extra_starts=[entangled],
-        polish=polish,
-        rng_tags=(1,),
-    )
-    result = search_sphere(fun_grad, spec.dim_in * ref, restarts=0, **opts)
-    if restarts > 0:
-        duals = _dual_routes(spec, result.vector)
-        upper = min(CB_NORM_CAP, *(bound for bound, _ in duals.values()))
-        width = upper - max(0.0, result.value)
-        if width <= CERTIFIED_WIDTH:
-            result.trace.notes.append(
-                f"entangled start certified: bracket width {width!r} <= "
-                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
-            )
-        else:
-            result = search_sphere(fun_grad, spec.dim_in * ref, restarts=restarts, **opts)
-    result.value = max(0.0, result.value)
-    return result
+    return _lower_search(spec, restarts, seed, tol, ref_dim, max_iter)[0]
 
 
 def cb_upper_bound(spec: ProtocolSpec, witness=None):
@@ -282,9 +283,7 @@ def cb_upper_bound(spec: ProtocolSpec, witness=None):
     round-off, so the cap wins where a dual route meets it exactly.
     """
     require_valid(spec)
-    routes = {name: bound for name, (bound, _) in _dual_routes(spec, witness).items()}
-    routes["channel_pair_cap"] = CB_NORM_CAP
-    return min(routes.values()), routes
+    return _capped(_dual_routes(spec, witness))
 
 
 @dataclass
@@ -306,24 +305,12 @@ class ConcealmentReport:
     solver_trace: SolverTrace
 
 
-def analyze_concealment(
-    spec: ProtocolSpec,
-    restarts: int = 16,
-    seed: int = 0,
-    tol: float = 1e-8,
-    ref_dim: int | None = None,
-    max_iter: int = 500,
-) -> ConcealmentReport:
-    """Assemble the concealment bracket for one protocol.
-
-    A lower bound exceeding the upper bound beyond a small guard signals a
-    solver bug and raises instead of reporting; inversions within the guard
-    are clipped to keep the bracket ordered.
-    """
-    lower = cb_lower_bound(
-        spec, restarts=restarts, seed=seed, tol=tol, ref_dim=ref_dim, max_iter=max_iter
-    )
-    upper, routes = cb_upper_bound(spec, lower.vector)
+def _concealment_report(spec, restarts, seed, tol, ref_dim=None, max_iter=500):
+    """``analyze_concealment`` without validation."""
+    lower, duals = _lower_search(spec, restarts, seed, tol, ref_dim, max_iter)
+    if duals is None:
+        duals = _dual_routes(spec, lower.vector)
+    upper, routes = _capped(duals)
     if lower.value > upper + BRACKET_GUARD:
         raise BracketInversionError(
             f"certified lower bound {lower.value!r} exceeds upper bound "
@@ -338,6 +325,28 @@ def analyze_concealment(
         bob_cheat_upper=0.5 + 0.25 * upper,
         witness_state=lower.vector,
         upper_routes=routes,
-        dual_repair=_dual_routes(spec, lower.vector)["witness_dual"][1],
+        dual_repair=duals["witness_dual"][1],
         solver_trace=lower.trace,
     )
+
+
+def analyze_concealment(
+    spec: ProtocolSpec,
+    restarts: int = 16,
+    seed: int = 0,
+    tol: float = 1e-8,
+    ref_dim: int | None = None,
+    max_iter: int = 500,
+) -> ConcealmentReport:
+    """Assemble the concealment bracket for one protocol.
+
+    The protocol is validated once. The lower bound is ``cb_lower_bound``'s
+    and the upper bound and its routes are ``cb_upper_bound``'s at the
+    witness, from one build of the witness's dual routes: the skip test's
+    when it closed, else one built at the final witness. A lower bound
+    exceeding the upper bound beyond ``BRACKET_GUARD`` signals a solver bug
+    and raises instead of reporting; inversions within the guard are clipped
+    to keep the bracket ordered.
+    """
+    require_valid(spec)
+    return _concealment_report(spec, restarts, seed, tol, ref_dim, max_iter)

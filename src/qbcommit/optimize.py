@@ -54,6 +54,10 @@ MIN_STEP = 1e-14
 # binding payoff in [0, 1], Kraus gap) uses this one width.
 CERTIFIED_WIDTH = 1e-5
 
+# A search value above its certified bound by more than this is a solver bug,
+# reported as a BracketInversionError by the concealment and binding analyses.
+BRACKET_GUARD = 1e-8
+
 
 @dataclass
 class SolverTrace:

@@ -10,7 +10,6 @@ import qbcommit.protocol
 from qbcommit import linalg
 from qbcommit.binding import (
     CERTIFIED_WIDTH,
-    ZERO_OUTCOME_TOL,
     _dual_bound,
     _kernel_starts,
     _payoff_fun_grad,
@@ -95,9 +94,7 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
         rng = linalg.spawn_rng(42, spec.cardinality)
         claimed = spec.bit1.stack()
         v = linalg.random_unitary(spec.cardinality, rng)
-        fun_grad = _payoff_fun_grad(
-            _payoff_pieces(spec.bit0.stack(), claimed, v), claimed, ZERO_OUTCOME_TOL
-        )
+        fun_grad = _payoff_fun_grad(_payoff_pieces(spec.bit0.stack(), claimed, v), claimed)
         generic = [linalg.random_state(spec.dim_in, rng) for _ in range(3)]
         kernel = _kernel_starts(claimed)
         assert kernel
@@ -282,7 +279,7 @@ def test_binding_upper_bounds_estimate_and_weighted_payoffs(spec):
         phis = np.stack([linalg.normalize_state(s) for s in states])
         for _ in range(200):
             v = linalg.random_unitary(spec.cardinality, rng)
-            assert mu @ _payoffs(ck, cl, v, phis, ZERO_OUTCOME_TOL) <= bound
+            assert mu @ _payoffs(ck, cl, v, phis) <= bound
 
 
 def test_binding_upper_is_smallest_scored_certificate():
@@ -370,15 +367,19 @@ def test_zero_outcome_tol_sweep(monkeypatch, zero_tol, spec, closed):
         assert r.minimax_estimate <= r.binding_upper
         assert abs(r.minimax_estimate - closed) < 1e-4
         assert abs(r.binding_upper - closed) < 1e-4
+        # The public payoff reads the same cut as the solver that reported it.
+        direct = alice_cheat_prob(spec, r.best_cheat_unitary, r.worst_state, r.direction)
+        assert direct == r.payoff_at_saddle
 
 
 def _count_calls(monkeypatch, module, name, *modules):
-    """Patch ``name`` in ``module`` (and in ``modules``) to log each call."""
+    """Patch ``name`` in ``module`` (and in ``modules``) to log each call's
+    keyword arguments."""
     calls = []
     fn = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(kwargs)
         return fn(*args, **kwargs)
 
     for mod in (module, *modules):
@@ -387,26 +388,30 @@ def _count_calls(monkeypatch, module, name, *modules):
 
 
 def test_validation_runs_once_per_public_call(monkeypatch):
-    # minimax_cheat validates once per direction and scores through the
-    # public min_over_states, which validates its own input and checks its
-    # cheat; the ascent's surrogate searches and the reported payoff check
-    # nothing.
-    validations = _count_calls(
-        monkeypatch, qbcommit.binding, "require_valid", qbcommit.bounds, qbcommit.concealment
-    )
+    # minimax_cheat validates once for both directions and checks no cheat:
+    # the Procrustes alignment and the ascent's results are checked unitary
+    # where they are made. Each full-budget score is one worst-state search
+    # with min_over_states' seed tags; the ascent's surrogate searches use
+    # others.
+    validations = _count_calls(monkeypatch, qbcommit.protocol, "validate")
     cheats = _count_calls(
         monkeypatch, qbcommit.protocol, "_require_cheat", qbcommit.binding, qbcommit.bounds
     )
-    scores = _count_calls(monkeypatch, qbcommit.binding, "min_over_states")
+    searches = _count_calls(monkeypatch, qbcommit.binding, "_worst_state")
+
+    def scores():
+        return sum(kwargs["rng_tags"] == (2,) for kwargs in searches)
+
     budget = dict(outer_restarts=2, outer_iters=3, inner_restarts=2)
     spec = random_protocol(3, 3, 3, seed=1)
     minimax_cheat(spec, include_swapped=False, **budget)
     # Uncertified: the Procrustes start and both restarts' candidates.
-    assert (len(validations), len(scores), len(cheats)) == (4, 3, 3)
+    assert (len(validations), scores(), len(cheats)) == (1, 3, 0)
+    assert len(searches) > scores()
     # A certified protocol scores once per direction.
-    del validations[:], scores[:], cheats[:]
+    del validations[:], searches[:], cheats[:]
     minimax_cheat(decoy_protocol(1), **budget)
-    assert (len(validations), len(scores), len(cheats)) == (4, 2, 2)
+    assert (len(validations), scores(), len(cheats)) == (1, 2, 0)
     del validations[:], cheats[:]
     check_bounds(spec, cheat=linalg.random_unitary(3, 7), n_states=6, cb_lower=0.5)
     assert (len(validations), len(cheats)) == (1, 1)

@@ -11,7 +11,6 @@ import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
 import qbcommit.cli as cli
-from qbcommit.concealment import cb_lower_bound
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import (
     concealing_pair,
@@ -289,13 +288,14 @@ def test_bounds_minimize_reports_one_gap_per_unitary(tmp_path, capsys):
 
 def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):
     calls = []
+    search = qbcommit.concealment._lower_search
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return cb_lower_bound(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    for module in (cli, qbcommit.bounds):
-        monkeypatch.setattr(module, "cb_lower_bound", counting)
+    for module in (qbcommit.concealment, qbcommit.bounds):
+        monkeypatch.setattr(module, "_lower_search", counting)
     code = cli.main(
         [
             "bounds",
@@ -391,7 +391,9 @@ def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
     # An upper route below the achieved lower bound must stop the scan with
     # exit 3, as it stops conceal, instead of being clipped away.
     monkeypatch.setattr(
-        qbcommit.concealment, "cb_upper_bound", lambda spec, witness=None: (-1.0, {})
+        qbcommit.concealment,
+        "_dual_routes",
+        lambda spec, witness=None: {"j_plus": (-1.0, 0.0), "witness_dual": (-1.0, 0.0)},
     )
     code = cli.main(["scan", decoy_config, *SCAN_BUDGET_ARGS])
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbcommit import linalg, optimize
-from qbcommit.binding import ZERO_OUTCOME_TOL, _kernel_starts, _payoff_fun_grad, _payoff_pieces
+from qbcommit.binding import _kernel_starts, _payoff_fun_grad, _payoff_pieces
 from qbcommit.families import dephasing_protocol
 from qbcommit.optimize import SolverTrace, ascend_params, search_sphere
 
@@ -206,7 +206,7 @@ def test_lockstep_starts_match_one_start_searches():
     spec = dephasing_protocol()
     claimed = spec.bit1.stack()
     a = _payoff_pieces(spec.bit0.stack(), claimed, np.eye(2, dtype=complex))
-    fun_grad = _payoff_fun_grad(a, claimed, ZERO_OUTCOME_TOL)
+    fun_grad = _payoff_fun_grad(a, claimed)
     starts = _kernel_starts(claimed) + [
         linalg.random_state(2, linalg.spawn_rng(5, r)) for r in range(6)
     ]

@@ -169,6 +169,73 @@ def test_every_cheat_entry_point_rejects_bad_cheats(entry, bad):
         entry(qc.dephasing_protocol(), cheat)
 
 
+_TINY_SCAN = qc.ScanBudgets(cb_restarts=1, outer_restarts=1, outer_iters=2, inner_restarts=1)
+
+
+def _basis(dim):
+    return np.eye(dim)[0]
+
+
+def _identity(spec):
+    return np.eye(spec.cardinality)
+
+
+# Every public function that takes a protocol, with its validations per call:
+# one, or one per point for a scan.
+PROTOCOL_ENTRY_POINTS = {
+    "require_valid": (qc.require_valid, 1),
+    "helstrom_prob": (lambda spec: qc.helstrom_prob(spec, _basis(spec.dim_in)), 1),
+    "cb_lower_bound": (lambda spec: qc.cb_lower_bound(spec, restarts=2), 1),
+    "cb_upper_bound": (lambda spec: qc.cb_upper_bound(spec, _basis(spec.dim_in**2)), 1),
+    "analyze_concealment": (lambda spec: qc.analyze_concealment(spec, restarts=2), 1),
+    "alice_cheat_prob": (
+        lambda spec: qc.alice_cheat_prob(spec, _identity(spec), _basis(spec.dim_in)),
+        1,
+    ),
+    "min_over_states": (lambda spec: qc.min_over_states(spec, _identity(spec), restarts=1), 1),
+    "minimax_cheat": (
+        lambda spec: qc.minimax_cheat(spec, outer_restarts=2, outer_iters=2, inner_restarts=1),
+        1,
+    ),
+    "kraus_gap_operator": (lambda spec: qc.kraus_gap_operator(spec, _identity(spec)), 1),
+    "kraus_gap": (qc.kraus_gap, 1),
+    "minimize_kraus_gap": (lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2), 1),
+    "check_bounds": (lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5), 1),
+    "check_bounds-norm-search": (lambda spec: qc.check_bounds(spec, n_states=2), 1),
+    "epsilon_delta_scan": (
+        lambda spec: qc.epsilon_delta_scan(lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN),
+        2,
+    ),
+}
+
+
+# Dephasing certifies every search at its first start; the random protocols
+# run the binding ascent (2x2x2) and the norm search's restarts (4x2x2).
+@pytest.mark.parametrize(
+    "spec",
+    [
+        qc.dephasing_protocol(),
+        qc.random_protocol(2, 2, 2, seed=3),
+        qc.random_protocol(4, 2, 2, seed=504),
+    ],
+    ids=["certified", "random-2x2", "random-4x2"],
+)
+@pytest.mark.parametrize(
+    "entry, count", PROTOCOL_ENTRY_POINTS.values(), ids=PROTOCOL_ENTRY_POINTS.keys()
+)
+def test_every_public_call_validates_once(monkeypatch, spec, entry, count):
+    calls = []
+    validate = qc.protocol.validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(qc.protocol, "validate", counting)
+    entry(spec)
+    assert len(calls) == count
+
+
 def test_align_families_recovers_relating_unitary():
     spec, relating = qc.concealing_pair(seed=9, dim=2, cardinality=3)
     v = qc.align_families(spec.bit0, spec.bit1)
