@@ -61,6 +61,7 @@ from .bounds import (
     GapResult,
     ScanBudgets,
     ScanResult,
+    bounds_report,
     check_bounds,
     epsilon_delta_scan,
     kraus_gap,
@@ -105,6 +106,7 @@ __all__ = [
     "apply_channel",
     "apply_cheat_unitary",
     "apply_extended_channel",
+    "bounds_report",
     "cb_lower_bound",
     "cb_upper_bound",
     "check_bounds",

@@ -24,10 +24,12 @@ BOUND_TOL = 1e-9
 
 
 def _gap_operators(v: np.ndarray, e0: np.ndarray, e1: np.ndarray):
-    """Branch differences sum_l v[r, j, l] e0_l - e1_j and gap operators
-    S_r = sum_j delta_rj† delta_rj of an ``(R, m, m)`` stack; no unitarity check."""
-    delta = np.einsum("...jl,lab->...jab", v, e0) - e1
-    return delta, np.einsum("rjax,rjay->rxy", delta.conj(), delta)
+    """Branch differences sum_l v[r, j, l] e0_l - e1_j, stacked over j as
+    ``(R, m * dout, din)``, and gap operators S_r = sum_j delta_rj† delta_rj
+    of an ``(R, m, m)`` stack, each a matmul; no unitarity check."""
+    m, dout, din = e0.shape
+    delta = (v @ e0.reshape(m, -1)).reshape(len(v), m * dout, din) - e1.reshape(m * dout, din)
+    return delta, delta.conj().swapaxes(-1, -2) @ delta
 
 
 def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
@@ -78,15 +80,17 @@ def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
     """Batched ascent objective: minus the Kraus gap of each unitary in an
     ``(R, m, m)`` stack and its gradient d / d conj(V), both from one
     eigendecomposition of the row's gap operator S."""
+    m, dout, din = e0.shape
+    e0_rows = e0.reshape(m * dout, din)
 
     def fun_grad(v):
         delta, s = _gap_operators(v, e0, e1)
         vals, vecs = linalg.eigh_or_error(s)
-        top = vecs[:, :, -1]
-        du = np.einsum("rjab,rb->rja", delta, top)
-        eu = np.einsum("lab,rb->rla", e0, top)
-        grad_v = np.einsum("rja,rla->rjl", du, eu.conj())
-        return -vals[:, -1], -grad_v
+        top = vecs[:, :, -1:]
+        # d lambda / d conj(V)_jl = <E0_l u, delta_j u> for the top eigenvector u.
+        du = (delta @ top).reshape(len(v), m, dout)
+        eu = (e0_rows @ top).reshape(len(v), m, dout)
+        return -vals[:, -1], -(du @ eu.conj().swapaxes(-1, -2))
 
     return fun_grad
 
@@ -130,9 +134,14 @@ def minimize_kraus_gap(
     seeded random unitaries, all starts in lockstep. The descent is
     monotone from each start, so the result never exceeds the identity gap.
     """
+    require_valid(spec)
+    return _minimize_gap(spec, restarts, seed, tol, max_iter)
+
+
+def _minimize_gap(spec: ProtocolSpec, restarts: int, seed: int, tol: float, max_iter: int):
+    """``minimize_kraus_gap`` without validation."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    require_valid(spec)
     m = spec.cardinality
     e0, e1 = spec.bit0.stack(), spec.bit1.stack()
     fun_grad = _gap_fun_grad(e0, e1)
@@ -218,6 +227,11 @@ def check_bounds(
     already computed norm bound.
     """
     require_valid(spec)
+    return _check_bounds(spec, cheat, n_states, seed, cb_lower, cb_restarts, tol)
+
+
+def _check_bounds(spec, cheat, n_states, seed, cb_lower, cb_restarts, tol) -> BoundCheck:
+    """``check_bounds`` without validation."""
     if cheat is None:
         cheat = np.eye(spec.cardinality)
     cheat = _require_cheat(cheat, spec.cardinality)
@@ -277,6 +291,37 @@ def check_bounds(
         tol=float(tol),
         cheat_unitary=cheat,
     )
+
+
+def bounds_report(
+    spec: ProtocolSpec,
+    restarts: int = 8,
+    n_states: int = 10,
+    seed: int = 0,
+    tol: float = BOUND_TOL,
+    minimize: bool = False,
+) -> dict:
+    """Both inequalities at the identity reindexing and, with ``minimize``,
+    at the gap-minimizing one: the ``qbcommit bounds`` report.
+
+    The protocol is validated once. One norm search (``cb_lower_bound`` with
+    ``restarts``) serves both checks, since the norm does not depend on the
+    reindexing. Returns {"identity": BoundCheck} and, with ``minimize``, also
+    "minimized" (the ``check_bounds`` at ``minimize_kraus_gap``'s unitary),
+    "minimized_gap" and "minimized_gap_lower" (its ``value`` and ``lower``).
+    """
+    require_valid(spec)
+    cb_lower = _lower_search(spec, restarts, seed)[0].value
+    report = {"identity": _check_bounds(spec, None, n_states, seed, cb_lower, restarts, tol)}
+    if minimize:
+        # minimize_kraus_gap's default budgets.
+        gap_min = _minimize_gap(spec, restarts=8, seed=seed, tol=1e-8, max_iter=200)
+        report["minimized"] = _check_bounds(
+            spec, gap_min.unitary, n_states, seed, cb_lower, restarts, tol
+        )
+        report["minimized_gap"] = gap_min.value
+        report["minimized_gap_lower"] = gap_min.lower
+    return report
 
 
 @dataclass

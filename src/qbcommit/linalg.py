@@ -138,7 +138,8 @@ def eigh_or_error(m: np.ndarray):
 
 def polar_factor(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor ``u @ vh`` of a square matrix, from one SVD: the
-    unitary closest to ``a`` in Frobenius norm."""
+    unitary closest to ``a`` in Frobenius norm. A stack ``(..., m, m)`` is
+    factored matrix by matrix, each as it would be alone."""
     try:
         u, _, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:

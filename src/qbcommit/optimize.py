@@ -22,14 +22,17 @@ still above ``tol``: there the gains the Armijo test asks for are below what
 double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
 way), so the count is not a count of stuck starts alone.
 
-The engine is a generator: it yields each point to evaluate and receives
-(value, gradient) back. Gradients are the objectives' own analytic ones
-(d value / d conj(x), x a state or a unitary), each taken from the pieces
-its value already computed; the engine takes no finite differences.
+The engine is a generator: it yields its start, then each unretracted
+trial point, and receives (point, value, gradient) back, the point being
+the trial point's retraction. Gradients are the objectives' own analytic
+ones (d value / d conj(x), x a state or a unitary), each taken from the
+pieces its value already computed; the engine takes no finite differences.
 ``search_sphere`` and ``ascend_params`` advance all their starts in
-lockstep, one batched objective call per round on the pending points of the
-unfinished starts; a start's trajectory depends only on its own values, so
-the result equals running the starts one by one.
+lockstep: each round after the first makes one retraction call on the
+stack of the unfinished starts' trial points and one batched objective call
+on the retracted stack. Both act row by row with the same arithmetic as on
+one row, and a start's trajectory depends only on its own values, so the
+result equals running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -100,13 +103,34 @@ class SphereResult:
 
 class _Geometry(NamedTuple):
     tangent: Callable  # (point, gradient) -> ascent direction at the point
-    retract: Callable  # trial point -> point of the search space
+    retract: Callable  # stack of trial points -> stack of points of the search space
     max_step: float
 
 
 def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Remove the radial component; the sphere tangent piece remains."""
     return grad - np.vdot(psi, grad).real * psi
+
+
+def _normalize_rows(a: np.ndarray) -> np.ndarray:
+    """``linalg.normalize_state`` of each row of an ``(R, n)`` stack, with the
+    same arithmetic: each row's squared norm is the sum of its real and
+    imaginary dot products, both taken as one-row matmuls. A one-row stack,
+    the common round of a lone start, goes through ``normalize_state``
+    itself: there the stacked calls cost more than the loop they replace."""
+    if len(a) == 1:
+        return linalg.normalize_state(a[0])[None]
+    re, im = a.real, a.imag
+    nrm = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    # A Python min: at the few rows a round has, it is faster than an array reduction.
+    if min(nrm.flat) < 1e-15:
+        raise ValueError("cannot normalize a zero vector")
+    return a / nrm
+
+
+def _polar_factors(a: np.ndarray) -> np.ndarray:
+    """``linalg.polar_factor`` of an ``(R, m, m)`` stack, looked up at call time."""
+    return linalg.polar_factor(a)
 
 
 def _skew_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -117,8 +141,8 @@ def _skew_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return v @ (a - a.conj().T)
 
 
-_SPHERE = _Geometry(_project, linalg.normalize_state, 1e3)
-_UNITARY = _Geometry(_skew_tangent, linalg.polar_factor, 1e2)
+_SPHERE = _Geometry(_project, _normalize_rows, 1e3)
+_UNITARY = _Geometry(_skew_tangent, _polar_factors, 1e2)
 
 
 def _line_search(
@@ -133,11 +157,13 @@ def _line_search(
     polish=None,
     stop_value: float | None = None,
 ):
-    """Ascend ``sgn * fun`` from ``x``: yields points, is sent (value, gradient)
-    back for each, and returns (x, value, iterations, converged, stuck), where
-    ``stuck`` says that no step down to ``MIN_STEP`` met the Armijo condition."""
-    tangent, retract, max_step = geometry
-    f, g = yield x
+    """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unretracted trial
+    points, and is sent (point, value, gradient) back for each, the point
+    being the start itself and after that the trial point's retraction.
+    Returns (x, value, iterations, converged, stuck), where ``stuck`` says
+    that no step down to ``MIN_STEP`` met the Armijo condition."""
+    tangent, _, max_step = geometry
+    x, f, g = yield x
     step = 1.0
     stalled = 0
     it = 0
@@ -145,8 +171,7 @@ def _line_search(
         if polish is not None:
             cand = polish(x)
             if cand is not None:
-                cand = retract(cand)
-                fc, gc = yield cand
+                cand, fc, gc = yield cand
                 if sgn * (fc - f) > 1e-15:
                     stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
                     x, f, g = cand, fc, gc
@@ -161,8 +186,7 @@ def _line_search(
         direction = sgn * r
         eta = min(step * 2.0, max_step)
         while eta > MIN_STEP:
-            cand = retract(x + eta * direction)
-            fc, gc = yield cand
+            cand, fc, gc = yield x + eta * direction
             if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
                 break
             eta *= 0.5
@@ -173,8 +197,7 @@ def _line_search(
         # valley with almost no progress; probing smaller steps while they
         # keep improving escapes that.
         for _ in range(6):
-            half = retract(x + 0.5 * eta * direction)
-            fh, gh = yield half
+            half, fh, gh = yield x + 0.5 * eta * direction
             if sgn * (fh - fc) <= 0.0:
                 break
             cand, fc, gc = half, fh, gh
@@ -184,22 +207,29 @@ def _line_search(
     return x, f, it, False, False
 
 
-def _lockstep(searches, fun_grad) -> list:
-    """Run line-search generators together, one batched call per round on
-    the pending points of the unfinished ones; returns their outcomes."""
+def _lockstep(searches, fun_grad, retract) -> list:
+    """Run line-search generators together and return their outcomes.
+
+    Round 0 evaluates the starts as given. Every later round retracts the
+    pending trial points of the unfinished searches with one ``retract``
+    call on their stack, then evaluates that stack with one ``fun_grad`` call.
+    """
     pending = [next(search) for search in searches]
     outcomes = [None] * len(searches)
     active = list(range(len(searches)))
+    points = np.array(pending)
     while active:
-        values, grads = fun_grad(np.array([pending[i] for i in active]))
+        values, grads = fun_grad(points)
         still = []
-        for i, f, g in zip(active, values, grads):
+        for i, x, f, g in zip(active, points, values, grads):
             try:
-                pending[i] = searches[i].send((f, g))
+                pending[i] = searches[i].send((x, f, g))
                 still.append(i)
             except StopIteration as done:
                 outcomes[i] = done.value
         active = still
+        if active:
+            points = retract(np.array([pending[i] for i in active]))
     return outcomes
 
 
@@ -222,10 +252,11 @@ def search_sphere(
 
     ``fun_grad`` is batched: for unit vectors stacked as rows of an
     ``(R, dim)`` array it returns values ``(R,)`` and gradients d value /
-    d conj(psi) ``(R, dim)``. The starts advance in lockstep, each round one
-    call on the pending points of the unfinished starts; a start's trajectory
-    depends only on its own values, so the result equals running the starts
-    one by one. ``extra_starts`` are deterministic starting vectors tried before
+    d conj(psi) ``(R, dim)``. The starts advance in lockstep: each round one
+    normalization of the stacked trial points of the unfinished starts and
+    one objective call on them; a start's trajectory depends only on its own
+    values, so the result equals running the starts one by one.
+    ``extra_starts`` are deterministic starting vectors tried before
     the seeded random ones; ``polish`` may propose a candidate vector from a
     start's current iterate and is accepted only on strict improvement,
     keeping the search monotone. A run of ``stall_limit`` accepted steps each
@@ -250,7 +281,7 @@ def search_sphere(
     )
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
     searches = [_line_search(s, _SPHERE, sgn, polish=polish, **opts) for s in starts]
-    outcomes = _lockstep(searches, fun_grad)
+    outcomes = _lockstep(searches, fun_grad, _SPHERE.retract)
 
     vectors, values, iterations, converged, stuck = zip(*outcomes)
     best = trace.record(values, iterations, converged, maximize)
@@ -278,8 +309,10 @@ def ascend_params(
     points are not checked; what enters and what leaves is: the stack of
     ``starts`` and the stack of returned unitaries are each checked finite
     and unitary within ``linalg.UNITARY_CONSTRUCTION_TOL``, so a bad start
-    or a broken retraction raises ``ValueError``. All ``starts`` ascend in lockstep,
-    each as if it ran alone, and stop on gradient norm, on step exhaustion
+    or a broken retraction raises ``ValueError``. All ``starts`` ascend in
+    lockstep, each round one ``linalg.polar_factor`` call on the stacked
+    trial points and one objective call on the result, each start as if it
+    ran alone. A start stops on gradient norm, on step exhaustion
     (counted in ``trace.line_search_failures``), on ``stall_limit``
     accepted steps in a row that each gain less than ``stall_tol``, or once
     ``stop_value`` is reached. Returns (unitary, value, iterations,
@@ -290,7 +323,7 @@ def ascend_params(
     opts["stop_value"] = stop_value
     starts = linalg.require_unitary(np.array(starts), tol=check_tol)
     searches = [_line_search(s, _UNITARY, 1.0, **opts) for s in starts]
-    outcomes = _lockstep(searches, fun_grad)
+    outcomes = _lockstep(searches, fun_grad, _UNITARY.retract)
     linalg.require_unitary(np.array([v for v, *_ in outcomes]), tol=check_tol)
     trace.line_search_failures += sum(stuck for *_, stuck in outcomes)
     return [(v, float(f), it, converged) for v, f, it, converged, _ in outcomes]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qbcommit import linalg
+from qbcommit import bounds, linalg
 from qbcommit.bounds import (
     _gap_fun_grad,
     SCAN_CSV_HEADER,
     ScanBudgets,
+    bounds_report,
     check_bounds,
     epsilon_delta_scan,
     kraus_gap,
@@ -13,6 +14,7 @@ from qbcommit.bounds import (
     payoff_floor,
     scan_to_csv,
 )
+from qbcommit.concealment import cb_lower_bound
 from qbcommit.families import (
     FAMILY_REGISTRY,
     concealing_pair,
@@ -21,6 +23,7 @@ from qbcommit.families import (
     phase_flip_pair,
     random_protocol,
 )
+from qbcommit.fileio import jsonable
 from qbcommit.optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
 from qbcommit.protocol import align_families
 
@@ -138,6 +141,52 @@ def test_kraus_gap_equals_minimized_value(seed):
 def test_minimize_kraus_gap_rejects_zero_restarts():
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         minimize_kraus_gap(dephasing_protocol(), restarts=0)
+
+
+def test_lockstep_retracts_once_per_round(monkeypatch):
+    # One polar_factor call per round after the first, on the stack of that
+    # round's trial points, not one call per trial point.
+    rows, polar_rows = [], []
+    make, polar = bounds._gap_fun_grad, linalg.polar_factor
+
+    def counting_make(e0, e1):
+        fun_grad = make(e0, e1)
+
+        def counted(v):
+            rows.append(len(v))
+            return fun_grad(v)
+
+        return counted
+
+    def counting_polar(a):
+        polar_rows.append(len(a))
+        return polar(a)
+
+    monkeypatch.setattr(bounds, "_gap_fun_grad", counting_make)
+    monkeypatch.setattr(linalg, "polar_factor", counting_polar)
+    res = minimize_kraus_gap(random_protocol(3, 3, 3, seed=1), restarts=6, seed=2)
+    assert res.value - res.lower > CERTIFIED_WIDTH
+    # rows[0] scores the identity and Procrustes starts, rows[1] is the
+    # ascent's round 0 and evaluates its starts as given.
+    assert rows[:2] == [2, 6]
+    assert polar_rows == rows[2:]
+    assert len(polar_rows) < sum(polar_rows)
+
+
+def test_bounds_report_composes_the_public_checks():
+    spec = random_protocol(3, 3, 3, seed=0)
+    report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
+    gap = minimize_kraus_gap(spec, seed=4)
+    cb_lower = cb_lower_bound(spec, restarts=2, seed=4).value
+    kwargs = dict(n_states=3, seed=4, cb_lower=cb_lower)
+    composed = {
+        "identity": check_bounds(spec, **kwargs),
+        "minimized": check_bounds(spec, cheat=gap.unitary, **kwargs),
+        "minimized_gap": gap.value,
+        "minimized_gap_lower": gap.lower,
+    }
+    assert jsonable(report) == jsonable(composed)
+    assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
 
 
 def test_gap_ascent_lockstep_matches_one_start_calls():

@@ -168,12 +168,37 @@ def test_ascend_params_rejects_non_unitary_start():
 def test_ascend_params_checks_the_unitaries_it_returns(monkeypatch):
     # Trial points are not checked: a retraction that leaves the group is
     # caught on the way out.
-    bent = optimize._UNITARY._replace(retract=lambda a: 1.001 * linalg.polar_factor(a))
-    monkeypatch.setattr(optimize, "_UNITARY", bent)
+    polar = linalg.polar_factor
+    monkeypatch.setattr(linalg, "polar_factor", lambda a: 1.001 * polar(a))
     a = linalg.spawn_rng(63).standard_normal((2, 2)).astype(complex)
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
     with pytest.raises(ValueError, match="not unitary"):
         ascend_params(rowwise(trace_overlap(a)), [np.eye(2)], trace=trace, max_iter=10)
+
+
+def test_batched_retractions_match_one_row_retractions():
+    # The lockstep engine retracts a round's trial points as one stack; each
+    # row must come out bit for bit as its own retraction would.
+    rng = linalg.spawn_rng(64)
+    for dim in range(1, 82):
+        rows = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        rows *= np.array([1e-7, 0.3, 1.0, 7.0, 1e5])[:, None]
+        for stack in (rows, rows[:2], rows[3:4]):
+            got = optimize._SPHERE.retract(stack)
+            assert got.shape == stack.shape
+            for row, want in zip(got, stack):
+                assert row.tobytes() == linalg.normalize_state(want).tobytes()
+    for m in range(1, 10):
+        stack = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+        got = optimize._UNITARY.retract(stack)
+        for mat, want in zip(got, stack):
+            assert mat.tobytes() == linalg.polar_factor(want).tobytes()
+
+
+def test_sphere_retraction_rejects_a_zero_row():
+    for stack in ([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="zero vector"):
+            optimize._SPHERE.retract(np.array(stack, dtype=complex))
 
 
 def test_search_sphere_stops_at_jump_minimum():

@@ -202,6 +202,10 @@ PROTOCOL_ENTRY_POINTS = {
     "minimize_kraus_gap": (lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2), 1),
     "check_bounds": (lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5), 1),
     "check_bounds-norm-search": (lambda spec: qc.check_bounds(spec, n_states=2), 1),
+    "bounds_report": (
+        lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
+        1,
+    ),
     "epsilon_delta_scan": (
         lambda spec: qc.epsilon_delta_scan(lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN),
         2,
