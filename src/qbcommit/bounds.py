@@ -116,12 +116,16 @@ def _trace_lower_bound(e0: np.ndarray, e1: np.ndarray) -> float:
     return max(0.0, float(trace - allowance) / din)
 
 
+# minimize_kraus_gap's default budgets, which bounds_report also runs.
+_GAP_RESTARTS, _GAP_TOL, _GAP_MAX_ITER = 8, 1e-8, 200
+
+
 def minimize_kraus_gap(
     spec: ProtocolSpec,
-    restarts: int = 8,
+    restarts: int = _GAP_RESTARTS,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 200,
+    tol: float = _GAP_TOL,
+    max_iter: int = _GAP_MAX_ITER,
 ) -> GapResult:
     """Search for the reindexing that brings the two families closest.
 
@@ -312,12 +316,11 @@ def bounds_report(
     """
     require_valid(spec)
     cb_lower = _lower_search(spec, restarts, seed)[0].value
-    report = {"identity": _check_bounds(spec, None, n_states, seed, cb_lower, restarts, tol)}
+    report = {"identity": _check_bounds(spec, None, n_states, seed, cb_lower, None, tol)}
     if minimize:
-        # minimize_kraus_gap's default budgets.
-        gap_min = _minimize_gap(spec, restarts=8, seed=seed, tol=1e-8, max_iter=200)
+        gap_min = _minimize_gap(spec, _GAP_RESTARTS, seed, _GAP_TOL, _GAP_MAX_ITER)
         report["minimized"] = _check_bounds(
-            spec, gap_min.unitary, n_states, seed, cb_lower, restarts, tol
+            spec, gap_min.unitary, n_states, seed, cb_lower, None, tol
         )
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower

@@ -29,8 +29,8 @@ ones (d value / d conj(x), x a state or a unitary), each taken from the
 pieces its value already computed; the engine takes no finite differences.
 ``search_sphere`` and ``ascend_params`` advance all their starts in
 lockstep: each round after the first makes one retraction call on the
-stack of the unfinished starts' trial points and one batched objective call
-on the retracted stack. Both act row by row with the same arithmetic as on
+unfinished starts' trial points and one batched objective call on the
+retracted stack. Both act row by row with the same arithmetic as on
 one row, and a start's trajectory depends only on its own values, so the
 result equals running the starts one by one.
 
@@ -103,7 +103,7 @@ class SphereResult:
 
 class _Geometry(NamedTuple):
     tangent: Callable  # (point, gradient) -> ascent direction at the point
-    retract: Callable  # stack of trial points -> stack of points of the search space
+    retract: Callable  # list of trial points -> stack of points of the search space
     max_step: float
 
 
@@ -112,25 +112,14 @@ def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - np.vdot(psi, grad).real * psi
 
 
-def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    """``linalg.normalize_state`` of each row of an ``(R, n)`` stack, with the
-    same arithmetic: each row's squared norm is the sum of its real and
-    imaginary dot products, both taken as one-row matmuls. A one-row stack,
-    the common round of a lone start, goes through ``normalize_state``
-    itself: there the stacked calls cost more than the loop they replace."""
-    if len(a) == 1:
-        return linalg.normalize_state(a[0])[None]
-    re, im = a.real, a.imag
-    nrm = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
-    # A Python min: at the few rows a round has, it is faster than an array reduction.
-    if min(nrm.flat) < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
-    return a / nrm
+def _normalize_rows(points) -> np.ndarray:
+    """``linalg.normalize_state`` of each vector, stacked as rows."""
+    return np.array([linalg.normalize_state(v) for v in points])
 
 
-def _polar_factors(a: np.ndarray) -> np.ndarray:
-    """``linalg.polar_factor`` of an ``(R, m, m)`` stack, looked up at call time."""
-    return linalg.polar_factor(a)
+def _polar_factors(points) -> np.ndarray:
+    """``linalg.polar_factor`` of the stacked matrices, looked up at call time."""
+    return linalg.polar_factor(points)
 
 
 def _skew_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -212,7 +201,9 @@ def _lockstep(searches, fun_grad, retract) -> list:
 
     Round 0 evaluates the starts as given. Every later round retracts the
     pending trial points of the unfinished searches with one ``retract``
-    call on their stack, then evaluates that stack with one ``fun_grad`` call.
+    call on their list, then evaluates the retracted stack with one
+    ``fun_grad`` call. The list is not stacked first: at the few rows of a
+    round, one more array build costs more than it saves.
     """
     pending = [next(search) for search in searches]
     outcomes = [None] * len(searches)
@@ -229,7 +220,7 @@ def _lockstep(searches, fun_grad, retract) -> list:
                 outcomes[i] = done.value
         active = still
         if active:
-            points = retract(np.array([pending[i] for i in active]))
+            points = retract([pending[i] for i in active])
     return outcomes
 
 
@@ -253,8 +244,8 @@ def search_sphere(
     ``fun_grad`` is batched: for unit vectors stacked as rows of an
     ``(R, dim)`` array it returns values ``(R,)`` and gradients d value /
     d conj(psi) ``(R, dim)``. The starts advance in lockstep: each round one
-    normalization of the stacked trial points of the unfinished starts and
-    one objective call on them; a start's trajectory depends only on its own
+    retraction call, normalizing the stacked trial points of the unfinished
+    starts row by row, and one objective call on them; a start's trajectory depends only on its own
     values, so the result equals running the starts one by one.
     ``extra_starts`` are deterministic starting vectors tried before
     the seeded random ones; ``polish`` may propose a candidate vector from a
