@@ -20,7 +20,6 @@ from .protocol import (
     Dilation,
     KrausFamily,
     ProtocolSpec,
-    SecretStructure,
     ValidationReport,
     align_families,
     apply_channel,
@@ -97,7 +96,6 @@ __all__ = [
     "ProtocolValidationError",
     "ScanBudgets",
     "ScanResult",
-    "SecretStructure",
     "SpectralDecompositionError",
     "ValidationReport",
     "alice_cheat_prob",

@@ -207,6 +207,21 @@ def _simplex_min_norm(gram: np.ndarray, max_iter: int = 1000) -> np.ndarray:
     return w
 
 
+def _overlaps(committed_stack, claimed_stack, cheat, phis):
+    """Payoff overlaps at the unit rows of ``phis``: b_sjl =
+    <committed_l phi_s|claimed_j phi_s>, 1 / d_sj with d_sj = |claimed_j phi_s|²
+    (0 where d_sj is at most ``ZERO_OUTCOME_TOL``), and c_sj = sum_l
+    conj(cheat_jl) b_sjl, so the payoff at phi_s is sum_j |c_sj|² / d_sj and
+    its derivative in conj(cheat_jl) is conj(c_sj) b_sjl / d_sj."""
+    u = np.einsum("lab,sb->sla", committed_stack, phis)
+    w = np.einsum("jab,sb->sja", claimed_stack, phis)
+    b = np.einsum("sla,sja->sjl", u.conj(), w)
+    d = np.einsum("sja,sja->sj", w.conj(), w).real
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > ZERO_OUTCOME_TOL)
+    c = np.einsum("jl,sjl->sj", cheat.conj(), b)
+    return b, inv_d, c
+
+
 def _dual_bound(committed_stack, claimed_stack, cheat, states):
     """Certified upper bound on max_V min_phi P(V, phi), and the weights it used.
 
@@ -231,12 +246,7 @@ def _dual_bound(committed_stack, claimed_stack, cheat, states):
     so round-off never puts it below the true bound.
     """
     phis = np.stack([linalg.normalize_state(s) for s in states])
-    u = np.einsum("lab,sb->sla", committed_stack, phis)
-    w = np.einsum("jab,sb->sja", claimed_stack, phis)
-    b = np.einsum("sla,sja->sjl", u.conj(), w)
-    d = np.einsum("sja,sja->sj", w.conj(), w).real
-    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > ZERO_OUTCOME_TOL)
-    c = np.einsum("jl,sjl->sj", cheat.conj(), b)
+    b, inv_d, c = _overlaps(committed_stack, claimed_stack, cheat, phis)
     payoffs = (np.abs(c) ** 2 * inv_d).sum(axis=1)
     active = np.flatnonzero(payoffs <= payoffs.min() + CERTIFIED_WIDTH)
     # Each gradient is the skew-Hermitian part of sum_j M_ij v_j v_j†.
@@ -277,18 +287,6 @@ class BindingReport:
     solver_trace: SolverTrace
     inner_trace: SolverTrace
     swapped: "BindingReport | None" = None
-
-
-def _wirtinger_cheat_gradient(committed_stack, claimed_stack, cheat, phi):
-    """d payoff / d conj(cheat) at fixed state, for the outer maximizer."""
-    u0 = np.einsum("lab,b->la", committed_stack, phi)
-    w = np.einsum("jab,b->ja", claimed_stack, phi)
-    pair = np.einsum("ja,la->jl", w, u0.conj())
-    c = np.einsum("jl,jl->j", cheat.conj(), pair)
-    d = np.real(np.einsum("ja,ja->j", w.conj(), w))
-    mask = d > ZERO_OUTCOME_TOL
-    scale = np.where(mask, np.conj(c) / np.where(mask, d, 1.0), 0.0)
-    return scale[:, None] * pair
 
 
 def minimax_cheat(
@@ -405,8 +403,8 @@ def _minimax(
                 ck, cl, v, starts, rng_tags=(4, _ridx), stall_tol=1e-7, stall_limit=5, **loose
             )
             _warm[0] = res.vector
-            gv = _wirtinger_cheat_gradient(ck, cl, v, res.vector)
-            return [res.value], gv[None]
+            b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
+            return [res.value], (c.conj() * inv_d)[..., None] * b
 
         # Payoffs live in [0, 1]; chasing gains below a few 1e-8 only crawls
         # the dropped-outcome boundary layer, so the ascent stalls out there.

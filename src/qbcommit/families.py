@@ -11,7 +11,7 @@ from math import cos, pi, sin
 import numpy as np
 
 from . import linalg
-from .protocol import KrausFamily, ProtocolSpec, SecretStructure, apply_cheat_unitary
+from .protocol import KrausFamily, ProtocolSpec, apply_cheat_unitary
 
 
 def identity_protocol(dim: int = 2) -> ProtocolSpec:
@@ -57,13 +57,7 @@ def random_kraus_family(dim_in: int, dim_out: int, cardinality: int, seed) -> Kr
             "no complete family exists with "
             f"dim_out * cardinality = {dim_out * cardinality} < dim_in = {dim_in}"
         )
-    rng = linalg._as_rng(seed)
-    z = rng.standard_normal((dim_out * cardinality, dim_in)) + 1j * rng.standard_normal(
-        (dim_out * cardinality, dim_in)
-    )
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
+    q = linalg.random_isometry(dim_out * cardinality, dim_in, seed)
     ops = [q[j * dim_out : (j + 1) * dim_out, :] for j in range(cardinality)]
     return KrausFamily.from_ops(ops)
 
@@ -125,13 +119,8 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
         ops = [embed(proj, 0) for proj in _basis_projectors(basis_angle)]
         ops.extend(embed(eye, branch) for branch in range(1, branches))
         families.append(KrausFamily.from_ops(ops))
-
-    groups = [(1.0 / branches, 2)] + [(1.0 / branches, 1)] * (branches - 1)
     return ProtocolSpec(
-        label=f"decoy-k{k}-angle-{angle:.6g}",
-        bit0=families[0],
-        bit1=families[1],
-        secret=SecretStructure.from_pairs(groups),
+        label=f"decoy-k{k}-angle-{angle:.6g}", bit0=families[0], bit1=families[1]
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ProtocolFileError
 from .families import FAMILY_REGISTRY
-from .protocol import KrausFamily, ProtocolSpec, SecretStructure
+from .protocol import KrausFamily, ProtocolSpec
 
 
 def matrix_to_pairs(mat) -> list:
@@ -55,27 +55,8 @@ def _family_from_json(data, what: str) -> KrausFamily:
         raise ProtocolFileError(f"{what}: {exc}")
 
 
-def _secret_from_json(data) -> SecretStructure:
-    if not isinstance(data, dict):
-        raise ProtocolFileError("secret: expected an object")
-    probs = data.get("probabilities")
-    counts = data.get("outcome_counts")
-    if not isinstance(probs, list) or not isinstance(counts, list):
-        raise ProtocolFileError(
-            "secret: needs 'probabilities' and 'outcome_counts' lists"
-        )
-    if len(probs) != len(counts):
-        raise ProtocolFileError(
-            f"secret: {len(probs)} probabilities vs {len(counts)} outcome counts"
-        )
-    try:
-        return SecretStructure.from_pairs(zip(probs, counts))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolFileError(f"secret: {exc}")
-
-
 def parse_protocol(data) -> ProtocolSpec:
-    """Protocol from an already decoded JSON object."""
+    """Protocol from an already decoded JSON object; other keys are ignored."""
     if not isinstance(data, dict):
         raise ProtocolFileError("protocol file must hold a JSON object")
     label = data.get("label")
@@ -91,20 +72,23 @@ def parse_protocol(data) -> ProtocolSpec:
             raise ProtocolFileError(
                 f"declared {key}={data[key]} but the operators have {key}={got}"
             )
-    secret = _secret_from_json(data["secret"]) if data.get("secret") else None
     try:
-        return ProtocolSpec(label=label, bit0=bit0, bit1=bit1, secret=secret)
+        return ProtocolSpec(label=label, bit0=bit0, bit1=bit1)
     except ValueError as exc:
         raise ProtocolFileError(str(exc))
 
 
-def load_protocol(path) -> ProtocolSpec:
-    """Protocol from a JSON file; malformed content raises ProtocolFileError."""
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProtocolFileError(f"{path}: not valid JSON ({exc})")
+
+
+def load_protocol(path) -> ProtocolSpec:
+    """Protocol from a JSON file; malformed content raises ProtocolFileError."""
+    data = _read_json(path)
     try:
         return parse_protocol(data)
     except ProtocolFileError as exc:
@@ -112,19 +96,13 @@ def load_protocol(path) -> ProtocolSpec:
 
 
 def serialize_protocol(spec: ProtocolSpec) -> dict:
-    data = {
+    return {
         "label": spec.label,
         "dim_in": spec.dim_in,
         "dim_out": spec.dim_out,
         "bit0": [matrix_to_pairs(op) for op in spec.bit0.ops],
         "bit1": [matrix_to_pairs(op) for op in spec.bit1.ops],
     }
-    if spec.secret is not None:
-        data["secret"] = {
-            "probabilities": [p for p, _ in spec.secret.groups],
-            "outcome_counts": [c for _, c in spec.secret.groups],
-        }
-    return data
 
 
 def write_protocol_file(path, spec: ProtocolSpec) -> None:
@@ -136,20 +114,14 @@ def write_protocol_file(path, spec: ProtocolSpec) -> None:
 class ScanConfig:
     """One resolved scan request: a family callable plus its parameter list."""
 
-    family_name: str
     family: object
     params: list
     label: str
-    options: dict
 
 
 def load_scan_config(path) -> ScanConfig:
     """Scan config from JSON: family name, parameter list, optional options."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProtocolFileError(f"{path}: not valid JSON ({exc})")
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ProtocolFileError(f"{path}: scan config must hold a JSON object")
     name = data.get("family")
@@ -177,13 +149,7 @@ def load_scan_config(path) -> ScanConfig:
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ProtocolFileError(f"{path}: 'label' must be a string")
-    return ScanConfig(
-        family_name=name,
-        family=family,
-        params=params,
-        label=label or f"{name}-scan",
-        options=options,
-    )
+    return ScanConfig(family=family, params=params, label=label or f"{name}-scan")
 
 
 def jsonable(obj):

@@ -203,13 +203,18 @@ def random_state(dim: int, seed) -> np.ndarray:
     return v
 
 
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed random unitary (QR with phase-fixed diagonal)."""
-    if dim < 1:
-        raise ValueError(f"unitary dimension must be positive, got {dim}")
+def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
+    """Haar-distributed ``rows`` x ``cols`` isometry, ``rows >= cols``: QR of a
+    complex Gaussian matrix with the diagonal of R phase-fixed."""
     rng = _as_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    return q * (d / np.abs(d))
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed random unitary: a square ``random_isometry``."""
+    if dim < 1:
+        raise ValueError(f"unitary dimension must be positive, got {dim}")
+    return random_isometry(dim, dim, seed)

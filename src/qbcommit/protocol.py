@@ -72,38 +72,12 @@ class KrausFamily:
 
 
 @dataclass(frozen=True)
-class SecretStructure:
-    """Distribution over Alice's secret parameter with per-value outcome counts.
-
-    ``groups`` holds (probability, outcome_count) pairs; probabilities sum to
-    one and the counts sum to the family cardinality. The secret weights are
-    already absorbed into the Kraus operators, so this is bookkeeping only.
-    """
-
-    groups: tuple
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "SecretStructure":
-        groups = tuple((float(p), int(c)) for p, c in pairs)
-        if not groups:
-            raise ValueError("secret structure needs at least one group")
-        return cls(groups)
-
-    def probability_residual(self) -> float:
-        return abs(sum(p for p, _ in self.groups) - 1.0)
-
-    def total_outcomes(self) -> int:
-        return sum(c for _, c in self.groups)
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
     """A labelled pair of same-shaped Kraus families, one per bit value."""
 
     label: str
     bit0: KrausFamily
     bit1: KrausFamily
-    secret: SecretStructure | None = None
 
     def __post_init__(self):
         if (self.bit0.dim_in, self.bit0.dim_out) != (self.bit1.dim_in, self.bit1.dim_out):
@@ -139,27 +113,17 @@ class ValidationReport:
     cardinality: int
     completeness_residual_bit0: float
     completeness_residual_bit1: float
-    secret_probability_residual: float | None
-    secret_outcomes_match: bool
     tol: float
     accepted: bool
 
 
 def validate(spec: ProtocolSpec, tol: float = COMPLETENESS_TOL) -> ValidationReport:
-    """Check both families for completeness and the secret block for consistency.
+    """Check both families for completeness.
 
     Always returns a report; callers treat a non-accepted report as rejection.
     """
     r0 = spec.bit0.completeness_residual()
     r1 = spec.bit1.completeness_residual()
-    secret_res = None
-    outcomes_ok = True
-    if spec.secret is not None:
-        secret_res = spec.secret.probability_residual()
-        outcomes_ok = spec.secret.total_outcomes() == spec.cardinality
-    accepted = r0 <= tol and r1 <= tol and outcomes_ok
-    if secret_res is not None and secret_res > 1e-12:
-        accepted = False
     return ValidationReport(
         label=spec.label,
         dim_in=spec.dim_in,
@@ -167,10 +131,8 @@ def validate(spec: ProtocolSpec, tol: float = COMPLETENESS_TOL) -> ValidationRep
         cardinality=spec.cardinality,
         completeness_residual_bit0=r0,
         completeness_residual_bit1=r1,
-        secret_probability_residual=secret_res,
-        secret_outcomes_match=outcomes_ok,
         tol=tol,
-        accepted=accepted,
+        accepted=r0 <= tol and r1 <= tol,
     )
 
 
@@ -293,12 +255,6 @@ class Dilation:
     ancilla_dim: int
     environment_dim: int
     unitary: np.ndarray
-
-    @property
-    def ancilla_state(self) -> np.ndarray:
-        v = np.zeros(self.ancilla_dim, dtype=complex)
-        v[0] = 1.0
-        return v
 
     def apply(self, rho) -> np.ndarray:
         """Push ``rho`` through the dilation and trace out the environment.

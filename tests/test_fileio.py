@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qbcommit.fileio import (
     serialize_protocol,
     write_protocol_file,
 )
-from qbcommit.protocol import choi_distance
+from qbcommit.protocol import choi_distance, validate
 
 
 def test_matrix_pairs_round_trip():
@@ -56,16 +57,6 @@ def test_protocol_file_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_protocol_round_trip_keeps_secret(tmp_path):
-    spec = decoy_protocol(2)
-    assert spec.secret is not None
-    path = tmp_path / "decoy.json"
-    write_protocol_file(path, spec)
-    loaded = load_protocol(path)
-    assert loaded.secret is not None
-    assert loaded.secret.groups == spec.secret.groups
-
-
 def test_parse_rejects_non_object():
     with pytest.raises(ProtocolFileError):
         parse_protocol([1, 2, 3])
@@ -88,11 +79,27 @@ def test_parse_rejects_declared_dim_mismatch():
         parse_protocol(data)
 
 
-def test_parse_rejects_bad_secret():
-    data = serialize_protocol(dephasing_protocol())
-    data["secret"] = {"probabilities": [0.5, 0.5], "outcome_counts": [1]}
-    with pytest.raises(ProtocolFileError):
-        parse_protocol(data)
+def test_parse_ignores_legacy_secret():
+    # A "secret" block, well formed or not, is a key outside the format: it
+    # is ignored on load and not written back.
+    spec = dephasing_protocol()
+    for secret in (
+        {"probabilities": [0.5, 0.5], "outcome_counts": [1, 1]},
+        {"probabilities": [0.5, 0.5], "outcome_counts": [1]},
+        "not an object",
+    ):
+        data = serialize_protocol(spec)
+        data["secret"] = secret
+        loaded = parse_protocol(data)
+        assert validate(loaded).accepted
+        assert serialize_protocol(loaded) == serialize_protocol(spec)
+
+
+def test_shipped_decoy_file_matches_builder():
+    path = Path(__file__).resolve().parents[1] / "protocols" / "decoy-k2.json"
+    assert path.read_text(encoding="utf-8") == dump_json(
+        serialize_protocol(decoy_protocol(2))
+    )
 
 
 def test_parse_rejects_family_shape_mismatch():
@@ -121,7 +128,6 @@ def test_load_scan_config_good(tmp_path):
         encoding="utf-8",
     )
     cfg = load_scan_config(path)
-    assert cfg.family_name == "decoy"
     assert cfg.params == [0.0, 1.0, 2.0]
     assert cfg.label == "demo"
     spec = cfg.family(1.0)
@@ -138,11 +144,10 @@ def test_load_scan_config_default_label_and_options(tmp_path):
     )
     cfg = load_scan_config(path)
     assert cfg.label == "decoy-scan"
-    assert cfg.options == {"angle": np.pi / 3}
     spec = cfg.family(0.0)
     # The option must actually reach the builder: a pi/3 basis rotation
     # changes the second family away from the default pi/2 one.
-    default = cfg.family_name and decoy_protocol(0)
+    default = decoy_protocol(0)
     assert choi_distance(spec.bit1, default.bit1) > 1e-3
 
 
@@ -166,6 +171,13 @@ def test_load_scan_config_rejects_non_numeric_params(tmp_path):
         json.dumps({"family": "decoy", "params": ["x"]}), encoding="utf-8"
     )
     with pytest.raises(ProtocolFileError):
+        load_scan_config(path)
+
+
+def test_load_scan_config_invalid_json(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ProtocolFileError, match="not valid JSON"):
         load_scan_config(path)
 
 

@@ -140,6 +140,17 @@ def test_random_unitary_deterministic():
     assert linalg.unitarity_residual(a) < 1e-12
 
 
+def test_random_isometry_orthonormal_columns_and_square_case():
+    v = linalg.random_isometry(6, 2, linalg.spawn_rng(9, 0))
+    assert v.shape == (6, 2)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+    # The square draw is random_unitary, bit for bit, at the same seed.
+    np.testing.assert_array_equal(
+        linalg.random_isometry(3, 3, linalg.spawn_rng(8, 0)),
+        linalg.random_unitary(3, linalg.spawn_rng(8, 0)),
+    )
+
+
 def test_spawn_rng_tags_give_distinct_streams():
     x = linalg.spawn_rng(1, 2, 3).standard_normal(4)
     y = linalg.spawn_rng(1, 2, 4).standard_normal(4)

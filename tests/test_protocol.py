@@ -72,19 +72,6 @@ def test_validate_accepts_and_rejects():
     assert err.value.report.label == "incomplete"
 
 
-def test_validate_checks_secret_structure():
-    base = qc.dephasing_protocol()
-    spec = qc.ProtocolSpec(
-        label="bad-secret",
-        bit0=base.bit0,
-        bit1=base.bit1,
-        secret=qc.SecretStructure.from_pairs([(0.5, 1), (0.25, 1)]),
-    )
-    rep = qc.validate(spec)
-    assert not rep.accepted
-    assert rep.secret_probability_residual > 0.2
-
-
 def test_apply_channel_dephasing_kills_coherences():
     spec = qc.dephasing_protocol()
     rho = np.array([[0.6, 0.5], [0.5, 0.4]], dtype=complex)
@@ -260,14 +247,6 @@ def test_kraus_gap_operator_phase_pair_hand_values():
         assert abs(linalg.operator_norm(op) - (2.0 + 2.0 * abs(np.cos(t)))) < 1e-12
 
 
-def test_secret_structure_bookkeeping():
-    s = qc.SecretStructure.from_pairs([(0.25, 2), (0.75, 3)])
-    assert s.probability_residual() < 1e-15
-    assert s.total_outcomes() == 5
-    with pytest.raises(ValueError):
-        qc.SecretStructure.from_pairs([])
-
-
 def test_dilation_dimensions_square_case():
     fam = qc.random_kraus_family(2, 2, 3, linalg.spawn_rng(53))
     dil = qc.dilate(fam)
@@ -332,9 +311,6 @@ def test_decoy_protocol_structure():
         assert spec.dim_out == 2 ** (k + 1)
         assert spec.cardinality == 2**k + 1
         assert qc.validate(spec).accepted
-        assert spec.secret is not None
-        assert spec.secret.total_outcomes() == spec.cardinality
-        assert spec.secret.probability_residual() < 1e-12
 
 
 def test_decoy_zero_matches_plain_dephasing():
