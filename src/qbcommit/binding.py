@@ -69,7 +69,7 @@ def alice_cheat_prob(
         raise ValueError(
             f"state length {phi.size} does not match input dimension {spec.dim_in}"
         )
-    (value,) = _payoffs(committed.stack(), claimed.stack(), cheat, phi[None])
+    (value,) = _payoffs(committed.ops, claimed.ops, cheat, phi[None])
     return float(value)
 
 
@@ -167,12 +167,11 @@ def min_over_states(
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
     cheat = _require_cheat(cheat, spec.cardinality)
-    cl = claimed.stack()
     return _worst_state(
-        committed.stack(),
-        cl,
+        committed.ops,
+        claimed.ops,
         cheat,
-        _kernel_starts(cl),
+        _kernel_starts(claimed.ops),
         restarts=restarts,
         seed=seed,
         tol=tol,
@@ -302,11 +301,10 @@ def minimax_cheat(
     """Estimate of max over cheats of the worst-case payoff, with a certified
     upper bound.
 
-    The protocol is validated once, for both directions. The Procrustes
-    alignment of the two families is scored first: the worst state that
-    ``min_over_states``'s full inner search (whose starts include the
-    claimed-branch kernel states) finds there gives the estimate, and the
-    dual certificate built from the kernel states and that worst state
+    The Procrustes alignment of the two families is scored first: the worst
+    state that ``min_over_states``'s full inner search (whose starts include
+    the claimed-branch kernel states) finds there gives the estimate, and
+    the dual certificate built from the kernel states and that worst state
     bounds the maximin from above. When the payoff there is within 1e-9 of
     its cap, or the bound lies within ``CERTIFIED_WIDTH`` of the estimate, no
     cheat can do better by more than that, so that result is returned: its
@@ -324,26 +322,14 @@ def minimax_cheat(
     cannot improve any further (it is capped at one). An estimate above the
     certified bound by more than ``BRACKET_GUARD`` raises
     ``BracketInversionError``. With ``include_swapped`` the other direction
-    is estimated the same way and reported as ``swapped``.
+    is estimated by the same call and reported as ``swapped``.
     """
     require_valid(spec)
-    budgets = (outer_restarts, outer_iters, inner_restarts, seed, tol)
-    report = _minimax(spec, direction, *budgets)
-    if include_swapped:
-        report.swapped = _minimax(spec, "10" if direction == "01" else "01", *budgets)
-    return report
-
-
-def _minimax(
-    spec, direction, outer_restarts, outer_iters, inner_restarts, seed, tol
-) -> BindingReport:
-    """``minimax_cheat`` in one direction, without validation."""
     if outer_restarts < 1:
         raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
-    ck = committed.stack()
-    cl = claimed.stack()
+    ck, cl = committed.ops, claimed.ops
     kernel = _kernel_starts(cl)
     # Scores search as min_over_states does. The loose budget only steers the
     # outer ascent; each restart's end point is re-scored with the full one.
@@ -440,7 +426,7 @@ def _minimax(
         )
     (payoff,) = _payoffs(ck, cl, best_v, worst[None])
 
-    return BindingReport(
+    report = BindingReport(
         label=spec.label,
         direction=direction,
         minimax_estimate=float(estimate),
@@ -452,3 +438,9 @@ def _minimax(
         solver_trace=outer_trace,
         inner_trace=inner.trace,
     )
+    if include_swapped:
+        other = "10" if direction == "01" else "01"
+        report.swapped = minimax_cheat(
+            spec, other, outer_restarts, outer_iters, inner_restarts, seed, tol, False
+        )
+    return report

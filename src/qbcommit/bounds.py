@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .binding import _minimax, _payoffs
-from .concealment import _concealment_report, _lower_search
+from .binding import _payoffs, minimax_cheat
+from .concealment import analyze_concealment, cb_lower_bound
 from .optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
@@ -41,13 +41,13 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
     """
     require_valid(spec)
     cheat = _require_cheat(cheat, spec.cardinality)
-    return _gap_operators(cheat[None], spec.bit0.stack(), spec.bit1.stack())[1][0]
+    return _gap_operators(cheat[None], spec.bit0.ops, spec.bit1.ops)[1][0]
 
 
 def _gap(spec: ProtocolSpec, cheat: np.ndarray) -> float:
     """Gap at one checked cheat, taken as a one-row stack the way the ascent
     takes it, so both give the same number for the same unitary."""
-    _, s = _gap_operators(cheat[None], spec.bit0.stack(), spec.bit1.stack())
+    _, s = _gap_operators(cheat[None], spec.bit0.ops, spec.bit1.ops)
     return max(float(linalg.eigh_or_error(s)[0][0, -1]), 0.0)
 
 
@@ -116,16 +116,12 @@ def _trace_lower_bound(e0: np.ndarray, e1: np.ndarray) -> float:
     return max(0.0, float(trace - allowance) / din)
 
 
-# minimize_kraus_gap's default budgets, which bounds_report also runs.
-_GAP_RESTARTS, _GAP_TOL, _GAP_MAX_ITER = 8, 1e-8, 200
-
-
 def minimize_kraus_gap(
     spec: ProtocolSpec,
-    restarts: int = _GAP_RESTARTS,
+    restarts: int = 8,
     seed: int = 0,
-    tol: float = _GAP_TOL,
-    max_iter: int = _GAP_MAX_ITER,
+    tol: float = 1e-8,
+    max_iter: int = 200,
 ) -> GapResult:
     """Search for the reindexing that brings the two families closest.
 
@@ -139,15 +135,10 @@ def minimize_kraus_gap(
     monotone from each start, so the result never exceeds the identity gap.
     """
     require_valid(spec)
-    return _minimize_gap(spec, restarts, seed, tol, max_iter)
-
-
-def _minimize_gap(spec: ProtocolSpec, restarts: int, seed: int, tol: float, max_iter: int):
-    """``minimize_kraus_gap`` without validation."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     m = spec.cardinality
-    e0, e1 = spec.bit0.stack(), spec.bit1.stack()
+    e0, e1 = spec.bit0.ops, spec.bit1.ops
     fun_grad = _gap_fun_grad(e0, e1)
     lower = _trace_lower_bound(e0, e1)
     starts = [np.eye(m, dtype=complex), align_families(spec.bit0, spec.bit1)][:restarts]
@@ -231,17 +222,12 @@ def check_bounds(
     already computed norm bound.
     """
     require_valid(spec)
-    return _check_bounds(spec, cheat, n_states, seed, cb_lower, cb_restarts, tol)
-
-
-def _check_bounds(spec, cheat, n_states, seed, cb_lower, cb_restarts, tol) -> BoundCheck:
-    """``check_bounds`` without validation."""
     if cheat is None:
         cheat = np.eye(spec.cardinality)
     cheat = _require_cheat(cheat, spec.cardinality)
     gap = _gap(spec, cheat)
     if cb_lower is None:
-        cb_lower = _lower_search(spec, cb_restarts, seed)[0].value
+        cb_lower = cb_lower_bound(spec, cb_restarts, seed).value
     quarter = cb_lower / 4.0
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
@@ -249,8 +235,7 @@ def _check_bounds(spec, cheat, n_states, seed, cb_lower, cb_restarts, tol) -> Bo
     phis = np.array(
         [linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
     ).reshape(n_states, spec.dim_in)
-    stacks = spec.bit0.stack(), spec.bit1.stack()
-    payoffs = _payoffs(*stacks, cheat, phis).tolist()
+    payoffs = _payoffs(spec.bit0.ops, spec.bit1.ops, cheat, phis).tolist()
     violations = []
     for i, (phi, p) in enumerate(zip(phis, payoffs)):
         if p < floor - tol:
@@ -308,20 +293,17 @@ def bounds_report(
     """Both inequalities at the identity reindexing and, with ``minimize``,
     at the gap-minimizing one: the ``qbcommit bounds`` report.
 
-    The protocol is validated once. One norm search (``cb_lower_bound`` with
-    ``restarts``) serves both checks, since the norm does not depend on the
-    reindexing. Returns {"identity": BoundCheck} and, with ``minimize``, also
-    "minimized" (the ``check_bounds`` at ``minimize_kraus_gap``'s unitary),
-    "minimized_gap" and "minimized_gap_lower" (its ``value`` and ``lower``).
+    One norm search (``cb_lower_bound`` with ``restarts``) serves both
+    checks, since the norm does not depend on the reindexing. Returns
+    {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
+    ``check_bounds`` at ``minimize_kraus_gap``'s unitary), "minimized_gap"
+    and "minimized_gap_lower" (its ``value`` and ``lower``).
     """
-    require_valid(spec)
-    cb_lower = _lower_search(spec, restarts, seed)[0].value
-    report = {"identity": _check_bounds(spec, None, n_states, seed, cb_lower, None, tol)}
+    cb_lower = cb_lower_bound(spec, restarts, seed).value
+    report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower, tol=tol)}
     if minimize:
-        gap_min = _minimize_gap(spec, _GAP_RESTARTS, seed, _GAP_TOL, _GAP_MAX_ITER)
-        report["minimized"] = _check_bounds(
-            spec, gap_min.unitary, n_states, seed, cb_lower, None, tol
-        )
+        gap_min = minimize_kraus_gap(spec, seed=seed)
+        report["minimized"] = check_bounds(spec, gap_min.unitary, n_states, seed, cb_lower, tol=tol)
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower
     return report
@@ -382,10 +364,10 @@ def epsilon_delta_scan(
 
     ``family`` maps a parameter value to a protocol. Parameters whose
     protocol fails to build or validate are recorded as skipped with the
-    reason instead of aborting the scan; each protocol is validated once.
-    The norm bracket is ``analyze_concealment``'s and the estimate is
-    ``minimax_cheat``'s in direction "01", so an inverted bracket raises
-    ``BracketInversionError`` as it does for a single protocol.
+    reason instead of aborting the scan. The norm bracket is
+    ``analyze_concealment``'s and the estimate is ``minimax_cheat``'s in
+    direction "01", so an inverted bracket raises ``BracketInversionError``
+    as it does for a single protocol.
     """
     if budgets is None:
         budgets = ScanBudgets()
@@ -398,9 +380,9 @@ def epsilon_delta_scan(
         except Exception as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
-        conceal = _concealment_report(spec, budgets.cb_restarts, seed, budgets.tol)
+        conceal = analyze_concealment(spec, budgets.cb_restarts, seed, budgets.tol)
         lo, hi = conceal.cb_lower, conceal.cb_upper
-        binding = _minimax(
+        binding = minimax_cheat(
             spec,
             "01",
             budgets.outer_restarts,
@@ -408,6 +390,7 @@ def epsilon_delta_scan(
             budgets.inner_restarts,
             seed,
             budgets.tol,
+            include_swapped=False,
         )
         est = binding.minimax_estimate
         points.append(

@@ -72,7 +72,7 @@ def _difference_objective(spec: ProtocolSpec, ref_dim: int):
     and sharpens convergence near the optimum.
     """
     din, n = spec.dim_in, spec.dim_in * ref_dim
-    k0, k1 = spec.bit0.stack(), spec.bit1.stack()
+    k0, k1 = spec.bit0.ops, spec.bit1.ops
     # Adjoint of each Kraus stack flattened over the Kraus index: (din, m * dout).
     k0h, k1h = (k.reshape(-1, din).conj().T for k in (k0, k1))
     # The operators K_m ⊗ I_ref of each bit: (m, dout * ref, n).
@@ -175,8 +175,7 @@ def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
 
 
 def _dual_routes(spec: ProtocolSpec, witness=None) -> dict:
-    """Dual upper bounds on the cb norm, {route: (bound, repair)}; no
-    protocol validation.
+    """Dual upper bounds on the cb norm, {route: (bound, repair)}.
 
     ``j_plus`` takes Z = J₊, the positive part of the Choi difference; its
     value never exceeds the Choi trace norm, because Tr J = 0.
@@ -206,7 +205,7 @@ def _capped(duals: dict):
 
 
 def _lower_search(spec, restarts, seed, tol=1e-8, ref_dim=None, max_iter=500):
-    """``cb_lower_bound`` without validation; returns (result, duals).
+    """``cb_lower_bound``'s search, returning (result, duals).
 
     ``duals`` are the dual routes at the returned witness when the skip test
     built them there, and None when the restarts ran or there were none.
@@ -305,8 +304,24 @@ class ConcealmentReport:
     solver_trace: SolverTrace
 
 
-def _concealment_report(spec, restarts, seed, tol, ref_dim=None, max_iter=500):
-    """``analyze_concealment`` without validation."""
+def analyze_concealment(
+    spec: ProtocolSpec,
+    restarts: int = 16,
+    seed: int = 0,
+    tol: float = 1e-8,
+    ref_dim: int | None = None,
+    max_iter: int = 500,
+) -> ConcealmentReport:
+    """Assemble the concealment bracket for one protocol.
+
+    The lower bound is ``cb_lower_bound``'s and the upper bound and its
+    routes are ``cb_upper_bound``'s at the witness, from one build of the
+    witness's dual routes: the skip test's when it closed, else one built at
+    the final witness. A lower bound exceeding the upper bound beyond
+    ``BRACKET_GUARD`` signals a solver bug and raises instead of reporting;
+    inversions within the guard are clipped to keep the bracket ordered.
+    """
+    require_valid(spec)
     lower, duals = _lower_search(spec, restarts, seed, tol, ref_dim, max_iter)
     if duals is None:
         duals = _dual_routes(spec, lower.vector)
@@ -328,25 +343,3 @@ def _concealment_report(spec, restarts, seed, tol, ref_dim=None, max_iter=500):
         dual_repair=duals["witness_dual"][1],
         solver_trace=lower.trace,
     )
-
-
-def analyze_concealment(
-    spec: ProtocolSpec,
-    restarts: int = 16,
-    seed: int = 0,
-    tol: float = 1e-8,
-    ref_dim: int | None = None,
-    max_iter: int = 500,
-) -> ConcealmentReport:
-    """Assemble the concealment bracket for one protocol.
-
-    The protocol is validated once. The lower bound is ``cb_lower_bound``'s
-    and the upper bound and its routes are ``cb_upper_bound``'s at the
-    witness, from one build of the witness's dual routes: the skip test's
-    when it closed, else one built at the final witness. A lower bound
-    exceeding the upper bound beyond ``BRACKET_GUARD`` signals a solver bug
-    and raises instead of reporting; inversions within the guard are clipped
-    to keep the bracket ordered.
-    """
-    require_valid(spec)
-    return _concealment_report(spec, restarts, seed, tol, ref_dim, max_iter)

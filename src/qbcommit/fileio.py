@@ -9,7 +9,10 @@ byte deterministic (sorted keys, shortest float repr).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import json
+import math
 
 import numpy as np
 
@@ -68,9 +71,12 @@ def parse_protocol(data) -> ProtocolSpec:
     bit0 = _family_from_json(data["bit0"], "bit0")
     bit1 = _family_from_json(data["bit1"], "bit1")
     for key, got in (("dim_in", bit0.dim_in), ("dim_out", bit0.dim_out)):
-        if key in data and int(data[key]) != got:
+        declared = data.get(key, got)
+        if type(declared) is not int:  # bool is an int subclass, and not a dimension
+            raise ProtocolFileError(f"'{key}' must be an integer, got {declared!r}")
+        if declared != got:
             raise ProtocolFileError(
-                f"declared {key}={data[key]} but the operators have {key}={got}"
+                f"declared {key}={declared} but the operators have {key}={got}"
             )
     try:
         return ProtocolSpec(label=label, bit0=bit0, bit1=bit1)
@@ -100,8 +106,8 @@ def serialize_protocol(spec: ProtocolSpec) -> dict:
         "label": spec.label,
         "dim_in": spec.dim_in,
         "dim_out": spec.dim_out,
-        "bit0": [matrix_to_pairs(op) for op in spec.bit0.ops],
-        "bit1": [matrix_to_pairs(op) for op in spec.bit1.ops],
+        "bit0": matrix_to_pairs(spec.bit0.ops),
+        "bit1": matrix_to_pairs(spec.bit1.ops),
     }
 
 
@@ -137,15 +143,17 @@ def load_scan_config(path) -> ScanConfig:
         params = [float(p) for p in params]
     except (TypeError, ValueError):
         raise ProtocolFileError(f"{path}: 'params' entries must be numbers")
+    if not all(math.isfinite(p) for p in params):
+        raise ProtocolFileError(f"{path}: 'params' entries must be finite")
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ProtocolFileError(f"{path}: 'options' must be an object")
     base = FAMILY_REGISTRY[name]
-    if options:
-        def family(param, _base=base, _opts=options):
-            return _base(param, **_opts)
-    else:
-        family = base
+    try:
+        inspect.signature(base).bind(params[0], **options)
+    except TypeError as exc:
+        raise ProtocolFileError(f"{path}: 'options' do not fit family {name!r} ({exc})")
+    family = functools.partial(base, **options)
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ProtocolFileError(f"{path}: 'label' must be a string")

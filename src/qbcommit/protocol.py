@@ -9,6 +9,7 @@ the identity on the input space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, gcd
 
 import numpy as np
@@ -28,11 +29,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausFamily:
-    """An ordered family of Kraus operators sharing one input/output space."""
+    """An ordered family of Kraus operators sharing one input/output space,
+    held as one read-only ``(cardinality, dim_out, dim_in)`` array ``ops``."""
 
     dim_in: int
     dim_out: int
-    ops: tuple
+    ops: np.ndarray
+
+    def __post_init__(self):
+        ops = _freeze(self.ops)
+        if ops.ndim != 3 or not len(ops) or ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(
+                f"expected (m, {self.dim_out}, {self.dim_in}) operators, got {ops.shape}"
+            )
+        object.__setattr__(self, "ops", ops)
 
     @classmethod
     def from_ops(cls, ops) -> "KrausFamily":
@@ -45,20 +55,20 @@ class KrausFamily:
                 raise ValueError(
                     f"operator {i} has shape {op.shape}, expected {(dout, din)}"
                 )
-        return cls(dim_in=din, dim_out=dout, ops=tuple(_freeze(op) for op in mats))
+        return cls(dim_in=din, dim_out=dout, ops=mats)
 
     @property
     def cardinality(self) -> int:
         return len(self.ops)
 
-    def stack(self) -> np.ndarray:
-        """Operators as one (cardinality, dim_out, dim_in) array."""
-        return np.stack(self.ops)
+    @cached_property
+    def _residual(self) -> float:
+        acc = sum(op.conj().T @ op for op in self.ops)
+        return linalg.operator_norm(acc - np.eye(self.dim_in))
 
     def completeness_residual(self) -> float:
         """Operator-norm distance of the op†op sum from the identity."""
-        acc = sum(op.conj().T @ op for op in self.ops)
-        return linalg.operator_norm(acc - np.eye(self.dim_in))
+        return self._residual
 
     def padded(self, cardinality: int) -> "KrausFamily":
         """Copy extended with zero operators up to ``cardinality``."""
@@ -66,9 +76,8 @@ class KrausFamily:
             raise ValueError("cannot pad to a smaller cardinality")
         if cardinality == self.cardinality:
             return self
-        zero = np.zeros((self.dim_out, self.dim_in), dtype=complex)
-        extra = tuple(_freeze(zero) for _ in range(cardinality - self.cardinality))
-        return KrausFamily(self.dim_in, self.dim_out, self.ops + extra)
+        zeros = np.zeros((cardinality - self.cardinality, self.dim_out, self.dim_in))
+        return KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ def apply_channel(family: KrausFamily, rho) -> np.ndarray:
         raise ValueError(
             f"state shape {rho.shape} does not match input dimension {family.dim_in}"
         )
-    k = family.stack()
+    k = family.ops
     return np.einsum("mab,bd,mcd->ac", k, rho, k.conj())
 
 
@@ -174,7 +183,7 @@ def apply_extended_channel(family: KrausFamily, rho, ref_dim: int) -> np.ndarray
             f"state shape {rho.shape} does not match input ⊗ reference dims "
             f"({family.dim_in} * {ref_dim})"
         )
-    k = family.stack()
+    k = family.ops
     rho4 = rho.reshape(family.dim_in, ref_dim, family.dim_in, ref_dim)
     out = np.einsum("mab,brds,mcd->arcs", k, rho4, k.conj())
     n_out = family.dim_out * ref_dim
@@ -187,7 +196,7 @@ def choi(family: KrausFamily) -> np.ndarray:
     Positive semidefinite; its partial trace over the output slot is the
     identity on the input space exactly when the family is complete.
     """
-    vecs = np.stack([op.T.reshape(-1) for op in family.ops])
+    vecs = family.ops.transpose(0, 2, 1).reshape(family.cardinality, -1)
     return np.einsum("ma,mb->ab", vecs, vecs.conj())
 
 
@@ -216,8 +225,8 @@ def apply_cheat_unitary(family: KrausFamily, v) -> KrausFamily:
     unchanged and the cardinality is kept.
     """
     v = _require_cheat(v, family.cardinality)
-    new_ops = np.einsum("jl,lab->jab", v, family.stack())
-    return KrausFamily.from_ops(list(new_ops))
+    new_ops = np.einsum("jl,lab->jab", v, family.ops)
+    return KrausFamily(family.dim_in, family.dim_out, new_ops)
 
 
 def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:
@@ -232,7 +241,7 @@ def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:
     m = source.cardinality
     if m != target.cardinality:
         raise ValueError("families have different cardinalities")
-    overlap = np.einsum("jab,lab->jl", target.stack().conj(), source.stack())
+    overlap = np.einsum("jab,lab->jl", target.ops.conj(), source.ops)
     try:
         p, _, qh = np.linalg.svd(overlap.T)
     except np.linalg.LinAlgError as exc:

@@ -1,4 +1,8 @@
+from functools import cached_property
+
 import pytest
+
+from qbcommit.protocol import KrausFamily
 
 ACCEPTANCE_LINES = []
 
@@ -11,6 +15,22 @@ def criterion_log():
         ACCEPTANCE_LINES.append(line)
 
     return record
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Log of completeness-residual computations; cached reads are not logged."""
+    calls = []
+    compute = KrausFamily._residual.func
+
+    def counting(family):
+        calls.append(family)
+        return compute(family)
+
+    counted = cached_property(counting)
+    counted.__set_name__(KrausFamily, "_residual")
+    monkeypatch.setattr(KrausFamily, "_residual", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

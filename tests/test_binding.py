@@ -92,9 +92,9 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
     # an outcome is dropped: every row must agree with alice_cheat_prob.
     for spec in (dephasing_protocol(), decoy_protocol(2)):
         rng = linalg.spawn_rng(42, spec.cardinality)
-        claimed = spec.bit1.stack()
+        claimed = spec.bit1.ops
         v = linalg.random_unitary(spec.cardinality, rng)
-        fun_grad = _payoff_fun_grad(_payoff_pieces(spec.bit0.stack(), claimed, v), claimed)
+        fun_grad = _payoff_fun_grad(_payoff_pieces(spec.bit0.ops, claimed, v), claimed)
         generic = [linalg.random_state(spec.dim_in, rng) for _ in range(3)]
         kernel = _kernel_starts(claimed)
         assert kernel
@@ -252,8 +252,8 @@ def test_minimax_rejects_zero_outer_restarts():
 
 def _certificate_inputs(spec, rep):
     committed, claimed = (spec.bit0, spec.bit1) if rep.direction == "01" else (spec.bit1, spec.bit0)
-    cl = claimed.stack()
-    return committed.stack(), cl, _kernel_starts(cl) + [rep.worst_state]
+    cl = claimed.ops
+    return committed.ops, cl, _kernel_starts(cl) + [rep.worst_state]
 
 
 @pytest.mark.parametrize(
@@ -312,8 +312,8 @@ def test_certificate_closes_at_complex_reindexing(spec, closed):
     phases = np.exp(2j * np.pi * rng.random(spec.cardinality))
     scrambled = ProtocolSpec(
         label="scrambled",
-        bit0=KrausFamily.from_ops(np.einsum("lk,kab->lab", mix, spec.bit0.stack())),
-        bit1=KrausFamily.from_ops(phases[:, None, None] * spec.bit1.stack()),
+        bit0=KrausFamily.from_ops(np.einsum("lk,kab->lab", mix, spec.bit0.ops)),
+        bit1=KrausFamily.from_ops(phases[:, None, None] * spec.bit1.ops),
     )
     rep = minimax_cheat(scrambled, outer_restarts=2, outer_iters=5, inner_restarts=2, include_swapped=False)
     assert np.abs(rep.best_cheat_unitary.imag).max() > 0.1
@@ -387,13 +387,12 @@ def _count_calls(monkeypatch, module, name, *modules):
     return calls
 
 
-def test_validation_runs_once_per_public_call(monkeypatch):
-    # minimax_cheat validates once for both directions and checks no cheat:
-    # the Procrustes alignment and the ascent's results are checked unitary
-    # where they are made. Each full-budget score is one worst-state search
-    # with min_over_states' seed tags; the ascent's surrogate searches use
-    # others.
-    validations = _count_calls(monkeypatch, qbcommit.protocol, "validate")
+def test_validation_runs_once_per_public_call(monkeypatch, residual_calls):
+    # minimax_cheat computes each family's residual once for both directions
+    # and checks no cheat: the Procrustes alignment and the ascent's results
+    # are checked unitary where they are made. Each full-budget score is one
+    # worst-state search with min_over_states' seed tags; the ascent's
+    # surrogate searches use others.
     cheats = _count_calls(
         monkeypatch, qbcommit.protocol, "_require_cheat", qbcommit.binding, qbcommit.bounds
     )
@@ -406,12 +405,13 @@ def test_validation_runs_once_per_public_call(monkeypatch):
     spec = random_protocol(3, 3, 3, seed=1)
     minimax_cheat(spec, include_swapped=False, **budget)
     # Uncertified: the Procrustes start and both restarts' candidates.
-    assert (len(validations), scores(), len(cheats)) == (1, 3, 0)
+    assert (len(residual_calls), scores(), len(cheats)) == (2, 3, 0)
     assert len(searches) > scores()
     # A certified protocol scores once per direction.
-    del validations[:], searches[:], cheats[:]
+    del residual_calls[:], searches[:], cheats[:]
     minimax_cheat(decoy_protocol(1), **budget)
-    assert (len(validations), scores(), len(cheats)) == (1, 2, 0)
-    del validations[:], cheats[:]
+    assert (len(residual_calls), scores(), len(cheats)) == (2, 2, 0)
+    # A protocol already validated reads its cached residuals.
+    del residual_calls[:], cheats[:]
     check_bounds(spec, cheat=linalg.random_unitary(3, 7), n_states=6, cb_lower=0.5)
-    assert (len(validations), len(cheats)) == (1, 1)
+    assert (len(residual_calls), len(cheats)) == (0, 1)

@@ -199,7 +199,7 @@ def test_gap_ascent_lockstep_matches_one_start_calls():
     unitaries = [np.eye(m), align_families(spec.bit0, spec.bit1)]
     for r in range(2, restarts):
         unitaries.append(linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)))
-    fun_grad = _gap_fun_grad(spec.bit0.stack(), spec.bit1.stack())
+    fun_grad = _gap_fun_grad(spec.bit0.ops, spec.bit1.ops)
 
     def ascend(points):
         trace = SolverTrace(seed, restarts, 0, 1e-8, 200)

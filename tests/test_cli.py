@@ -84,6 +84,19 @@ def test_validate_rejects_incomplete_family(tmp_path, capsys):
     assert "accepted: false" in out
 
 
+@pytest.mark.parametrize("declared", ['"two"', "null", "[2]", "2.7", "true"])
+def test_validate_non_integer_declared_dim_exits_two(tmp_path, capsys, declared):
+    path = tmp_path / "dims.json"
+    write_protocol_file(path, dephasing_protocol())
+    text = path.read_text(encoding="utf-8").replace('"dim_in": 2', f'"dim_in": {declared}')
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'dim_in' must be an integer" in captured.err
+
+
 def test_missing_file_exits_two(capsys):
     code = cli.main(["validate", "/nonexistent/p.json"])
     err = capsys.readouterr().err
@@ -294,8 +307,7 @@ def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkey
         calls.append(1)
         return search(*args, **kwargs)
 
-    for module in (qbcommit.concealment, qbcommit.bounds):
-        monkeypatch.setattr(module, "_lower_search", counting)
+    monkeypatch.setattr(qbcommit.concealment, "_lower_search", counting)
     code = cli.main(
         [
             "bounds",
@@ -374,6 +386,26 @@ def test_scan_unknown_family_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "known families" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"family": "decoy", "params": [0, 1], "options": {"angel": 1}}', "do not fit"),
+        ('{"family": "decoy", "params": [0, NaN]}', "must be finite"),
+    ],
+    ids=["misspelled-option", "nan-param"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_scan_bad_config_exits_two(tmp_path, capsys, config, message, fmt):
+    # Neither a header-only CSV nor a bare NaN in the JSON output.
+    path = tmp_path / "scan.json"
+    path.write_text(config, encoding="utf-8")
+    code = cli.main(["scan", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bracket_inversion_exits_three(phase_file, monkeypatch, capsys):

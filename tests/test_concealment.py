@@ -276,7 +276,7 @@ def _reference_adjoint(spec, ref_dim, psi):
     D*(S) psi). So S is built along the objective's own arithmetic, which
     makes the kernel signs agree.
     """
-    k0, k1 = spec.bit0.stack(), spec.bit1.stack()
+    k0, k1 = spec.bit0.ops, spec.bit1.ops
     mat = psi.reshape(spec.dim_in, ref_dim)
     u1 = np.einsum("mab,br->mar", k1, mat).reshape(len(k1), -1)
     u0 = np.einsum("mab,br->mar", k0, mat).reshape(len(k0), -1)

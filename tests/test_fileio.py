@@ -79,6 +79,16 @@ def test_parse_rejects_declared_dim_mismatch():
         parse_protocol(data)
 
 
+@pytest.mark.parametrize("declared", ["two", None, [2], 2.7, 2.0, True])
+@pytest.mark.parametrize("key", ["dim_in", "dim_out"])
+def test_parse_rejects_non_integer_declared_dim(key, declared):
+    # The dephasing pair is 2x2, so only the type of the entry is wrong.
+    data = serialize_protocol(dephasing_protocol())
+    data[key] = declared
+    with pytest.raises(ProtocolFileError, match=f"'{key}' must be an integer"):
+        parse_protocol(data)
+
+
 def test_parse_ignores_legacy_secret():
     # A "secret" block, well formed or not, is a key outside the format: it
     # is ignored on load and not written back.
@@ -171,6 +181,24 @@ def test_load_scan_config_rejects_non_numeric_params(tmp_path):
         json.dumps({"family": "decoy", "params": ["x"]}), encoding="utf-8"
     )
     with pytest.raises(ProtocolFileError):
+        load_scan_config(path)
+
+
+@pytest.mark.parametrize("options", [{"angel": 1.0}, {"param": 1}, {"angle": 1.0, "k": 2}])
+def test_load_scan_config_rejects_options_the_family_does_not_take(tmp_path, options):
+    path = tmp_path / "scan.json"
+    path.write_text(
+        json.dumps({"family": "decoy", "params": [0, 1], "options": options}), encoding="utf-8"
+    )
+    with pytest.raises(ProtocolFileError, match="'options' do not fit family 'decoy'"):
+        load_scan_config(path)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_load_scan_config_rejects_non_finite_params(tmp_path, bad):
+    path = tmp_path / "scan.json"
+    path.write_text(f'{{"family": "decoy", "params": [0, {bad}]}}', encoding="utf-8")
+    with pytest.raises(ProtocolFileError, match="must be finite"):
         load_scan_config(path)
 
 

@@ -228,8 +228,8 @@ def test_lockstep_starts_match_one_start_searches():
     # At the identity cheat the dephasing payoff is flat at 1/2 except near
     # the claimed kernels: random starts stop at once, kernel starts crawl.
     spec = dephasing_protocol()
-    claimed = spec.bit1.stack()
-    a = _payoff_pieces(spec.bit0.stack(), claimed, np.eye(2, dtype=complex))
+    claimed = spec.bit1.ops
+    a = _payoff_pieces(spec.bit0.ops, claimed, np.eye(2, dtype=complex))
     fun_grad = _payoff_fun_grad(a, claimed)
     starts = _kernel_starts(claimed) + [
         linalg.random_state(2, linalg.spawn_rng(5, r)) for r in range(6)

@@ -26,6 +26,30 @@ def test_kraus_family_ops_are_read_only():
         fam.ops[0][0, 0] = 5.0
 
 
+def test_kraus_family_ops_are_read_only_on_every_construction_path():
+    # Built directly from writable arrays, padded, or reindexed: the family
+    # holds its own read-only copy, so its cached residual cannot go stale.
+    source = np.eye(2)
+    direct = qc.KrausFamily(2, 2, (source,))
+    padded = direct.padded(2)
+    reindexed = qc.apply_cheat_unitary(padded, np.eye(2))
+    for fam in (direct, padded, reindexed):
+        assert fam.ops.shape == (fam.cardinality, 2, 2)
+        assert fam.completeness_residual() < 1e-15
+        with pytest.raises(ValueError):
+            fam.ops[0][0, 0] = 0.5
+    source[0, 0] = 0.5
+    assert direct.completeness_residual() < 1e-15
+    assert qc.KrausFamily(2, 2, (source,)).completeness_residual() == pytest.approx(0.75)
+
+
+def test_kraus_family_rejects_ops_that_do_not_match_its_dimensions():
+    with pytest.raises(ValueError, match="expected"):
+        qc.KrausFamily(2, 3, (np.eye(2),))
+    with pytest.raises(ValueError, match="expected"):
+        qc.KrausFamily(2, 2, np.zeros((0, 2, 2)))
+
+
 def test_completeness_residual_hand_value():
     # A lone 0.5*identity gives sum E^dag E = 0.25*I, residual 0.75 per axis.
     fam = qc.KrausFamily.from_ops([0.5 * np.eye(2)])
@@ -167,35 +191,34 @@ def _identity(spec):
     return np.eye(spec.cardinality)
 
 
-# Every public function that takes a protocol, with its validations per call:
-# one, or one per point for a scan.
+def _fresh(spec):
+    """``spec`` rebuilt from new families, so no residual is cached yet."""
+    bit0, bit1 = (qc.KrausFamily(f.dim_in, f.dim_out, f.ops) for f in (spec.bit0, spec.bit1))
+    return qc.ProtocolSpec(spec.label, bit0, bit1)
+
+
+# Every public function that takes a protocol.
 PROTOCOL_ENTRY_POINTS = {
-    "require_valid": (qc.require_valid, 1),
-    "helstrom_prob": (lambda spec: qc.helstrom_prob(spec, _basis(spec.dim_in)), 1),
-    "cb_lower_bound": (lambda spec: qc.cb_lower_bound(spec, restarts=2), 1),
-    "cb_upper_bound": (lambda spec: qc.cb_upper_bound(spec, _basis(spec.dim_in**2)), 1),
-    "analyze_concealment": (lambda spec: qc.analyze_concealment(spec, restarts=2), 1),
-    "alice_cheat_prob": (
-        lambda spec: qc.alice_cheat_prob(spec, _identity(spec), _basis(spec.dim_in)),
-        1,
+    "require_valid": qc.require_valid,
+    "helstrom_prob": lambda spec: qc.helstrom_prob(spec, _basis(spec.dim_in)),
+    "cb_lower_bound": lambda spec: qc.cb_lower_bound(spec, restarts=2),
+    "cb_upper_bound": lambda spec: qc.cb_upper_bound(spec, _basis(spec.dim_in**2)),
+    "analyze_concealment": lambda spec: qc.analyze_concealment(spec, restarts=2),
+    "alice_cheat_prob": lambda spec: qc.alice_cheat_prob(
+        spec, _identity(spec), _basis(spec.dim_in)
     ),
-    "min_over_states": (lambda spec: qc.min_over_states(spec, _identity(spec), restarts=1), 1),
-    "minimax_cheat": (
-        lambda spec: qc.minimax_cheat(spec, outer_restarts=2, outer_iters=2, inner_restarts=1),
-        1,
+    "min_over_states": lambda spec: qc.min_over_states(spec, _identity(spec), restarts=1),
+    "minimax_cheat": lambda spec: qc.minimax_cheat(
+        spec, outer_restarts=2, outer_iters=2, inner_restarts=1
     ),
-    "kraus_gap_operator": (lambda spec: qc.kraus_gap_operator(spec, _identity(spec)), 1),
-    "kraus_gap": (qc.kraus_gap, 1),
-    "minimize_kraus_gap": (lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2), 1),
-    "check_bounds": (lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5), 1),
-    "check_bounds-norm-search": (lambda spec: qc.check_bounds(spec, n_states=2), 1),
-    "bounds_report": (
-        lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
-        1,
-    ),
-    "epsilon_delta_scan": (
-        lambda spec: qc.epsilon_delta_scan(lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN),
-        2,
+    "kraus_gap_operator": lambda spec: qc.kraus_gap_operator(spec, _identity(spec)),
+    "kraus_gap": qc.kraus_gap,
+    "minimize_kraus_gap": lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2),
+    "check_bounds": lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5),
+    "check_bounds-norm-search": lambda spec: qc.check_bounds(spec, n_states=2),
+    "bounds_report": lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
+    "epsilon_delta_scan": lambda spec: qc.epsilon_delta_scan(
+        lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN
     ),
 }
 
@@ -211,20 +234,36 @@ PROTOCOL_ENTRY_POINTS = {
     ],
     ids=["certified", "random-2x2", "random-4x2"],
 )
-@pytest.mark.parametrize(
-    "entry, count", PROTOCOL_ENTRY_POINTS.values(), ids=PROTOCOL_ENTRY_POINTS.keys()
-)
-def test_every_public_call_validates_once(monkeypatch, spec, entry, count):
-    calls = []
-    validate = qc.protocol.validate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(qc.protocol, "validate", counting)
+@pytest.mark.parametrize("entry", PROTOCOL_ENTRY_POINTS.values(), ids=PROTOCOL_ENTRY_POINTS.keys())
+def test_every_public_call_validates_once(residual_calls, spec, entry):
+    # Each family's residual is computed once, by the first call that needs
+    # it; every later validation, nested or repeated, reads the cached value.
+    spec = _fresh(spec)
     entry(spec)
-    assert len(calls) == count
+    assert len(residual_calls) == 2
+    del residual_calls[:]
+    entry(spec)
+    assert residual_calls == []
+
+
+@pytest.mark.parametrize("incomplete", ["bit0", "bit1"])
+@pytest.mark.parametrize(
+    "name, entry", PROTOCOL_ENTRY_POINTS.items(), ids=PROTOCOL_ENTRY_POINTS.keys()
+)
+def test_every_entry_point_rejects_incomplete_protocol(name, entry, incomplete):
+    families = {bit: qc.KrausFamily.from_ops([np.eye(2)]) for bit in ("bit0", "bit1")}
+    families[incomplete] = qc.KrausFamily.from_ops([0.5 * np.eye(2)])
+    spec = qc.ProtocolSpec("half-identity", **families)
+    if name == "epsilon_delta_scan":
+        # A scan records a rejected point as skipped and goes on.
+        result = entry(spec)
+        assert result.points == []
+        assert [reason.split(":")[0] for _, reason in result.skipped] == [
+            "ProtocolValidationError"
+        ] * 2
+    else:
+        with pytest.raises(ProtocolValidationError):
+            entry(spec)
 
 
 def test_align_families_recovers_relating_unitary():
