@@ -13,7 +13,7 @@ mixed strategies. For weights mu on finitely many states, the averaged
 payoff is a sum of quadratic forms in the rows of the cheat, so it is at most
 Tr Y + sum_j lambda_max(M_j - Y) for any Hermitian Y. The weights and Y are
 built from the search's cheat and worst state; when the certificate meets
-the estimate at the Procrustes start, the outer ascent is skipped.
+the estimate at any scored cheat, the remaining restarts are skipped.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .protocol import ProtocolSpec, _require_cheat, align_families, require_vali
 ZERO_OUTCOME_TOL = 1e-14
 KERNEL_SINGULAR_TOL = 1e-7
 MAX_KERNEL_STARTS = 8
-PERFECT_PAYOFF_STOP = 1.0 - 1e-9
 
 # A payoff is a sum of squared overlaps of a unit vector's orthogonal
 # pieces, normalized: by Cauchy-Schwarz it never exceeds one.
@@ -301,26 +300,24 @@ def minimax_cheat(
     """Estimate of max over cheats of the worst-case payoff, with a certified
     upper bound.
 
-    The Procrustes alignment of the two families is scored first: the worst
-    state that ``min_over_states``'s full inner search (whose starts include
-    the claimed-branch kernel states) finds there gives the estimate, and
-    the dual certificate built from the kernel states and that worst state
-    bounds the maximin from above. When the payoff there is within 1e-9 of
-    its cap, or the bound lies within ``CERTIFIED_WIDTH`` of the estimate, no
-    cheat can do better by more than that, so that result is returned: its
-    trace reads one restart of 0 iterations, with a note saying why the
-    outer ascent was skipped.
+    Each scored cheat gets the worst state that ``min_over_states``'s full
+    inner search (whose starts include the claimed-branch kernel states)
+    finds for it, and a dual certificate built from the kernel states and
+    that worst state; the best score is the estimate and the smallest
+    certificate, capped at 1, is ``binding_upper``. The search stops at the
+    first scored cheat after which the bound lies within ``CERTIFIED_WIDTH``
+    of the estimate, with a note naming that cheat: no cheat can do better
+    by more than that.
 
-    Otherwise the outer gradient ascent runs on the unitary group, with the
-    inner minimum handled by Danskin's rule at the current worst state. The
-    first outer restart starts from the Procrustes alignment, the rest from
-    seeded Haar unitaries. During the ascent the inner minimum runs on a
-    reduced budget with a warm start; every restart's candidate is re-scored
-    with the full inner budget, so the reported estimate is an honestly
-    achieved value, and a certificate is built at each re-scored candidate;
-    the smallest one is reported. The search stops early once the payoff
-    cannot improve any further (it is capped at one). An estimate above the
-    certified bound by more than ``BRACKET_GUARD`` raises
+    The Procrustes alignment of the two families is scored first; when it
+    certifies, the trace reads one restart of 0 iterations. Otherwise the
+    outer gradient ascent runs on the unitary group, with the inner minimum
+    handled by Danskin's rule at the current worst state. The first outer
+    restart starts from the Procrustes alignment, the rest from seeded Haar
+    unitaries. During the ascent the inner minimum runs on a reduced budget
+    with a warm start; every restart's end point is scored with the full
+    budget, so the reported estimate is an honestly achieved value. An
+    estimate above the certified bound by more than ``BRACKET_GUARD`` raises
     ``BracketInversionError``. With ``include_swapped`` the other direction
     is estimated by the same call and reported as ``swapped``.
     """
@@ -337,27 +334,16 @@ def minimax_cheat(
     loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
     def score(v):
-        return _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
-
-    def certificate(v, worst):
-        return _dual_bound(ck, cl, v, kernel + [worst])[0]
+        inner = _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
+        return inner, _dual_bound(ck, cl, v, kernel + [inner.vector])[0]
 
     procrustes = linalg.require_unitary(
         align_families(committed, claimed), tol=linalg.UNITARY_CONSTRUCTION_TOL
     )
-    inner = score(procrustes)
-    witness = certificate(procrustes, inner.vector)
+    inner, witness = score(procrustes)
+    best = (inner.value, procrustes, inner)  # (estimate, cheat, inner SphereResult)
     width = min(witness, PAYOFF_CAP) - inner.value
-    if inner.value >= PERFECT_PAYOFF_STOP:
-        skip = "stopped after restart 0: payoff within 1e-9 of its cap"
-    elif width <= CERTIFIED_WIDTH:
-        skip = (
-            f"Procrustes start certified: binding_upper - estimate {width!r} <= "
-            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; outer ascent skipped"
-        )
-    else:
-        skip = None
-
+    skip = width <= CERTIFIED_WIDTH
     outer_trace = SolverTrace(
         seed=int(seed),
         restarts=1 if skip else int(outer_restarts),
@@ -367,28 +353,28 @@ def minimax_cheat(
     )
     outer_trace.notes.append("start 0: Procrustes alignment of the two families")
 
-    best = None  # (estimate, cheat, inner SphereResult)
+    def certified(head, width, tail):
+        outer_trace.notes.append(
+            f"{head}: binding_upper - estimate {width!r} <= "
+            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; {tail}"
+        )
+
     if skip:
-        outer_trace.notes.append(skip)
+        certified("Procrustes start certified", width, "outer ascent skipped")
         outer_trace.record([inner.value], [0], [True], maximize=True)
-        best = (inner.value, procrustes, inner)
-    # A capped or certified Procrustes start leaves the ascent nothing to gain.
     for ridx in range(0 if skip else outer_restarts):
         if ridx == 0:
             start = procrustes
         else:
             start = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
-        warm = [None]
+        warm = []
 
-        def surrogate(cheats, _ridx=ridx, _warm=warm):
+        def surrogate(cheats):
             (v,) = cheats
-            starts = list(kernel)
-            if _warm[0] is not None:
-                starts.append(_warm[0])
             res = _worst_state(
-                ck, cl, v, starts, rng_tags=(4, _ridx), stall_tol=1e-7, stall_limit=5, **loose
+                ck, cl, v, kernel + warm, rng_tags=(4, ridx), stall_tol=1e-7, stall_limit=5, **loose
             )
-            _warm[0] = res.vector
+            warm[:] = [res.vector]
             b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
             return [res.value], (c.conj() * inv_d)[..., None] * b
 
@@ -400,19 +386,17 @@ def minimax_cheat(
             trace=outer_trace,
             max_iter=outer_iters,
             tol=tol,
-            stop_value=PERFECT_PAYOFF_STOP,
             stall_tol=2e-8,
             stall_limit=10,
         )
-        inner = score(v)
+        inner, bound = score(v)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
-        witness = min(witness, certificate(v, inner.vector))
+        witness = min(witness, bound)
         if outer_trace.record([inner.value], [iters], [converged], maximize=True) == ridx:
             best = (inner.value, v, inner)
-        if best[0] >= PERFECT_PAYOFF_STOP:
-            outer_trace.notes.append(
-                f"stopped after restart {ridx}: payoff within 1e-9 of its cap"
-            )
+        width = min(witness, PAYOFF_CAP) - best[0]
+        if width <= CERTIFIED_WIDTH:
+            certified(f"certified after restart {ridx}", width, "remaining restarts skipped")
             break
 
     estimate, best_v, inner = best

@@ -416,12 +416,6 @@ def epsilon_delta_scan(
     )
 
 
-def _csv_number(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return repr(float(x))
-
-
 def scan_to_csv(result: ScanResult) -> str:
     """Deterministic CSV rendering of a scan, one row per point."""
     lines = [SCAN_CSV_HEADER]
@@ -429,11 +423,11 @@ def scan_to_csv(result: ScanResult) -> str:
         lines.append(
             ",".join(
                 [
-                    _csv_number(pt.param),
-                    _csv_number(pt.eps_lo),
-                    _csv_number(pt.eps_hi),
-                    _csv_number(pt.delta),
-                    _csv_number(pt.minimax),
+                    repr(pt.param),
+                    repr(pt.eps_lo),
+                    repr(pt.eps_hi),
+                    repr(pt.delta),
+                    repr(pt.minimax),
                     str(pt.budget_outer),
                     str(pt.budget_inner),
                     str(pt.seed),

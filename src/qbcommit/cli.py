@@ -103,6 +103,10 @@ _RESTARTS_HELP = (
     "random restarts of the norm search; they run only while the bracket "
     f"certified at the entangled start is wider than CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
 )
+_OUTER_RESTARTS_HELP = (
+    "outer ascent restarts of the binding search; it stops at the first scored "
+    f"cheat whose certified bound meets the estimate within CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
     p.add_argument("--direction", choices=("01", "10"), default="01")
-    p.add_argument("--outer-restarts", type=_count(1), default=8)
+    p.add_argument("--outer-restarts", type=_count(1), default=8, help=_OUTER_RESTARTS_HELP)
     p.add_argument("--outer-iters", type=_count(0), default=200)
     p.add_argument("--inner-restarts", type=_count(1), default=16)
     p.add_argument(
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
     )
     p.add_argument("--cb-restarts", type=_count(0), default=8, help=_RESTARTS_HELP)
-    p.add_argument("--outer-restarts", type=_count(1), default=4)
+    p.add_argument("--outer-restarts", type=_count(1), default=4, help=_OUTER_RESTARTS_HELP)
     p.add_argument("--outer-iters", type=_count(0), default=80)
     p.add_argument("--inner-restarts", type=_count(1), default=8)
 

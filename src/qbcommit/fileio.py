@@ -139,10 +139,12 @@ def load_scan_config(path) -> ScanConfig:
     params = data.get("params")
     if not isinstance(params, list) or not params:
         raise ProtocolFileError(f"{path}: 'params' must be a nonempty list")
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params):
+        raise ProtocolFileError(f"{path}: 'params' entries must be JSON numbers")
     try:
         params = [float(p) for p in params]
-    except (TypeError, ValueError):
-        raise ProtocolFileError(f"{path}: 'params' entries must be numbers")
+    except OverflowError:
+        raise ProtocolFileError(f"{path}: 'params' entries must be finite")
     if not all(math.isfinite(p) for p in params):
         raise ProtocolFileError(f"{path}: 'params' entries must be finite")
     options = data.get("options", {})

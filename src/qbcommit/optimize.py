@@ -144,7 +144,6 @@ def _line_search(
     stall_tol: float,
     stall_limit: int,
     polish=None,
-    stop_value: float | None = None,
 ):
     """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unretracted trial
     points, and is sent (point, value, gradient) back for each, the point
@@ -165,8 +164,6 @@ def _line_search(
                     stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
                     x, f, g = cand, fc, gc
         if stalled >= stall_limit:
-            return x, f, it, True, False
-        if stop_value is not None and sgn * f >= sgn * stop_value:
             return x, f, it, True, False
         r = tangent(x, g)
         gn = float(linalg.vector_norm(r.ravel()))
@@ -287,7 +284,6 @@ def ascend_params(
     trace: SolverTrace,
     max_iter: int,
     tol: float = 1e-7,
-    stop_value: float | None = None,
     stall_tol: float = 1e-9,
     stall_limit: int = 12,
 ) -> list:
@@ -304,14 +300,12 @@ def ascend_params(
     lockstep, each round one ``linalg.polar_factor`` call on the stacked
     trial points and one objective call on the result, each start as if it
     ran alone. A start stops on gradient norm, on step exhaustion
-    (counted in ``trace.line_search_failures``), on ``stall_limit``
-    accepted steps in a row that each gain less than ``stall_tol``, or once
-    ``stop_value`` is reached. Returns (unitary, value, iterations,
-    converged) per start, in start order.
+    (counted in ``trace.line_search_failures``), or on ``stall_limit``
+    accepted steps in a row that each gain less than ``stall_tol``. Returns
+    (unitary, value, iterations, converged) per start, in start order.
     """
     check_tol = linalg.UNITARY_CONSTRUCTION_TOL
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
-    opts["stop_value"] = stop_value
     starts = linalg.require_unitary(np.array(starts), tol=check_tol)
     searches = [_line_search(s, _UNITARY, 1.0, **opts) for s in starts]
     outcomes = _lockstep(searches, fun_grad, _UNITARY.retract)

@@ -27,7 +27,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausFamily:
     """An ordered family of Kraus operators sharing one input/output space,
     held as one read-only ``(cardinality, dim_out, dim_in)`` array ``ops``."""
@@ -80,7 +80,7 @@ class KrausFamily:
         return KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolSpec:
     """A labelled pair of same-shaped Kraus families, one per bit value."""
 
@@ -249,7 +249,7 @@ def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:
     return qh.conj().T @ p.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """Unitary dilation of a Kraus family with a measured environment.
 

@@ -226,9 +226,26 @@ def test_minimax_concealing_pair_near_one():
     rep = minimax_cheat(spec, include_swapped=False, seed=0)
     assert rep.minimax_estimate >= 0.999
     assert abs(rep.minimax_estimate - rep.payoff_at_saddle) < 1e-9
-    # Procrustes start plus the cap check should have ended the scan early.
-    assert any("payoff within" in note for note in rep.solver_trace.notes)
+    # The Procrustes start's certificate meets its payoff, which ends the scan.
+    assert any(note.startswith("Procrustes start certified") for note in rep.solver_trace.notes)
     assert rep.best_cheat_unitary.shape == (3, 3)
+
+
+def test_minimax_stops_once_a_restart_certifies():
+    rep = minimax_cheat(
+        random_protocol(2, 2, 2, seed=2),
+        "10",
+        seed=0,
+        outer_restarts=4,
+        outer_iters=80,
+        inner_restarts=8,
+        include_swapped=False,
+    )
+    trace = rep.solver_trace
+    assert len(trace.values) == 1
+    assert trace.notes[-1].startswith("certified after restart 0")
+    assert rep.binding_upper - rep.minimax_estimate <= CERTIFIED_WIDTH
+    assert abs(rep.minimax_estimate - 0.3858716411108989) < 1e-12
 
 
 def test_minimax_swapped_report():
@@ -268,6 +285,9 @@ def test_binding_upper_bounds_estimate_and_weighted_payoffs(spec):
     rng = linalg.spawn_rng(44, spec.cardinality)
     for r in (rep, rep.swapped):
         assert r.binding_upper >= r.minimax_estimate
+        if len(r.solver_trace.values) < 2:
+            # Only a certificate ends the search before its last restart.
+            assert r.binding_upper - r.minimax_estimate <= CERTIFIED_WIDTH
         assert r.binding_upper == min(r.upper_routes.values())
         assert r.upper_routes["payoff_cap"] == 1.0
         ck, cl, states = _certificate_inputs(spec, r)

@@ -393,8 +393,10 @@ def test_scan_unknown_family_exits_two(tmp_path, capsys):
     [
         ('{"family": "decoy", "params": [0, 1], "options": {"angel": 1}}', "do not fit"),
         ('{"family": "decoy", "params": [0, NaN]}', "must be finite"),
+        ('{"family": "decoy", "params": ["2", true, "1e0"]}', "must be JSON numbers"),
+        ('{"family": "decoy", "params": [1' + "0" * 400 + "]}", "must be finite"),
     ],
-    ids=["misspelled-option", "nan-param"],
+    ids=["misspelled-option", "nan-param", "string-and-bool-params", "huge-int-param"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "structured"])
 def test_scan_bad_config_exits_two(tmp_path, capsys, config, message, fmt):

@@ -144,20 +144,6 @@ def test_ascend_params_reaches_trace_norm_at_polar_factor():
             np.testing.assert_allclose(v, linalg.polar_factor(a), atol=1e-4)
 
 
-def test_ascend_params_stop_value_short_circuits():
-    rng = linalg.spawn_rng(62)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    start = np.eye(3)
-    stop = 0.5 * (np.trace(a).real + linalg.trace_norm(a))
-    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-12, max_iter=500)
-    [(v, value, iters, converged)] = ascend_params(
-        rowwise(trace_overlap(a)), [start], trace=trace, max_iter=500, tol=1e-12, stop_value=stop
-    )
-    assert converged
-    assert stop <= value < linalg.trace_norm(a) - 1e-3
-    assert iters < 500
-
-
 def test_ascend_params_rejects_non_unitary_start():
     a = np.eye(2, dtype=complex)
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)

@@ -50,6 +50,16 @@ def test_kraus_family_rejects_ops_that_do_not_match_its_dimensions():
         qc.KrausFamily(2, 2, np.zeros((0, 2, 2)))
 
 
+def test_array_holding_dataclasses_compare_by_identity():
+    # Generated __eq__ and __hash__ would compare and hash the operator arrays.
+    spec = qc.dephasing_protocol()
+    assert {spec: "kept"}[spec] == "kept"
+    assert spec.bit0 == spec.bit0
+    assert qc.dephasing_protocol().bit0 != spec.bit0
+    dilation = qc.dilate(spec.bit0)
+    assert dilation == dilation and hash(dilation) == hash(dilation)
+
+
 def test_completeness_residual_hand_value():
     # A lone 0.5*identity gives sum E^dag E = 0.25*I, residual 0.75 per axis.
     fam = qc.KrausFamily.from_ops([0.5 * np.eye(2)])
