@@ -31,6 +31,9 @@ from .protocol import ProtocolSpec, _require_cheat, align_families, require_vali
 ZERO_OUTCOME_TOL = 1e-14
 KERNEL_SINGULAR_TOL = 1e-7
 MAX_KERNEL_STARTS = 8
+# Tolerance and iteration cap of the full inner search over states.
+INNER_TOL = 1e-8
+INNER_MAX_ITER = 300
 
 # A payoff is a sum of squared overlaps of a unit vector's orthogonal
 # pieces, normalized: by Cauchy-Schwarz it never exceeds one.
@@ -87,8 +90,7 @@ def _payoff_pieces(committed_stack, claimed_stack, cheat):
 def _payoff_fun_grad(a, claimed_stack):
     # Batched over the rows of phis; alice_cheat_prob evaluates one row here,
     # so a reported payoff and the solver's value at the same point agree bit
-    # for bit. A row that drops an outcome sums its kept terms alone: zeros in
-    # the sum would change its rounding.
+    # for bit.
     a_conj = a.conj()
     claimed_conj = claimed_stack.conj()
 
@@ -101,9 +103,6 @@ def _payoff_fun_grad(a, claimed_stack):
         c2 = np.abs(c) ** 2
         terms = np.where(mask, c2 / d, 0.0)
         values = terms.sum(axis=1)
-        if not mask.all():
-            for r in np.flatnonzero(~mask.all(axis=1)):
-                values[r] = terms[r][mask[r]].sum()
         scale = np.where(mask, c / d, 0.0)
         grads = np.einsum("rj,jxy,ry->rx", scale.conj(), a, phis)
         grads += np.einsum("rj,jyx,ry->rx", scale, a_conj, phis)
@@ -154,14 +153,13 @@ def min_over_states(
     direction: str = "01",
     restarts: int = 16,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 300,
 ) -> SphereResult:
     """Upper bound on the payoff over all states Bob could have chosen.
 
-    Multi-start projected gradient descent on the state sphere; the achieved
-    value is reported. Claimed-branch kernel states join the start list
-    because the payoff can jump down on them.
+    Multi-start projected gradient descent on the state sphere, to
+    ``INNER_TOL`` within ``INNER_MAX_ITER`` iterations; the achieved value is
+    reported. Claimed-branch kernel states join the start list because the
+    payoff can jump down on them.
     """
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
@@ -173,8 +171,8 @@ def min_over_states(
         _kernel_starts(claimed.ops),
         restarts=restarts,
         seed=seed,
-        tol=tol,
-        max_iter=max_iter,
+        tol=INNER_TOL,
+        max_iter=INNER_MAX_ITER,
         rng_tags=(2,),
     )
 
@@ -330,7 +328,7 @@ def minimax_cheat(
     kernel = _kernel_starts(cl)
     # Scores search as min_over_states does. The loose budget only steers the
     # outer ascent; each restart's end point is re-scored with the full one.
-    full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, 1e-8), max_iter=300)
+    full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), max_iter=INNER_MAX_ITER)
     loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
     def score(v):

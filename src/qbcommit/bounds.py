@@ -209,25 +209,23 @@ def check_bounds(
     cheat=None,
     n_states: int = 10,
     seed: int = 0,
-    cb_lower: float | None = None,
-    cb_restarts: int = 8,
+    *,
+    cb_lower: float,
     tol: float = BOUND_TOL,
 ) -> BoundCheck:
     """Test both inequalities on one protocol at one reindexing.
 
-    The concealment side compares a quarter of the achieved norm lower bound
-    against half the square root of the gap. The binding side evaluates
-    Alice's payoff for the gap's own cheat on seeded random states and
-    compares each against the payoff floor. Pass ``cb_lower`` to reuse an
-    already computed norm bound.
+    The concealment side compares a quarter of ``cb_lower``, an achieved
+    lower bound on the norm (``cb_lower_bound``'s value), against half the
+    square root of the gap. The binding side evaluates Alice's payoff for
+    the gap's own cheat on seeded random states and compares each against
+    the payoff floor.
     """
     require_valid(spec)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
     cheat = _require_cheat(cheat, spec.cardinality)
     gap = _gap(spec, cheat)
-    if cb_lower is None:
-        cb_lower = cb_lower_bound(spec, cb_restarts, seed).value
     quarter = cb_lower / 4.0
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
@@ -300,10 +298,10 @@ def bounds_report(
     and "minimized_gap_lower" (its ``value`` and ``lower``).
     """
     cb_lower = cb_lower_bound(spec, restarts, seed).value
-    report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower, tol=tol)}
+    report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=cb_lower, tol=tol)}
     if minimize:
         gap_min = minimize_kraus_gap(spec, seed=seed)
-        report["minimized"] = check_bounds(spec, gap_min.unitary, n_states, seed, cb_lower, tol=tol)
+        report["minimized"] = check_bounds(spec, gap_min.unitary, n_states, seed, cb_lower=cb_lower, tol=tol)
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower
     return report

@@ -13,6 +13,7 @@ inconsistency, not an input problem).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import ScanBudgets, bounds_report, epsilon_delta_scan, scan_to_csv
@@ -87,9 +88,20 @@ def _count(minimum: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type for ``--tol``: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text}")
+    return value
+
+
 def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--tol", type=float, default=None, help=tol_help)
+    p.add_argument("--tol", type=_tolerance, default=None, help=tol_help)
     p.add_argument(
         "--format",
         choices=formats,

@@ -167,7 +167,7 @@ def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
     n = len(z)
     (zvals, gapvals), _ = linalg.eigh_or_error(np.stack([z, z - j]))
     repair = max(0.0, -zvals[0], -gapvals[0])
-    reduced, _ = linalg.eigh_or_error(linalg.partial_trace(z, [dout, n // dout], [0]))
+    reduced, _ = linalg.eigh_or_error(linalg.partial_trace(z, (dout, n // dout), 0))
     value = 2.0 * (reduced[-1] + repair * dout)
     z_norm = max(-zvals[0], zvals[-1])
     allowance = 2.0 * (dout + 1) * n * np.finfo(float).eps * (z_norm + j_norm)
@@ -204,12 +204,9 @@ def _capped(duals: dict):
     return min(routes.values()), routes
 
 
-def _lower_search(spec, restarts, seed, tol=1e-8, ref_dim=None, max_iter=500):
-    """``cb_lower_bound``'s search, returning (result, duals).
-
-    ``duals`` are the dual routes at the returned witness when the skip test
-    built them there, and None when the restarts ran or there were none.
-    """
+def _lower_search(spec, restarts, seed, tol, ref_dim):
+    """``cb_lower_bound``'s search, returning (result, duals), ``duals`` being
+    the dual routes at the returned witness."""
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
     ref = spec.dim_in if ref_dim is None else int(ref_dim)
@@ -224,15 +221,14 @@ def _lower_search(spec, restarts, seed, tol=1e-8, ref_dim=None, max_iter=500):
         maximize=True,
         seed=seed,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=500,
         extra_starts=[entangled],
         polish=polish,
         rng_tags=(1,),
     )
     result = search_sphere(fun_grad, spec.dim_in * ref, restarts=0, **opts)
-    duals = None
+    duals = _dual_routes(spec, result.vector)
     if restarts > 0:
-        duals = _dual_routes(spec, result.vector)
         width = _capped(duals)[0] - max(0.0, result.value)
         if width <= CERTIFIED_WIDTH:
             result.trace.notes.append(
@@ -241,7 +237,7 @@ def _lower_search(spec, restarts, seed, tol=1e-8, ref_dim=None, max_iter=500):
             )
         else:
             result = search_sphere(fun_grad, spec.dim_in * ref, restarts=restarts, **opts)
-            duals = None
+            duals = _dual_routes(spec, result.vector)
     result.value = max(0.0, result.value)
     return result, duals
 
@@ -252,7 +248,6 @@ def cb_lower_bound(
     seed: int = 0,
     tol: float = 1e-8,
     ref_dim: int | None = None,
-    max_iter: int = 500,
 ) -> SphereResult:
     """Certified lower bound on the cb norm of the channel difference.
 
@@ -267,7 +262,7 @@ def cb_lower_bound(
     objective is itself the bound; the witness state is returned alongside.
     """
     require_valid(spec)
-    return _lower_search(spec, restarts, seed, tol, ref_dim, max_iter)[0]
+    return _lower_search(spec, restarts, seed, tol, ref_dim)[0]
 
 
 def cb_upper_bound(spec: ProtocolSpec, witness=None):
@@ -310,21 +305,17 @@ def analyze_concealment(
     seed: int = 0,
     tol: float = 1e-8,
     ref_dim: int | None = None,
-    max_iter: int = 500,
 ) -> ConcealmentReport:
     """Assemble the concealment bracket for one protocol.
 
     The lower bound is ``cb_lower_bound``'s and the upper bound and its
-    routes are ``cb_upper_bound``'s at the witness, from one build of the
-    witness's dual routes: the skip test's when it closed, else one built at
-    the final witness. A lower bound exceeding the upper bound beyond
+    routes are ``cb_upper_bound``'s at the witness, from the search's build of
+    the witness's dual routes. A lower bound exceeding the upper bound beyond
     ``BRACKET_GUARD`` signals a solver bug and raises instead of reporting;
     inversions within the guard are clipped to keep the bracket ordered.
     """
     require_valid(spec)
-    lower, duals = _lower_search(spec, restarts, seed, tol, ref_dim, max_iter)
-    if duals is None:
-        duals = _dual_routes(spec, lower.vector)
+    lower, duals = _lower_search(spec, restarts, seed, tol, ref_dim)
     upper, routes = _capped(duals)
     if lower.value > upper + BRACKET_GUARD:
         raise BracketInversionError(

@@ -27,25 +27,17 @@ def matrix_to_pairs(mat) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _pairs_to_array(data, what: str) -> np.ndarray:
+def matrix_from_pairs(data, what: str = "matrix") -> np.ndarray:
+    """Complex matrix from nested [re, im] pairs; shape is checked."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProtocolFileError(f"{what}: entries are not numeric pairs ({exc})")
-    if arr.ndim < 1 or arr.shape[-1] != 2:
+    if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ProtocolFileError(
-            f"{what}: expected [re, im] pairs on the innermost axis, "
-            f"got shape {arr.shape}"
+            f"{what}: expected a matrix of [re, im] pairs, got shape {arr.shape}"
         )
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_from_pairs(data, what: str = "matrix") -> np.ndarray:
-    """Complex matrix from nested [re, im] pairs; shape is checked."""
-    arr = _pairs_to_array(data, what)
-    if arr.ndim != 2:
-        raise ProtocolFileError(f"{what}: expected a matrix, got shape {arr.shape}")
-    return arr
 
 
 def _family_from_json(data, what: str) -> KrausFamily:
@@ -88,7 +80,7 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolFileError(f"{path}: not valid JSON ({exc})")
 
 

@@ -26,16 +26,16 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
-def as_state(v, tol: float = STATE_NORM_TOL) -> np.ndarray:
-    """Coerce ``v`` to a 1-d complex unit vector within ``tol``."""
+def as_state(v) -> np.ndarray:
+    """Coerce ``v`` to a 1-d complex unit vector within ``STATE_NORM_TOL``."""
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1:
         raise ValueError(f"expected a state vector, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("state has non-finite entries")
     nrm = vector_norm(a)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state norm {nrm!r} differs from 1 beyond {tol!r}")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(f"state norm {nrm!r} differs from 1 beyond {STATE_NORM_TOL!r}")
     return a
 
 
@@ -58,38 +58,21 @@ def normalize_state(v) -> np.ndarray:
     return a / nrm
 
 
-def partial_trace(m, dims, traced_slots) -> np.ndarray:
-    """Trace out ``traced_slots`` of a square operator on a composite space.
-
-    ``dims`` lists the factor dimensions from slowest to fastest slot; the
-    remaining slots keep their relative order in the output.
-    """
+def partial_trace(m, dims, traced: int) -> np.ndarray:
+    """Trace out slot ``traced`` (0, the slow slot, or 1) of a square operator
+    on a two-factor space with factor dimensions ``dims = (a, b)``."""
     m = as_operator(m)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
+    a, b = (int(d) for d in dims)
+    if a < 1 or b < 1:
         raise ValueError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.shape != (a * b, a * b):
         raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    traced = sorted(set(int(s) for s in traced_slots))
-    if any(s < 0 or s >= len(dims) for s in traced):
-        raise ValueError(f"traced slot out of range for {len(dims)} slots: {traced}")
-
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    # Row index letters, then column index letters; traced slots share a letter.
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise ValueError("too many tensor slots for partial trace")
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for s in traced:
-        col[s] = row[s]
-    keep = [i for i in range(n) if i not in traced]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(kept_dim, kept_dim)
+    if traced not in (0, 1):
+        raise ValueError(f"traced slot must be 0 or 1, got {traced!r}")
+    t = m.reshape(a, b, a, b)
+    if traced == 0:
+        return np.einsum("abad->bd", t)
+    return np.einsum("abcb->ac", t)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

@@ -145,13 +145,14 @@ def validate(spec: ProtocolSpec, tol: float = COMPLETENESS_TOL) -> ValidationRep
     )
 
 
-def require_valid(spec: ProtocolSpec, tol: float = COMPLETENESS_TOL) -> ValidationReport:
-    report = validate(spec, tol=tol)
+def require_valid(spec: ProtocolSpec) -> ValidationReport:
+    """``validate`` at ``COMPLETENESS_TOL``; a rejected protocol raises."""
+    report = validate(spec)
     if not report.accepted:
         raise ProtocolValidationError(
             f"protocol {spec.label!r} rejected: completeness residuals "
             f"({report.completeness_residual_bit0!r}, "
-            f"{report.completeness_residual_bit1!r}) with tolerance {tol!r}",
+            f"{report.completeness_residual_bit1!r}) with tolerance {report.tol!r}",
             report=report,
         )
     return report
@@ -279,9 +280,7 @@ class Dilation:
         anc = np.zeros((self.ancilla_dim, self.ancilla_dim), dtype=complex)
         anc[0, 0] = 1.0
         big = self.unitary @ np.kron(rho, anc) @ self.unitary.conj().T
-        return linalg.partial_trace(
-            big, [self.dim_out, self.environment_dim], {1}
-        )
+        return linalg.partial_trace(big, (self.dim_out, self.environment_dim), 1)
 
 
 def dilate(family: KrausFamily) -> Dilation:

@@ -66,7 +66,7 @@ def test_payoff_floor_values():
 
 
 def test_check_bounds_dephasing_identity_cheat():
-    chk = check_bounds(dephasing_protocol(), n_states=10, seed=0)
+    chk = bounds_report(dephasing_protocol(), n_states=10, seed=0)["identity"]
     assert abs(chk.kraus_gap - 1.0) < 1e-12
     assert abs(chk.quarter_cb_lower - 0.25) < 1e-6
     assert abs(chk.half_sqrt_gap - 0.5) < 1e-12

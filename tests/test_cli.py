@@ -113,6 +113,15 @@ def test_broken_json_exits_two(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["validate", "conceal", "scan"])
+def test_undecodable_input_exits_two(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_conceal_text_output(phase_file, capsys):
     code = cli.main(["conceal", phase_file, "--restarts", "6"])
     out = capsys.readouterr().out
@@ -466,3 +475,13 @@ def test_budget_count_below_minimum_exits_two(
 def test_budget_count_minimums_are_accepted(dephasing_file, capsys):
     assert cli.main(["bounds", dephasing_file, "--restarts", "0", "--states", "1"]) == 0
     assert "sampled_payoffs: [" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["validate", "conceal", "bind", "bounds", "scan"])
+def test_tol_must_be_finite_and_nonnegative(command, value, dephasing_file, decoy_config, capsys):
+    path = decoy_config if command == "scan" else dephasing_file
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, "--tol", value])
+    assert exc.value.code == 2
+    assert "argument --tol: must be a finite, nonnegative number" in capsys.readouterr().err

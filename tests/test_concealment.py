@@ -176,13 +176,18 @@ def test_report_carries_the_dual_repair():
 
 
 @pytest.mark.parametrize(
-    "spec, witnesses",
-    [(dephasing_protocol(), 1), (random_protocol(4, 2, 2, seed=504), 2)],
-    ids=["certified", "uncertified"],
+    "spec, restarts, witnesses",
+    [
+        (dephasing_protocol(), 4, 1),
+        (random_protocol(4, 2, 2, seed=504), 4, 2),
+        (random_protocol(4, 2, 2, seed=504), 0, 1),
+    ],
+    ids=["certified", "uncertified", "no-restarts"],
 )
-def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, witnesses):
-    # The skip test's build serves the upper routes and dual_repair when it
-    # closes; otherwise one more build is made at the final witness.
+def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, restarts, witnesses):
+    # The entangled start's build serves the upper routes and dual_repair
+    # when it closes or no restarts are asked for; otherwise one more build
+    # is made at the final witness.
     calls = []
     fn = qbcommit.concealment._witness_z
 
@@ -191,7 +196,7 @@ def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, wi
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(qbcommit.concealment, "_witness_z", counting)
-    rep = analyze_concealment(spec, restarts=4, seed=2)
+    rep = analyze_concealment(spec, restarts=restarts, seed=2)
     assert len(calls) == witnesses
     assert (rep.cb_upper, rep.upper_routes) == cb_upper_bound(spec, rep.witness_state)
     assert rep.dual_repair == _dual_routes(spec, rep.witness_state)["witness_dual"][1]

@@ -152,7 +152,7 @@ def test_choi_trace_preservation_marginal():
         fam = qc.random_kraus_family(din, dout, m, rng)
         c = qc.choi(fam)
         assert c.shape == (din * dout, din * dout)
-        marginal = linalg.partial_trace(c, (din, dout), (1,))
+        marginal = linalg.partial_trace(c, (din, dout), 1)
         np.testing.assert_allclose(marginal, np.eye(din), atol=1e-10)
 
 
@@ -225,7 +225,6 @@ PROTOCOL_ENTRY_POINTS = {
     "kraus_gap": qc.kraus_gap,
     "minimize_kraus_gap": lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2),
     "check_bounds": lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5),
-    "check_bounds-norm-search": lambda spec: qc.check_bounds(spec, n_states=2),
     "bounds_report": lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
     "epsilon_delta_scan": lambda spec: qc.epsilon_delta_scan(
         lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN
