@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
-from .optimize import ascend_params, search_sphere
+from .optimize import _require_tolerance, ascend_params, search_sphere
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
@@ -322,6 +322,7 @@ def minimax_cheat(
     require_valid(spec)
     if outer_restarts < 1:
         raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
+    tol = _require_tolerance(tol)
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
     ck, cl = committed.ops, claimed.ops

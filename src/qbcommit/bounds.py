@@ -4,32 +4,38 @@ Both bounds pivot on the reindexed Kraus gap, the largest eigenvalue of the
 positive operator S(V) = sum_J (E0_J(V) - E1_J)^dagger (E0_J(V) - E1_J). A
 small gap for some reindexing V forces the two channels close in diamond norm (so Bob learns
 little) and simultaneously hands Alice a cheat whose worst-case payoff is
-large. The scan walks a protocol family and records both sides so the
-trade-off curve can be plotted.
+large. On the families zero-padded to 2m labels, S(V) = K0 + K1 - 2 Herm
+sum_jl C_jl E1_j^dagger E0_l, K_b = sum_j E_b_j^dagger E_b_j, for V's
+top-left block C, and every contraction C is such a block (Halmos), so the
+least gap g* over these reindexings is convex in C. Kretschmann,
+Schlingemann and Werner (IEEE TIT 54, 2008) show g* <= ||Phi1 - Phi0||_cb
+<= 2 sqrt(g*). The scan records both sides along a protocol family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .binding import _payoffs, minimax_cheat
 from .concealment import analyze_concealment, cb_lower_bound
-from .optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
-from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
+from .optimize import CERTIFIED_WIDTH, SolverTrace, _require_tolerance
+from .protocol import ProtocolSpec, _require_cheat, require_valid
 
 BOUND_TOL = 1e-9
 
+# Step budget of the Kraus-gap bracket.
+GAP_STEPS = 500
 
-def _gap_operators(v: np.ndarray, e0: np.ndarray, e1: np.ndarray):
-    """Branch differences sum_l v[r, j, l] e0_l - e1_j, stacked over j as
-    ``(R, m * dout, din)``, and gap operators S_r = sum_j delta_rj† delta_rj
-    of an ``(R, m, m)`` stack, each a matmul; no unitarity check."""
+
+def _gap_operator(v: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """S = sum_j delta_j† delta_j for the branch differences
+    delta_j = sum_l v[j, l] e0_l - e1_j, stacked over j; no unitarity check."""
     m, dout, din = e0.shape
-    delta = (v @ e0.reshape(m, -1)).reshape(len(v), m * dout, din) - e1.reshape(m * dout, din)
-    return delta, delta.conj().swapaxes(-1, -2) @ delta
+    delta = (v @ e0.reshape(m, -1)).reshape(m * dout, din) - e1.reshape(m * dout, din)
+    return delta.conj().T @ delta
 
 
 def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
@@ -41,20 +47,19 @@ def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
     """
     require_valid(spec)
     cheat = _require_cheat(cheat, spec.cardinality)
-    return _gap_operators(cheat[None], spec.bit0.ops, spec.bit1.ops)[1][0]
+    return _gap_operator(cheat, spec.bit0.ops, spec.bit1.ops)
 
 
 def _gap(spec: ProtocolSpec, cheat: np.ndarray) -> float:
-    """Gap at one checked cheat, taken as a one-row stack the way the ascent
-    takes it, so both give the same number for the same unitary."""
-    _, s = _gap_operators(cheat[None], spec.bit0.ops, spec.bit1.ops)
-    return max(float(linalg.eigh_or_error(s)[0][0, -1]), 0.0)
+    """Clamped top eigenvalue of the gap operator at one checked cheat."""
+    s = _gap_operator(cheat, spec.bit0.ops, spec.bit1.ops)
+    return max(float(linalg.eigh_or_error(s)[0][-1]), 0.0)
 
 
 def kraus_gap(spec: ProtocolSpec, cheat=None) -> float:
     """Largest eigenvalue of the gap operator S at ``cheat`` (the identity by
     default), clamped at 0: the number ``minimize_kraus_gap`` reports for the
-    same unitary."""
+    unitary it returns, on its ``GapResult.spec``."""
     require_valid(spec)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
@@ -63,115 +68,93 @@ def kraus_gap(spec: ProtocolSpec, cheat=None) -> float:
 
 @dataclass
 class GapResult:
-    """Outcome of minimizing the Kraus gap over reindexings.
-
-    ``lower`` is a certified lower bound on the gap at every reindexing,
-    Tr S(P) / dim_in at the Procrustes alignment P, rounded down for
-    round-off; ``value`` is the gap the returned ``unitary`` achieves.
-    """
+    """Certified bracket [``lower``, ``value``] on g*. ``lower`` is at most
+    the gap at every reindexing with any number of labels; ``value`` is the
+    gap the 2m x 2m ``unitary`` achieves on ``spec``, the protocol padded to
+    2m labels."""
 
     value: float
     lower: float
     unitary: np.ndarray
+    spec: ProtocolSpec
     trace: SolverTrace
 
 
-def _gap_fun_grad(e0: np.ndarray, e1: np.ndarray):
-    """Batched ascent objective: minus the Kraus gap of each unitary in an
-    ``(R, m, m)`` stack and its gradient d / d conj(V), both from one
-    eigendecomposition of the row's gap operator S."""
-    m, dout, din = e0.shape
-    e0_rows = e0.reshape(m * dout, din)
-
-    def fun_grad(v):
-        delta, s = _gap_operators(v, e0, e1)
-        vals, vecs = linalg.eigh_or_error(s)
-        top = vecs[:, :, -1:]
-        # d lambda / d conj(V)_jl = <E0_l u, delta_j u> for the top eigenvector u.
-        du = (delta @ top).reshape(len(v), m, dout)
-        eu = (e0_rows @ top).reshape(len(v), m, dout)
-        return -vals[:, -1], -(du @ eu.conj().swapaxes(-1, -2))
-
-    return fun_grad
+def _halmos(c: np.ndarray) -> np.ndarray:
+    """Unitary dilation [[C, (I - CC†)^½], [(I - C†C)^½, -C†]] of a
+    contraction, built from one SVD of C so that it is unitary to round-off
+    even where C's singular values reach 1."""
+    w, sig, vh = linalg.svd_or_error(c)
+    sig = np.minimum(sig, 1.0)
+    gam = np.sqrt((1.0 - sig) * (1.0 + sig))
+    wh, v = w.conj().T, vh.conj().T
+    return np.block([[(w * sig) @ vh, (w * gam) @ wh], [(v * gam) @ vh, -(v * sig) @ wh]])
 
 
-def _trace_lower_bound(e0: np.ndarray, e1: np.ndarray) -> float:
-    """Certified lower bound on the Kraus gap over all unitary reindexings.
+def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
+    """Bracket g* through its dual (Sion): the largest
+    Tr rho (K0 + K1) - 2 ||N(rho)||_1 over density matrices rho, with
+    N(rho)_jl = Tr(rho E1_j† E0_l), by dual averaging from rho = I / dim_in
+    (matrix exponentiated gradient; Nesterov, Math. Prog. 2009).
 
-    For unitary U the reindexed family keeps sum_J E0_J(U)† E0_J(U), so
-    Tr S(U) = |E0|² + |E1|² - 2 Re Tr(U† N), Frobenius norms, with
-    N_Jl = Tr(E0_l† E1_J), and the Procrustes alignment minimizes it at
-    |E0|² + |E1|² - 2 |N|_1. The top eigenvalue is at least the mean, so
-    every gap is at least that minimum over dim_in. No completeness is
-    assumed. Every sum has at most n = m dim_in dim_out terms, N's nuclear
-    norm comes from a backward-stable SVD, and |N|_1 <= (|E0|² + |E1|²) / 2,
-    so the computed trace errs by about 2 n eps (|E0|² + |E1|²); twice that
-    is subtracted, so round-off never puts the bound above the true one.
-    """
-    m, dout, din = e0.shape
-    scale = np.vdot(e0, e0).real + np.vdot(e1, e1).real
-    overlap = np.einsum("jab,lab->jl", e1.conj(), e0)
-    trace = scale - 2.0 * linalg.trace_norm(overlap)
-    allowance = 4.0 * m * din * dout * np.finfo(float).eps * scale
-    return max(0.0, float(trace - allowance) / din)
+    Each step's SVD of N(rho) gives the lower side, which bounds the gap at
+    every reindexing with any number of labels (a unitary's block C has
+    |Tr(C^T N)| <= ||N||_1; no completeness is assumed), and, conjugating
+    its polar factor, the step's contraction, whose S is the gradient. S is
+    affine in C, so the summed gradients are the step count times S at the
+    running mean of the contractions: one ``eigh`` of that gives both the
+    next rho and the mean's gap, and the upper side is the best gap of the
+    identity and those means. At the first step the lower side is the gap's
+    trace bound and the contraction the Procrustes alignment. The loop stops
+    within ``CERTIFIED_WIDTH`` or after ``GAP_STEPS`` steps, and a trace note
+    names the stop. The cheat is the Halmos dilation of the best
+    contraction, ``value`` its ``kraus_gap`` on ``GapResult.spec``.
 
-
-def minimize_kraus_gap(
-    spec: ProtocolSpec,
-    restarts: int = 8,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> GapResult:
-    """Search for the reindexing that brings the two families closest.
-
-    The identity and the Procrustes alignment of the families are scored
-    first, in one call. When the better of them lies within
-    ``CERTIFIED_WIDTH`` of the trace bound ``GapResult.lower``, no
-    reindexing can do better by more than that, so it is returned (the
-    earlier start on a tie) with a note saying the ascent was skipped.
-    Otherwise gradient descent on the unitary group runs from both and from
-    seeded random unitaries, all starts in lockstep. The descent is
-    monotone from each start, so the result never exceeds the identity gap.
+    Every computed term is a sum of at most n = m dim_out dim_in² products
+    of an entry of rho (modulus at most 1) with two Kraus entries, whose
+    moduli sum to at most dim_in (|E0|² + |E1|²), and N's nuclear norm comes
+    from a backward-stable SVD; so the lower side errs by about
+    2 n eps dim_in (|E0|² + |E1|²), and twice that is subtracted.
     """
     require_valid(spec)
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    m = spec.cardinality
     e0, e1 = spec.bit0.ops, spec.bit1.ops
-    fun_grad = _gap_fun_grad(e0, e1)
-    lower = _trace_lower_bound(e0, e1)
-    starts = [np.eye(m, dtype=complex), align_families(spec.bit0, spec.bit1)][:restarts]
-    checked = linalg.require_unitary(np.array(starts), tol=linalg.UNITARY_CONSTRUCTION_TOL)
-    gaps = (-fun_grad(checked)[0]).tolist()
-    width = min(gaps) - lower
-    certified = width <= CERTIFIED_WIDTH
+    m, dout, din = e0.shape
+    # pairs[(j, l), (b, c)] = (E1_j† E0_l)_bc, so N(rho) = pairs @ vec(rho^T).
+    pairs = np.einsum("jab,lac->jlbc", e1.conj(), e0).reshape(m * m, din * din)
+    k = np.einsum("jab,jac->bc", e0.conj(), e0) + np.einsum("jab,jac->bc", e1.conj(), e1)
+    n = m * dout * din * din
+    allowance = float(4.0 * n * np.finfo(float).eps * din * np.trace(k).real)
 
-    trace = SolverTrace(
-        seed=int(seed),
-        restarts=len(starts) if certified else int(restarts),
-        extra_starts=0,
-        tol=float(tol),
-        max_iter=int(max_iter),
-    )
-    trace.notes.append("start 0: identity, start 1: Procrustes alignment")
-    if certified:
-        trace.notes.append(
-            f"trace certificate closes: gap - lower {width!r} <= "
-            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; ascent skipped"
-        )
-        iterations, converged = [0] * len(starts), [True] * len(starts)
-    else:
-        starts += [
-            linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)) for r in range(2, restarts)
-        ]
-        results = ascend_params(fun_grad, starts, trace=trace, max_iter=max_iter, tol=tol)
-        starts, values, iterations, converged = zip(*results)
-        gaps = [-value for value in values]
-    best = trace.record(gaps, iterations, converged, maximize=False)
-    return GapResult(
-        value=max(trace.values[best], 0.0), lower=lower, unitary=starts[best], trace=trace
-    )
+    def gap_operator(c):
+        y = (c.reshape(-1) @ pairs).reshape(din, din)
+        return k - y - y.conj().T
+
+    rho = np.eye(din, dtype=complex) / din
+    mean = np.zeros((m, m), dtype=complex)
+    best = np.eye(m, dtype=complex)
+    upper, lower = float(linalg.eigh_or_error(gap_operator(best))[0][-1]), -np.inf
+    stop = f"step budget GAP_STEPS {GAP_STEPS} spent"
+    for step in range(1, GAP_STEPS + 1):
+        w, sig, vh = linalg.svd_or_error((pairs @ rho.T.reshape(-1)).reshape(m, m))
+        lower = max(lower, float((rho.T.reshape(-1) @ k.reshape(-1)).real - 2.0 * sig.sum()))
+        mean += ((w @ vh).conj() - mean) / step
+        vals, vecs = linalg.eigh_or_error(gap_operator(mean))
+        if vals[-1] < upper:
+            upper, best = float(vals[-1]), mean.copy()
+        if upper - (lower - allowance) <= CERTIFIED_WIDTH:
+            stop = f"certified at step {step}"
+            break
+        # rho proportional to exp((2 / sqrt(step)) * summed gradients).
+        weights = np.exp(2.0 * np.sqrt(step) * (vals - vals[-1]))
+        rho = (vecs * (weights / weights.sum())) @ vecs.conj().T
+
+    padded = ProtocolSpec(spec.label, spec.bit0.padded(2 * m), spec.bit1.padded(2 * m))
+    unitary = linalg.require_unitary(_halmos(best), tol=linalg.UNITARY_CONSTRUCTION_TOL)
+    value, lower = _gap(padded, unitary), max(0.0, lower - allowance)
+    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=CERTIFIED_WIDTH, max_iter=GAP_STEPS)
+    trace.notes.append(f"{stop}: value - lower {value - lower!r}")
+    trace.record([value], [step], [value - lower <= CERTIFIED_WIDTH], maximize=False)
+    return GapResult(value=value, lower=lower, unitary=unitary, spec=padded, trace=trace)
 
 
 @dataclass
@@ -222,6 +205,7 @@ def check_bounds(
     the payoff floor.
     """
     require_valid(spec)
+    tol = _require_tolerance(tol)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
     cheat = _require_cheat(cheat, spec.cardinality)
@@ -294,14 +278,17 @@ def bounds_report(
     One norm search (``cb_lower_bound`` with ``restarts``) serves both
     checks, since the norm does not depend on the reindexing. Returns
     {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
-    ``check_bounds`` at ``minimize_kraus_gap``'s unitary), "minimized_gap"
-    and "minimized_gap_lower" (its ``value`` and ``lower``).
+    ``check_bounds`` at ``minimize_kraus_gap``'s 2m x 2m unitary, on the
+    protocol padded to 2m labels), "minimized_gap" and "minimized_gap_lower"
+    (its ``value`` and ``lower``).
     """
     cb_lower = cb_lower_bound(spec, restarts, seed).value
     report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=cb_lower, tol=tol)}
     if minimize:
-        gap_min = minimize_kraus_gap(spec, seed=seed)
-        report["minimized"] = check_bounds(spec, gap_min.unitary, n_states, seed, cb_lower=cb_lower, tol=tol)
+        gap_min = minimize_kraus_gap(spec)
+        report["minimized"] = check_bounds(
+            gap_min.spec, gap_min.unitary, n_states, seed, cb_lower=cb_lower, tol=tol
+        )
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower
     return report
@@ -369,6 +356,7 @@ def epsilon_delta_scan(
     """
     if budgets is None:
         budgets = ScanBudgets()
+    _require_tolerance(budgets.tol)
     points = []
     skipped = []
     for param in params:

@@ -13,15 +13,14 @@ inconsistency, not an input problem).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .bounds import ScanBudgets, bounds_report, epsilon_delta_scan, scan_to_csv
+from .bounds import GAP_STEPS, ScanBudgets, bounds_report, epsilon_delta_scan, scan_to_csv
 from .binding import minimax_cheat
 from .concealment import analyze_concealment
 from .errors import BracketInversionError, ProtocolFileError, ProtocolValidationError
 from .fileio import dump_json, jsonable, load_protocol, load_scan_config
-from .optimize import CERTIFIED_WIDTH
+from .optimize import CERTIFIED_WIDTH, _require_tolerance
 from .protocol import validate
 
 
@@ -91,12 +90,9 @@ def _count(minimum: int):
 def _tolerance(text: str) -> float:
     """Argparse type for ``--tol``: a finite, nonnegative float."""
     try:
-        value = float(text)
+        return _require_tolerance(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text}") from None
 
 
 def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
@@ -160,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--minimize",
         action="store_true",
         help=(
-            "also check at the gap-minimizing reindexing; its search is skipped when "
-            f"the gap's trace bound meets it within CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
+            "also check at a 2m-label cheat minimizing the Kraus gap over contractions; "
+            f"its certified bracket stops within CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g} "
+            f"or after {GAP_STEPS} steps"
         ),
     )
 

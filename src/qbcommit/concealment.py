@@ -24,7 +24,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult, search_sphere
+from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
+from .optimize import _require_tolerance, search_sphere
 from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
@@ -209,6 +210,7 @@ def _lower_search(spec, restarts, seed, tol, ref_dim):
     the dual routes at the returned witness."""
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")
+    tol = _require_tolerance(tol)
     ref = spec.dim_in if ref_dim is None else int(ref_dim)
     if ref < 1:
         raise ValueError(f"reference dimension must be positive, got {ref}")

@@ -75,21 +75,12 @@ def partial_trace(m, dims, traced: int) -> np.ndarray:
     return np.einsum("abcb->ac", t)
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralDecompositionError(
-            f"singular value decomposition failed to converge: {exc}"
-        ) from exc
-
-
 def trace_norm(m) -> float:
     """Sum of singular values of a square matrix."""
     m = as_operator(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"trace norm expects a square matrix, got {m.shape}")
-    return float(np.sum(_singular_values(m)))
+    return float(np.sum(svd_or_error(m, compute_uv=False)))
 
 
 def operator_norm(m) -> float:
@@ -97,7 +88,7 @@ def operator_norm(m) -> float:
     m = as_operator(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"operator norm expects a square matrix, got {m.shape}")
-    vals = _singular_values(m)
+    vals = svd_or_error(m, compute_uv=False)
     return float(vals[0]) if vals.size else 0.0
 
 
@@ -119,16 +110,22 @@ def eigh_or_error(m: np.ndarray):
         ) from exc
 
 
-def polar_factor(a: np.ndarray) -> np.ndarray:
-    """Unitary polar factor ``u @ vh`` of a square matrix, from one SVD: the
-    unitary closest to ``a`` in Frobenius norm. A stack ``(..., m, m)`` is
-    factored matrix by matrix, each as it would be alone."""
+def svd_or_error(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of a matrix or a stack of them, with the package's
+    error type."""
     try:
-        u, _, vh = np.linalg.svd(a)
+        return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SpectralDecompositionError(
             f"singular value decomposition failed to converge: {exc}"
         ) from exc
+
+
+def polar_factor(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor ``u @ vh`` of a square matrix, from one SVD: the
+    unitary closest to ``a`` in Frobenius norm. A stack ``(..., m, m)`` is
+    factored matrix by matrix, each as it would be alone."""
+    u, _, vh = svd_or_error(a)
     return u @ vh
 
 
@@ -143,7 +140,7 @@ def unitarity_residual(v) -> float:
     if v.size == 0:
         return 0.0
     gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
-    return float(_singular_values(gram)[..., 0].max())
+    return float(svd_or_error(gram, compute_uv=False)[..., 0].max())
 
 
 def require_unitary(v, tol: float = 1e-8) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Backtracking gradient search on the complex unit sphere or the unitary group.
 
 One line-search engine drives the concealment maximizer, the binding
-minimizer over states and the ascents over unitary reindexings. The geometry
-is its only argument that changes the steps: on the sphere the gradient is
-projected onto the tangent space and trial points are renormalized; on the
-unitary group U(m) the iterate is the unitary V itself, the gradient is
-projected onto V times the skew-Hermitian matrices, and trial points are
-retracted to their polar factor. A polar factor is unitary by construction,
-so ``ascend_params`` checks the starts it is given and the unitaries it
-returns, not each trial point. Each iteration doubles the last
+minimizer over states and the binding outer ascent over unitary
+reindexings, the one user of the unitary geometry. The geometry is its only
+argument that changes the steps: on the sphere the gradient is projected
+onto the tangent space and trial points are renormalized; on the unitary
+group U(m) the iterate is the unitary V itself, the gradient is projected
+onto V times the skew-Hermitian matrices, and trial points are retracted to
+their polar factor. Each iteration doubles the last
 accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
 of accepted steps that each gain almost nothing, or when no step down to
@@ -60,6 +59,15 @@ CERTIFIED_WIDTH = 1e-5
 # A search value above its certified bound by more than this is a solver bug,
 # reported as a BracketInversionError by the concealment and binding analyses.
 BRACKET_GUARD = 1e-8
+
+
+def _require_tolerance(tol) -> float:
+    """``tol`` as a float, checked finite and nonnegative for every public
+    entry point and ``--tol``: a negative slack invents violations, NaN hides them."""
+    tol = float(tol)
+    if not np.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance must be a finite, nonnegative number, got {tol!r}")
+    return tol
 
 
 @dataclass
@@ -287,7 +295,7 @@ def ascend_params(
     stall_tol: float = 1e-9,
     stall_limit: int = 12,
 ) -> list:
-    """Backtracking gradient ascent on the unitary group U(m).
+    """Backtracking gradient ascent on the unitary group U(m); binding's outer ascent.
 
     ``fun_grad`` is batched: for unitaries stacked as ``(R, m, m)`` it
     returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``.

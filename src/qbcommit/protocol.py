@@ -77,7 +77,11 @@ class KrausFamily:
         if cardinality == self.cardinality:
             return self
         zeros = np.zeros((cardinality - self.cardinality, self.dim_out, self.dim_in))
-        return KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
+        padded = KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
+        # Zero operators add exact zeros to the op†op sum: the residual carries over.
+        if "_residual" in self.__dict__:
+            padded.__dict__["_residual"] = self._residual
+        return padded
 
 
 @dataclass(frozen=True, eq=False)

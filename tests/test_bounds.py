@@ -3,7 +3,6 @@ import pytest
 
 from qbcommit import bounds, linalg
 from qbcommit.bounds import (
-    _gap_fun_grad,
     SCAN_CSV_HEADER,
     ScanBudgets,
     bounds_report,
@@ -14,18 +13,19 @@ from qbcommit.bounds import (
     payoff_floor,
     scan_to_csv,
 )
-from qbcommit.concealment import cb_lower_bound
+from qbcommit.binding import minimax_cheat
+from qbcommit.concealment import analyze_concealment, cb_lower_bound
 from qbcommit.families import (
     FAMILY_REGISTRY,
     concealing_pair,
     decoy_protocol,
     dephasing_protocol,
+    identity_protocol,
     phase_flip_pair,
     random_protocol,
 )
 from qbcommit.fileio import jsonable
-from qbcommit.optimize import CERTIFIED_WIDTH, SolverTrace, ascend_params
-from qbcommit.protocol import align_families
+from qbcommit.optimize import CERTIFIED_WIDTH
 
 
 def test_kraus_gap_phase_pair_identity():
@@ -45,16 +45,18 @@ def test_kraus_gap_dephasing_identity():
 
 
 def test_minimize_kraus_gap_phase_pair():
-    res = minimize_kraus_gap(phase_flip_pair(), restarts=6, seed=0)
+    res = minimize_kraus_gap(phase_flip_pair())
     assert abs(res.value - 2.0) < 1e-6
-    assert res.unitary.shape == (1, 1)
+    # The cheat is a 2m x 2m unitary on the protocol padded to 2m labels.
+    assert res.unitary.shape == (2, 2)
+    assert res.spec.cardinality == 2
 
 
 def test_minimize_kraus_gap_concealing_hits_zero():
     for i in range(4):
         spec, _relating = concealing_pair(seed=200 + i, dim=2, cardinality=3)
         identity_gap = kraus_gap(spec)
-        res = minimize_kraus_gap(spec, restarts=4, seed=1)
+        res = minimize_kraus_gap(spec)
         assert res.value <= identity_gap + 1e-12
         assert res.value < 1e-10
 
@@ -131,101 +133,29 @@ def test_scan_csv_layout_and_determinism():
 @pytest.mark.parametrize("seed", range(6))
 def test_kraus_gap_equals_minimized_value(seed):
     # Both take the clamped top eigenvalue of the same one-row stack, so the
-    # reported gap and the gap of the returned unitary agree bit for bit.
+    # reported gap and the gap of the returned unitary on the padded protocol
+    # agree bit for bit.
     spec = random_protocol(3, 3, 3, seed=seed)
     res = minimize_kraus_gap(spec)
-    assert kraus_gap(spec, res.unitary) == res.value
-    assert check_bounds(spec, cheat=res.unitary, n_states=1, cb_lower=0.0).kraus_gap == res.value
-
-
-def test_minimize_kraus_gap_rejects_zero_restarts():
-    with pytest.raises(ValueError, match="restarts must be at least 1"):
-        minimize_kraus_gap(dephasing_protocol(), restarts=0)
-
-
-def test_lockstep_retracts_once_per_round(monkeypatch):
-    # One polar_factor call per round after the first, on the stack of that
-    # round's trial points, not one call per trial point.
-    rows, polar_rows = [], []
-    make, polar = bounds._gap_fun_grad, linalg.polar_factor
-
-    def counting_make(e0, e1):
-        fun_grad = make(e0, e1)
-
-        def counted(v):
-            rows.append(len(v))
-            return fun_grad(v)
-
-        return counted
-
-    def counting_polar(a):
-        polar_rows.append(len(a))
-        return polar(a)
-
-    monkeypatch.setattr(bounds, "_gap_fun_grad", counting_make)
-    monkeypatch.setattr(linalg, "polar_factor", counting_polar)
-    res = minimize_kraus_gap(random_protocol(3, 3, 3, seed=1), restarts=6, seed=2)
-    assert res.value - res.lower > CERTIFIED_WIDTH
-    # rows[0] scores the identity and Procrustes starts, rows[1] is the
-    # ascent's round 0 and evaluates its starts as given.
-    assert rows[:2] == [2, 6]
-    assert polar_rows == rows[2:]
-    assert len(polar_rows) < sum(polar_rows)
+    assert res.unitary.shape == (6, 6)
+    assert kraus_gap(res.spec, res.unitary) == res.value
+    assert check_bounds(res.spec, cheat=res.unitary, n_states=1, cb_lower=0.0).kraus_gap == res.value
 
 
 def test_bounds_report_composes_the_public_checks():
     spec = random_protocol(3, 3, 3, seed=0)
     report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
-    gap = minimize_kraus_gap(spec, seed=4)
+    gap = minimize_kraus_gap(spec)
     cb_lower = cb_lower_bound(spec, restarts=2, seed=4).value
     kwargs = dict(n_states=3, seed=4, cb_lower=cb_lower)
     composed = {
         "identity": check_bounds(spec, **kwargs),
-        "minimized": check_bounds(spec, cheat=gap.unitary, **kwargs),
+        "minimized": check_bounds(gap.spec, cheat=gap.unitary, **kwargs),
         "minimized_gap": gap.value,
         "minimized_gap_lower": gap.lower,
     }
     assert jsonable(report) == jsonable(composed)
     assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
-
-
-def test_gap_ascent_lockstep_matches_one_start_calls():
-    # The starts minimize_kraus_gap builds: identity, Procrustes alignment,
-    # then seeded random unitaries. The random protocol's trace certificate
-    # does not close, so every start ascends.
-    seed, restarts = 3, 6
-    spec = random_protocol(3, 3, 3, np.random.default_rng(31))
-    m = spec.cardinality
-    unitaries = [np.eye(m), align_families(spec.bit0, spec.bit1)]
-    for r in range(2, restarts):
-        unitaries.append(linalg.random_unitary(m, linalg.spawn_rng(seed, 6, r)))
-    fun_grad = _gap_fun_grad(spec.bit0.ops, spec.bit1.ops)
-
-    def ascend(points):
-        trace = SolverTrace(seed, restarts, 0, 1e-8, 200)
-        return ascend_params(fun_grad, points, trace=trace, max_iter=200, tol=1e-8)
-
-    together = ascend(unitaries)
-    alone = [ascend([v])[0] for v in unitaries]
-    assert len({it for _, _, it, _ in alone}) > 1
-    for (v1, f1, it1, c1), (v2, f2, it2, c2) in zip(together, alone):
-        assert v1.tobytes() == v2.tobytes()
-        assert (f1, it1, c1) == (f2, it2, c2)
-
-    # Reference reduction: start order, strict < keeps the earliest tie.
-    best = None
-    for ridx, (v, value, _, _) in enumerate(alone):
-        if best is None or -value < best[0]:
-            best = (-value, ridx, v)
-    res = minimize_kraus_gap(spec, restarts=restarts, seed=seed)
-    assert res.value - res.lower > CERTIFIED_WIDTH
-    assert not any("skipped" in note for note in res.trace.notes)
-    assert res.trace.values == [-value for _, value, _, _ in alone]
-    assert res.trace.iterations == [it for _, _, it, _ in alone]
-    assert res.trace.converged == [c for _, _, _, c in alone]
-    assert res.trace.best_start == best[1]
-    assert res.value == max(best[0], 0.0)
-    assert res.unitary.tobytes() == best[2].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -234,38 +164,116 @@ def test_gap_ascent_lockstep_matches_one_start_calls():
     ids=["decoy-k2", "dephasing", "concealing"],
 )
 def test_trace_certificate_proves_start_optimal(spec, closed):
-    # The top eigenvalue of the gap operator is degenerate at both starts of
-    # decoy-k2 and dephasing, so no ascent step leaves them; the trace bound
-    # shows that none needs to.
-    res = minimize_kraus_gap(spec, restarts=6, seed=3)
+    # The first step's lower side is the gap's trace bound and its primal is
+    # the Procrustes alignment; on these protocols the two already meet.
+    res = minimize_kraus_gap(spec)
     assert abs(res.value - closed) < 1e-12
     assert 0.0 <= res.value - res.lower <= CERTIFIED_WIDTH
-    assert res.trace.iterations == [0, 0] and res.trace.line_search_failures == 0
-    assert any("ascent skipped" in note for note in res.trace.notes)
-    assert abs(kraus_gap(spec, res.unitary) - res.value) < 1e-12
+    assert res.trace.iterations == [1] and res.trace.converged == [True]
+    assert res.trace.notes[0].startswith("certified at step 1:")
+    assert abs(kraus_gap(res.spec, res.unitary) - res.value) < 1e-12
 
 
-def test_trace_certificate_met_only_after_ascent_on_phase_flip():
+def test_trace_certificate_met_only_after_steps_on_phase_flip():
     # Tr(Z† I) = 0, so the Procrustes alignment is the identity, whose gap 4
-    # (S = diag(0, 4)) is the largest any phase has. Every phase has trace 4,
-    # so the bound is 2, which only the phases +-i reach: the certificate
-    # cannot close at the starts, and the random restarts find those phases.
-    res = minimize_kraus_gap(phase_flip_pair(), restarts=6, seed=3)
+    # (S = diag(0, 4)) is the largest any phase has. The trace bound is
+    # already 2 at rho = I/2; the steps then alternate the phases +1 and -1,
+    # whose mean 0 dilates to the swap on two labels, of gap 2.
+    res = minimize_kraus_gap(phase_flip_pair())
     assert abs(res.lower - 2.0) < 1e-12
-    assert 0.0 <= res.value - res.lower <= 1e-6
-    assert res.trace.values[:2] == [4.0, 4.0] and res.trace.best_start >= 2
-    assert not any("skipped" in note for note in res.trace.notes)
+    assert 0.0 <= res.value - res.lower <= CERTIFIED_WIDTH
+    assert res.trace.iterations[0] > 1
+    np.testing.assert_allclose(np.abs(res.unitary), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+
+
+def _random_contraction(m, rng):
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return rng.uniform(0.0, 1.0) * a / linalg.operator_norm(a)
 
 
 @pytest.mark.parametrize("din", [2, 3, 4])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_trace_lower_bound_holds_at_every_reindexing(din, m):
+    # The lower side holds at every reindexing with any number of labels:
+    # at m x m unitaries on the protocol, and at 2m x 2m Halmos dilations of
+    # contractions on the protocol padded to 2m labels.
     spec = random_protocol(din, din, m, np.random.default_rng([41, din, m]))
-    res = minimize_kraus_gap(spec, restarts=3, seed=din * m, max_iter=60)
+    res = minimize_kraus_gap(spec)
     assert 0.0 <= res.lower <= res.value
-    assert res.lower <= kraus_gap(spec, res.unitary)
+    assert res.value == kraus_gap(res.spec, res.unitary)
     rng = linalg.spawn_rng(42, din, m)
     for _ in range(20):
         assert res.lower <= kraus_gap(spec, linalg.random_unitary(m, rng))
+        dilation = bounds._halmos(_random_contraction(m, rng))
+        assert res.lower <= kraus_gap(res.spec, dilation)
 
 
+def test_halmos_dilation_is_unitary_with_the_contraction_in_its_corner():
+    rng = linalg.spawn_rng(43)
+    for c in [np.eye(3), np.zeros((3, 3)), _random_contraction(3, rng), linalg.random_unitary(3, rng)]:
+        u = bounds._halmos(c)
+        assert linalg.unitarity_residual(u) < 1e-14
+        np.testing.assert_allclose(u[:3, :3], c, atol=1e-14)
+
+
+def test_bracket_holds_where_the_unitary_minimum_exceeds_the_cb_norm():
+    # The least gap over 2 x 2 unitaries here is about 2.035, above the cb
+    # norm 1.873; the least gap over contractions lies below it.
+    spec = random_protocol(3, 3, 2, seed=2)
+    res = minimize_kraus_gap(spec)
+    assert res.lower <= res.value <= analyze_concealment(spec).cb_upper
+
+
+CLOSED_GAPS = {
+    **{f"decoy-k{k}": (decoy_protocol(k), 0.5**k) for k in range(4)},
+    "dephasing": (dephasing_protocol(), 1.0),
+    "phase-flip": (phase_flip_pair(), 2.0),
+    "concealing": (concealing_pair(seed=7)[0], 0.0),
+    "identity": (identity_protocol(2), 0.0),
+}
+
+
+@pytest.mark.parametrize("spec, closed", CLOSED_GAPS.values(), ids=CLOSED_GAPS.keys())
+def test_bracket_closes_on_the_closed_forms(spec, closed):
+    res = minimize_kraus_gap(spec)
+    assert res.lower <= closed + 1e-12 and abs(res.value - closed) < 1e-12
+    assert res.value - res.lower <= CERTIFIED_WIDTH
+    assert res.trace.converged == [True]
+
+
+# The bounds-random benchmark panel: six random 3x3 protocols with m = 3.
+PANEL = [random_protocol(3, 3, 3, np.random.default_rng([20020, 3, 3, s])) for s in range(6)]
+
+
+@pytest.mark.parametrize("spec", PANEL, ids=[f"p{s}" for s in range(6)])
+def test_lower_gap_is_below_the_cb_norm(spec):
+    # Left half of the Kretschmann-Schlingemann-Werner sandwich:
+    # g* <= ||Phi1 - Phi0||_cb <= 2 sqrt(g*).
+    res = minimize_kraus_gap(spec)
+    cb = analyze_concealment(spec, restarts=0)
+    assert res.lower <= cb.cb_upper
+    assert cb.cb_lower <= 2.0 * np.sqrt(res.value)
+
+
+BAD_TOLS = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0}
+TOL_ENTRY_POINTS = {
+    "check_bounds": lambda spec, tol: check_bounds(spec, n_states=1, cb_lower=0.5, tol=tol),
+    "bounds_report": lambda spec, tol: bounds_report(spec, restarts=0, n_states=1, tol=tol),
+    "cb_lower_bound": lambda spec, tol: cb_lower_bound(spec, restarts=0, tol=tol),
+    "analyze_concealment": lambda spec, tol: analyze_concealment(spec, restarts=0, tol=tol),
+    "minimax_cheat": lambda spec, tol: minimax_cheat(
+        spec, outer_restarts=1, outer_iters=1, inner_restarts=1, tol=tol
+    ),
+    "epsilon_delta_scan": lambda spec, tol: epsilon_delta_scan(
+        lambda _: spec, [0.0], budgets=ScanBudgets(1, 1, 1, 1, tol=tol)
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS.values(), ids=BAD_TOLS.keys())
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS.values(), ids=TOL_ENTRY_POINTS.keys())
+def test_every_tolerance_entry_point_rejects_bad_tolerances(entry, tol):
+    # A negative slack lists violations at positive margins and a NaN one
+    # hides every violation, so neither is a tolerance.
+    with pytest.raises(ValueError, match="finite, nonnegative"):
+        entry(dephasing_protocol(), tol)

@@ -68,7 +68,7 @@ def test_bounds_minimize_help_names_the_certified_width(capsys):
     with pytest.raises(SystemExit):
         cli.main(["bounds", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "the gap's trace bound meets it within CERTIFIED_WIDTH = 1e-05" in help_text
+    assert "certified bracket stops within CERTIFIED_WIDTH = 1e-05 or after 500 steps" in help_text
 
 
 def test_validate_rejects_incomplete_family(tmp_path, capsys):
@@ -295,7 +295,7 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
     data = json.loads(out)
     assert data["minimized"]["violations"] == []
     assert data["minimized_gap"] <= data["identity"]["kraus_gap"] + 1e-12
-    # The trace bound certifies dephasing's gap at the starts.
+    # The trace bound certifies dephasing's gap at the first step.
     assert 0.0 <= data["minimized_gap"] - data["minimized_gap_lower"] <= CERTIFIED_WIDTH
 
 
@@ -306,6 +306,21 @@ def test_bounds_minimize_reports_one_gap_per_unitary(tmp_path, capsys):
     assert cli.main([*argv, "--format", "structured"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["minimized"]["kraus_gap"] == data["minimized_gap"]
+
+
+def test_bounds_minimize_gap_does_not_depend_on_the_seed(tmp_path, capsys):
+    # The gap bracket is one deterministic loop; only the norm search and
+    # the sampled states use the seed.
+    path = tmp_path / "random.json"
+    write_protocol_file(path, random_protocol(3, 3, 3, seed=1))
+    gaps = []
+    for seed in ("0", "5"):
+        argv = ["bounds", str(path), "--restarts", "2", "--states", "2", "--minimize", "--seed", seed]
+        assert cli.main([*argv, "--format", "structured"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        gaps.append((data["minimized_gap"], data["minimized_gap_lower"]))
+    assert gaps[0] == gaps[1]
+    assert gaps[0][1] < gaps[0][0]
 
 
 def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):

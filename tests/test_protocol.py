@@ -223,7 +223,7 @@ PROTOCOL_ENTRY_POINTS = {
     ),
     "kraus_gap_operator": lambda spec: qc.kraus_gap_operator(spec, _identity(spec)),
     "kraus_gap": qc.kraus_gap,
-    "minimize_kraus_gap": lambda spec: qc.minimize_kraus_gap(spec, restarts=3, max_iter=2),
+    "minimize_kraus_gap": qc.minimize_kraus_gap,
     "check_bounds": lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5),
     "bounds_report": lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
     "epsilon_delta_scan": lambda spec: qc.epsilon_delta_scan(
