@@ -120,11 +120,10 @@ def _kernel_starts(claimed_stack) -> list:
     minimum can hide exactly there; these states seed extra descent starts.
     """
     starts = []
+    # One operator at a time: a full SVD holds a dim_out x dim_out factor, so
+    # a batched call would hold one per operator.
     for op in claimed_stack:
-        try:
-            _, svals, vh = np.linalg.svd(op)
-        except np.linalg.LinAlgError:
-            continue
+        _, svals, vh = linalg.svd_or_error(op)
         for i in range(vh.shape[0]):
             sval = svals[i] if i < svals.size else 0.0
             if sval <= KERNEL_SINGULAR_TOL:
@@ -377,16 +376,8 @@ def minimax_cheat(
             b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
             return [res.value], (c.conj() * inv_d)[..., None] * b
 
-        # Payoffs live in [0, 1]; chasing gains below a few 1e-8 only crawls
-        # the dropped-outcome boundary layer, so the ascent stalls out there.
-        [(v, _, iters, converged)] = ascend_params(
-            surrogate,
-            [start],
-            trace=outer_trace,
-            max_iter=outer_iters,
-            tol=tol,
-            stall_tol=2e-8,
-            stall_limit=10,
+        v, _, iters, converged = ascend_params(
+            surrogate, start, trace=outer_trace, max_iter=outer_iters, tol=tol
         )
         inner, bound = score(v)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.

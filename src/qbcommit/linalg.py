@@ -130,25 +130,22 @@ def polar_factor(a: np.ndarray) -> np.ndarray:
 
 
 def unitarity_residual(v) -> float:
-    """Operator-norm distance of ``v.conj().T @ v`` from the identity; for a
-    stack of square matrices ``(..., m, m)``, the largest over the stack."""
+    """Operator-norm distance of ``v.conj().T @ v`` from the identity, for one
+    square matrix."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("matrix has non-finite entries")
     if v.size == 0:
         return 0.0
-    gram = v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1])
-    return float(svd_or_error(gram, compute_uv=False)[..., 0].max())
+    gram = v.conj().T @ v - np.eye(len(v))
+    return float(svd_or_error(gram, compute_uv=False)[0])
 
 
 def require_unitary(v, tol: float = 1e-8) -> np.ndarray:
-    """``v`` as a complex array, checked finite and unitary within ``tol``.
-
-    A stack of square matrices is checked in one batched call. This is the
-    package's one unitarity check.
-    """
+    """``v`` as a complex square matrix, checked finite and unitary within
+    ``tol``. This is the package's one unitarity check."""
     v = np.asarray(v, dtype=complex)
     res = unitarity_residual(v)
     if res > tol:

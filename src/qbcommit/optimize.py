@@ -26,12 +26,12 @@ trial point, and receives (point, value, gradient) back, the point being
 the trial point's retraction. Gradients are the objectives' own analytic
 ones (d value / d conj(x), x a state or a unitary), each taken from the
 pieces its value already computed; the engine takes no finite differences.
-``search_sphere`` and ``ascend_params`` advance all their starts in
-lockstep: each round after the first makes one retraction call on the
-unfinished starts' trial points and one batched objective call on the
-retracted stack. Both act row by row with the same arithmetic as on
-one row, and a start's trajectory depends only on its own values, so the
-result equals running the starts one by one.
+``search_sphere`` advances all its starts in lockstep: each round after the
+first makes one retraction call on the unfinished starts' trial points and
+one batched objective call on the retracted stack. Both act row by row with
+the same arithmetic as on one row, and a start's trajectory depends only on
+its own values, so the result equals running the starts one by one.
+``ascend_params`` runs one start through the same driver, as a stack of one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -59,6 +59,12 @@ CERTIFIED_WIDTH = 1e-5
 # A search value above its certified bound by more than this is a solver bug,
 # reported as a BracketInversionError by the concealment and binding analyses.
 BRACKET_GUARD = 1e-8
+
+# The outer ascent ends after ASCENT_STALL_LIMIT accepted steps in a row that
+# each gain less than ASCENT_STALL_TOL. Payoffs live in [0, 1]; chasing gains
+# below a few 1e-8 only crawls the dropped-outcome boundary layer.
+ASCENT_STALL_TOL = 2e-8
+ASCENT_STALL_LIMIT = 10
 
 
 def _require_tolerance(tol) -> float:
@@ -202,7 +208,8 @@ def _line_search(
 
 
 def _lockstep(searches, fun_grad, retract) -> list:
-    """Run line-search generators together and return their outcomes.
+    """Run line-search generators together and return their outcomes: the
+    sphere search's starts, or the ascent's one.
 
     Round 0 evaluates the starts as given. Every later round retracts the
     pending trial points of the unfinished searches with one ``retract``
@@ -285,38 +292,34 @@ def search_sphere(
     return SphereResult(value=trace.values[best], vector=vectors[best], trace=trace)
 
 
-def ascend_params(
-    fun_grad,
-    starts,
-    *,
-    trace: SolverTrace,
-    max_iter: int,
-    tol: float = 1e-7,
-    stall_tol: float = 1e-9,
-    stall_limit: int = 12,
-) -> list:
+def ascend_params(fun_grad, start, *, trace: SolverTrace, max_iter: int, tol: float) -> tuple:
     """Backtracking gradient ascent on the unitary group U(m); binding's outer ascent.
 
     ``fun_grad`` is batched: for unitaries stacked as ``(R, m, m)`` it
-    returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``.
-    Steps follow the Riemannian gradient and retract to the polar factor of
-    the trial point. A polar factor is unitary by construction, so trial
-    points are not checked; what enters and what leaves is: the stack of
-    ``starts`` and the stack of returned unitaries are each checked finite
-    and unitary within ``linalg.UNITARY_CONSTRUCTION_TOL``, so a bad start
-    or a broken retraction raises ``ValueError``. All ``starts`` ascend in
-    lockstep, each round one ``linalg.polar_factor`` call on the stacked
-    trial points and one objective call on the result, each start as if it
-    ran alone. A start stops on gradient norm, on step exhaustion
-    (counted in ``trace.line_search_failures``), or on ``stall_limit``
-    accepted steps in a row that each gain less than ``stall_tol``. Returns
-    (unitary, value, iterations, converged) per start, in start order.
+    returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``;
+    the one ``start`` reaches it as a stack of one. Steps follow the
+    Riemannian gradient and retract to the polar factor of the trial point.
+    A polar factor is unitary by construction, so trial points are not
+    checked; what enters and what leaves is: ``start`` and the returned
+    unitary are each checked finite and unitary within
+    ``linalg.UNITARY_CONSTRUCTION_TOL``, so a bad start or a broken
+    retraction raises ``ValueError``. The ascent stops on gradient norm, on
+    step exhaustion (counted in ``trace.line_search_failures``), or on
+    ``ASCENT_STALL_LIMIT`` accepted steps in a row that each gain less than
+    ``ASCENT_STALL_TOL``. Returns (unitary, value, iterations, converged).
     """
     check_tol = linalg.UNITARY_CONSTRUCTION_TOL
-    opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
-    starts = linalg.require_unitary(np.array(starts), tol=check_tol)
-    searches = [_line_search(s, _UNITARY, 1.0, **opts) for s in starts]
-    outcomes = _lockstep(searches, fun_grad, _UNITARY.retract)
-    linalg.require_unitary(np.array([v for v, *_ in outcomes]), tol=check_tol)
-    trace.line_search_failures += sum(stuck for *_, stuck in outcomes)
-    return [(v, float(f), it, converged) for v, f, it, converged, _ in outcomes]
+    start = linalg.require_unitary(start, tol=check_tol)
+    search = _line_search(
+        start,
+        _UNITARY,
+        1.0,
+        tol=tol,
+        max_iter=max_iter,
+        stall_tol=ASCENT_STALL_TOL,
+        stall_limit=ASCENT_STALL_LIMIT,
+    )
+    [(v, f, it, converged, stuck)] = _lockstep([search], fun_grad, _UNITARY.retract)
+    linalg.require_unitary(v, tol=check_tol)
+    trace.line_search_failures += stuck
+    return v, float(f), it, converged

@@ -247,10 +247,7 @@ def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:
     if m != target.cardinality:
         raise ValueError("families have different cardinalities")
     overlap = np.einsum("jab,lab->jl", target.ops.conj(), source.ops)
-    try:
-        p, _, qh = np.linalg.svd(overlap.T)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralDecompositionError(f"alignment SVD failed: {exc}") from exc
+    p, _, qh = linalg.svd_or_error(overlap.T)
     return qh.conj().T @ p.conj().T
 
 

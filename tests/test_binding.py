@@ -20,7 +20,7 @@ from qbcommit.binding import (
     minimax_cheat,
 )
 from qbcommit.bounds import check_bounds
-from qbcommit.errors import BracketInversionError
+from qbcommit.errors import BracketInversionError, SpectralDecompositionError
 from qbcommit.families import (
     concealing_pair,
     decoy_protocol,
@@ -85,6 +85,21 @@ def test_alice_matches_loop_reference():
         assert abs(got - want) < 1e-12
         count += 1
     assert count == 40
+
+
+def test_kernel_start_svd_failure_raises(monkeypatch):
+    # A failed full SVD of the claimed branches raises; it no longer drops
+    # kernel starts unseen. The unitarity check's singular values still run.
+    svd = np.linalg.svd
+
+    def failing_svd(a, compute_uv=True, **kwargs):
+        if compute_uv:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, compute_uv=False, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(SpectralDecompositionError):
+        min_over_states(dephasing_protocol(), np.eye(2))
 
 
 def test_payoff_objective_rows_match_payoff_and_finite_differences():

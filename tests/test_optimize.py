@@ -130,25 +130,30 @@ def test_ascend_params_reaches_trace_norm_at_polar_factor():
     for dim in (1, 2, 3, 4):
         rng = linalg.spawn_rng(61, dim)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        starts = [np.eye(dim), linalg.random_unitary(dim, rng)]
-        trace = SolverTrace(seed=0, restarts=0, extra_starts=2, tol=1e-10, max_iter=500)
-        results = ascend_params(
-            rowwise(trace_overlap(a)), starts, trace=trace, max_iter=500, tol=1e-10
-        )
-        for v, value, iters, converged in results:
+        for start in (np.eye(dim), linalg.random_unitary(dim, rng)):
+            trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-10, max_iter=500)
+            v, value, iters, converged = ascend_params(
+                rowwise(trace_overlap(a)), start, trace=trace, max_iter=500, tol=1e-10
+            )
             assert converged and iters < 500
             assert linalg.unitarity_residual(v) < 1e-13
             # A small singular value flattens the optimum; the stall rule
-            # ends the ascent a few 1e-10 short there.
-            assert abs(value - linalg.trace_norm(a)) < 1e-9
-            np.testing.assert_allclose(v, linalg.polar_factor(a), atol=1e-4)
+            # ends the ascent short of it there, by less than one stall gain.
+            assert abs(value - linalg.trace_norm(a)) < optimize.ASCENT_STALL_TOL
+            # With A = P|A|, the shortfall Re Tr(|A|(I - P†V)) is at least
+            # sigma_min / 2 times |V - P|², which bounds every entry of V - P.
+            sigma_min = np.linalg.svd(a, compute_uv=False)[-1]
+            atol = np.sqrt(2 * optimize.ASCENT_STALL_TOL / sigma_min)
+            np.testing.assert_allclose(v, linalg.polar_factor(a), atol=atol)
 
 
 def test_ascend_params_rejects_non_unitary_start():
     a = np.eye(2, dtype=complex)
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
     with pytest.raises(ValueError, match="not unitary"):
-        ascend_params(rowwise(trace_overlap(a)), [1.001 * np.eye(2)], trace=trace, max_iter=10)
+        ascend_params(
+            rowwise(trace_overlap(a)), 1.001 * np.eye(2), trace=trace, max_iter=10, tol=1e-8
+        )
 
 
 def test_ascend_params_checks_the_unitaries_it_returns(monkeypatch):
@@ -159,7 +164,7 @@ def test_ascend_params_checks_the_unitaries_it_returns(monkeypatch):
     a = linalg.spawn_rng(63).standard_normal((2, 2)).astype(complex)
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
     with pytest.raises(ValueError, match="not unitary"):
-        ascend_params(rowwise(trace_overlap(a)), [np.eye(2)], trace=trace, max_iter=10)
+        ascend_params(rowwise(trace_overlap(a)), np.eye(2), trace=trace, max_iter=10, tol=1e-8)
 
 
 def test_batched_retractions_match_one_row_retractions():
