@@ -120,10 +120,12 @@ def _kernel_starts(claimed_stack) -> list:
     minimum can hide exactly there; these states seed extra descent starts.
     """
     starts = []
-    # One operator at a time: a full SVD holds a dim_out x dim_out factor, so
-    # a batched call would hold one per operator.
-    for op in claimed_stack:
-        _, svals, vh = linalg.svd_or_error(op)
+    # One batched SVD: full right factors, whose rows past dim_out span the
+    # kernel when dim_out < dim_in, and left factors of at most
+    # min(dim_out, dim_in) columns.
+    dim_out, dim_in = claimed_stack.shape[-2:]
+    _, svals_stack, vh_stack = linalg.svd_or_error(claimed_stack, full_matrices=dim_out < dim_in)
+    for svals, vh in zip(svals_stack, vh_stack):
         for i in range(vh.shape[0]):
             sval = svals[i] if i < svals.size else 0.0
             if sval <= KERNEL_SINGULAR_TOL:

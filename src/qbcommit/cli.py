@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also check at a 2m-label cheat minimizing the Kraus gap over contractions; "
             f"its certified bracket stops within CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g} "
-            f"or after {GAP_STEPS} steps"
+            f"or after {GAP_STEPS} steps: the trace bound, then damped Newton on a log-barrier"
         ),
     )
 

@@ -110,11 +110,11 @@ def eigh_or_error(m: np.ndarray):
         ) from exc
 
 
-def svd_or_error(a: np.ndarray, compute_uv: bool = True):
+def svd_or_error(a: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
     """``np.linalg.svd`` of a matrix or a stack of them, with the package's
     error type."""
     try:
-        return np.linalg.svd(a, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SpectralDecompositionError(
             f"singular value decomposition failed to converge: {exc}"

@@ -102,6 +102,25 @@ def test_kernel_start_svd_failure_raises(monkeypatch):
         min_over_states(dephasing_protocol(), np.eye(2))
 
 
+def test_kernel_starts_take_one_svd_of_the_claimed_stack(monkeypatch):
+    # One batched SVD per family. With dim_out < dim_in each operator's
+    # kernel is spanned by its full right factor's rows past dim_out, and the
+    # starts equal those of a full SVD taken one operator at a time.
+    claimed = random_protocol(3, 2, 3, seed=5).bit1.ops
+    want = []
+    for op in claimed:
+        _, svals, vh = np.linalg.svd(op)
+        want += [vh[i].conj() for i in range(3) if i >= svals.size or svals[i] <= 1e-7]
+    calls = _count_calls(monkeypatch, linalg, "svd_or_error")
+    got = _kernel_starts(claimed)
+    assert len(calls) == 1
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    del calls[:]
+    assert len(_kernel_starts(decoy_protocol(3).bit1.ops)) == 2 and len(calls) == 1
+
+
 def test_payoff_objective_rows_match_payoff_and_finite_differences():
     # One batch mixes generic states with claimed-branch kernel states, where
     # an outcome is dropped: every row must agree with alice_cheat_prob.

@@ -3,6 +3,7 @@ import pytest
 
 from qbcommit import bounds, linalg
 from qbcommit.bounds import (
+    GAP_STEPS,
     SCAN_CSV_HEADER,
     ScanBudgets,
     bounds_report,
@@ -177,8 +178,8 @@ def test_trace_certificate_proves_start_optimal(spec, closed):
 def test_trace_certificate_met_only_after_steps_on_phase_flip():
     # Tr(Z† I) = 0, so the Procrustes alignment is the identity, whose gap 4
     # (S = diag(0, 4)) is the largest any phase has. The trace bound is
-    # already 2 at rho = I/2; the steps then alternate the phases +1 and -1,
-    # whose mean 0 dilates to the swap on two labels, of gap 2.
+    # already 2 at rho = I/2; the Newton start C = 0 dilates to the swap on
+    # two labels, of gap 2, and certifies at step 2.
     res = minimize_kraus_gap(phase_flip_pair())
     assert abs(res.lower - 2.0) < 1e-12
     assert 0.0 <= res.value - res.lower <= CERTIFIED_WIDTH
@@ -253,6 +254,99 @@ def test_lower_gap_is_below_the_cb_norm(spec):
     cb = analyze_concealment(spec, restarts=0)
     assert res.lower <= cb.cb_upper
     assert cb.cb_lower <= 2.0 * np.sqrt(res.value)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    PANEL + [random_protocol(d, d, m, np.random.default_rng([41, d, m])) for d in (2, 3, 4) for m in (2, 3, 4)],
+    ids=[f"p{s}" for s in range(6)] + [f"din{d}-m{m}" for d in (2, 3, 4) for m in (2, 3, 4)],
+)
+def test_newton_bracket_certifies(spec):
+    res = minimize_kraus_gap(spec)
+    assert 0.0 <= res.lower <= res.value
+    assert res.value - res.lower <= CERTIFIED_WIDTH
+    assert res.trace.converged == [True] and res.trace.notes[0].startswith("certified at step")
+    assert res.value == kraus_gap(res.spec, res.unitary)
+
+
+def test_newton_bracket_certifies_at_thirty_two_labels():
+    res = minimize_kraus_gap(random_protocol(2, 2, 32, seed=0))
+    assert res.value - res.lower <= CERTIFIED_WIDTH
+    assert res.trace.converged == [True] and res.trace.iterations[0] < GAP_STEPS
+
+
+def test_iterate_outside_the_domain_stops_with_a_valid_bracket(monkeypatch):
+    # A step to ||C|| = 15 ends the loop at the next iterate; the bracket
+    # kept so far stands.
+    monkeypatch.setattr(bounds, "_newton_step", lambda *args: (np.full((3, 3), 10.0), 0.0, 1.0))
+    res = minimize_kraus_gap(PANEL[0])
+    assert res.trace.notes[0].startswith("step 3 left the domain")
+    assert res.trace.converged == [False]
+    assert 0.0 <= res.lower <= res.value == kraus_gap(res.spec, res.unitary)
+
+
+def _dense_newton_step(spec, c, t, tau):
+    """Reference Newton step of tau t - log det(tI - S(C)) - log det(I - C†C)
+    from the gradient and the Hessian Tr(W D_v W D_w) of each log det,
+    assembled over the 2m² + 1 real coordinates (Re C, Im C, t)."""
+    e0, e1 = spec.bit0.ops, spec.bit1.ops
+    m, _, din = e0.shape
+    pairs = np.einsum("jab,lac->jlbc", e1.conj(), e0)
+    k = np.einsum("jab,jac->bc", e0.conj(), e0) + np.einsum("jab,jac->bc", e1.conj(), e1)
+
+    def y(c):
+        return np.einsum("jl,jlbc->bc", c, pairs)
+
+    x1 = t * np.eye(din) - k + y(c) + y(c).conj().T
+    x2 = np.eye(m) - c.conj().T @ c
+    w1, w2 = np.linalg.inv(x1), np.linalg.inv(x2)
+    units = [np.zeros((m, m), dtype=complex) for _ in range(2 * m * m)]
+    for i in range(m * m):
+        units[i].flat[i], units[m * m + i].flat[i] = 1.0, 1j
+    d1 = [y(u) + y(u).conj().T for u in units] + [np.eye(din)]
+    d2 = [u.conj().T @ c + c.conj().T @ u for u in units] + [np.zeros((m, m))]
+    units.append(np.zeros((m, m)))
+    n = len(units)
+    grad = np.array([np.trace(w2 @ d2[v]).real - np.trace(w1 @ d1[v]).real for v in range(n)])
+    grad[-1] += tau
+    hess = np.zeros((n, n))
+    for v in range(n):
+        for w in range(n):
+            hess[v, w] = np.trace(w1 @ d1[v] @ w1 @ d1[w]).real + np.trace(w2 @ d2[v] @ w2 @ d2[w]).real
+            hess[v, w] += np.trace(w2 @ (units[v].conj().T @ units[w] + units[w].conj().T @ units[v])).real
+    x = np.linalg.solve(hess, -grad)
+    return (x[: m * m] + 1j * x[m * m : -1]).reshape(m, m), x[-1], -grad @ x
+
+
+@pytest.mark.parametrize("din, m", [(2, 3), (3, 2), (3, 4)])
+def test_newton_step_matches_dense_hessian(din, m):
+    spec = random_protocol(din, din, m, seed=9)
+    rng = linalg.spawn_rng(44, din, m)
+    c = 0.9 * _random_contraction(m, rng)
+    e0, e1 = spec.bit0.ops, spec.bit1.ops
+    pairs = np.einsum("jab,lac->jlbc", e1.conj(), e0).reshape(m * m, din * din)
+    k = np.einsum("jab,jac->bc", e0.conj(), e0) + np.einsum("jab,jac->bc", e1.conj(), e1)
+    y = (c.reshape(-1) @ pairs).reshape(din, din)
+    gap_op = k - y - y.conj().T
+    t, tau = np.linalg.eigvalsh(gap_op)[-1] + 0.3, 5.0
+    lam, vecs = np.linalg.eigh(t * np.eye(din) - gap_op)
+    w = np.linalg.inv(t * np.eye(din) - gap_op)
+    n_w = (pairs @ w.T.reshape(-1)).reshape(m, m)
+    half = vecs / np.sqrt(lam)
+    got = bounds._newton_step(
+        pairs, bounds._hermitian_basis(din), np.linalg.svd(c), half, n_w, tau - np.trace(w).real
+    )
+    want = _dense_newton_step(spec, c, t, tau)
+    np.testing.assert_allclose(got[0], want[0], atol=1e-12)
+    assert abs(got[1] - want[1]) < 1e-12 and abs(got[2] - want[2]) < 1e-12 * max(1.0, want[2])
+
+
+def test_hermitian_basis_is_orthonormal():
+    for d in (1, 2, 3, 4):
+        basis = bounds._hermitian_basis(d)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        gram = np.einsum("kab,lab->kl", basis.conj(), basis)
+        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-15)
 
 
 BAD_TOLS = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0}

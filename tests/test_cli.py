@@ -68,7 +68,10 @@ def test_bounds_minimize_help_names_the_certified_width(capsys):
     with pytest.raises(SystemExit):
         cli.main(["bounds", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "certified bracket stops within CERTIFIED_WIDTH = 1e-05 or after 500 steps" in help_text
+    assert (
+        "certified bracket stops within CERTIFIED_WIDTH = 1e-05 or after 200 steps: "
+        "the trace bound, then damped Newton on a log-barrier"
+    ) in help_text
 
 
 def test_validate_rejects_incomplete_family(tmp_path, capsys):
