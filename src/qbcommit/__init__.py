@@ -44,8 +44,6 @@ from .families import (
 from .concealment import (
     ConcealmentReport,
     analyze_concealment,
-    cb_lower_bound,
-    cb_upper_bound,
     helstrom_prob,
 )
 from .binding import (
@@ -64,7 +62,6 @@ from .bounds import (
     check_bounds,
     epsilon_delta_scan,
     kraus_gap,
-    kraus_gap_operator,
     minimize_kraus_gap,
     payoff_floor,
     scan_to_csv,
@@ -105,8 +102,6 @@ __all__ = [
     "apply_cheat_unitary",
     "apply_extended_channel",
     "bounds_report",
-    "cb_lower_bound",
-    "cb_upper_bound",
     "check_bounds",
     "choi",
     "choi_distance",
@@ -120,7 +115,6 @@ __all__ = [
     "identity_protocol",
     "jsonable",
     "kraus_gap",
-    "kraus_gap_operator",
     "load_protocol",
     "load_scan_config",
     "min_over_states",

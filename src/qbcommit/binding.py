@@ -302,11 +302,14 @@ def minimax_cheat(
     Each scored cheat gets the worst state that ``min_over_states``'s full
     inner search (whose starts include the claimed-branch kernel states)
     finds for it, and a dual certificate built from the kernel states and
-    that worst state; the best score is the estimate and the smallest
-    certificate, capped at 1, is ``binding_upper``. The search stops at the
-    first scored cheat after which the bound lies within ``CERTIFIED_WIDTH``
-    of the estimate, with a note naming that cheat: no cheat can do better
-    by more than that.
+    that worst state; the best score, the Procrustes start's included, is
+    the estimate, and the smallest certificate, capped at 1, is
+    ``binding_upper``. The trace's ``best_start`` names the restart that
+    scored the estimate, or a note names the Procrustes start when no
+    restart's end point scored higher. The search stops at the first scored
+    cheat after which the bound lies within ``CERTIFIED_WIDTH`` of the
+    estimate, with a note naming that cheat: no cheat can do better by more
+    than that.
 
     The Procrustes alignment of the two families is scored first; when it
     certifies, the trace reads one restart of 0 iterations. Otherwise the
@@ -341,7 +344,8 @@ def minimax_cheat(
         align_families(committed, claimed), tol=linalg.UNITARY_CONSTRUCTION_TOL
     )
     inner, witness = score(procrustes)
-    best = (inner.value, procrustes, inner)  # (estimate, cheat, inner SphereResult)
+    # (estimate, cheat, inner SphereResult, restart index or None for Procrustes)
+    best = (inner.value, procrustes, inner, None)
     width = min(witness, PAYOFF_CAP) - inner.value
     skip = width <= CERTIFIED_WIDTH
     outer_trace = SolverTrace(
@@ -384,14 +388,19 @@ def minimax_cheat(
         inner, bound = score(v)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
         witness = min(witness, bound)
-        if outer_trace.record([inner.value], [iters], [converged], maximize=True) == ridx:
-            best = (inner.value, v, inner)
+        outer_trace.record([inner.value], [iters], [converged], maximize=True)
+        if inner.value > best[0]:
+            best = (inner.value, v, inner, ridx)
         width = min(witness, PAYOFF_CAP) - best[0]
         if width <= CERTIFIED_WIDTH:
             certified(f"certified after restart {ridx}", width, "remaining restarts skipped")
             break
 
-    estimate, best_v, inner = best
+    estimate, best_v, inner, source = best
+    if not skip and source is None:
+        outer_trace.notes.append(
+            "estimate from the Procrustes start: no restart's end point scored higher"
+        )
     worst = inner.vector
     routes = {"witness_dual": witness, "payoff_cap": PAYOFF_CAP}
     upper = min(routes.values())

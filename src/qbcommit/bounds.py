@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from .binding import _payoffs, minimax_cheat
-from .concealment import analyze_concealment, cb_lower_bound
+from .concealment import analyze_concealment
+from .errors import CommitmentError
 from .optimize import CERTIFIED_WIDTH, SolverTrace, _require_tolerance
 from .protocol import ProtocolSpec, _require_cheat, require_valid
 
@@ -40,18 +41,6 @@ def _gap_operator(v: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
     return delta.conj().T @ delta
 
 
-def kraus_gap_operator(spec: ProtocolSpec, cheat) -> np.ndarray:
-    """Positive operator summing |bit0-reindexed-by-cheat minus bit1|² termwise.
-
-    The squared-modulus convention is op†op, so the result is a positive
-    semidefinite operator on the input space whose size bounds how far the
-    reindexed bit-0 family sits from the bit-1 family.
-    """
-    require_valid(spec)
-    cheat = _require_cheat(cheat, spec.cardinality)
-    return _gap_operator(cheat, spec.bit0.ops, spec.bit1.ops)
-
-
 def _gap(spec: ProtocolSpec, cheat: np.ndarray) -> float:
     """Clamped top eigenvalue of the gap operator at one checked cheat."""
     s = _gap_operator(cheat, spec.bit0.ops, spec.bit1.ops)
@@ -61,7 +50,8 @@ def _gap(spec: ProtocolSpec, cheat: np.ndarray) -> float:
 def kraus_gap(spec: ProtocolSpec, cheat=None) -> float:
     """Largest eigenvalue of the gap operator S at ``cheat`` (the identity by
     default), clamped at 0: the number ``minimize_kraus_gap`` reports for the
-    unitary it returns, on its ``GapResult.spec``."""
+    unitary it returns, on its ``GapResult.spec``. S = sum_j delta_j† delta_j
+    over the branch differences of bit 0 reindexed by ``cheat`` and bit 1."""
     require_valid(spec)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
@@ -279,7 +269,7 @@ def check_bounds(
     """Test both inequalities on one protocol at one reindexing.
 
     The concealment side compares a quarter of ``cb_lower``, an achieved
-    lower bound on the norm (``cb_lower_bound``'s value), against half the
+    lower bound on the norm (``analyze_concealment``'s), against half the
     square root of the gap. The binding side evaluates Alice's payoff for
     the gap's own cheat on seeded random states and compares each against
     the payoff floor.
@@ -355,14 +345,14 @@ def bounds_report(
     """Both inequalities at the identity reindexing and, with ``minimize``,
     at the gap-minimizing one: the ``qbcommit bounds`` report.
 
-    One norm search (``cb_lower_bound`` with ``restarts``) serves both
-    checks, since the norm does not depend on the reindexing. Returns
-    {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
-    ``check_bounds`` at ``minimize_kraus_gap``'s 2m x 2m unitary, on the
-    protocol padded to 2m labels), "minimized_gap" and "minimized_gap_lower"
-    (its ``value`` and ``lower``).
+    One norm bracket's ``cb_lower`` (``analyze_concealment`` with
+    ``restarts``) serves both checks, since the norm does not depend on the
+    reindexing. Returns {"identity": BoundCheck} and, with ``minimize``,
+    also "minimized" (the ``check_bounds`` at ``minimize_kraus_gap``'s
+    2m x 2m unitary, on the protocol padded to 2m labels), "minimized_gap"
+    and "minimized_gap_lower" (its ``value`` and ``lower``).
     """
-    cb_lower = cb_lower_bound(spec, restarts, seed).value
+    cb_lower = analyze_concealment(spec, restarts, seed).cb_lower
     report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=cb_lower, tol=tol)}
     if minimize:
         gap_min = minimize_kraus_gap(spec)
@@ -427,12 +417,13 @@ def epsilon_delta_scan(
 ) -> ScanResult:
     """Walk a one-parameter protocol family and record both cheat sides.
 
-    ``family`` maps a parameter value to a protocol. Parameters whose
-    protocol fails to build or validate are recorded as skipped with the
-    reason instead of aborting the scan. The norm bracket is
-    ``analyze_concealment``'s and the estimate is ``minimax_cheat``'s in
-    direction "01", so an inverted bracket raises ``BracketInversionError``
-    as it does for a single protocol.
+    ``family`` maps a parameter value to a protocol. A parameter that the
+    family or the validation rejects (``ValueError``, ``OverflowError`` or
+    ``CommitmentError``) is recorded as skipped with the reason instead of
+    aborting the scan; any other exception is a bug and propagates. The
+    norm bracket is ``analyze_concealment``'s and the estimate is
+    ``minimax_cheat``'s in direction "01", so an inverted bracket raises
+    ``BracketInversionError`` as it does for a single protocol.
     """
     if budgets is None:
         budgets = ScanBudgets()
@@ -443,7 +434,7 @@ def epsilon_delta_scan(
         try:
             spec = family(param)
             require_valid(spec)
-        except Exception as exc:
+        except (ValueError, OverflowError, CommitmentError) as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
         conceal = analyze_concealment(spec, budgets.cb_restarts, seed, budgets.tol)

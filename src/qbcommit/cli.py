@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
     p.add_argument("--restarts", type=_count(0), default=16, help=_RESTARTS_HELP)
-    p.add_argument("--ref-dim", type=_count(1), default=None)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
     p.add_argument("protocol")
@@ -184,7 +183,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_conceal(args) -> int:
     spec = load_protocol(args.protocol)
-    kwargs = {"restarts": args.restarts, "seed": args.seed, "ref_dim": args.ref_dim}
+    kwargs = {"restarts": args.restarts, "seed": args.seed}
     if args.tol is not None:
         kwargs["tol"] = args.tol
     report = analyze_concealment(spec, **kwargs)

@@ -1,9 +1,10 @@
 """Concealment analysis: how well can Bob distinguish the two commitments.
 
 Bob's optimal cheating probability is 1/2 + 1/4 times the completely bounded
-norm of the channel difference. The exact norm is bracketed from below by a
-variational search over pure inputs on the committed space extended with a
-reference, and from above by Watrous's dual for the cb norm of a difference
+norm of the channel difference. ``analyze_concealment`` brackets the exact
+norm from below by a variational search over pure inputs on the committed
+space extended with a reference of the same dimension, which suffices for
+exactness, and from above by Watrous's dual for the cb norm of a difference
 of channels: ||Phi1 - Phi0||_cb <= 2 ||Tr_out Z|| for every Z >= 0 with
 Z >= J, J the Choi operator of the difference. One Z is built from the
 search's witness and meets the lower bound at a stationary point, so the
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
+from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace
 from .optimize import _require_tolerance, search_sphere
 from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
@@ -56,33 +57,34 @@ def helstrom_prob(spec: ProtocolSpec, psi) -> float:
     return 0.5 + 0.25 * linalg.trace_norm(out1 - out0)
 
 
-def _difference_objective(spec: ProtocolSpec, ref_dim: int):
+def _difference_objective(spec: ProtocolSpec):
     """Trace-norm objective with analytic subgradient and eigenvector polish.
 
-    For a unit vector psi, the value is the trace norm of the extended
-    channel difference applied to |psi><psi|. The subgradient comes from the
-    spectral sign operator S: the value equals <psi| D*(S) |psi> with D* the
-    adjoint difference map, so d value / d conj(psi) = D*(S) psi. Since
+    For a unit vector psi on the committed space ⊗ a reference of dim_in,
+    the value is the trace norm of the extended channel difference applied
+    to |psi><psi|. The subgradient comes from the spectral sign operator S:
+    the value equals <psi| D*(S) |psi> with D* the adjoint difference map,
+    so d value / d conj(psi) = D*(S) psi. Since
     D*(S) psi = sum_m A_m† S A_m psi over the extended operators
-    A_m = K_m ⊗ I_ref (bit 1 minus bit 0), the gradient comes from the branch
-    images u_m = A_m psi that the value already needs, as v_m = S u_m and then
-    sum_m A_m† v_m, without forming D*(S). The objective does this for a whole
-    batch of states at once, with one stacked eigendecomposition. The polish
-    candidate is the top eigenvector of the Hermitian part of D*(S) at one
-    state, built from the extended stacks; it never decreases the objective
-    and sharpens convergence near the optimum.
+    A_m = K_m ⊗ I_ref (bit 1 minus bit 0), the gradient comes from the
+    branch images u_m = A_m psi that the value already needs, as v_m = S u_m
+    and then sum_m A_m† v_m, without forming D*(S). The objective does this
+    for a whole batch of states at once, with one stacked
+    eigendecomposition. The polish candidate is the top eigenvector of the
+    Hermitian part of D*(S) at one state, built from the extended stacks; it
+    never decreases the objective and sharpens convergence near the optimum.
     """
-    din, n = spec.dim_in, spec.dim_in * ref_dim
+    din, n = spec.dim_in, spec.dim_in**2
     k0, k1 = spec.bit0.ops, spec.bit1.ops
     # Adjoint of each Kraus stack flattened over the Kraus index: (din, m * dout).
     k0h, k1h = (k.reshape(-1, din).conj().T for k in (k0, k1))
-    # The operators K_m ⊗ I_ref of each bit: (m, dout * ref, n).
+    # The operators K_m ⊗ I_ref of each bit: (m, dout * din, n).
     a0, a1 = (
-        np.einsum("mab,rs->marbs", k, np.eye(ref_dim)).reshape(len(k), -1, n) for k in (k0, k1)
+        np.einsum("mab,rs->marbs", k, np.eye(din)).reshape(len(k), -1, n) for k in (k0, k1)
     )
 
     def sign_and_images(psis: np.ndarray):
-        mats = psis.reshape(len(psis), din, ref_dim)
+        mats = psis.reshape(len(psis), din, din)
         u1 = np.einsum("mab,Rbr->Rmar", k1, mats).reshape(len(psis), len(k1), -1)
         u0 = np.einsum("mab,Rbr->Rmar", k0, mats).reshape(len(psis), len(k0), -1)
         out = np.einsum("Rma,Rmb->Rab", u1, u1.conj()) - np.einsum(
@@ -96,8 +98,8 @@ def _difference_objective(spec: ProtocolSpec, ref_dim: int):
         values, sign, u0, u1 = sign_and_images(psis)
         # v_m = S u_m, then sum_m (K_m ⊗ I)† v_m; bit 1 minus bit 0.
         sign_t = sign.transpose(0, 2, 1)
-        v1 = (u1 @ sign_t).reshape(len(psis), -1, ref_dim)
-        v0 = (u0 @ sign_t).reshape(len(psis), -1, ref_dim)
+        v1 = (u1 @ sign_t).reshape(len(psis), -1, din)
+        v0 = (u0 @ sign_t).reshape(len(psis), -1, din)
         return values, (k1h @ v1 - k0h @ v0).reshape(len(psis), n)
 
     def polish(psi: np.ndarray):
@@ -175,111 +177,23 @@ def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
     return float(value + allowance), float(repair)
 
 
-def _dual_routes(spec: ProtocolSpec, witness=None) -> dict:
+def _dual_routes(spec: ProtocolSpec, witness: np.ndarray) -> dict:
     """Dual upper bounds on the cb norm, {route: (bound, repair)}.
 
     ``j_plus`` takes Z = J₊, the positive part of the Choi difference; its
     value never exceeds the Choi trace norm, because Tr J = 0.
-    ``witness_dual`` takes the candidate built from a witness state.
+    ``witness_dual`` takes the candidate built from a unit ``witness`` on the
+    committed space ⊗ a reference of any size.
     """
     din, dout = spec.dim_in, spec.dim_out
-    if witness is not None:
-        witness = linalg.as_state(witness)
-        if witness.size % din != 0:
-            raise ValueError(
-                f"witness length {witness.size} is not a multiple of the input dimension {din}"
-            )
     j = _choi_difference(spec)
     w, vecs = linalg.eigh_or_error(j)
     j_norm = max(-w[0], w[-1])
-    candidates = {"j_plus": (vecs * np.maximum(w, 0.0)) @ vecs.conj().T}
-    if witness is not None:
-        candidates["witness_dual"] = _witness_z(j, witness, din, dout)
+    candidates = {
+        "j_plus": (vecs * np.maximum(w, 0.0)) @ vecs.conj().T,
+        "witness_dual": _witness_z(j, witness, din, dout),
+    }
     return {name: _dual_bound(z, j, dout, j_norm) for name, z in candidates.items()}
-
-
-def _capped(duals: dict):
-    """(value, routes): the bounds of ``duals`` plus the cap, and their least."""
-    routes = {name: bound for name, (bound, _) in duals.items()}
-    routes["channel_pair_cap"] = CB_NORM_CAP
-    return min(routes.values()), routes
-
-
-def _lower_search(spec, restarts, seed, tol, ref_dim):
-    """``cb_lower_bound``'s search, returning (result, duals), ``duals`` being
-    the dual routes at the returned witness."""
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
-    tol = _require_tolerance(tol)
-    ref = spec.dim_in if ref_dim is None else int(ref_dim)
-    if ref < 1:
-        raise ValueError(f"reference dimension must be positive, got {ref}")
-    fun_grad, polish = _difference_objective(spec, ref)
-    # Maximally entangled start on the first min(dim_in, ref) levels of each
-    # factor; frequently already the maximizer.
-    k = min(spec.dim_in, ref)
-    entangled = np.eye(spec.dim_in, ref, dtype=complex).reshape(-1) / sqrt(k)
-    opts = dict(
-        maximize=True,
-        seed=seed,
-        tol=tol,
-        max_iter=500,
-        extra_starts=[entangled],
-        polish=polish,
-        rng_tags=(1,),
-    )
-    result = search_sphere(fun_grad, spec.dim_in * ref, restarts=0, **opts)
-    duals = _dual_routes(spec, result.vector)
-    if restarts > 0:
-        width = _capped(duals)[0] - max(0.0, result.value)
-        if width <= CERTIFIED_WIDTH:
-            result.trace.notes.append(
-                f"entangled start certified: bracket width {width!r} <= "
-                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
-            )
-        else:
-            result = search_sphere(fun_grad, spec.dim_in * ref, restarts=restarts, **opts)
-            duals = _dual_routes(spec, result.vector)
-    result.value = max(0.0, result.value)
-    return result, duals
-
-
-def cb_lower_bound(
-    spec: ProtocolSpec,
-    restarts: int = 16,
-    seed: int = 0,
-    tol: float = 1e-8,
-    ref_dim: int | None = None,
-) -> SphereResult:
-    """Certified lower bound on the cb norm of the channel difference.
-
-    Projected gradient ascent over pure states of the committed space
-    extended by ``ref_dim`` (defaults to the committed dimension, which
-    suffices for exactness of the variational form). The maximally entangled
-    start runs first, alone. When the dual bound built from its witness lies
-    within ``CERTIFIED_WIDTH`` of its value, no restart could gain more, so
-    that result is returned with a note saying so. Otherwise the search runs
-    again from the entangled start plus ``restarts`` seeded random ones,
-    with the same result as if the first run had not happened. The achieved
-    objective is itself the bound; the witness state is returned alongside.
-    """
-    require_valid(spec)
-    return _lower_search(spec, restarts, seed, tol, ref_dim)[0]
-
-
-def cb_upper_bound(spec: ProtocolSpec, witness=None):
-    """Cheapest certified upper bound on the cb norm of the channel difference.
-
-    Returns (value, routes), the value being the minimum of the routes:
-    ``witness_dual``, the dual bound built from a ``witness`` state on the
-    committed space ⊗ a reference of any size (only when one is given);
-    ``j_plus``, the dual bound at the positive part of the Choi difference;
-    and ``channel_pair_cap``, the universal cap of 2 for a pair of
-    trace-preserving channels. The dual routes are rounded up for
-    round-off, so the cap wins where a dual route meets it exactly.
-    """
-    require_valid(spec)
-    return _capped(_dual_routes(spec, witness))
 
 
 @dataclass
@@ -306,25 +220,65 @@ def analyze_concealment(
     restarts: int = 16,
     seed: int = 0,
     tol: float = 1e-8,
-    ref_dim: int | None = None,
 ) -> ConcealmentReport:
-    """Assemble the concealment bracket for one protocol.
+    """Bracket the cb norm of the channel difference for one protocol.
 
-    The lower bound is ``cb_lower_bound``'s and the upper bound and its
-    routes are ``cb_upper_bound``'s at the witness, from the search's build of
-    the witness's dual routes. A lower bound exceeding the upper bound beyond
-    ``BRACKET_GUARD`` signals a solver bug and raises instead of reporting;
-    inversions within the guard are clipped to keep the bracket ordered.
+    ``cb_lower`` is the value that projected gradient ascent over pure states
+    of the committed space ⊗ a reference of dim_in achieves at
+    ``witness_state``. The maximally entangled start runs first, alone; when
+    the bracket at its witness is within ``CERTIFIED_WIDTH``, a trace note
+    says so and the random restarts are skipped. Otherwise the search reruns
+    from that start plus ``restarts`` seeded ones, as if the first run had
+    not happened. ``cb_upper`` is the least of ``upper_routes``:
+    ``witness_dual`` (the dual built from a witness), ``j_plus`` (the dual at
+    the positive part of the Choi difference) and ``channel_pair_cap`` (2).
+    The duals are rounded up for round-off, so the cap wins where one meets
+    it exactly. Every dual certifies, so each keeps the smaller of its builds
+    at the two runs' witnesses, and ``dual_repair`` is the repair of the
+    ``witness_dual`` kept. A lower bound above the upper one beyond
+    ``BRACKET_GUARD`` is a solver bug and raises ``BracketInversionError``;
+    smaller inversions are clipped to keep the bracket ordered.
     """
     require_valid(spec)
-    lower, duals = _lower_search(spec, restarts, seed, tol, ref_dim)
-    upper, routes = _capped(duals)
-    if lower.value > upper + BRACKET_GUARD:
+    if restarts < 0:
+        raise ValueError("restarts must be nonnegative")
+    tol = _require_tolerance(tol)
+    din = spec.dim_in
+    fun_grad, polish = _difference_objective(spec)
+    # Maximally entangled start; frequently already the maximizer.
+    entangled = np.eye(din, dtype=complex).reshape(-1) / sqrt(din)
+    opts = dict(
+        maximize=True,
+        seed=seed,
+        tol=tol,
+        max_iter=500,
+        extra_starts=[entangled],
+        polish=polish,
+        rng_tags=(1,),
+    )
+    lower = search_sphere(fun_grad, din * din, restarts=0, **opts)
+    duals = _dual_routes(spec, lower.vector)
+    if restarts > 0:
+        width = min(CB_NORM_CAP, *(bound for bound, _ in duals.values())) - max(0.0, lower.value)
+        if width <= CERTIFIED_WIDTH:
+            lower.trace.notes.append(
+                f"entangled start certified: bracket width {width!r} <= "
+                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
+            )
+        else:
+            lower = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
+            rerun = _dual_routes(spec, lower.vector)
+            duals = {name: min(pair, duals[name]) for name, pair in rerun.items()}
+    routes = {name: bound for name, (bound, _) in duals.items()}
+    routes["channel_pair_cap"] = CB_NORM_CAP
+    upper = min(routes.values())
+    value = max(0.0, lower.value)
+    if value > upper + BRACKET_GUARD:
         raise BracketInversionError(
-            f"certified lower bound {lower.value!r} exceeds upper bound "
+            f"certified lower bound {value!r} exceeds upper bound "
             f"{upper!r} for protocol {spec.label!r}"
         )
-    cb_lo = min(lower.value, upper)
+    cb_lo = min(value, upper)
     return ConcealmentReport(
         label=spec.label,
         cb_lower=cb_lo,

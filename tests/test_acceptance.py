@@ -12,12 +12,7 @@ import numpy as np
 from qbcommit import linalg
 from qbcommit.binding import alice_cheat_prob, minimax_cheat
 from qbcommit.bounds import ScanBudgets, check_bounds, epsilon_delta_scan, scan_to_csv
-from qbcommit.concealment import (
-    analyze_concealment,
-    cb_lower_bound,
-    cb_upper_bound,
-    helstrom_prob,
-)
+from qbcommit.concealment import analyze_concealment, helstrom_prob
 from qbcommit.families import (
     FAMILY_REGISTRY,
     dephasing_protocol,
@@ -68,7 +63,7 @@ def test_criterion_2_inequalities_random_campaign(criterion_log):
         dout = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         spec = random_protocol(din, dout, m, seed=rng, label=f"campaign-{i}")
-        lo = cb_lower_bound(spec, restarts=8, seed=i).value
+        lo = analyze_concealment(spec, restarts=8, seed=i).cb_lower
         cheats = [np.eye(m, dtype=complex)] + [
             linalg.random_unitary(m, rng) for _ in range(4)
         ]
@@ -119,8 +114,8 @@ def test_criterion_4_helstrom_capped_by_bracket(criterion_log):
         dout = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         spec = random_protocol(din, dout, m, seed=rng)
-        witness = cb_lower_bound(spec, restarts=4, seed=i).vector
-        upper, _ = cb_upper_bound(spec, witness)
+        conceal = analyze_concealment(spec, restarts=4, seed=i)
+        witness, upper = conceal.witness_state, conceal.cb_upper
         cap = 0.5 + 0.25 * upper + 1e-8
         states = [witness] + [
             linalg.random_state(din * din, rng) for _ in range(10)

@@ -282,6 +282,25 @@ def test_minimax_stops_once_a_restart_certifies():
     assert abs(rep.minimax_estimate - 0.3858716411108989) < 1e-12
 
 
+def test_minimax_keeps_the_procrustes_score_when_no_restart_beats_it():
+    # Every restart, the one ascending from the Procrustes alignment
+    # included, ends below the alignment's own score under the full inner
+    # search, so the alignment holds the estimate and a note names it.
+    spec = random_protocol(3, 3, 3, seed=3)
+    rep = minimax_cheat(
+        spec, "01", outer_restarts=4, outer_iters=80, inner_restarts=8, seed=1, include_swapped=False
+    )
+    v = align_families(spec.bit0, spec.bit1)
+    direct = min_over_states(spec, v, restarts=8, seed=1)
+    assert rep.minimax_estimate == direct.value
+    assert abs(rep.minimax_estimate - 0.12915467289654115) < 1e-12
+    assert max(rep.solver_trace.values) < rep.minimax_estimate
+    assert np.array_equal(rep.best_cheat_unitary, v)
+    assert np.array_equal(rep.worst_state, direct.vector)
+    assert rep.payoff_at_saddle == rep.minimax_estimate
+    assert rep.solver_trace.notes[-1].startswith("estimate from the Procrustes start")
+
+
 def test_minimax_swapped_report():
     rep = minimax_cheat(
         dephasing_protocol(),

@@ -15,7 +15,7 @@ from qbcommit.bounds import (
     scan_to_csv,
 )
 from qbcommit.binding import minimax_cheat
-from qbcommit.concealment import analyze_concealment, cb_lower_bound
+from qbcommit.concealment import analyze_concealment
 from qbcommit.families import (
     FAMILY_REGISTRY,
     concealing_pair,
@@ -111,6 +111,23 @@ def test_scan_decoy_closed_forms():
     assert deltas == sorted(deltas, reverse=True)
 
 
+def test_scan_skips_rejected_parameters_but_not_bugs():
+    # A parameter the family rejects is skipped: int(round(inf)) raises
+    # OverflowError. Any other exception is a bug and ends the scan.
+    result = epsilon_delta_scan(FAMILY_REGISTRY["decoy"], [float("inf")])
+    assert result.points == []
+    assert [reason.split(":")[0] for _, reason in result.skipped] == ["OverflowError"]
+
+    def broken(param):
+        if param == 1.0:
+            raise TypeError("family bug")
+        return decoy_protocol(0)
+
+    budgets = ScanBudgets(cb_restarts=1, outer_restarts=1, outer_iters=2, inner_restarts=1)
+    with pytest.raises(TypeError, match="family bug"):
+        epsilon_delta_scan(broken, [0.0, 1.0], budgets=budgets)
+
+
 def test_scan_csv_layout_and_determinism():
     budgets = ScanBudgets(
         cb_restarts=4, outer_restarts=2, outer_iters=25, inner_restarts=4
@@ -147,7 +164,7 @@ def test_bounds_report_composes_the_public_checks():
     spec = random_protocol(3, 3, 3, seed=0)
     report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
     gap = minimize_kraus_gap(spec)
-    cb_lower = cb_lower_bound(spec, restarts=2, seed=4).value
+    cb_lower = analyze_concealment(spec, restarts=2, seed=4).cb_lower
     kwargs = dict(n_states=3, seed=4, cb_lower=cb_lower)
     composed = {
         "identity": check_bounds(spec, **kwargs),
@@ -353,7 +370,6 @@ BAD_TOLS = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0}
 TOL_ENTRY_POINTS = {
     "check_bounds": lambda spec, tol: check_bounds(spec, n_states=1, cb_lower=0.5, tol=tol),
     "bounds_report": lambda spec, tol: bounds_report(spec, restarts=0, n_states=1, tol=tol),
-    "cb_lower_bound": lambda spec, tol: cb_lower_bound(spec, restarts=0, tol=tol),
     "analyze_concealment": lambda spec, tol: analyze_concealment(spec, restarts=0, tol=tol),
     "minimax_cheat": lambda spec, tol: minimax_cheat(
         spec, outer_restarts=1, outer_iters=1, inner_restarts=1, tol=tol

@@ -145,18 +145,6 @@ def test_conceal_structured_output(phase_file, capsys):
     assert isinstance(data["witness_state"], list)
 
 
-@pytest.mark.parametrize("ref_dim", ["1", "3"])
-def test_conceal_without_restarts_at_other_ref_dim(dephasing_file, ref_dim, capsys):
-    # The deterministic entangled start exists at every reference size, so
-    # a search with no random restarts still has a start.
-    argv = ["conceal", dephasing_file, "--restarts", "0", "--ref-dim", ref_dim]
-    assert cli.main(argv + ["--format", "structured"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["solver_trace"]["extra_starts"] == 1
-    assert data["solver_trace"]["restarts"] == 0
-    assert abs(data["cb_lower"] - 1.0) < 1e-9
-
-
 def test_conceal_output_file(phase_file, tmp_path, capsys):
     dest = tmp_path / "report.txt"
     code = cli.main(["conceal", phase_file, "--restarts", "4", "--output", str(dest)])
@@ -328,13 +316,13 @@ def test_bounds_minimize_gap_does_not_depend_on_the_seed(tmp_path, capsys):
 
 def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkeypatch):
     calls = []
-    search = qbcommit.concealment._lower_search
+    analyze = qbcommit.bounds.analyze_concealment
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return search(*args, **kwargs)
+        return analyze(*args, **kwargs)
 
-    monkeypatch.setattr(qbcommit.concealment, "_lower_search", counting)
+    monkeypatch.setattr(qbcommit.bounds, "analyze_concealment", counting)
     code = cli.main(
         [
             "bounds",
@@ -454,7 +442,7 @@ def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
     monkeypatch.setattr(
         qbcommit.concealment,
         "_dual_routes",
-        lambda spec, witness=None: {"j_plus": (-1.0, 0.0), "witness_dual": (-1.0, 0.0)},
+        lambda spec, witness: {"j_plus": (-1.0, 0.0), "witness_dual": (-1.0, 0.0)},
     )
     code = cli.main(["scan", decoy_config, *SCAN_BUDGET_ARGS])
     captured = capsys.readouterr()
@@ -470,7 +458,6 @@ def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
         ("bind", "--inner-restarts", "0"),
         ("bind", "--outer-iters", "-1"),
         ("conceal", "--restarts", "-1"),
-        ("conceal", "--ref-dim", "0"),
         ("bounds", "--restarts", "-1"),
         ("bounds", "--states", "-1"),
         ("bounds", "--states", "0"),

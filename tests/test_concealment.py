@@ -11,8 +11,6 @@ from qbcommit.concealment import (
     _dual_routes,
     _witness_z,
     analyze_concealment,
-    cb_lower_bound,
-    cb_upper_bound,
     helstrom_prob,
 )
 from qbcommit.families import (
@@ -49,37 +47,35 @@ def test_helstrom_dephasing_oracles():
 
 def test_cb_lower_phase_flip_reaches_two():
     spec = phase_flip_pair()
-    res = cb_lower_bound(spec, restarts=8, seed=0)
-    assert abs(res.value - 2.0) < 1e-9
+    rep = analyze_concealment(spec, restarts=8, seed=0)
+    assert abs(rep.cb_lower - 2.0) < 1e-9
     # The witness must let Bob distinguish the branches perfectly.
-    assert abs(helstrom_prob(spec, res.vector) - 1.0) < 1e-9
+    assert abs(helstrom_prob(spec, rep.witness_state) - 1.0) < 1e-9
 
 
 def test_cb_lower_dephasing():
     spec = dephasing_protocol()
-    res = cb_lower_bound(spec, restarts=8, seed=0)
-    assert abs(res.value - 1.0) < 1e-6
+    rep = analyze_concealment(spec, restarts=8, seed=0)
+    assert abs(rep.cb_lower - 1.0) < 1e-6
 
 
 def test_cb_lower_identity_is_zero():
     spec = identity_protocol(2)
-    res = cb_lower_bound(spec, restarts=4, seed=0)
-    assert 0.0 <= res.value <= 1e-8
+    rep = analyze_concealment(spec, restarts=4, seed=0)
+    assert 0.0 <= rep.cb_lower <= 1e-8
 
 
 def test_cb_upper_routes_phase_flip():
-    spec = phase_flip_pair()
-    upper, routes = cb_upper_bound(spec)
-    assert abs(routes["j_plus"] - 2.0) < 1e-12
-    assert routes["channel_pair_cap"] == 2.0
-    assert abs(upper - 2.0) < 1e-12
+    rep = analyze_concealment(phase_flip_pair(), restarts=0)
+    assert abs(rep.upper_routes["j_plus"] - 2.0) < 1e-12
+    assert rep.upper_routes["channel_pair_cap"] == 2.0
+    assert abs(rep.cb_upper - 2.0) < 1e-12
 
 
 def test_cb_upper_routes_dephasing():
-    spec = dephasing_protocol()
-    upper, routes = cb_upper_bound(spec)
-    assert abs(routes["j_plus"] - 1.0) < 1e-12
-    assert upper <= 2.0
+    rep = analyze_concealment(dephasing_protocol(), restarts=0)
+    assert abs(rep.upper_routes["j_plus"] - 1.0) < 1e-12
+    assert rep.cb_upper <= 2.0
 
 
 def _certificate_specs():
@@ -108,18 +104,14 @@ def test_witness_dual_candidate_is_feasible_up_to_its_repair(spec):
 @pytest.mark.parametrize("spec", CERTIFICATE_SPECS, ids=[s.label for s in CERTIFICATE_SPECS])
 def test_witness_dual_never_below_the_lower_bound(spec):
     din = spec.dim_in
-    best = max(
-        cb_lower_bound(spec, restarts=4, seed=3, ref_dim=ref_dim).value
-        for ref_dim in (1, din, din + 1)
-    )
+    rep = analyze_concealment(spec, restarts=4, seed=3)
+    # Any state on any reference size, a poor one included, yields a bound
+    # on the full norm.
     for ref_dim in (1, din, din + 1):
-        witness = cb_lower_bound(spec, restarts=4, seed=3, ref_dim=ref_dim).vector
-        # Any state, a poor one included, yields a bound on the full norm.
-        for psi in [witness, *_states(din * ref_dim, 2, 77, ref_dim)]:
-            upper, routes = cb_upper_bound(spec, psi)
-            assert routes["witness_dual"] >= best
-            assert routes["j_plus"] >= best
-            assert upper >= best
+        states = _states(din * ref_dim, 2, 77, ref_dim)
+        for psi in [rep.witness_state, *states] if ref_dim == din else states:
+            for bound, _ in _dual_routes(spec, psi).values():
+                assert bound >= rep.cb_lower
 
 
 def test_dual_routes_close_the_bracket_at_closed_forms():
@@ -136,22 +128,21 @@ def test_dual_routes_close_the_bracket_at_closed_forms():
 
 def test_certified_start_runs_no_random_restarts():
     for spec in [dephasing_protocol(), random_protocol(3, 3, 2, seed=61)]:
-        res = cb_lower_bound(spec, restarts=8, seed=0)
-        assert res.trace.restarts == 0
-        assert len(res.trace.values) == 1
-        (note,) = res.trace.notes
+        rep = analyze_concealment(spec, restarts=8, seed=0)
+        assert rep.solver_trace.restarts == 0
+        assert len(rep.solver_trace.values) == 1
+        (note,) = rep.solver_trace.notes
         assert "entangled start certified" in note
         assert f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}" in note
-        upper, _ = cb_upper_bound(spec, res.vector)
-        assert upper - res.value <= CERTIFIED_WIDTH
+        assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
 
 
 def test_uncertified_start_runs_the_full_search_unchanged():
     # The witness of the entangled start is nearly a product state here, and
     # its certificate is far wider than CERTIFIED_WIDTH, so the restarts run.
     spec = random_protocol(4, 2, 2, seed=504)
-    res = cb_lower_bound(spec, restarts=6, seed=2)
-    fun_grad, polish = _difference_objective(spec, 4)
+    rep = analyze_concealment(spec, restarts=6, seed=2)
+    fun_grad, polish = _difference_objective(spec)
     entangled = np.eye(4, dtype=complex).reshape(-1) / 2.0
     direct = search_sphere(
         fun_grad,
@@ -163,11 +154,29 @@ def test_uncertified_start_runs_the_full_search_unchanged():
         polish=polish,
         rng_tags=(1,),
     )
-    assert res.trace.restarts == 6
-    assert res.trace.notes == []
-    assert res.value == max(0.0, direct.value)
-    assert np.array_equal(res.vector, direct.vector)
-    assert res.trace == direct.trace
+    assert rep.solver_trace.restarts == 6
+    assert rep.solver_trace.notes == []
+    assert rep.cb_lower == max(0.0, direct.value)
+    assert np.array_equal(rep.witness_state, direct.vector)
+    assert rep.solver_trace == direct.trace
+
+
+def test_restarts_never_loosen_the_certified_upper_bound():
+    # The entangled start does not certify here. The rerun's witness scores
+    # higher by round-off, but its own dual is looser than the first one;
+    # every dual certifies, so the report keeps the tighter build.
+    spec = random_protocol(4, 2, 4, seed=4242)
+    first = analyze_concealment(spec, restarts=0, seed=0)
+    rerun = analyze_concealment(spec, restarts=16, seed=0)
+    assert rerun.cb_upper <= first.cb_upper
+    assert rerun.cb_lower >= first.cb_lower
+    # The reported witness still attains the reported lower bound.
+    assert abs(4.0 * (helstrom_prob(spec, rerun.witness_state) - 0.5) - rerun.cb_lower) < 1e-12
+    # dual_repair belongs to the witness_dual that is reported.
+    builds = [_dual_routes(spec, r.witness_state)["witness_dual"] for r in (first, rerun)]
+    kept = min(builds)
+    assert rerun.upper_routes["witness_dual"] == kept[0]
+    assert rerun.dual_repair == kept[1]
 
 
 def test_report_carries_the_dual_repair():
@@ -198,8 +207,13 @@ def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, re
     monkeypatch.setattr(qbcommit.concealment, "_witness_z", counting)
     rep = analyze_concealment(spec, restarts=restarts, seed=2)
     assert len(calls) == witnesses
-    assert (rep.cb_upper, rep.upper_routes) == cb_upper_bound(spec, rep.witness_state)
-    assert rep.dual_repair == _dual_routes(spec, rep.witness_state)["witness_dual"][1]
+    assert rep.cb_upper == min(rep.upper_routes.values())
+    final = _dual_routes(spec, rep.witness_state)
+    for name, (bound, _) in final.items():
+        assert rep.upper_routes[name] <= bound
+    if witnesses == 1:
+        assert rep.upper_routes == {**{n: b for n, (b, _) in final.items()}, "channel_pair_cap": 2.0}
+        assert rep.dual_repair == final["witness_dual"][1]
 
 
 def test_bracket_ordering_random_protocols():
@@ -226,54 +240,20 @@ def test_analyze_concealment_report_fields():
     assert "entangled start certified" in rep.solver_trace.notes[0]
 
 
-def test_cb_lower_ref_dim_one_still_bounded():
-    spec = dephasing_protocol()
-    res = cb_lower_bound(spec, restarts=6, seed=0, ref_dim=1)
-    # Without a reference system the variational value can only drop.
-    assert res.value <= 1.0 + 1e-9
-    assert res.value >= 0.5
+# Random 3x3 and 4x4 protocols, one with more outputs than inputs and one
+# with fewer, and decoy-k2, whose output space is larger than its input.
+OBJECTIVE_SPECS = [
+    random_protocol(3, 3, 2, seed=61),
+    random_protocol(3, 3, 4, seed=62),
+    random_protocol(4, 4, 3, seed=63),
+    random_protocol(2, 3, 2, seed=64),
+    random_protocol(4, 2, 3, seed=65),
+    decoy_protocol(2),
+]
+OBJECTIVE_IDS = [spec.label for spec in OBJECTIVE_SPECS]
 
 
-def test_cb_lower_rejects_bad_ref_dim():
-    spec = dephasing_protocol()
-    try:
-        cb_lower_bound(spec, ref_dim=0)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("ref_dim=0 should be rejected")
-
-
-def test_cb_lower_ref_dim_other_than_input_has_entangled_start():
-    # With no random restarts the deterministic start alone must carry the
-    # search: |0>|0> for a trivial reference, (|00> + |11>)/sqrt(2) for a
-    # reference larger than the input. Both already reach the optimum 1.
-    spec = dephasing_protocol()
-    for ref_dim in (1, 3):
-        res = cb_lower_bound(spec, restarts=0, seed=0, ref_dim=ref_dim)
-        assert res.trace.extra_starts == 1
-        assert res.vector.shape == (2 * ref_dim,)
-        assert abs(res.value - 1.0) < 1e-9
-
-
-def _objective_cases():
-    """(spec, ref_dim) pairs: random 3x3 and 4x4 protocols and decoy-k2,
-    whose output space is larger than its input, each at reference sizes
-    1, dim_in and dim_in + 1."""
-    specs = [
-        random_protocol(3, 3, 2, seed=61),
-        random_protocol(3, 3, 4, seed=62),
-        random_protocol(4, 4, 3, seed=63),
-        decoy_protocol(2),
-    ]
-    return [(spec, ref) for spec in specs for ref in (1, spec.dim_in, spec.dim_in + 1)]
-
-
-OBJECTIVE_CASES = _objective_cases()
-OBJECTIVE_IDS = [f"{spec.label}-ref{ref}" for spec, ref in OBJECTIVE_CASES]
-
-
-def _reference_adjoint(spec, ref_dim, psi):
+def _reference_adjoint(spec, psi):
     """D*(S) at psi, one state at a time, through a three-operand einsum.
 
     The output difference has round-off eigenvalues on its kernel whenever
@@ -282,6 +262,7 @@ def _reference_adjoint(spec, ref_dim, psi):
     makes the kernel signs agree.
     """
     k0, k1 = spec.bit0.ops, spec.bit1.ops
+    ref_dim = spec.dim_in
     mat = psi.reshape(spec.dim_in, ref_dim)
     u1 = np.einsum("mab,br->mar", k1, mat).reshape(len(k1), -1)
     u0 = np.einsum("mab,br->mar", k0, mat).reshape(len(k0), -1)
@@ -300,26 +281,26 @@ def _states(dim, count, *tags):
     return np.stack([linalg.random_state(dim, linalg.spawn_rng(*tags, i)) for i in range(count)])
 
 
-@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
-def test_difference_objective_matches_helstrom_and_reference_adjoint(spec, ref_dim):
-    fun_grad, _ = _difference_objective(spec, ref_dim)
-    psis = _states(spec.dim_in * ref_dim, 4, 71, ref_dim)
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
+def test_difference_objective_matches_helstrom_and_reference_adjoint(spec):
+    fun_grad, _ = _difference_objective(spec)
+    psis = _states(spec.dim_in**2, 4, 71, spec.dim_in)
     values, grads = fun_grad(psis)
     assert values.shape == (4,) and grads.shape == psis.shape
     for psi, value, grad in zip(psis, values, grads):
         assert abs(value - 4.0 * (helstrom_prob(spec, psi) - 0.5)) < 1e-12
-        assert np.abs(grad - _reference_adjoint(spec, ref_dim, psi) @ psi).max() < 1e-12
+        assert np.abs(grad - _reference_adjoint(spec, psi) @ psi).max() < 1e-12
 
 
-@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
-def test_difference_objective_gradient_matches_finite_differences(spec, ref_dim):
-    fun_grad, _ = _difference_objective(spec, ref_dim)
-    n = spec.dim_in * ref_dim
-    psis = _states(n, 2, 72, ref_dim)
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
+def test_difference_objective_gradient_matches_finite_differences(spec):
+    fun_grad, _ = _difference_objective(spec)
+    n = spec.dim_in**2
+    psis = _states(n, 2, 72, spec.dim_in)
     _, grads = fun_grad(psis)
     h = 1e-6
     for r, (psi, grad) in enumerate(zip(psis, grads)):
-        for direction in _states(n, 3, 73, ref_dim, r):
+        for direction in _states(n, 3, 73, spec.dim_in, r):
             tangent = direction - np.vdot(psi, direction) * psi
             up, down = fun_grad(np.stack([psi + h * tangent, psi - h * tangent]))[0]
             # d f = 2 Re(conj(grad) . d psi) for the Wirtinger gradient.
@@ -327,11 +308,11 @@ def test_difference_objective_gradient_matches_finite_differences(spec, ref_dim)
             assert abs((up - down) / (2.0 * h) - want) < 1e-6
 
 
-@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
-def test_difference_objective_batch_rows_equal_one_row_calls(spec, ref_dim):
-    fun_grad, _ = _difference_objective(spec, ref_dim)
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
+def test_difference_objective_batch_rows_equal_one_row_calls(spec):
+    fun_grad, _ = _difference_objective(spec)
     for count in (1, 3, 8):
-        psis = _states(spec.dim_in * ref_dim, count, 74, ref_dim, count)
+        psis = _states(spec.dim_in**2, count, 74, spec.dim_in, count)
         values, grads = fun_grad(psis)
         for psi, value, grad in zip(psis, values, grads):
             (one_value,), (one_grad,) = fun_grad(psi[None])
@@ -339,11 +320,11 @@ def test_difference_objective_batch_rows_equal_one_row_calls(spec, ref_dim):
             assert np.array_equal(grad, one_grad)
 
 
-@pytest.mark.parametrize("spec, ref_dim", OBJECTIVE_CASES, ids=OBJECTIVE_IDS)
-def test_difference_objective_polish_is_top_eigenvector(spec, ref_dim):
-    _, polish = _difference_objective(spec, ref_dim)
-    for psi in _states(spec.dim_in * ref_dim, 2, 75, ref_dim):
-        back = _reference_adjoint(spec, ref_dim, psi)
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
+def test_difference_objective_polish_is_top_eigenvector(spec):
+    _, polish = _difference_objective(spec)
+    for psi in _states(spec.dim_in**2, 2, 75, spec.dim_in):
+        back = _reference_adjoint(spec, psi)
         herm = 0.5 * (back + back.conj().T)
         top = np.linalg.eigvalsh(herm)[-1]
         cand = polish(psi)

@@ -44,7 +44,6 @@ def test_tracer_sees_the_public_calls_under_bounds_and_scan(monkeypatch):
     for name in (
         "bounds.check_bounds",
         "bounds.minimize_kraus_gap",
-        "concealment.cb_lower_bound",
         "binding.minimax_cheat",
         "concealment.analyze_concealment",
     ):

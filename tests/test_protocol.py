@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qbcommit as qc
-from qbcommit import linalg
+from qbcommit import bounds, linalg
 from qbcommit.errors import ProtocolValidationError
 
 
@@ -170,7 +170,6 @@ CHEAT_ENTRY_POINTS = {
     "alice_cheat_prob": lambda spec, v: qc.alice_cheat_prob(spec, v, np.array([1.0, 0.0])),
     "min_over_states": lambda spec, v: qc.min_over_states(spec, v, restarts=1),
     "kraus_gap": qc.kraus_gap,
-    "kraus_gap_operator": qc.kraus_gap_operator,
     "apply_cheat_unitary": lambda spec, v: qc.apply_cheat_unitary(spec.bit0, v),
     "check_bounds": lambda spec, v: qc.check_bounds(spec, v, n_states=1, cb_lower=0.5),
 }
@@ -211,8 +210,6 @@ def _fresh(spec):
 PROTOCOL_ENTRY_POINTS = {
     "require_valid": qc.require_valid,
     "helstrom_prob": lambda spec: qc.helstrom_prob(spec, _basis(spec.dim_in)),
-    "cb_lower_bound": lambda spec: qc.cb_lower_bound(spec, restarts=2),
-    "cb_upper_bound": lambda spec: qc.cb_upper_bound(spec, _basis(spec.dim_in**2)),
     "analyze_concealment": lambda spec: qc.analyze_concealment(spec, restarts=2),
     "alice_cheat_prob": lambda spec: qc.alice_cheat_prob(
         spec, _identity(spec), _basis(spec.dim_in)
@@ -221,7 +218,6 @@ PROTOCOL_ENTRY_POINTS = {
     "minimax_cheat": lambda spec: qc.minimax_cheat(
         spec, outer_restarts=2, outer_iters=2, inner_restarts=1
     ),
-    "kraus_gap_operator": lambda spec: qc.kraus_gap_operator(spec, _identity(spec)),
     "kraus_gap": qc.kraus_gap,
     "minimize_kraus_gap": qc.minimize_kraus_gap,
     "check_bounds": lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5),
@@ -278,8 +274,7 @@ def test_every_entry_point_rejects_incomplete_protocol(name, entry, incomplete):
 def test_align_families_recovers_relating_unitary():
     spec, relating = qc.concealing_pair(seed=9, dim=2, cardinality=3)
     v = qc.align_families(spec.bit0, spec.bit1)
-    gap = linalg.operator_norm(qc.kraus_gap_operator(spec, v))
-    assert gap < 1e-20
+    assert qc.kraus_gap(spec, v) < 1e-20
 
 
 def test_kraus_gap_operator_phase_pair_hand_values():
@@ -288,11 +283,11 @@ def test_kraus_gap_operator_phase_pair_hand_values():
     spec = qc.phase_flip_pair()
     for t in (0.0, 0.7, np.pi / 2, 2.5):
         v = np.array([[np.exp(1j * t)]])
-        op = qc.kraus_gap_operator(spec, v)
+        op = bounds._gap_operator(v, spec.bit0.ops, spec.bit1.ops)
         lo = abs(np.exp(1j * t) - 1.0) ** 2
         hi = abs(np.exp(1j * t) + 1.0) ** 2
         np.testing.assert_allclose(op, np.diag([lo, hi]), atol=1e-12)
-        assert abs(linalg.operator_norm(op) - (2.0 + 2.0 * abs(np.cos(t)))) < 1e-12
+        assert abs(qc.kraus_gap(spec, v) - (2.0 + 2.0 * abs(np.cos(t)))) < 1e-12
 
 
 def test_dilation_dimensions_square_case():

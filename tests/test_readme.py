@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -36,3 +37,18 @@ def test_readme_command_lines_run(tmp_path, capsys):
                 argv[i] = str(ROOT / arg)
         assert cli.main(argv) == 0, line
     capsys.readouterr()
+
+
+def test_readme_flags_are_cli_options():
+    # Every --flag the README names from its Command line section onward is
+    # an option of some subcommand, so a removed option cannot linger there.
+    text = README.read_text(encoding="utf-8")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text[text.index("## Command line") :]))
+    assert flags
+    (subcommands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {flag for sub in subcommands.values() for flag in sub._option_string_actions}
+    assert sorted(flags - options) == []
