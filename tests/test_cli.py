@@ -145,6 +145,30 @@ def test_conceal_structured_output(phase_file, capsys):
     assert isinstance(data["witness_state"], list)
 
 
+SHIPPED_PROTOCOLS = sorted(
+    path
+    for path in (Path(__file__).resolve().parents[1] / "protocols").glob("*.json")
+    if path.name != "decoy-scan.json"
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_PROTOCOLS, ids=[p.stem for p in SHIPPED_PROTOCOLS])
+def test_conceal_without_restarts_matches_the_full_search(path, capsys):
+    # Every shipped protocol certifies at the deterministic entangled start,
+    # so --restarts 0 prints the bracket the default search prints.
+    reports = []
+    for restarts in ("0", "16"):
+        argv = ["conceal", str(path), "--restarts", restarts, "--format", "structured"]
+        assert cli.main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    alone, full = reports
+    assert alone["solver_trace"]["extra_starts"] == 1
+    assert alone["solver_trace"]["restarts"] == 0
+    assert "entangled start certified" in full["solver_trace"]["notes"][0]
+    for key in ("cb_lower", "cb_upper", "upper_routes", "witness_state"):
+        assert alone[key] == full[key]
+
+
 def test_conceal_output_file(phase_file, tmp_path, capsys):
     dest = tmp_path / "report.txt"
     code = cli.main(["conceal", phase_file, "--restarts", "4", "--output", str(dest)])
