@@ -265,18 +265,20 @@ def _dual_bound(committed_stack, claimed_stack, cheat, states):
 class BindingReport:
     """Saddle estimate of Alice's best worst-case cheating probability.
 
-    ``binding_upper`` is a certified upper bound on the maximin payoff,
-    the minimum of ``upper_routes``: ``witness_dual``, the smallest of the
-    dual certificates built at every cheat the full inner search scored (the
-    Procrustes start and each outer restart's end point), each from the
-    claimed-branch kernel states and that cheat's worst state, and
-    ``payoff_cap``, which is 1.
+    ``minimax_estimate`` is the payoff that ``best_cheat_unitary`` achieves
+    at ``worst_state``. ``binding_upper`` is a certified upper bound on the
+    maximin payoff, the minimum of ``upper_routes``: ``witness_dual``, the
+    smallest of the dual certificates built at every cheat the full inner
+    search scored (the Procrustes alignment and each outer restart's end
+    point), each from the claimed-branch kernel states and that cheat's
+    worst state, and ``payoff_cap``, which is 1. ``solver_trace`` holds one
+    entry per scored cheat, the alignment at index 0; ``inner_trace`` is the
+    inner search that scored the estimate.
     """
 
     label: str
     direction: str
     minimax_estimate: float
-    payoff_at_saddle: float
     binding_upper: float
     upper_routes: dict
     best_cheat_unitary: np.ndarray
@@ -299,26 +301,21 @@ def minimax_cheat(
     """Estimate of max over cheats of the worst-case payoff, with a certified
     upper bound.
 
-    Each scored cheat gets the worst state that ``min_over_states``'s full
-    inner search (whose starts include the claimed-branch kernel states)
-    finds for it, and a dual certificate built from the kernel states and
-    that worst state; the best score, the Procrustes start's included, is
-    the estimate, and the smallest certificate, capped at 1, is
-    ``binding_upper``. The trace's ``best_start`` names the restart that
-    scored the estimate, or a note names the Procrustes start when no
-    restart's end point scored higher. The search stops at the first scored
-    cheat after which the bound lies within ``CERTIFIED_WIDTH`` of the
-    estimate, with a note naming that cheat: no cheat can do better by more
-    than that.
-
-    The Procrustes alignment of the two families is scored first; when it
-    certifies, the trace reads one restart of 0 iterations. Otherwise the
-    outer gradient ascent runs on the unitary group, with the inner minimum
-    handled by Danskin's rule at the current worst state. The first outer
-    restart starts from the Procrustes alignment, the rest from seeded Haar
+    One loop scores cheats in turn. Start 0 is the Procrustes alignment of
+    the two families, scored as it is with 0 iterations; start k >= 1 is the
+    end point of outer restart k - 1, a gradient ascent on the unitary group
+    with the inner minimum handled by Danskin's rule at the current worst
+    state. Restart 0 ascends from the alignment, the rest from seeded Haar
     unitaries. During the ascent the inner minimum runs on a reduced budget
-    with a warm start; every restart's end point is scored with the full
-    budget, so the reported estimate is an honestly achieved value. An
+    with a warm start; each scored cheat gets the worst state that
+    ``min_over_states``'s full inner search (whose starts include the
+    claimed-branch kernel states) finds for it, and a dual certificate
+    built from the kernel states and that worst state. The best score is
+    the estimate, and the trace's ``best_start`` names the scored cheat that
+    holds it (the earliest on a tie); the smallest certificate, capped at 1,
+    is ``binding_upper``. The loop stops at the first scored cheat after
+    which the bound lies within ``CERTIFIED_WIDTH`` of the estimate, with a
+    note naming that cheat: no cheat can do better by more than that. An
     estimate above the certified bound by more than ``BRACKET_GUARD`` raises
     ``BracketInversionError``. With ``include_swapped`` the other direction
     is estimated by the same call and reported as ``swapped``.
@@ -336,72 +333,55 @@ def minimax_cheat(
     full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), max_iter=INNER_MAX_ITER)
     loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
-    def score(v):
-        inner = _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
-        return inner, _dual_bound(ck, cl, v, kernel + [inner.vector])[0]
-
     procrustes = linalg.require_unitary(
         align_families(committed, claimed), tol=linalg.UNITARY_CONSTRUCTION_TOL
     )
-    inner, witness = score(procrustes)
-    # (estimate, cheat, inner SphereResult, restart index or None for Procrustes)
-    best = (inner.value, procrustes, inner, None)
-    width = min(witness, PAYOFF_CAP) - inner.value
-    skip = width <= CERTIFIED_WIDTH
-    outer_trace = SolverTrace(
+    trace = SolverTrace(
         seed=int(seed),
-        restarts=1 if skip else int(outer_restarts),
-        extra_starts=0,
+        restarts=int(outer_restarts),
+        extra_starts=1,
         tol=float(tol),
         max_iter=int(outer_iters),
     )
-    outer_trace.notes.append("start 0: Procrustes alignment of the two families")
+    trace.notes.append("start 0: Procrustes alignment of the two families")
+    scored = []
+    witness = np.inf
+    v, iters, converged = procrustes, 0, True
+    for k in range(outer_restarts + 1):
+        if k:
+            ridx = k - 1
+            start = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx)) if ridx else procrustes
+            warm = []
 
-    def certified(head, width, tail):
-        outer_trace.notes.append(
-            f"{head}: binding_upper - estimate {width!r} <= "
-            f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; {tail}"
-        )
+            def surrogate(cheats):
+                (v,) = cheats
+                res = _worst_state(
+                    ck, cl, v, kernel + warm, rng_tags=(4, ridx), stall_tol=1e-7, stall_limit=5, **loose
+                )
+                warm[:] = [res.vector]
+                b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
+                return [res.value], (c.conj() * inv_d)[..., None] * b
 
-    if skip:
-        certified("Procrustes start certified", width, "outer ascent skipped")
-        outer_trace.record([inner.value], [0], [True], maximize=True)
-    for ridx in range(0 if skip else outer_restarts):
-        if ridx == 0:
-            start = procrustes
-        else:
-            start = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx))
-        warm = []
-
-        def surrogate(cheats):
-            (v,) = cheats
-            res = _worst_state(
-                ck, cl, v, kernel + warm, rng_tags=(4, ridx), stall_tol=1e-7, stall_limit=5, **loose
+            v, _, iters, converged = ascend_params(
+                surrogate, start, trace=trace, max_iter=outer_iters, tol=tol
             )
-            warm[:] = [res.vector]
-            b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
-            return [res.value], (c.conj() * inv_d)[..., None] * b
-
-        v, _, iters, converged = ascend_params(
-            surrogate, start, trace=outer_trace, max_iter=outer_iters, tol=tol
-        )
-        inner, bound = score(v)
+        inner = _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
-        witness = min(witness, bound)
-        outer_trace.record([inner.value], [iters], [converged], maximize=True)
-        if inner.value > best[0]:
-            best = (inner.value, v, inner, ridx)
-        width = min(witness, PAYOFF_CAP) - best[0]
+        witness = min(witness, _dual_bound(ck, cl, v, kernel + [inner.vector])[0])
+        scored.append((v, inner))
+        best = trace.record([inner.value], [iters], [converged], maximize=True)
+        width = min(witness, PAYOFF_CAP) - trace.values[best]
         if width <= CERTIFIED_WIDTH:
-            certified(f"certified after restart {ridx}", width, "remaining restarts skipped")
+            head = f"certified after restart {k - 1}" if k else "Procrustes start certified"
+            tail = "remaining restarts skipped" if k else "outer ascent skipped"
+            trace.notes.append(
+                f"{head}: binding_upper - estimate {width!r} <= "
+                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; {tail}"
+            )
             break
 
-    estimate, best_v, inner, source = best
-    if not skip and source is None:
-        outer_trace.notes.append(
-            "estimate from the Procrustes start: no restart's end point scored higher"
-        )
-    worst = inner.vector
+    best_v, inner = scored[trace.best_start]
+    estimate = inner.value
     routes = {"witness_dual": witness, "payoff_cap": PAYOFF_CAP}
     upper = min(routes.values())
     if estimate > upper + BRACKET_GUARD:
@@ -409,18 +389,16 @@ def minimax_cheat(
             f"binding estimate {estimate!r} exceeds certified upper bound {upper!r} "
             f"for protocol {spec.label!r}, direction {direction}"
         )
-    (payoff,) = _payoffs(ck, cl, best_v, worst[None])
 
     report = BindingReport(
         label=spec.label,
         direction=direction,
         minimax_estimate=float(estimate),
-        payoff_at_saddle=float(payoff),
         binding_upper=float(upper),
         upper_routes=routes,
         best_cheat_unitary=best_v,
-        worst_state=worst,
-        solver_trace=outer_trace,
+        worst_state=inner.vector,
+        solver_trace=trace,
         inner_trace=inner.trace,
     )
     if include_swapped:

@@ -233,8 +233,9 @@ class BoundCheck:
 
     ``concealment_margin`` is half the square root of the gap minus a quarter
     of the norm's lower bound; ``binding_margin`` is the smallest sampled
-    payoff minus the clamped payoff floor (1 - gap/2)^2. Nonnegative margins
-    mean the inequalities held; any violation carries its full inputs.
+    payoff minus the clamped payoff floor (1 - gap/2)^2. A margin below
+    -``tol`` is a violation, which carries its full inputs; a margin within
+    ``tol`` below zero is round-off.
     """
 
     label: str

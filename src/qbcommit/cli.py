@@ -77,7 +77,7 @@ def _emit(text: str, output) -> None:
 
 
 def _count(minimum: int):
-    """Argparse type for a budget count: an integer of at least ``minimum``."""
+    """Argparse type for a budget count or the seed: an integer of at least ``minimum``."""
 
     def integer(text: str) -> int:
         if int(text) < minimum:
@@ -96,7 +96,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=_count(0), default=0, help="master seed (default 0)")
     p.add_argument("--tol", type=_tolerance, default=None, help=tol_help)
     p.add_argument(
         "--format",

@@ -80,6 +80,12 @@ def _require_tolerance(tol) -> float:
 class SolverTrace:
     """Reproducibility record attached to optimizer-backed reports.
 
+    ``values``, ``iterations`` and ``converged`` hold one entry per start
+    that ran, in start order: the ``extra_starts`` fixed starts, then up to
+    ``restarts`` restarts (fewer when a certificate ends the search early).
+    ``best_start`` is the earliest start holding the best value, and the
+    report's headline is read from that value.
+
     ``line_search_failures`` counts the starts that ended because no step
     down to ``MIN_STEP`` met the Armijo condition: stuck at a jump extremum,
     or within round-off of a smooth optimum with the gradient norm above ``tol``.

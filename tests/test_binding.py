@@ -158,12 +158,13 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
     ],
 )
 def test_payoff_at_saddle_equals_minimax_estimate(name, budget):
-    # The reported payoff re-evaluates the estimate's own cheat and state, so
-    # it must be the same number, in both directions.
+    # The public payoff of the reported cheat and state re-evaluates the
+    # estimate, so it must be the same number, in both directions.
     spec = load_protocol(PROTOCOLS / f"{name}.json")
     report = minimax_cheat(spec, seed=1, **budget)
     for rep in (report, report.swapped):
-        assert rep.payoff_at_saddle == rep.minimax_estimate
+        payoff = alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction)
+        assert payoff == rep.minimax_estimate
 
 
 def test_alice_payoff_within_unit_interval():
@@ -222,35 +223,40 @@ def test_min_over_states_matches_bloch_grid():
 
 
 def test_minimax_identity_protocol():
-    rep = minimax_cheat(identity_protocol(2), include_swapped=False)
+    spec = identity_protocol(2)
+    rep = minimax_cheat(spec, include_swapped=False)
     assert abs(rep.minimax_estimate - 1.0) < 1e-12
-    assert abs(rep.payoff_at_saddle - 1.0) < 1e-12
+    payoff = alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction)
+    assert abs(payoff - 1.0) < 1e-12
 
 
 def test_minimax_phase_flip_unbindable_commitment_fails():
     # Committing with {I} and claiming {Z}: any fixed phase cheat loses on
     # some state, and the optimum is flat zero.
+    spec = phase_flip_pair()
     rep = minimax_cheat(
-        phase_flip_pair(),
+        spec,
         outer_restarts=4,
         outer_iters=80,
         inner_restarts=8,
         include_swapped=False,
     )
     assert rep.minimax_estimate <= 1e-9
-    assert rep.payoff_at_saddle <= 1e-9
+    assert alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction) <= 1e-9
 
 
 def test_minimax_dephasing_quarter():
+    spec = dephasing_protocol()
     rep = minimax_cheat(
-        dephasing_protocol(),
+        spec,
         outer_restarts=4,
         outer_iters=60,
         inner_restarts=8,
         include_swapped=False,
     )
     assert abs(rep.minimax_estimate - 0.25) < 1e-4
-    assert abs(rep.payoff_at_saddle - rep.minimax_estimate) < 1e-6
+    payoff = alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction)
+    assert abs(payoff - rep.minimax_estimate) < 1e-6
     assert rep.direction == "01"
     assert rep.swapped is None
 
@@ -259,7 +265,8 @@ def test_minimax_concealing_pair_near_one():
     spec, relating = concealing_pair(seed=11, dim=2, cardinality=3)
     rep = minimax_cheat(spec, include_swapped=False, seed=0)
     assert rep.minimax_estimate >= 0.999
-    assert abs(rep.minimax_estimate - rep.payoff_at_saddle) < 1e-9
+    payoff = alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction)
+    assert abs(rep.minimax_estimate - payoff) < 1e-9
     # The Procrustes start's certificate meets its payoff, which ends the scan.
     assert any(note.startswith("Procrustes start certified") for note in rep.solver_trace.notes)
     assert rep.best_cheat_unitary.shape == (3, 3)
@@ -276,7 +283,7 @@ def test_minimax_stops_once_a_restart_certifies():
         include_swapped=False,
     )
     trace = rep.solver_trace
-    assert len(trace.values) == 1
+    assert len(trace.values) == 2
     assert trace.notes[-1].startswith("certified after restart 0")
     assert rep.binding_upper - rep.minimax_estimate <= CERTIFIED_WIDTH
     assert abs(rep.minimax_estimate - 0.3858716411108989) < 1e-12
@@ -285,7 +292,7 @@ def test_minimax_stops_once_a_restart_certifies():
 def test_minimax_keeps_the_procrustes_score_when_no_restart_beats_it():
     # Every restart, the one ascending from the Procrustes alignment
     # included, ends below the alignment's own score under the full inner
-    # search, so the alignment holds the estimate and a note names it.
+    # search, so the alignment, start 0 of the trace, holds the estimate.
     spec = random_protocol(3, 3, 3, seed=3)
     rep = minimax_cheat(
         spec, "01", outer_restarts=4, outer_iters=80, inner_restarts=8, seed=1, include_swapped=False
@@ -294,11 +301,13 @@ def test_minimax_keeps_the_procrustes_score_when_no_restart_beats_it():
     direct = min_over_states(spec, v, restarts=8, seed=1)
     assert rep.minimax_estimate == direct.value
     assert abs(rep.minimax_estimate - 0.12915467289654115) < 1e-12
-    assert max(rep.solver_trace.values) < rep.minimax_estimate
+    trace = rep.solver_trace
+    assert trace.best_start == 0 and trace.values[0] == rep.minimax_estimate
+    assert max(trace.values[1:]) < rep.minimax_estimate
     assert np.array_equal(rep.best_cheat_unitary, v)
     assert np.array_equal(rep.worst_state, direct.vector)
-    assert rep.payoff_at_saddle == rep.minimax_estimate
-    assert rep.solver_trace.notes[-1].startswith("estimate from the Procrustes start")
+    payoff = alice_cheat_prob(spec, rep.best_cheat_unitary, rep.worst_state, rep.direction)
+    assert payoff == rep.minimax_estimate
 
 
 def test_minimax_swapped_report():
@@ -338,7 +347,8 @@ def test_binding_upper_bounds_estimate_and_weighted_payoffs(spec):
     rng = linalg.spawn_rng(44, spec.cardinality)
     for r in (rep, rep.swapped):
         assert r.binding_upper >= r.minimax_estimate
-        if len(r.solver_trace.values) < 2:
+        trace = r.solver_trace
+        if len(trace.values) < trace.restarts + trace.extra_starts:
             # Only a certificate ends the search before its last restart.
             assert r.binding_upper - r.minimax_estimate <= CERTIFIED_WIDTH
         assert r.binding_upper == min(r.upper_routes.values())
@@ -402,7 +412,7 @@ def test_dephasing_certified_skip_matches_procrustes_score():
         assert r.binding_upper - r.minimax_estimate <= CERTIFIED_WIDTH
         trace = r.solver_trace
         assert any("outer ascent skipped" in note for note in trace.notes)
-        assert (trace.restarts, trace.iterations, trace.best_start) == (1, [0], 0)
+        assert (trace.restarts, trace.extra_starts, trace.iterations, trace.best_start) == (4, 1, [0], 0)
         committed, claimed = (spec.bit0, spec.bit1) if r.direction == "01" else (spec.bit1, spec.bit0)
         v = align_families(committed, claimed)
         direct = min_over_states(spec, v, direction=r.direction, restarts=8, seed=5)
@@ -417,7 +427,7 @@ def test_uncertified_protocol_runs_outer_ascent():
     )
     for r in (rep, rep.swapped):
         assert r.binding_upper - r.minimax_estimate > CERTIFIED_WIDTH
-        assert r.solver_trace.restarts == 2 and len(r.solver_trace.iterations) == 2
+        assert r.solver_trace.restarts == 2 and len(r.solver_trace.iterations) == 3
         assert not any("skipped" in note for note in r.solver_trace.notes)
 
 
@@ -442,7 +452,7 @@ def test_zero_outcome_tol_sweep(monkeypatch, zero_tol, spec, closed):
         assert abs(r.binding_upper - closed) < 1e-4
         # The public payoff reads the same cut as the solver that reported it.
         direct = alice_cheat_prob(spec, r.best_cheat_unitary, r.worst_state, r.direction)
-        assert direct == r.payoff_at_saddle
+        assert direct == r.minimax_estimate
 
 
 def _count_calls(monkeypatch, module, name, *modules):

@@ -489,6 +489,10 @@ def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
         ("scan", "--inner-restarts", "0"),
         ("scan", "--cb-restarts", "-1"),
         ("scan", "--outer-iters", "-1"),
+        ("conceal", "--seed", "-1"),
+        ("bind", "--seed", "-1"),
+        ("bounds", "--seed", "-1"),
+        ("scan", "--seed", "-1"),
     ],
 )
 def test_budget_count_below_minimum_exits_two(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qbcommit import linalg, optimize
-from qbcommit.binding import _kernel_starts, _payoff_fun_grad, _payoff_pieces
-from qbcommit.families import dephasing_protocol
+from qbcommit.binding import _kernel_starts, _payoff_fun_grad, _payoff_pieces, minimax_cheat
+from qbcommit.bounds import minimize_kraus_gap
+from qbcommit.concealment import analyze_concealment
+from qbcommit.families import dephasing_protocol, random_protocol
 from qbcommit.optimize import SolverTrace, ascend_params, search_sphere
 
 
@@ -237,3 +239,37 @@ def test_lockstep_starts_match_one_start_searches():
     best = min(range(len(alone)), key=lambda i: (alone[i].value, i))
     assert together.trace.best_start == best
     np.testing.assert_array_equal(together.vector, alone[best].vector)
+
+
+def test_every_solver_trace_means_one_thing():
+    # Every report's trace holds one entry per start that ran, within its
+    # declared budget; its headline is the value of its best start, the
+    # earliest one on a tie.
+    scan = dict(outer_restarts=4, outer_iters=80, inner_restarts=8, include_swapped=False)
+    binding = [
+        minimax_cheat(dephasing_protocol(), seed=0),
+        minimax_cheat(random_protocol(3, 3, 3, seed=3), "01", seed=1, **scan),
+        minimax_cheat(random_protocol(2, 2, 2, seed=2), "10", seed=0, **scan),
+    ]
+    binding.append(binding[0].swapped)
+    # Certified at the Procrustes start, uncertified, certified after restart 0.
+    assert [len(r.solver_trace.values) for r in binding] == [1, 5, 2, 1]
+    traces = []
+    for r in binding:
+        assert r.minimax_estimate == r.solver_trace.values[r.solver_trace.best_start]
+        traces.append((r.solver_trace, max))
+    # The entangled start certifies on dephasing, not on the other.
+    for spec, restarts in [(dephasing_protocol(), 0), (random_protocol(4, 2, 2, seed=504), 8)]:
+        rep = analyze_concealment(spec, restarts=8, seed=5)
+        trace = rep.solver_trace
+        assert trace.restarts == restarts
+        assert min(max(0.0, trace.values[trace.best_start]), rep.cb_upper) == rep.cb_lower
+        traces.append((trace, max))
+    # The first protocol of the benchmark's bounds panel.
+    gap = minimize_kraus_gap(random_protocol(3, 3, 3, np.random.default_rng([20020, 3, 3, 0])))
+    assert gap.value == gap.trace.values[gap.trace.best_start]
+    traces.append((gap.trace, min))
+    for trace, pick in traces:
+        n = len(trace.values)
+        assert n == len(trace.iterations) == len(trace.converged) <= trace.restarts + trace.extra_starts
+        assert trace.best_start == trace.values.index(pick(trace.values))
