@@ -83,15 +83,6 @@ def _halmos(c: np.ndarray) -> np.ndarray:
     return np.block([[(w * sig) @ vh, (w * gam) @ wh], [(v * gam) @ vh, -(v * sig) @ wh]])
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the d x d Hermitian matrices, stacked (d², d, d):
-    the E_aa, then (E_ab + E_ba)/√2 and then i(E_ab - E_ba)/√2 for a < b."""
-    e = np.eye(d * d).reshape(d, d, d, d)
-    a, b = np.triu_indices(d, 1)
-    diag = e[np.arange(d), np.arange(d)]
-    return np.concatenate([diag, (e[a, b] + e[b, a]) / 2**0.5, 1j * (e[a, b] - e[b, a]) / 2**0.5])
-
-
 def _newton_step(pairs, basis, c_svd, half, n_w, grad_t):
     """Newton direction (dC, dt) of the barrier at one iterate, and its
     squared decrement, from C's SVD, ``half`` = V Λ^-½ for the
@@ -191,7 +182,7 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
         upper, best = gap, aligned
     step, stop = 1, "certified at step 1"
     if upper - (lower - allowance) > CERTIFIED_WIDTH:
-        basis = _hermitian_basis(din)
+        basis = linalg.hermitian_basis(din)
         c, tau = np.zeros((m, m), dtype=complex), 1.0
         t = float(linalg.eigh_or_error(k)[0][-1]) + 1.0
         stop = f"step budget GAP_STEPS {GAP_STEPS} spent"

@@ -12,14 +12,19 @@ bracket closes; when it closes at the entangled start, the random restarts
 are skipped. The bracket transfers directly to Bob's cheating probability.
 The search's objective evaluates a whole batch of states per call and takes
 its gradient from the branch images K_m psi it already has, so it never
-builds the adjoint map's matrix; only the eigenvector polish does, once per
-call.
+builds the adjoint map's matrix. Once per iteration the polish proposes a
+Newton point: the value depends on the state only through its reduced state
+on the committed space, where it is concave (a partial maximum of Watrous's
+SDP), so Newton steps on the quotient by reference unitaries converge
+quadratically. Where the Newton step does not apply it proposes the top
+eigenvector of the adjoint map at the sign operator instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,33 +62,56 @@ def helstrom_prob(spec: ProtocolSpec, psi) -> float:
     return 0.5 + 0.25 * linalg.trace_norm(out1 - out0)
 
 
-def _difference_objective(spec: ProtocolSpec):
-    """Trace-norm objective with analytic subgradient and eigenvector polish.
+class _Objective(NamedTuple):
+    fun_grad: Callable  # batched value and gradient d value / d conj(psi)
+    polish: Callable  # (psi, gradient) -> Newton point or top eigenvector of H
+    curvature: Callable  # psi -> (H + P, Q): the gradient moves by (H + P) δ + conj(Q δ)
+
+
+def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
+    """Trace-norm objective with analytic gradient and a Newton polish.
 
     For a unit vector psi on the committed space ⊗ a reference of dim_in,
-    the value is the trace norm of the extended channel difference applied
-    to |psi><psi|. The subgradient comes from the spectral sign operator S:
-    the value equals <psi| D*(S) |psi> with D* the adjoint difference map,
-    so d value / d conj(psi) = D*(S) psi. Since
-    D*(S) psi = sum_m A_m† S A_m psi over the extended operators
-    A_m = K_m ⊗ I_ref (bit 1 minus bit 0), the gradient comes from the
-    branch images u_m = A_m psi that the value already needs, as v_m = S u_m
-    and then sum_m A_m† v_m, without forming D*(S). The objective does this
-    for a whole batch of states at once, with one stacked
-    eigendecomposition. The polish candidate is the top eigenvector of the
-    Hermitian part of D*(S) at one state, built from the extended stacks; it
-    never decreases the objective and sharpens convergence near the optimum.
+    the value is the trace norm of X = sum_m s_m u_m u_m†, the extended
+    channel difference applied to |psi><psi|, over the branch images
+    u_m = A_m psi of the operators A_m = K_m ⊗ I_ref (bit 1 with s_m = 1,
+    then bit 0 with s_m = -1). With S the spectral sign operator of X the
+    value is <psi| D*(S) |psi>, D* the adjoint difference map, so
+    d value / d conj(psi) = D*(S) psi = sum_m s_m A_m† S u_m, taken from the
+    images the value already needs, for a whole batch of states at once with
+    one stacked eigendecomposition.
+
+    The polish works at one state from X = V Λ V†. Its signs σ are those of
+    the min(2m, dout·din) largest |λ| and 0 on the rest, the structural
+    kernel, so S_r = V diag(σ) V† and H = D*(S_r) do not follow the signs of
+    the kernel's round-off. To second order the value moves by
+    2 Re(grad† δ) + δ†Hδ + ½ sum_ij Γ_ij |Ẽ_ij(δ)|², where
+    Ẽ(δ) = V† sum_m s_m (A_m δ u_m† + u_m (A_m δ)†) V and
+    Γ_ij = (σ_i - σ_j) / (λ_i - λ_j), 0 where σ_i = σ_j; only the pairs
+    that touch the range are built. The value depends on psi only through
+    its reduced state on the committed space, so Newton runs on the tangent
+    space with psi and the reference-gauge directions vec(M (iK)^T) removed,
+    M being psi as a din x din matrix and K a Hermitian basis; the value is
+    homogeneous of degree 2, so the sphere adds -value |δ|². When the
+    tangent gradient exceeds ``tol`` and the reduced Hessian is negative
+    definite, the polish proposes the Newton point; otherwise it proposes the
+    top eigenvector of H. Either is accepted only on strict improvement.
     """
     din, n = spec.dim_in, spec.dim_in**2
     k0, k1 = spec.bit0.ops, spec.bit1.ops
     # Adjoint of each Kraus stack flattened over the Kraus index: (din, m * dout).
     k0h, k1h = (k.reshape(-1, din).conj().T for k in (k0, k1))
-    # The operators K_m ⊗ I_ref of each bit: (m, dout * din, n).
-    a0, a1 = (
-        np.einsum("mab,rs->marbs", k, np.eye(din)).reshape(len(k), -1, n) for k in (k0, k1)
-    )
+    # The operators A_m = K_m ⊗ I_ref, bit 1 then bit 0: (2m, dout * din, n).
+    ops = np.concatenate([k1, k0])
+    a = np.einsum("mab,rs->marbs", ops, np.eye(din)).reshape(len(ops), -1, n)
+    signs = np.repeat([1.0, -1.0], [len(k1), len(k0)])
+    # H = sum_m s_m A_m† (S_r A_m) is this times the stacked S_r A_m.
+    signed_adjoint = (signs[:, None, None] * a).reshape(-1, n).conj().T
+    rank = min(a.shape[:2])
+    # The gauge directions are psi reshaped din x din times each (iK)^T.
+    gauge = 1j * linalg.hermitian_basis(din).transpose(0, 2, 1)
 
-    def sign_and_images(psis: np.ndarray):
+    def fun_grad(psis: np.ndarray):
         mats = psis.reshape(len(psis), din, din)
         u1 = np.einsum("mab,Rbr->Rmar", k1, mats).reshape(len(psis), len(k1), -1)
         u0 = np.einsum("mab,Rbr->Rmar", k0, mats).reshape(len(psis), len(k0), -1)
@@ -92,25 +120,87 @@ def _difference_objective(spec: ProtocolSpec):
         )
         w, vecs = linalg.eigh_or_error(out)
         sign = (vecs * np.sign(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        return np.sum(np.abs(w), axis=1), sign, u0, u1
-
-    def fun_grad(psis: np.ndarray):
-        values, sign, u0, u1 = sign_and_images(psis)
         # v_m = S u_m, then sum_m (K_m ⊗ I)† v_m; bit 1 minus bit 0.
         sign_t = sign.transpose(0, 2, 1)
         v1 = (u1 @ sign_t).reshape(len(psis), -1, din)
         v0 = (u0 @ sign_t).reshape(len(psis), -1, din)
-        return values, (k1h @ v1 - k0h @ v0).reshape(len(psis), n)
+        return np.sum(np.abs(w), axis=1), (k1h @ v1 - k0h @ v0).reshape(len(psis), n)
 
-    def polish(psi: np.ndarray):
-        _, (sign,), _, _ = sign_and_images(psi[None])
-        # D*(S) = A1† (S A1) - A0† (S A0), each stack flattened over its Kraus index.
-        adj1, adj0 = (a.reshape(-1, n).conj().T @ (sign @ a).reshape(-1, n) for a in (a1, a0))
-        back = adj1 - adj0
-        _, vecs = linalg.eigh_or_error(0.5 * (back + back.conj().T))
-        return vecs[:, -1]
+    def spectrum(psi: np.ndarray):
+        """Images u_m, eigenpairs of X, rank-aware signs σ and H = D*(S_r)."""
+        u = a @ psi
+        lam, vecs = linalg.eigh_or_error((u.T * signs) @ u.conj())
+        sigma = np.sign(lam)
+        # The structural kernel: the window of len(lam) - rank eigenvalues,
+        # contiguous in the sorted spectrum, whose largest |λ| is least.
+        kernel = len(lam) - rank
+        if kernel:
+            first = np.argmin(np.maximum(np.abs(lam[: rank + 1]), np.abs(lam[kernel - 1 :])))
+            sigma[first : first + kernel] = 0.0
+        h = signed_adjoint @ (((vecs * sigma) @ vecs.conj().T) @ a).reshape(-1, n)
+        return u, lam, vecs, sigma, h
 
-    return fun_grad, polish
+    def pair_terms(u, lam, vecs, sigma):
+        """(P, Q) with ½ sum_ij Γ_ij |Ẽ_ij(δ)|² = δ†Pδ + Re(δ^T Q δ).
+
+        Ẽ_ij = L_ij δ + conj(L_ji δ) with L_ij = sum_m s_m conj(ũ_mj) (V† A_m)_i,
+        ũ_m = V† u_m. Each pair is met once from its row i in the range, at
+        half weight when j is in the range too (it is met again from j).
+        """
+        live = np.flatnonzero(sigma)
+        t = vecs.conj().T @ a
+        c = signs[:, None] * (u.conj() @ vecs)
+        rows = np.einsum("mj,mik->ijk", c, t[:, live])  # L_ij, i live
+        cols = np.einsum("mi,mjk->ijk", c[:, live], t)  # L_ji, i live
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = (sigma[live, None] - sigma) / (lam[live, None] - lam)
+        # 0/0 where σ_i = σ_j and λ_i = λ_j; ±inf for a round-off pair across
+        # the kernel's edge. Every other entry is finite and nonnegative.
+        gamma[~np.isfinite(gamma)] = 0.0
+        gamma[:, live] *= 0.5
+        root = np.sqrt(gamma)[..., None]
+        left, right = (root * rows).reshape(-1, n), (root * cols).reshape(-1, n)
+        q = left.T @ right
+        return left.conj().T @ left + right.conj().T @ right, q + q.T
+
+    def curvature(psi: np.ndarray):
+        u, lam, vecs, sigma, h = spectrum(psi)
+        p, q = pair_terms(u, lam, vecs, sigma)
+        return h + p, q
+
+    def newton_step(psi, grad, hp, q):
+        """Newton step on the quotient for the model with Hessian pieces
+        (hp, q) on the sphere, or None where its reduced Hessian is not
+        negative definite.
+
+        In the coordinates ζ = (δ, conj δ) the model is γ†ζ + ½ ζ† W ζ
+        with γ = (grad, conj grad), so its stationary point is W ζ = -γ on
+        the free directions: the conjugation-symmetric ones orthogonal to
+        psi and the gauge.
+        """
+        w = np.block([[hp, q.conj()], [q, hp.conj()]])
+        fixed = np.concatenate([psi[None], (psi.reshape(din, din) @ gauge).reshape(-1, n)])
+        fixed = np.concatenate([fixed, fixed.conj()], axis=1)
+        # The n - 1 least eigenvectors: orthogonal to the n + 1 fixed directions.
+        free = linalg.eigh_or_error(fixed.T @ fixed.conj())[1][:, : n - 1]
+        mu, y = linalg.eigh_or_error(free.conj().T @ w @ free)
+        if not mu.size or mu[-1] >= 0.0:
+            return None
+        g = free.conj().T @ np.concatenate([grad, grad.conj()])
+        return -free[:n] @ (y @ ((y.conj().T @ g) / mu))
+
+    def polish(psi: np.ndarray, grad: np.ndarray):
+        u, lam, vecs, sigma, h = spectrum(psi)
+        if linalg.vector_norm(grad - np.vdot(psi, grad).real * psi) > tol:
+            p, q = pair_terms(u, lam, vecs, sigma)
+            # The sphere adds -value |δ|², the value being homogeneous of degree 2.
+            step = newton_step(psi, grad, h + p - float(sigma @ lam) * np.eye(n), q)
+            if step is not None:
+                return psi + step
+        _, top = linalg.eigh_or_error(0.5 * (h + h.conj().T))
+        return top[:, -1]
+
+    return _Objective(fun_grad, polish, curvature)
 
 
 def _choi_difference(spec: ProtocolSpec) -> np.ndarray:
@@ -244,7 +334,7 @@ def analyze_concealment(
         raise ValueError("restarts must be nonnegative")
     tol = _require_tolerance(tol)
     din = spec.dim_in
-    fun_grad, polish = _difference_objective(spec)
+    fun_grad, polish, _ = _difference_objective(spec, tol)
     # Maximally entangled start; frequently already the maximizer.
     entangled = np.eye(din, dtype=complex).reshape(-1) / sqrt(din)
     opts = dict(
@@ -261,6 +351,7 @@ def analyze_concealment(
     if restarts > 0:
         width = min(CB_NORM_CAP, *(bound for bound, _ in duals.values())) - max(0.0, lower.value)
         if width <= CERTIFIED_WIDTH:
+            lower.trace.restarts = restarts
             lower.trace.notes.append(
                 f"entangled start certified: bracket width {width!r} <= "
                 f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"

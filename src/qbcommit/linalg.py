@@ -8,6 +8,8 @@ the slowest-varying index, matching ``numpy.kron`` ordering.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import SpectralDecompositionError
@@ -151,6 +153,19 @@ def require_unitary(v, tol: float = 1e-8) -> np.ndarray:
     if res > tol:
         raise ValueError(f"matrix is not unitary: residual {res!r} exceeds {tol!r}")
     return v
+
+
+@cache
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices, stacked (d², d, d):
+    the E_aa, then (E_ab + E_ba)/√2 and then i(E_ab - E_ba)/√2 for a < b.
+    Built once per d and returned read-only."""
+    e = np.eye(d * d).reshape(d, d, d, d)
+    a, b = np.triu_indices(d, 1)
+    diag = e[np.arange(d), np.arange(d)]
+    basis = np.concatenate([diag, (e[a, b] + e[b, a]) / 2**0.5, 1j * (e[a, b] - e[b, a]) / 2**0.5])
+    basis.flags.writeable = False
+    return basis
 
 
 def _as_rng(seed) -> np.random.Generator:

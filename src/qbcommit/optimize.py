@@ -177,7 +177,7 @@ def _line_search(
     it = 0
     for it in range(1, max_iter + 1):
         if polish is not None:
-            cand = polish(x)
+            cand = polish(x, g)
             if cand is not None:
                 cand, fc, gc = yield cand
                 if sgn * (fc - f) > 1e-15:
@@ -266,11 +266,13 @@ def search_sphere(
     starts row by row, and one objective call on them; a start's trajectory depends only on its own
     values, so the result equals running the starts one by one.
     ``extra_starts`` are deterministic starting vectors tried before
-    the seeded random ones; ``polish`` may propose a candidate vector from a
-    start's current iterate and is accepted only on strict improvement,
-    keeping the search monotone. A run of ``stall_limit`` accepted steps each
-    gaining less than ``stall_tol`` ends the start early; near-flat regions
-    are not worth crawling.
+    the seeded random ones. ``polish(psi, grad)`` is called at the start of
+    every iteration with the iterate and the gradient the search already
+    holds for it, and returns a candidate vector, such as a Newton point,
+    which the search normalizes and evaluates; it is accepted only on strict
+    improvement, keeping the search monotone. A run of ``stall_limit``
+    accepted steps each gaining less than ``stall_tol`` ends the start early;
+    near-flat regions are not worth crawling.
     """
     if restarts < 0:
         raise ValueError("restarts must be nonnegative")

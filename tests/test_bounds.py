@@ -351,7 +351,7 @@ def test_newton_step_matches_dense_hessian(din, m):
     n_w = (pairs @ w.T.reshape(-1)).reshape(m, m)
     half = vecs / np.sqrt(lam)
     got = bounds._newton_step(
-        pairs, bounds._hermitian_basis(din), np.linalg.svd(c), half, n_w, tau - np.trace(w).real
+        pairs, linalg.hermitian_basis(din), np.linalg.svd(c), half, n_w, tau - np.trace(w).real
     )
     want = _dense_newton_step(spec, c, t, tau)
     np.testing.assert_allclose(got[0], want[0], atol=1e-12)
@@ -360,7 +360,7 @@ def test_newton_step_matches_dense_hessian(din, m):
 
 def test_hermitian_basis_is_orthonormal():
     for d in (1, 2, 3, 4):
-        basis = bounds._hermitian_basis(d)
+        basis = linalg.hermitian_basis(d)
         assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
         gram = np.einsum("kab,lab->kl", basis.conj(), basis)
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-15)

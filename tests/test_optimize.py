@@ -91,7 +91,7 @@ def test_search_sphere_polish_only_improves():
     h = np.diag([2.0, 1.0, 0.0])
     calls = []
 
-    def polish(psi):
+    def polish(psi, grad):
         calls.append(1)
         return np.array([0.0, 1.0, 0.0])  # worse than the start, must be ignored
 
@@ -258,11 +258,12 @@ def test_every_solver_trace_means_one_thing():
     for r in binding:
         assert r.minimax_estimate == r.solver_trace.values[r.solver_trace.best_start]
         traces.append((r.solver_trace, max))
-    # The entangled start certifies on dephasing, not on the other.
-    for spec, restarts in [(dephasing_protocol(), 0), (random_protocol(4, 2, 2, seed=504), 8)]:
+    # The entangled start certifies on dephasing, not on the other; both
+    # traces read the restart budget asked for.
+    for spec in [dephasing_protocol(), random_protocol(3, 2, 3, seed=505)]:
         rep = analyze_concealment(spec, restarts=8, seed=5)
         trace = rep.solver_trace
-        assert trace.restarts == restarts
+        assert trace.restarts == 8
         assert min(max(0.0, trace.values[trace.best_start]), rep.cb_upper) == rep.cb_lower
         traces.append((trace, max))
     # The first protocol of the benchmark's bounds panel.
