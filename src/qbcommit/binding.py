@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
-from .optimize import _require_tolerance, ascend_params, search_sphere
+from .optimize import _require_count, _require_tolerance, ascend_params, search_sphere
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
@@ -321,8 +321,9 @@ def minimax_cheat(
     is estimated by the same call and reported as ``swapped``.
     """
     require_valid(spec)
-    if outer_restarts < 1:
-        raise ValueError(f"outer_restarts must be at least 1, got {outer_restarts}")
+    _require_count("outer_restarts", outer_restarts, 1)
+    _require_count("outer_iters", outer_iters, 0)
+    _require_count("inner_restarts", inner_restarts, 1)
     tol = _require_tolerance(tol)
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality

@@ -24,7 +24,7 @@ from . import linalg
 from .binding import _payoffs, minimax_cheat
 from .concealment import analyze_concealment
 from .errors import CommitmentError
-from .optimize import CERTIFIED_WIDTH, SolverTrace, _require_tolerance
+from .optimize import CERTIFIED_WIDTH, SolverTrace, _require_count, _require_tolerance
 from .protocol import ProtocolSpec, _require_cheat, require_valid
 
 BOUND_TOL = 1e-9
@@ -267,6 +267,7 @@ def check_bounds(
     the payoff floor.
     """
     require_valid(spec)
+    _require_count("n_states", n_states, 1)
     tol = _require_tolerance(tol)
     if cheat is None:
         cheat = np.eye(spec.cardinality)
@@ -278,7 +279,7 @@ def check_bounds(
 
     phis = np.array(
         [linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
-    ).reshape(n_states, spec.dim_in)
+    )
     payoffs = _payoffs(spec.bit0.ops, spec.bit1.ops, cheat, phis).tolist()
     violations = []
     for i, (phi, p) in enumerate(zip(phis, payoffs)):
@@ -316,8 +317,8 @@ def check_bounds(
         half_sqrt_gap=float(half_sqrt),
         concealment_margin=float(half_sqrt - quarter),
         payoff_floor=float(floor),
-        min_sampled_payoff=float(min(payoffs)) if payoffs else float("nan"),
-        binding_margin=float(min(payoffs) - floor) if payoffs else float("nan"),
+        min_sampled_payoff=float(min(payoffs)),
+        binding_margin=float(min(payoffs) - floor),
         sampled_payoffs=payoffs,
         violations=violations,
         seed=int(seed),
@@ -344,6 +345,7 @@ def bounds_report(
     2m x 2m unitary, on the protocol padded to 2m labels), "minimized_gap"
     and "minimized_gap_lower" (its ``value`` and ``lower``).
     """
+    _require_count("n_states", n_states, 1)
     cb_lower = analyze_concealment(spec, restarts, seed).cb_lower
     report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=cb_lower, tol=tol)}
     if minimize:

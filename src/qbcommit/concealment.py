@@ -9,10 +9,10 @@ of channels: ||Phi1 - Phi0||_cb <= 2 ||Tr_out Z|| for every Z >= 0 with
 Z >= J, J the Choi operator of the difference. One Z is built from the
 search's witness and meets the lower bound at a stationary point, so the
 bracket closes; when it closes at the entangled start, the random restarts
-are skipped. The bracket transfers directly to Bob's cheating probability.
-The search's objective evaluates a whole batch of states per call and takes
-its gradient from the branch images K_m psi it already has, so it never
-builds the adjoint map's matrix. Once per iteration the polish proposes a
+are skipped, and otherwise they alone run on. The bracket transfers to
+Bob's cheating probability directly. One routine builds the branch images
+K_m psi of a batch of states and their output difference's eigenpairs for the
+value, gradient and polish alike. Once per iteration the polish proposes a
 Newton point: the value depends on the state only through its reduced state
 on the committed space, where it is concave (a partial maximum of Watrous's
 SDP), so Newton steps on the quotient by reference unitaries converge
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace
-from .optimize import _require_tolerance, search_sphere
+from .optimize import _require_count, _require_tolerance, search_sphere
 from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
@@ -77,9 +77,9 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     u_m = A_m psi of the operators A_m = K_m ⊗ I_ref (bit 1 with s_m = 1,
     then bit 0 with s_m = -1). With S the spectral sign operator of X the
     value is <psi| D*(S) |psi>, D* the adjoint difference map, so
-    d value / d conj(psi) = D*(S) psi = sum_m s_m A_m† S u_m, taken from the
-    images the value already needs, for a whole batch of states at once with
-    one stacked eigendecomposition.
+    d value / d conj(psi) = D*(S) psi = sum_m s_m A_m† S u_m. One helper
+    builds the u_m and the eigenpairs of X for a batch of states; the value,
+    the gradient and the polish read it.
 
     The polish works at one state from X = V Λ V†. Its signs σ are those of
     the min(2m, dout·din) largest |λ| and 0 on the rest, the structural
@@ -98,38 +98,33 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     top eigenvector of H. Either is accepted only on strict improvement.
     """
     din, n = spec.dim_in, spec.dim_in**2
-    k0, k1 = spec.bit0.ops, spec.bit1.ops
-    # Adjoint of each Kraus stack flattened over the Kraus index: (din, m * dout).
-    k0h, k1h = (k.reshape(-1, din).conj().T for k in (k0, k1))
-    # The operators A_m = K_m ⊗ I_ref, bit 1 then bit 0: (2m, dout * din, n).
-    ops = np.concatenate([k1, k0])
+    # The Kraus operators, bit 1 then bit 0, and A_m = K_m ⊗ I_ref: (2m, dout * din, n).
+    ops = np.concatenate([spec.bit1.ops, spec.bit0.ops])
     a = np.einsum("mab,rs->marbs", ops, np.eye(din)).reshape(len(ops), -1, n)
-    signs = np.repeat([1.0, -1.0], [len(k1), len(k0)])
-    # H = sum_m s_m A_m† (S_r A_m) is this times the stacked S_r A_m.
+    signs = np.repeat([1.0, -1.0], [spec.bit1.cardinality, spec.bit0.cardinality])
+    # sum_m s_m A_m† w_m is this times the stacked w_m.
     signed_adjoint = (signs[:, None, None] * a).reshape(-1, n).conj().T
     rank = min(a.shape[:2])
     # The gauge directions are psi reshaped din x din times each (iK)^T.
     gauge = 1j * linalg.hermitian_basis(din).transpose(0, 2, 1)
 
+    def images(psis: np.ndarray):
+        """Images u_m = A_m psi = vec(K_m M) of each row, M being psi as a
+        din x din matrix, and the eigenpairs of X. Each product is one row's
+        own, so a row's bits do not depend on the batch it sits in."""
+        u = (ops.reshape(-1, din) @ psis.reshape(-1, din, din)).reshape(len(psis), len(ops), -1)
+        return u, *linalg.eigh_or_error((u.transpose(0, 2, 1) * signs) @ u.conj())
+
     def fun_grad(psis: np.ndarray):
-        mats = psis.reshape(len(psis), din, din)
-        u1 = np.einsum("mab,Rbr->Rmar", k1, mats).reshape(len(psis), len(k1), -1)
-        u0 = np.einsum("mab,Rbr->Rmar", k0, mats).reshape(len(psis), len(k0), -1)
-        out = np.einsum("Rma,Rmb->Rab", u1, u1.conj()) - np.einsum(
-            "Rma,Rmb->Rab", u0, u0.conj()
-        )
-        w, vecs = linalg.eigh_or_error(out)
-        sign = (vecs * np.sign(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        # v_m = S u_m, then sum_m (K_m ⊗ I)† v_m; bit 1 minus bit 0.
-        sign_t = sign.transpose(0, 2, 1)
-        v1 = (u1 @ sign_t).reshape(len(psis), -1, din)
-        v0 = (u0 @ sign_t).reshape(len(psis), -1, din)
-        return np.sum(np.abs(w), axis=1), (k1h @ v1 - k0h @ v0).reshape(len(psis), n)
+        u, lam, vecs = images(psis)
+        sign = (vecs * np.sign(lam)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        # The rows S u_m, stacked over m, then sum_m s_m A_m† S u_m.
+        su = (u @ sign.transpose(0, 2, 1)).reshape(len(psis), -1, 1)
+        return np.sum(np.abs(lam), axis=1), (signed_adjoint @ su).reshape(len(psis), n)
 
     def spectrum(psi: np.ndarray):
         """Images u_m, eigenpairs of X, rank-aware signs σ and H = D*(S_r)."""
-        u = a @ psi
-        lam, vecs = linalg.eigh_or_error((u.T * signs) @ u.conj())
+        (u,), (lam,), (vecs,) = images(psi[None])
         sigma = np.sign(lam)
         # The structural kernel: the window of len(lam) - rank eigenvalues,
         # contiguous in the sorted spectrum, whose largest |λ| is least.
@@ -317,49 +312,45 @@ def analyze_concealment(
     of the committed space ⊗ a reference of dim_in achieves at
     ``witness_state``. The maximally entangled start runs first, alone; when
     the bracket at its witness is within ``CERTIFIED_WIDTH``, a trace note
-    says so and the random restarts are skipped. Otherwise the search reruns
-    from that start plus ``restarts`` seeded ones, as if the first run had
-    not happened. ``cb_upper`` is the least of ``upper_routes``:
+    says so and the random restarts are skipped. Otherwise the ``restarts``
+    seeded starts run and extend its trace, so the report is that of one
+    search over all the starts. ``cb_upper`` is the least of ``upper_routes``:
     ``witness_dual`` (the dual built from a witness), ``j_plus`` (the dual at
     the positive part of the Choi difference) and ``channel_pair_cap`` (2).
     The duals are rounded up for round-off, so the cap wins where one meets
-    it exactly. Every dual certifies, so each keeps the smaller of its builds
-    at the two runs' witnesses, and ``dual_repair`` is the repair of the
-    ``witness_dual`` kept. A lower bound above the upper one beyond
-    ``BRACKET_GUARD`` is a solver bug and raises ``BracketInversionError``;
+    it exactly. They are rebuilt only when a restart wins, each route keeping
+    its smaller build, since every dual certifies; ``dual_repair`` is the
+    repair of the ``witness_dual`` kept. A lower bound above the upper one
+    beyond ``BRACKET_GUARD`` is a solver bug and raises ``BracketInversionError``;
     smaller inversions are clipped to keep the bracket ordered.
     """
     require_valid(spec)
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    _require_count("restarts", restarts, 0)
     tol = _require_tolerance(tol)
     din = spec.dim_in
     fun_grad, polish, _ = _difference_objective(spec, tol)
+    opts = dict(maximize=True, seed=seed, tol=tol, max_iter=500, polish=polish, rng_tags=(1,))
     # Maximally entangled start; frequently already the maximizer.
     entangled = np.eye(din, dtype=complex).reshape(-1) / sqrt(din)
-    opts = dict(
-        maximize=True,
-        seed=seed,
-        tol=tol,
-        max_iter=500,
-        extra_starts=[entangled],
-        polish=polish,
-        rng_tags=(1,),
-    )
-    lower = search_sphere(fun_grad, din * din, restarts=0, **opts)
+    lower = search_sphere(fun_grad, din * din, restarts=0, extra_starts=[entangled], **opts)
+    trace = lower.trace
+    trace.restarts = restarts
     duals = _dual_routes(spec, lower.vector)
     if restarts > 0:
         width = min(CB_NORM_CAP, *(bound for bound, _ in duals.values())) - max(0.0, lower.value)
         if width <= CERTIFIED_WIDTH:
-            lower.trace.restarts = restarts
-            lower.trace.notes.append(
+            trace.notes.append(
                 f"entangled start certified: bracket width {width!r} <= "
                 f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
             )
         else:
-            lower = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
-            rerun = _dual_routes(spec, lower.vector)
-            duals = {name: min(pair, duals[name]) for name, pair in rerun.items()}
+            rest = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
+            runs = rest.trace.values, rest.trace.iterations, rest.trace.converged
+            trace.line_search_failures += rest.trace.line_search_failures
+            if trace.record(*runs, maximize=True):
+                lower = rest
+                rerun = _dual_routes(spec, rest.vector)
+                duals = {name: min(pair, duals[name]) for name, pair in rerun.items()}
     routes = {name: bound for name, (bound, _) in duals.items()}
     routes["channel_pair_cap"] = CB_NORM_CAP
     upper = min(routes.values())
@@ -379,5 +370,5 @@ def analyze_concealment(
         witness_state=lower.vector,
         upper_routes=routes,
         dual_repair=duals["witness_dual"][1],
-        solver_trace=lower.trace,
+        solver_trace=trace,
     )

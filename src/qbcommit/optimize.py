@@ -76,6 +76,12 @@ def _require_tolerance(tol) -> float:
     return tol
 
 
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Raise ``ValueError`` when a budget count is below its CLI minimum."""
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 @dataclass
 class SolverTrace:
     """Reproducibility record attached to optimizer-backed reports.
@@ -274,8 +280,7 @@ def search_sphere(
     accepted steps each gaining less than ``stall_tol`` ends the start early;
     near-flat regions are not worth crawling.
     """
-    if restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0
     starts = [linalg.normalize_state(s) for s in extra_starts]
     for r in range(restarts):

@@ -510,6 +510,41 @@ def test_budget_count_minimums_are_accepted(dephasing_file, capsys):
     assert "sampled_payoffs: [" in capsys.readouterr().out
 
 
+# Each budget's CLI command and option, and the library entry point and
+# keyword that take it.
+BUDGET_ENTRY_POINTS = {
+    "states": ("bounds", "--states", qbcommit.bounds.bounds_report, "n_states"),
+    "outer-iters": ("bind", "--outer-iters", qbcommit.binding.minimax_cheat, "outer_iters"),
+    "inner-restarts": ("bind", "--inner-restarts", qbcommit.binding.minimax_cheat, "inner_restarts"),
+    "outer-restarts": ("bind", "--outer-restarts", qbcommit.binding.minimax_cheat, "outer_restarts"),
+    "restarts": ("conceal", "--restarts", qbcommit.concealment.analyze_concealment, "restarts"),
+}
+
+
+@pytest.mark.parametrize("budget", list(BUDGET_ENTRY_POINTS))
+def test_budget_minimum_is_the_same_in_the_cli_and_the_library(budget, dephasing_file, capsys):
+    # The CLI exits 2 on exactly the values the library rejects with a
+    # ValueError naming the budget; both accept the rest.
+    command, option, entry_point, keyword = BUDGET_ENTRY_POINTS[budget]
+    outcomes = []
+    for value in (-2, -1, 0, 1):
+        try:
+            cli_ok = cli.main([command, dephasing_file, option, str(value)]) == 0
+        except SystemExit as exc:
+            assert exc.code == 2
+            cli_ok = False
+        try:
+            entry_point(dephasing_protocol(), **{keyword: value})
+            library_ok = True
+        except ValueError as exc:
+            assert keyword in str(exc)
+            library_ok = False
+        outcomes.append((cli_ok, library_ok))
+    capsys.readouterr()
+    assert all(cli_ok == library_ok for cli_ok, library_ok in outcomes)
+    assert outcomes[0] == (False, False) and outcomes[-1] == (True, True)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["validate", "conceal", "bind", "bounds", "scan"])
 def test_tol_must_be_finite_and_nonnegative(command, value, dephasing_file, decoy_config, capsys):
