@@ -29,8 +29,9 @@ from .protocol import ProtocolSpec, _require_cheat, require_valid
 
 BOUND_TOL = 1e-9
 
-# Step budget of the Kraus-gap bracket: step 1 and the Newton iterates.
-GAP_STEPS = 200
+# Step budget of the Kraus-gap bracket (step 1 and the Newton iterates) and
+# the factor by which its barrier's tau grows after each full Newton step.
+GAP_STEPS, GAP_TAU_GROWTH = 200, 1e3
 
 
 def _gap_operator(v: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -92,19 +93,21 @@ def _newton_step(pairs, basis, c_svd, half, n_w, grad_t):
     In C's SVD basis the contraction block of the Hessian pairs Δ'_ij with
     Δ'_ji and is inverted pair by pair. The gap block is J^T J, with a row
     (r_k, l_k) per element B_k of ``basis``: r_k = 2 conj(N(F_k)) and
-    l_k = Tr F_k for F_k = V Λ^-½ B_k Λ^-½ V†. Woodbury folds it in
+    l_k = Tr F_k = sum_x B_k[x, x] / λ_x for F_k = V Λ^-½ B_k Λ^-½ V†
+    (half† half = Λ^-1). Woodbury folds it in
     through one din² x din² solve, and dt comes from a scalar Schur
     complement.
     """
     u, sig, vh = c_svd
     m, din = len(sig), len(half)
     f = half @ basis @ half.conj().T
-    l = np.trace(f, axis1=1, axis2=2).real
+    l = np.diagonal(basis, axis1=1, axis2=2).real @ (half.real**2 + half.imag**2).sum(axis=0)
     rows = 2.0 * (f.transpose(0, 2, 1).reshape(-1, din * din) @ pairs.T).conj().reshape(-1, m, m)
     rows = u.conj().T @ rows @ vh.conj().T
     # The C block of the gradient, -2 conj(N(X1^-1)) + 2 C (I - C†C)^-1.
     d = (1.0 - sig) * (1.0 + sig)
-    g = -2.0 * (u.conj().T @ n_w.conj() @ vh.conj().T) + np.diag(2.0 * sig / d)
+    g = -2.0 * (u.conj().T @ n_w.conj() @ vh.conj().T)
+    g.flat[:: m + 1] += 2.0 * sig / d
     # The contraction block, 2 [pp^T o D' + ss^T o conj(D'^T)] with
     # p = 1/(1 - σ²) and s = σp, inverted without squaring p.
     ss = np.outer(sig, sig)
@@ -113,12 +116,13 @@ def _newton_step(pairs, basis, c_svd, half, n_w, grad_t):
     def inverse(x):
         return coef * (x - ss * x.swapaxes(-1, -2).conj())
 
-    z, a = inverse(rows), inverse(g)
+    z, a = inverse(rows).reshape(len(rows), -1), inverse(g)
     flat = rows.reshape(len(rows), -1).conj()
-    cap = np.eye(len(rows)) + (flat @ z.reshape(len(rows), -1).T).real
+    cap = (flat @ z.T).real
+    cap.flat[:: len(rows) + 1] += 1.0
     uw = np.linalg.solve(cap, np.stack([(flat @ a.reshape(-1)).real, l], axis=1))
     dt = float((l @ uw[:, 0] - grad_t) / (l @ uw[:, 1]))
-    step = np.tensordot(uw[:, 0] - dt * uw[:, 1], z, axes=1) - a
+    step = ((uw[:, 0] - dt * uw[:, 1]) @ z).reshape(m, m) - a
     dec2 = -float((g.conj() * step).real.sum() + grad_t * dt)
     return u @ step @ vh, dt, dec2
 
@@ -130,9 +134,13 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
 
     Step 1 is the trace bound at rho = I / dim_in against the identity and
     the Procrustes alignment. Newton then starts at C = 0,
-    t = λmax(K0 + K1) + 1 and tau = 1; the step is 1 when the Newton
-    decrement λ is below 1/4 and 1/(1 + λ) otherwise, which self-concordance
-    keeps inside the domain, and tau grows eightfold once λ² < 1e-2. Every
+    t = λmax(K0 + K1) + 1 and tau = max(1, nu / w), w step 1's bracket
+    width: a centred point at tau is about nu / tau wide (nu = dim_in + m).
+    The step is 1 when the Newton decrement λ is below 1/4 and 1/(1 + λ)
+    otherwise, which self-concordance keeps inside the domain. Each full
+    step multiplies tau by ``GAP_TAU_GROWTH``, up to 10 nu /
+    ``CERTIFIED_WIDTH``: past that the lower side lags by the iterate's
+    distance from the centre, which centring, not tau, closes. Every
     iterate certifies from one ``eigh`` of X1 = tI - S(C): t - λmin(X1) is
     the gap at the strict contraction C (the upper side), and the density
     matrix rho = X1^-1 / Tr X1^-1 gives the lower side
@@ -183,7 +191,8 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     step, stop = 1, "certified at step 1"
     if upper - (lower - allowance) > CERTIFIED_WIDTH:
         basis = linalg.hermitian_basis(din)
-        c, tau = np.zeros((m, m), dtype=complex), 1.0
+        c, nu = np.zeros((m, m), dtype=complex), din + m
+        tau, tau_max = max(1.0, nu / (upper - lower + allowance)), 10.0 * nu / CERTIFIED_WIDTH
         t = float(linalg.eigh_or_error(k)[0][-1]) + 1.0
         stop = f"step budget GAP_STEPS {GAP_STEPS} spent"
         for step in range(2, GAP_STEPS + 1):
@@ -206,8 +215,8 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
             dc, dt, dec2 = _newton_step(pairs, basis, c_svd, half, n_rho * tr, tau - tr)
             eta = 1.0 if dec2 < 1.0 / 16.0 else 1.0 / (1.0 + np.sqrt(dec2))
             c, t = c + eta * dc, t + eta * dt
-            if dec2 < 1e-2:
-                tau *= 8.0
+            if eta == 1.0:
+                tau = min(tau * GAP_TAU_GROWTH, tau_max)
 
     padded = ProtocolSpec(spec.label, spec.bit0.padded(2 * m), spec.bit1.padded(2 * m))
     unitary = linalg.require_unitary(_halmos(best), tol=linalg.UNITARY_CONSTRUCTION_TOL)
@@ -338,21 +347,27 @@ def bounds_report(
     """Both inequalities at the identity reindexing and, with ``minimize``,
     at the gap-minimizing one: the ``qbcommit bounds`` report.
 
-    One norm bracket's ``cb_lower`` (``analyze_concealment`` with
-    ``restarts``) serves both checks, since the norm does not depend on the
-    reindexing. Returns {"identity": BoundCheck} and, with ``minimize``,
-    also "minimized" (the ``check_bounds`` at ``minimize_kraus_gap``'s
-    2m x 2m unitary, on the protocol padded to 2m labels), "minimized_gap"
-    and "minimized_gap_lower" (its ``value`` and ``lower``).
+    One norm bracket (``analyze_concealment`` with ``restarts``) serves
+    both checks, since the norm does not depend on the reindexing. Returns
+    {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
+    ``check_bounds`` at ``minimize_kraus_gap``'s 2m x 2m unitary, on the
+    protocol padded to 2m labels), "minimized_gap" and
+    "minimized_gap_lower" (its ``value`` and ``lower``). The left half of
+    the sandwich, g* <= ||Phi1 - Phi0||_cb, is checked there too: a
+    ``minimized_gap_lower`` above ``cb_upper`` + ``tol`` appends a
+    "gap_lower" violation to the minimized check.
     """
     _require_count("n_states", n_states, 1)
-    cb_lower = analyze_concealment(spec, restarts, seed).cb_lower
-    report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=cb_lower, tol=tol)}
+    norm = analyze_concealment(spec, restarts, seed)
+    report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=norm.cb_lower, tol=tol)}
     if minimize:
         gap_min = minimize_kraus_gap(spec)
         report["minimized"] = check_bounds(
-            gap_min.spec, gap_min.unitary, n_states, seed, cb_lower=cb_lower, tol=tol
+            gap_min.spec, gap_min.unitary, n_states, seed, cb_lower=norm.cb_lower, tol=tol
         )
+        if gap_min.lower > norm.cb_upper + tol:
+            sides = {"minimized_gap_lower": gap_min.lower, "cb_upper": norm.cb_upper, "seed": seed}
+            report["minimized"].violations.append({"kind": "gap_lower", "label": spec.label, **sides})
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower
     return report

@@ -202,7 +202,7 @@ def choi(family: KrausFamily) -> np.ndarray:
     identity on the input space exactly when the family is complete.
     """
     vecs = family.ops.transpose(0, 2, 1).reshape(family.cardinality, -1)
-    return np.einsum("ma,mb->ab", vecs, vecs.conj())
+    return vecs.T @ vecs.conj()
 
 
 def choi_distance(fam_a: KrausFamily, fam_b: KrausFamily) -> float:

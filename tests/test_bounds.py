@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,29 @@ def test_bounds_report_composes_the_public_checks():
     assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
 
 
+def test_bounds_report_flags_a_gap_lower_side_above_the_cb_norm(monkeypatch):
+    # g* <= ||Phi1 - Phi0||_cb: a certified lower side on g* above cb_upper
+    # is a violation of the left half of the sandwich.
+    spec = random_protocol(3, 3, 3, seed=0)
+    gap = minimize_kraus_gap(spec)
+    norm = analyze_concealment(spec, restarts=2, seed=4)
+    low = dataclasses.replace(norm, cb_upper=gap.lower / 2.0)
+    monkeypatch.setattr(bounds, "analyze_concealment", lambda *args: low)
+    report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
+    assert report["identity"].violations == []
+    assert report["minimized"].violations == [
+        {
+            "kind": "gap_lower",
+            "label": spec.label,
+            "minimized_gap_lower": gap.lower,
+            "cb_upper": gap.lower / 2.0,
+            "seed": 4,
+        }
+    ]
+    monkeypatch.setattr(bounds, "analyze_concealment", lambda *args: dataclasses.replace(norm, cb_upper=gap.lower))
+    assert bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)["minimized"].violations == []
+
+
 @pytest.mark.parametrize(
     "spec, closed",
     [(decoy_protocol(2), 0.25), (dephasing_protocol(), 1.0), (concealing_pair(seed=7)[0], 0.0)],
@@ -273,10 +298,28 @@ def test_lower_gap_is_below_the_cb_norm(spec):
     assert cb.cb_lower <= 2.0 * np.sqrt(res.value)
 
 
+# Shapes beyond the square 2-4 dimensional ones: dout != din, one and five
+# or six labels, 5 x 5; and three draws that end uncertified when tau grows
+# without its cap: the 5 x 5 m4 one leaves the domain at a 1e4-fold growth,
+# and at a 1e3-fold growth the lower side of 6x2 m4 stalls until an iterate
+# leaves the domain and 2x5 m1 reaches a singular Woodbury solve.
+WIDER = {
+    **{
+        f"{din}x{dout}-m{m}": random_protocol(din, dout, m, np.random.default_rng([41, din, dout, m]))
+        for din, dout, m in [(2, 4, 2), (4, 2, 3), (3, 5, 2), (2, 3, 1), (3, 3, 5), (3, 2, 6), (5, 5, 3)]
+    },
+    "5x5-m4-11-4-1": random_protocol(5, 5, 4, np.random.default_rng([11, 4, 1])),
+    "2x5-m1-2323": random_protocol(2, 5, 1, np.random.default_rng([2323, 2, 5, 1])),
+    "6x2-m4-2323": random_protocol(6, 2, 4, np.random.default_rng([2323, 6, 2, 4, 2])),
+}
+
+
 @pytest.mark.parametrize(
     "spec",
-    PANEL + [random_protocol(d, d, m, np.random.default_rng([41, d, m])) for d in (2, 3, 4) for m in (2, 3, 4)],
-    ids=[f"p{s}" for s in range(6)] + [f"din{d}-m{m}" for d in (2, 3, 4) for m in (2, 3, 4)],
+    PANEL
+    + [random_protocol(d, d, m, np.random.default_rng([41, d, m])) for d in (2, 3, 4) for m in (2, 3, 4)]
+    + list(WIDER.values()),
+    ids=[f"p{s}" for s in range(6)] + [f"din{d}-m{m}" for d in (2, 3, 4) for m in (2, 3, 4)] + list(WIDER),
 )
 def test_newton_bracket_certifies(spec):
     res = minimize_kraus_gap(spec)
@@ -284,6 +327,14 @@ def test_newton_bracket_certifies(spec):
     assert res.value - res.lower <= CERTIFIED_WIDTH
     assert res.trace.converged == [True] and res.trace.notes[0].startswith("certified at step")
     assert res.value == kraus_gap(res.spec, res.unitary)
+
+
+@pytest.mark.parametrize("spec", PANEL, ids=[f"p{s}" for s in range(6)])
+def test_panel_certifies_within_thirty_two_steps(spec):
+    # tau starts at step 1's bracket and grows a thousandfold per full step;
+    # growing it eightfold from 1 took 46-51 steps here.
+    res = minimize_kraus_gap(spec)
+    assert res.trace.converged == [True] and res.trace.iterations[0] <= 32
 
 
 def test_newton_bracket_certifies_at_thirty_two_labels():
