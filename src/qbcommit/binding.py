@@ -8,7 +8,12 @@ protocol is binding exactly when no reindexing passes verification for every
 input state Bob might have sent, since Bob keeps his choice to himself.
 
 The estimate is an achieved value: a cheat and the worst state a search
-found for it. It is bracketed from above by a dual certificate over Bob's
+found for it. Cheats are searched by polar steps: the next cheat is the
+polar factor of G + kappa V, G the payoff's gradient at the current worst
+state, which maximizes the linearized payoff less a proximal term over the
+unitaries exactly (the generalized power method of Journee, Nesterov,
+Richtarik and Sepulchre, JMLR 2010), so no line search is needed. The
+estimate is bracketed from above by a dual certificate over Bob's
 mixed strategies. For weights mu on finitely many states, the averaged
 payoff is a sum of quadratic forms in the rows of the cheat, so it is at most
 Tr Y + sum_j lambda_max(M_j - Y) for any Hermitian Y. The weights and Y are
@@ -25,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
-from .optimize import _require_count, _require_tolerance, ascend_params, search_sphere
+from .optimize import _require_count, _require_tolerance, search_sphere
 from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
@@ -38,6 +43,11 @@ INNER_MAX_ITER = 300
 # A payoff is a sum of squared overlaps of a unit vector's orthogonal
 # pieces, normalized: by Cauchy-Schwarz it never exceeds one.
 PAYOFF_CAP = 1.0
+
+# Factors of the outer ascent's proximal weight (``_polar_ascent``).
+POLAR_KAPPA_RELAX = 0.5
+POLAR_KAPPA_GROWTH = 4.0
+POLAR_KAPPA_CAP = 1e8
 
 DIRECTIONS = ("01", "10")
 
@@ -219,6 +229,39 @@ def _overlaps(committed_stack, claimed_stack, cheat, phis):
     return b, inv_d, c
 
 
+def _polar_ascent(surrogate, v: np.ndarray, max_iter: int, tol: float) -> tuple:
+    """Ascend ``surrogate(v) -> (value, G = d value / d conj(V))`` over
+    unitaries from ``v``; returns (unitary, accepted steps, converged).
+
+    Each proposal polar(G + kappa V) maximizes the linearized gain
+    2 Re Tr(G†(V' - V)) minus kappa |V' - V|² (Frobenius norms), with kappa
+    = |G| at the start. A strict gain is accepted and relaxes kappa; else
+    kappa grows and the proposal is redone. The ascent converges when
+    |V†G - G†V| <= ``tol`` or kappa passes ``POLAR_KAPPA_CAP`` |G| with no
+    gain, and stops unconverged after ``max_iter`` accepted steps. The end
+    point is checked unitary within ``linalg.UNITARY_CONSTRUCTION_TOL``.
+    """
+    f, g = surrogate(v)
+    kappa = np.linalg.norm(g)
+    steps = 0
+    while steps < max_iter:
+        a = v.conj().T @ g
+        if np.linalg.norm(a - a.conj().T) <= tol:
+            break
+        cand = linalg.polar_factor(g + kappa * v)
+        fc, gc = surrogate(cand)
+        if fc > f:
+            v, f, g, steps = cand, fc, gc, steps + 1
+            kappa *= POLAR_KAPPA_RELAX
+        else:
+            kappa *= POLAR_KAPPA_GROWTH
+            if kappa > POLAR_KAPPA_CAP * np.linalg.norm(g):
+                break
+    linalg.require_unitary(v, tol=linalg.UNITARY_CONSTRUCTION_TOL)
+    # Only the two stops leave the loop before max_iter accepted steps.
+    return v, steps, steps < max_iter
+
+
 def _dual_bound(committed_stack, claimed_stack, cheat, states):
     """Certified upper bound on max_V min_phi P(V, phi), and the weights it used.
 
@@ -303,12 +346,13 @@ def minimax_cheat(
 
     One loop scores cheats in turn. Start 0 is the Procrustes alignment of
     the two families, scored as it is with 0 iterations; start k >= 1 is the
-    end point of outer restart k - 1, a gradient ascent on the unitary group
-    with the inner minimum handled by Danskin's rule at the current worst
-    state. Restart 0 ascends from the alignment, the rest from seeded Haar
-    unitaries. During the ascent the inner minimum runs on a reduced budget
-    with a warm start; each scored cheat gets the worst state that
-    ``min_over_states``'s full inner search (whose starts include the
+    end point of outer restart k - 1, up to ``outer_iters`` polar steps
+    (``_polar_ascent``) with the inner minimum handled by Danskin's rule at
+    the current worst state. Restart 0 ascends from the alignment, the rest
+    from seeded Haar unitaries. During the ascent the inner minimum runs on
+    a reduced budget with a warm start; ``tol`` bounds the ascent's
+    Riemannian gradient |V†G - G†V|. Each scored cheat gets the worst state
+    that ``min_over_states``'s full inner search (whose starts include the
     claimed-branch kernel states) finds for it, and a dual certificate
     built from the kernel states and that worst state. The best score is
     the estimate, and the trace's ``best_start`` names the scored cheat that
@@ -354,18 +398,15 @@ def minimax_cheat(
             start = linalg.random_unitary(m, linalg.spawn_rng(seed, 3, ridx)) if ridx else procrustes
             warm = []
 
-            def surrogate(cheats):
-                (v,) = cheats
+            def surrogate(v):
                 res = _worst_state(
                     ck, cl, v, kernel + warm, rng_tags=(4, ridx), stall_tol=1e-7, stall_limit=5, **loose
                 )
                 warm[:] = [res.vector]
                 b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
-                return [res.value], (c.conj() * inv_d)[..., None] * b
+                return res.value, (c.conj() * inv_d)[0, :, None] * b[0]
 
-            v, _, iters, converged = ascend_params(
-                surrogate, start, trace=trace, max_iter=outer_iters, tol=tol
-            )
+            v, iters, converged = _polar_ascent(surrogate, start, outer_iters, tol)
         inner = _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
         witness = min(witness, _dual_bound(ck, cl, v, kernel + [inner.vector])[0])

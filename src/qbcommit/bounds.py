@@ -150,7 +150,9 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     assumed). A Newton step costs O(m³ + m² dim_in⁴): C's SVD, and a
     dim_in² x dim_in² Woodbury solve for the gap block (``_newton_step``).
     The loop stops within ``CERTIFIED_WIDTH``, at an iterate outside the
-    domain or after ``GAP_STEPS`` steps, and a trace note names the stop;
+    domain, on a singular Newton system (its Woodbury capacitance loses the
+    identity to round-off as λmin(X1) nears 0) or after ``GAP_STEPS`` steps,
+    and a trace note names the stop;
     the bracket kept so far stays valid. The cheat is the Halmos dilation of
     the best contraction, ``value`` its ``kraus_gap`` on ``GapResult.spec``.
 
@@ -212,7 +214,11 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
             if upper - (lower - allowance) <= CERTIFIED_WIDTH:
                 stop = f"certified at step {step}"
                 break
-            dc, dt, dec2 = _newton_step(pairs, basis, c_svd, half, n_rho * tr, tau - tr)
+            try:
+                dc, dt, dec2 = _newton_step(pairs, basis, c_svd, half, n_rho * tr, tau - tr)
+            except np.linalg.LinAlgError:
+                stop = f"step {step}: Newton system singular"
+                break
             eta = 1.0 if dec2 < 1.0 / 16.0 else 1.0 / (1.0 + np.sqrt(dec2))
             c, t = c + eta * dc, t + eta * dt
             if eta == 1.0:
@@ -483,21 +489,9 @@ def epsilon_delta_scan(
 
 
 def scan_to_csv(result: ScanResult) -> str:
-    """Deterministic CSV rendering of a scan, one row per point."""
+    """Deterministic CSV rendering of a scan, one row per point: the
+    ``repr`` of each field ``SCAN_CSV_HEADER`` names, in its order."""
+    fields = SCAN_CSV_HEADER.split(",")
     lines = [SCAN_CSV_HEADER]
-    for pt in result.points:
-        lines.append(
-            ",".join(
-                [
-                    repr(pt.param),
-                    repr(pt.eps_lo),
-                    repr(pt.eps_hi),
-                    repr(pt.delta),
-                    repr(pt.minimax),
-                    str(pt.budget_outer),
-                    str(pt.budget_inner),
-                    str(pt.seed),
-                ]
-            )
-        )
+    lines += [",".join(repr(getattr(pt, f)) for f in fields) for pt in result.points]
     return "\n".join(lines) + "\n"

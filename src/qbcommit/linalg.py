@@ -125,8 +125,7 @@ def svd_or_error(a: np.ndarray, compute_uv: bool = True, full_matrices: bool = T
 
 def polar_factor(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor ``u @ vh`` of a square matrix, from one SVD: the
-    unitary closest to ``a`` in Frobenius norm. A stack ``(..., m, m)`` is
-    factored matrix by matrix, each as it would be alone."""
+    unitary closest to ``a`` in Frobenius norm."""
     u, _, vh = svd_or_error(a)
     return u @ vh
 

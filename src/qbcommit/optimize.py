@@ -1,13 +1,8 @@
-"""Backtracking gradient search on the complex unit sphere or the unitary group.
+"""Backtracking gradient search on the complex unit sphere.
 
-One line-search engine drives the concealment maximizer, the binding
-minimizer over states and the binding outer ascent over unitary
-reindexings, the one user of the unitary geometry. The geometry is its only
-argument that changes the steps: on the sphere the gradient is projected
-onto the tangent space and trial points are renormalized; on the unitary
-group U(m) the iterate is the unitary V itself, the gradient is projected
-onto V times the skew-Hermitian matrices, and trial points are retracted to
-their polar factor. Each iteration doubles the last
+One line-search engine drives the concealment maximizer and the binding
+minimizer over states. The gradient is projected onto the sphere's tangent
+space and trial points are renormalized. Each iteration doubles the last
 accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
 of accepted steps that each gain almost nothing, or when no step down to
@@ -21,17 +16,16 @@ still above ``tol``: there the gains the Armijo test asks for are below what
 double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
 way), so the count is not a count of stuck starts alone.
 
-The engine is a generator: it yields its start, then each unretracted
+The engine is a generator: it yields its start, then each unnormalized
 trial point, and receives (point, value, gradient) back, the point being
-the trial point's retraction. Gradients are the objectives' own analytic
-ones (d value / d conj(x), x a state or a unitary), each taken from the
-pieces its value already computed; the engine takes no finite differences.
-``search_sphere`` advances all its starts in lockstep: each round after the
-first makes one retraction call on the unfinished starts' trial points and
-one batched objective call on the retracted stack. Both act row by row with
-the same arithmetic as on one row, and a start's trajectory depends only on
-its own values, so the result equals running the starts one by one.
-``ascend_params`` runs one start through the same driver, as a stack of one.
+the trial point normalized. Gradients are the objectives' own analytic
+ones (d value / d conj(psi)), each taken from the pieces its value already
+computed; the engine takes no finite differences. ``search_sphere``
+advances all its starts in lockstep: each round after the first makes one
+normalization call on the unfinished starts' trial points and one batched
+objective call on the normalized stack. Both act row by row with the same
+arithmetic as on one row, and a start's trajectory depends only on its own
+values, so the result equals running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
@@ -42,7 +36,6 @@ on ties, so adding restarts can only improve the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +43,7 @@ from . import linalg
 
 ARMIJO = 1e-4
 MIN_STEP = 1e-14
+MAX_STEP = 1e3
 
 # A search whose value a certified bound meets within this much skips its
 # remaining starts. Every certificate in the package (cb norm in [0, 2],
@@ -59,12 +53,6 @@ CERTIFIED_WIDTH = 1e-5
 # A search value above its certified bound by more than this is a solver bug,
 # reported as a BracketInversionError by the concealment and binding analyses.
 BRACKET_GUARD = 1e-8
-
-# The outer ascent ends after ASCENT_STALL_LIMIT accepted steps in a row that
-# each gain less than ASCENT_STALL_TOL. Payoffs live in [0, 1]; chasing gains
-# below a few 1e-8 only crawls the dropped-outcome boundary layer.
-ASCENT_STALL_TOL = 2e-8
-ASCENT_STALL_LIMIT = 10
 
 
 def _require_tolerance(tol) -> float:
@@ -92,9 +80,11 @@ class SolverTrace:
     ``best_start`` is the earliest start holding the best value, and the
     report's headline is read from that value.
 
-    ``line_search_failures`` counts the starts that ended because no step
-    down to ``MIN_STEP`` met the Armijo condition: stuck at a jump extremum,
-    or within round-off of a smooth optimum with the gradient norm above ``tol``.
+    ``line_search_failures`` counts the sphere-search starts that ended
+    because no step down to ``MIN_STEP`` met the Armijo condition: stuck at
+    a jump extremum, or within round-off of a smooth optimum with the
+    gradient norm above ``tol``. Binding's outer trace takes no line search
+    and reads 0.
     """
 
     seed: int
@@ -127,12 +117,6 @@ class SphereResult:
     trace: SolverTrace
 
 
-class _Geometry(NamedTuple):
-    tangent: Callable  # (point, gradient) -> ascent direction at the point
-    retract: Callable  # list of trial points -> stack of points of the search space
-    max_step: float
-
-
 def _project(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Remove the radial component; the sphere tangent piece remains."""
     return grad - np.vdot(psi, grad).real * psi
@@ -143,26 +127,8 @@ def _normalize_rows(points) -> np.ndarray:
     return np.array([linalg.normalize_state(v) for v in points])
 
 
-def _polar_factors(points) -> np.ndarray:
-    """``linalg.polar_factor`` of the stacked matrices, looked up at call time."""
-    return linalg.polar_factor(points)
-
-
-def _skew_tangent(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Riemannian gradient V skew(V† ∇) on U(m), with ∇ = 2 ``grad`` the
-    Euclidean gradient of a real function of V: a step along it gains its
-    squared Frobenius norm to first order, as the Armijo test assumes."""
-    a = v.conj().T @ grad
-    return v @ (a - a.conj().T)
-
-
-_SPHERE = _Geometry(_project, _normalize_rows, 1e3)
-_UNITARY = _Geometry(_skew_tangent, _polar_factors, 1e2)
-
-
 def _line_search(
     x: np.ndarray,
-    geometry: _Geometry,
     sgn: float,
     *,
     tol: float,
@@ -171,12 +137,11 @@ def _line_search(
     stall_limit: int,
     polish=None,
 ):
-    """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unretracted trial
+    """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unnormalized trial
     points, and is sent (point, value, gradient) back for each, the point
-    being the start itself and after that the trial point's retraction.
+    being the start itself and after that the trial point normalized.
     Returns (x, value, iterations, converged, stuck), where ``stuck`` says
     that no step down to ``MIN_STEP`` met the Armijo condition."""
-    tangent, _, max_step = geometry
     x, f, g = yield x
     step = 1.0
     stalled = 0
@@ -191,12 +156,12 @@ def _line_search(
                     x, f, g = cand, fc, gc
         if stalled >= stall_limit:
             return x, f, it, True, False
-        r = tangent(x, g)
-        gn = float(linalg.vector_norm(r.ravel()))
+        r = _project(x, g)
+        gn = float(linalg.vector_norm(r))
         if gn <= tol:
             return x, f, it, True, False
         direction = sgn * r
-        eta = min(step * 2.0, max_step)
+        eta = min(step * 2.0, MAX_STEP)
         while eta > MIN_STEP:
             cand, fc, gc = yield x + eta * direction
             if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
@@ -219,15 +184,14 @@ def _line_search(
     return x, f, it, False, False
 
 
-def _lockstep(searches, fun_grad, retract) -> list:
-    """Run line-search generators together and return their outcomes: the
-    sphere search's starts, or the ascent's one.
+def _lockstep(searches, fun_grad) -> list:
+    """Run line-search generators together and return their outcomes.
 
-    Round 0 evaluates the starts as given. Every later round retracts the
-    pending trial points of the unfinished searches with one ``retract``
-    call on their list, then evaluates the retracted stack with one
-    ``fun_grad`` call. The list is not stacked first: at the few rows of a
-    round, one more array build costs more than it saves.
+    Round 0 evaluates the starts as given. Every later round normalizes the
+    pending trial points of the unfinished searches with one
+    ``_normalize_rows`` call on their list, then evaluates the normalized
+    stack with one ``fun_grad`` call. The list is not stacked first: at the
+    few rows of a round, one more array build costs more than it saves.
     """
     pending = [next(search) for search in searches]
     outcomes = [None] * len(searches)
@@ -244,7 +208,7 @@ def _lockstep(searches, fun_grad, retract) -> list:
                 outcomes[i] = done.value
         active = still
         if active:
-            points = retract([pending[i] for i in active])
+            points = _normalize_rows([pending[i] for i in active])
     return outcomes
 
 
@@ -268,9 +232,9 @@ def search_sphere(
     ``fun_grad`` is batched: for unit vectors stacked as rows of an
     ``(R, dim)`` array it returns values ``(R,)`` and gradients d value /
     d conj(psi) ``(R, dim)``. The starts advance in lockstep: each round one
-    retraction call, normalizing the stacked trial points of the unfinished
-    starts row by row, and one objective call on them; a start's trajectory depends only on its own
-    values, so the result equals running the starts one by one.
+    call normalizes the trial points of the unfinished starts row by row,
+    and one objective call evaluates them; a start's trajectory depends only
+    on its own values, so the result equals running the starts one by one.
     ``extra_starts`` are deterministic starting vectors tried before
     the seeded random ones. ``polish(psi, grad)`` is called at the start of
     every iteration with the iterate and the gradient the search already
@@ -296,43 +260,11 @@ def search_sphere(
         max_iter=int(max_iter),
     )
     opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
-    searches = [_line_search(s, _SPHERE, sgn, polish=polish, **opts) for s in starts]
-    outcomes = _lockstep(searches, fun_grad, _SPHERE.retract)
+    searches = [_line_search(s, sgn, polish=polish, **opts) for s in starts]
+    outcomes = _lockstep(searches, fun_grad)
 
     vectors, values, iterations, converged, stuck = zip(*outcomes)
     best = trace.record(values, iterations, converged, maximize)
     trace.line_search_failures += sum(stuck)
     return SphereResult(value=trace.values[best], vector=vectors[best], trace=trace)
 
-
-def ascend_params(fun_grad, start, *, trace: SolverTrace, max_iter: int, tol: float) -> tuple:
-    """Backtracking gradient ascent on the unitary group U(m); binding's outer ascent.
-
-    ``fun_grad`` is batched: for unitaries stacked as ``(R, m, m)`` it
-    returns values ``(R,)`` and gradients d value / d conj(V) ``(R, m, m)``;
-    the one ``start`` reaches it as a stack of one. Steps follow the
-    Riemannian gradient and retract to the polar factor of the trial point.
-    A polar factor is unitary by construction, so trial points are not
-    checked; what enters and what leaves is: ``start`` and the returned
-    unitary are each checked finite and unitary within
-    ``linalg.UNITARY_CONSTRUCTION_TOL``, so a bad start or a broken
-    retraction raises ``ValueError``. The ascent stops on gradient norm, on
-    step exhaustion (counted in ``trace.line_search_failures``), or on
-    ``ASCENT_STALL_LIMIT`` accepted steps in a row that each gain less than
-    ``ASCENT_STALL_TOL``. Returns (unitary, value, iterations, converged).
-    """
-    check_tol = linalg.UNITARY_CONSTRUCTION_TOL
-    start = linalg.require_unitary(start, tol=check_tol)
-    search = _line_search(
-        start,
-        _UNITARY,
-        1.0,
-        tol=tol,
-        max_iter=max_iter,
-        stall_tol=ASCENT_STALL_TOL,
-        stall_limit=ASCENT_STALL_LIMIT,
-    )
-    [(v, f, it, converged, stuck)] = _lockstep([search], fun_grad, _UNITARY.retract)
-    linalg.require_unitary(v, tol=check_tol)
-    trace.line_search_failures += stuck
-    return v, float(f), it, converged

@@ -353,6 +353,19 @@ def test_iterate_outside_the_domain_stops_with_a_valid_bracket(monkeypatch):
     assert 0.0 <= res.lower <= res.value == kraus_gap(res.spec, res.unitary)
 
 
+def test_singular_newton_system_stops_with_a_valid_bracket(monkeypatch):
+    # A Woodbury capacitance that round-off made singular ends the loop with
+    # a note; the bracket kept so far stands.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(bounds, "_newton_step", singular)
+    res = minimize_kraus_gap(PANEL[0])
+    assert res.trace.notes[0].startswith("step 2: Newton system singular")
+    assert res.trace.converged == [False]
+    assert 0.0 <= res.lower <= res.value == kraus_gap(res.spec, res.unitary)
+
+
 def _dense_newton_step(spec, c, t, tau):
     """Reference Newton step of tau t - log det(tI - S(C)) - log det(I - C†C)
     from the gradient and the Hessian Tr(W D_v W D_w) of each log det,

@@ -6,7 +6,7 @@ from qbcommit.binding import _kernel_starts, _payoff_fun_grad, _payoff_pieces, m
 from qbcommit.bounds import minimize_kraus_gap
 from qbcommit.concealment import analyze_concealment
 from qbcommit.families import dephasing_protocol, random_protocol
-from qbcommit.optimize import SolverTrace, ascend_params, search_sphere
+from qbcommit.optimize import search_sphere
 
 
 def rowwise(fun_grad):
@@ -118,79 +118,23 @@ def test_search_sphere_trace_bookkeeping():
     assert res.trace.seed == 7
 
 
-def trace_overlap(a):
-    """Re Tr(A† V) and its gradient d / d conj(V) = A / 2, on the unitary group."""
-
-    def fun_grad(v):
-        return float(np.vdot(a, v).real), 0.5 * a
-
-    return fun_grad
-
-
-def test_ascend_params_reaches_trace_norm_at_polar_factor():
-    # max over unitary V of Re Tr(A† V) is the trace norm of A, at polar(A).
-    for dim in (1, 2, 3, 4):
-        rng = linalg.spawn_rng(61, dim)
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for start in (np.eye(dim), linalg.random_unitary(dim, rng)):
-            trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-10, max_iter=500)
-            v, value, iters, converged = ascend_params(
-                rowwise(trace_overlap(a)), start, trace=trace, max_iter=500, tol=1e-10
-            )
-            assert converged and iters < 500
-            assert linalg.unitarity_residual(v) < 1e-13
-            # A small singular value flattens the optimum; the stall rule
-            # ends the ascent short of it there, by less than one stall gain.
-            assert abs(value - linalg.trace_norm(a)) < optimize.ASCENT_STALL_TOL
-            # With A = P|A|, the shortfall Re Tr(|A|(I - P†V)) is at least
-            # sigma_min / 2 times |V - P|², which bounds every entry of V - P.
-            sigma_min = np.linalg.svd(a, compute_uv=False)[-1]
-            atol = np.sqrt(2 * optimize.ASCENT_STALL_TOL / sigma_min)
-            np.testing.assert_allclose(v, linalg.polar_factor(a), atol=atol)
-
-
-def test_ascend_params_rejects_non_unitary_start():
-    a = np.eye(2, dtype=complex)
-    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
-    with pytest.raises(ValueError, match="not unitary"):
-        ascend_params(
-            rowwise(trace_overlap(a)), 1.001 * np.eye(2), trace=trace, max_iter=10, tol=1e-8
-        )
-
-
-def test_ascend_params_checks_the_unitaries_it_returns(monkeypatch):
-    # Trial points are not checked: a retraction that leaves the group is
-    # caught on the way out.
-    polar = linalg.polar_factor
-    monkeypatch.setattr(linalg, "polar_factor", lambda a: 1.001 * polar(a))
-    a = linalg.spawn_rng(63).standard_normal((2, 2)).astype(complex)
-    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=1e-8, max_iter=10)
-    with pytest.raises(ValueError, match="not unitary"):
-        ascend_params(rowwise(trace_overlap(a)), np.eye(2), trace=trace, max_iter=10, tol=1e-8)
-
-
 def test_batched_retractions_match_one_row_retractions():
-    # The lockstep engine retracts a round's trial points as one stack; each
-    # row must come out bit for bit as its own retraction would.
+    # The lockstep engine normalizes a round's trial points in one call; each
+    # row must come out bit for bit as its own normalization would.
     rng = linalg.spawn_rng(64)
     for dim in (1, 9, 81):
         rows = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
         for stack in (rows, rows[:1]):
-            got = optimize._SPHERE.retract(stack)
+            got = optimize._normalize_rows(stack)
             assert got.shape == stack.shape
             for row, want in zip(got, stack):
                 assert row.tobytes() == linalg.normalize_state(want).tobytes()
-    for m in range(1, 10):
-        stack = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
-        got = optimize._UNITARY.retract(stack)
-        for mat, want in zip(got, stack):
-            assert mat.tobytes() == linalg.polar_factor(want).tobytes()
 
 
 def test_sphere_retraction_rejects_a_zero_row():
     for stack in ([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
         with pytest.raises(ValueError, match="zero vector"):
-            optimize._SPHERE.retract(np.array(stack, dtype=complex))
+            optimize._normalize_rows(np.array(stack, dtype=complex))
 
 
 def test_search_sphere_stops_at_jump_minimum():
