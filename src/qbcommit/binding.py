@@ -1,11 +1,15 @@
 """Binding analysis: Alice's delayed-choice attack on the opening.
 
 Alice commits one bit honestly up to the measurement, keeps everything
-coherent, and later reindexes her opening labels with a unitary before
-claiming the other bit. Her per-outcome success is a normalized squared
-overlap between the reindexed committed branch and the claimed branch; the
-protocol is binding exactly when no reindexing passes verification for every
-input state Bob might have sent, since Bob keeps his choice to himself.
+coherent, and later reindexes her opening labels with a unitary V before
+claiming the other bit. At Bob's input state phi, outcome j has the
+reindexed committed image e_j = sum_l V_jl committed_l phi and the claimed
+image w_j = claimed_j phi, and Alice passes with probability
+sum_j |<e_j|w_j>|² / |w_j|², an outcome whose claimed image has squared norm
+at most ``ZERO_OUTCOME_TOL`` dropped. The state search, its gradient and the
+dual certificate all read these images. The protocol is binding exactly when
+no reindexing passes verification for every input state Bob might have
+sent, since Bob keeps his choice to himself.
 
 The estimate is an achieved value: a cheat and the worst state a search
 found for it. Cheats are searched by polar steps: the next cheat is the
@@ -87,38 +91,48 @@ def alice_cheat_prob(
 
 def _payoffs(committed_stack, claimed_stack, cheat, phis) -> np.ndarray:
     """Payoffs of one checked cheat at the unit rows of ``phis``; no validation."""
-    a = _payoff_pieces(committed_stack, claimed_stack, cheat)
-    return _payoff_fun_grad(a, claimed_stack)(phis)[0]
+    return _payoff_fun_grad(committed_stack, claimed_stack, cheat)(phis)[0]
 
 
-def _payoff_pieces(committed_stack, claimed_stack, cheat):
-    effective = np.einsum("jl,lab->jab", cheat, committed_stack)
-    # a_j = effective_j† claimed_j drives both the payoff and its gradient.
-    return np.einsum("jax,jay->jxy", effective.conj(), claimed_stack)
+def _images(stack, phis) -> np.ndarray:
+    """Images of the rows of ``phis`` under each operator of the stack, as a
+    ``(rows, operators, dim_out)`` array. Each product is one row's own, so a
+    row's bits do not depend on the batch it sits in."""
+    return (stack.reshape(-1, stack.shape[-1]) @ phis[:, :, None]).reshape(len(phis), len(stack), -1)
 
 
-def _payoff_fun_grad(a, claimed_stack):
-    # Batched over the rows of phis; alice_cheat_prob evaluates one row here,
-    # so a reported payoff and the solver's value at the same point agree bit
-    # for bit.
-    a_conj = a.conj()
-    claimed_conj = claimed_stack.conj()
+def _kept_inverse(w) -> np.ndarray:
+    """1 / |w_j|² for the claimed images w_j on the last axis of ``w``, and 0
+    where |w_j|² is at most ``ZERO_OUTCOME_TOL``: the dropped-outcome rule."""
+    d = np.sum(w.real**2 + w.imag**2, axis=-1)
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d > ZERO_OUTCOME_TOL)
+
+
+def _payoff_fun_grad(committed_stack, claimed_stack, cheat):
+    """Batched payoff sum_j |c_j|² / d_j of one checked cheat at unit rows
+    phi, c_j = <E_j phi|claimed_j phi> with E_j = sum_l cheat_jl committed_l
+    and 1 / d_j from ``_kept_inverse``, and its gradient in conj(phi),
+    E†(conj(c) / d w) + claimed†(c / d e - |c|² / d² w). E and the claimed
+    branches form one stack, so the images and the gradient take one product
+    per row each; alice_cheat_prob evaluates one row here, so a reported
+    payoff and the solver's value at the same point agree bit for bit."""
+    m, dim_in = len(cheat), claimed_stack.shape[-1]
+    reindexed = (cheat @ committed_stack.reshape(m, -1)).reshape(m, -1, dim_in)
+    stack = np.concatenate([reindexed, claimed_stack])
+    adjoint = stack.reshape(-1, dim_in).conj().T
 
     def fun_grad(phis: np.ndarray):
-        c = np.einsum("rx,jxy,ry->rj", phis.conj(), a, phis)
-        w = np.einsum("jab,rb->rja", claimed_stack, phis)
-        d = np.einsum("rja,rja->rj", w.conj(), w).real
-        mask = d > ZERO_OUTCOME_TOL
-        d = np.where(mask, d, 1.0)
-        c2 = np.abs(c) ** 2
-        terms = np.where(mask, c2 / d, 0.0)
-        values = terms.sum(axis=1)
-        scale = np.where(mask, c / d, 0.0)
-        grads = np.einsum("rj,jxy,ry->rx", scale.conj(), a, phis)
-        grads += np.einsum("rj,jyx,ry->rx", scale, a_conj, phis)
-        bphi = np.einsum("jay,rja->rjy", claimed_conj, w)
-        grads -= np.einsum("rj,rjy->ry", np.where(mask, c2 / d**2, 0.0), bphi)
-        return values, grads
+        images = _images(stack, phis)
+        e, w = images[:, :m], images[:, m:]
+        c = np.sum(e.conj() * w, axis=-1)
+        inv_d = _kept_inverse(w)
+        scale = c * inv_d
+        terms = (c.real**2 + c.imag**2) * inv_d
+        back = np.concatenate(
+            [scale.conj()[..., None] * w, scale[..., None] * e - (terms * inv_d)[..., None] * w], axis=1
+        )
+        grads = adjoint @ back.reshape(len(phis), -1, 1)
+        return terms.sum(axis=1), grads.reshape(len(phis), dim_in)
 
     return fun_grad
 
@@ -148,9 +162,8 @@ def _kernel_starts(claimed_stack) -> list:
 def _worst_state(committed_stack, claimed_stack, cheat, starts, **opts) -> SphereResult:
     """Payoff descent over states at one checked cheat, from ``starts`` and
     ``opts["restarts"]`` seeded random states; no validation."""
-    a = _payoff_pieces(committed_stack, claimed_stack, cheat)
     return search_sphere(
-        _payoff_fun_grad(a, claimed_stack),
+        _payoff_fun_grad(committed_stack, claimed_stack, cheat),
         claimed_stack.shape[-1],
         maximize=False,
         extra_starts=starts,
@@ -199,13 +212,13 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - excess[k] / (k + 1), 0.0)
 
 
-def _simplex_min_norm(gram: np.ndarray, max_iter: int = 1000) -> np.ndarray:
-    """Weights w on the simplex minimizing w^T gram w, by projected gradient
-    descent from the uniform weights; ``gram`` is positive semidefinite, so
-    its trace bounds its top eigenvalue and gives a safe step."""
+def _simplex_min_norm(gram: np.ndarray) -> np.ndarray:
+    """Weights w on the simplex minimizing w^T gram w, by up to 1000 steps of
+    projected gradient descent from the uniform weights; ``gram`` is positive
+    semidefinite, so its trace bounds its top eigenvalue and gives a safe step."""
     w = np.full(len(gram), 1.0 / len(gram))
     step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
-    for _ in range(max_iter):
+    for _ in range(1000):
         new = _project_simplex(w - step * (gram @ w))
         moved = np.abs(new - w).sum()
         w = new
@@ -215,18 +228,14 @@ def _simplex_min_norm(gram: np.ndarray, max_iter: int = 1000) -> np.ndarray:
 
 
 def _overlaps(committed_stack, claimed_stack, cheat, phis):
-    """Payoff overlaps at the unit rows of ``phis``: b_sjl =
-    <committed_l phi_s|claimed_j phi_s>, 1 / d_sj with d_sj = |claimed_j phi_s|²
-    (0 where d_sj is at most ``ZERO_OUTCOME_TOL``), and c_sj = sum_l
-    conj(cheat_jl) b_sjl, so the payoff at phi_s is sum_j |c_sj|² / d_sj and
-    its derivative in conj(cheat_jl) is conj(c_sj) b_sjl / d_sj."""
-    u = np.einsum("lab,sb->sla", committed_stack, phis)
-    w = np.einsum("jab,sb->sja", claimed_stack, phis)
-    b = np.einsum("sla,sja->sjl", u.conj(), w)
-    d = np.einsum("sja,sja->sj", w.conj(), w).real
-    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > ZERO_OUTCOME_TOL)
-    c = np.einsum("jl,sjl->sj", cheat.conj(), b)
-    return b, inv_d, c
+    """Payoff overlaps at the unit rows of ``phis`` from the branch images
+    u_sl = committed_l phi_s and w_sj = claimed_j phi_s: b_sjl = <u_sl|w_sj>,
+    1 / d_sj from ``_kept_inverse`` and c_sj = sum_l conj(cheat_jl) b_sjl,
+    so the payoff at phi_s is sum_j |c_sj|² / d_sj and its derivative in
+    conj(cheat_jl) is conj(c_sj) b_sjl / d_sj."""
+    u, w = _images(committed_stack, phis), _images(claimed_stack, phis)
+    b = w @ u.conj().transpose(0, 2, 1)
+    return b, _kept_inverse(w), np.sum(cheat.conj() * b, axis=-1)
 
 
 def _polar_ascent(surrogate, v: np.ndarray, max_iter: int, tol: float) -> tuple:
@@ -399,9 +408,7 @@ def minimax_cheat(
             warm = []
 
             def surrogate(v):
-                res = _worst_state(
-                    ck, cl, v, kernel + warm, rng_tags=(4, ridx), stall_tol=1e-7, stall_limit=5, **loose
-                )
+                res = _worst_state(ck, cl, v, kernel + warm, rng_tags=(4, ridx), **loose)
                 warm[:] = [res.vector]
                 b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
                 return res.value, (c.conj() * inv_d)[0, :, None] * b[0]

@@ -131,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conceal", help="bracket Bob's distinguishing advantage")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
-    p.add_argument("--restarts", type=_count(0), default=16, help=_RESTARTS_HELP)
+    p.add_argument("--restarts", type=_count(0), help=_RESTARTS_HELP)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
     p.add_argument("--direction", choices=("01", "10"), default="01")
-    p.add_argument("--outer-restarts", type=_count(1), default=8, help=_OUTER_RESTARTS_HELP)
-    p.add_argument("--outer-iters", type=_count(0), default=200)
-    p.add_argument("--inner-restarts", type=_count(1), default=16)
+    p.add_argument("--outer-restarts", type=_count(1), help=_OUTER_RESTARTS_HELP)
+    p.add_argument("--outer-iters", type=_count(0))
+    p.add_argument("--inner-restarts", type=_count(1))
     p.add_argument(
         "--no-swapped",
         action="store_true",
@@ -149,8 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="check both trade-off inequalities")
     p.add_argument("protocol")
     _add_common(p, "slack before an inequality counts as violated")
-    p.add_argument("--restarts", type=_count(0), default=8, help=_RESTARTS_HELP)
-    p.add_argument("--states", type=_count(1), default=10, help="sampled states per check")
+    p.add_argument("--restarts", type=_count(0), help=_RESTARTS_HELP)
+    p.add_argument(
+        "--states", type=_count(1), dest="n_states", metavar="STATES", help="sampled states per check"
+    )
     p.add_argument(
         "--minimize",
         action="store_true",
@@ -166,54 +168,51 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
     )
-    p.add_argument("--cb-restarts", type=_count(0), default=8, help=_RESTARTS_HELP)
-    p.add_argument("--outer-restarts", type=_count(1), default=4, help=_OUTER_RESTARTS_HELP)
-    p.add_argument("--outer-iters", type=_count(0), default=80)
-    p.add_argument("--inner-restarts", type=_count(1), default=8)
+    p.add_argument("--cb-restarts", type=_count(0), help=_RESTARTS_HELP)
+    p.add_argument("--outer-restarts", type=_count(1), help=_OUTER_RESTARTS_HELP)
+    p.add_argument("--outer-iters", type=_count(0))
+    p.add_argument("--inner-restarts", type=_count(1))
 
     return parser
 
 
+def _given(args, *names) -> dict:
+    """The named budget and tolerance flags that the user gave, as keyword
+    arguments; an omitted flag is left out, so the library default holds."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_validate(args) -> int:
     spec = load_protocol(args.protocol)
-    report = validate(spec) if args.tol is None else validate(spec, tol=args.tol)
+    report = validate(spec, **_given(args, "tol"))
     _emit(render_report(report, args.format), args.output)
     return 0 if report.accepted else 2
 
 
 def _cmd_conceal(args) -> int:
     spec = load_protocol(args.protocol)
-    kwargs = {"restarts": args.restarts, "seed": args.seed}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    report = analyze_concealment(spec, **kwargs)
+    report = analyze_concealment(spec, seed=args.seed, **_given(args, "restarts", "tol"))
     _emit(render_report(report, args.format), args.output)
     return 0
 
 
 def _cmd_bind(args) -> int:
     spec = load_protocol(args.protocol)
-    kwargs = {
-        "direction": args.direction,
-        "outer_restarts": args.outer_restarts,
-        "outer_iters": args.outer_iters,
-        "inner_restarts": args.inner_restarts,
-        "seed": args.seed,
-        "include_swapped": not args.no_swapped,
-    }
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    report = minimax_cheat(spec, **kwargs)
+    report = minimax_cheat(
+        spec,
+        direction=args.direction,
+        seed=args.seed,
+        include_swapped=not args.no_swapped,
+        **_given(args, "outer_restarts", "outer_iters", "inner_restarts", "tol"),
+    )
     _emit(render_report(report, args.format), args.output)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     spec = load_protocol(args.protocol)
-    kwargs = {"restarts": args.restarts, "n_states": args.states, "seed": args.seed}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    report = bounds_report(spec, minimize=args.minimize, **kwargs)
+    given = _given(args, "restarts", "n_states", "tol")
+    report = bounds_report(spec, seed=args.seed, minimize=args.minimize, **given)
     _emit(render_report(report, args.format), args.output)
     return 0
 
@@ -221,11 +220,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_scan(args) -> int:
     config = load_scan_config(args.config)
     budgets = ScanBudgets(
-        cb_restarts=args.cb_restarts,
-        outer_restarts=args.outer_restarts,
-        outer_iters=args.outer_iters,
-        inner_restarts=args.inner_restarts,
-        tol=args.tol if args.tol is not None else ScanBudgets.tol,
+        **_given(args, "cb_restarts", "outer_restarts", "outer_iters", "inner_restarts", "tol")
     )
     result = epsilon_delta_scan(
         config.family,

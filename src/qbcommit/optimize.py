@@ -44,6 +44,10 @@ from . import linalg
 ARMIJO = 1e-4
 MIN_STEP = 1e-14
 MAX_STEP = 1e3
+# A run of STALL_LIMIT accepted steps each gaining less than STALL_TOL ends a
+# start early; near-flat regions are not worth crawling.
+STALL_TOL = 1e-10
+STALL_LIMIT = 8
 
 # A search whose value a certified bound meets within this much skips its
 # remaining starts. Every certificate in the package (cb norm in [0, 2],
@@ -133,8 +137,6 @@ def _line_search(
     *,
     tol: float,
     max_iter: int,
-    stall_tol: float,
-    stall_limit: int,
     polish=None,
 ):
     """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unnormalized trial
@@ -148,13 +150,11 @@ def _line_search(
     it = 0
     for it in range(1, max_iter + 1):
         if polish is not None:
-            cand = polish(x, g)
-            if cand is not None:
-                cand, fc, gc = yield cand
-                if sgn * (fc - f) > 1e-15:
-                    stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
-                    x, f, g = cand, fc, gc
-        if stalled >= stall_limit:
+            cand, fc, gc = yield polish(x, g)
+            if sgn * (fc - f) > 1e-15:
+                stalled = stalled + 1 if sgn * (fc - f) < STALL_TOL else 0
+                x, f, g = cand, fc, gc
+        if stalled >= STALL_LIMIT:
             return x, f, it, True, False
         r = _project(x, g)
         gn = float(linalg.vector_norm(r))
@@ -179,7 +179,7 @@ def _line_search(
                 break
             cand, fc, gc = half, fh, gh
             eta *= 0.5
-        stalled = stalled + 1 if sgn * (fc - f) < stall_tol else 0
+        stalled = stalled + 1 if sgn * (fc - f) < STALL_TOL else 0
         x, f, g, step = cand, fc, gc, eta
     return x, f, it, False, False
 
@@ -224,8 +224,6 @@ def search_sphere(
     extra_starts=(),
     polish=None,
     rng_tags=(),
-    stall_tol: float = 1e-10,
-    stall_limit: int = 8,
 ) -> SphereResult:
     """Best stationary value of ``fun_grad`` over unit vectors of ``dim``.
 
@@ -240,9 +238,8 @@ def search_sphere(
     every iteration with the iterate and the gradient the search already
     holds for it, and returns a candidate vector, such as a Newton point,
     which the search normalizes and evaluates; it is accepted only on strict
-    improvement, keeping the search monotone. A run of ``stall_limit``
-    accepted steps each gaining less than ``stall_tol`` ends the start early;
-    near-flat regions are not worth crawling.
+    improvement, keeping the search monotone. A run of ``STALL_LIMIT``
+    accepted steps each gaining less than ``STALL_TOL`` ends the start early.
     """
     _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0
@@ -259,8 +256,7 @@ def search_sphere(
         tol=float(tol),
         max_iter=int(max_iter),
     )
-    opts = dict(tol=tol, max_iter=max_iter, stall_tol=stall_tol, stall_limit=stall_limit)
-    searches = [_line_search(s, sgn, polish=polish, **opts) for s in starts]
+    searches = [_line_search(s, sgn, tol=tol, max_iter=max_iter, polish=polish) for s in starts]
     outcomes = _lockstep(searches, fun_grad)
 
     vectors, values, iterations, converged, stuck = zip(*outcomes)

@@ -13,7 +13,6 @@ from qbcommit.binding import (
     _dual_bound,
     _kernel_starts,
     _payoff_fun_grad,
-    _payoff_pieces,
     _payoffs,
     _polar_ascent,
     alice_cheat_prob,
@@ -129,7 +128,7 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
         rng = linalg.spawn_rng(42, spec.cardinality)
         claimed = spec.bit1.ops
         v = linalg.random_unitary(spec.cardinality, rng)
-        fun_grad = _payoff_fun_grad(_payoff_pieces(spec.bit0.ops, claimed, v), claimed)
+        fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, v)
         generic = [linalg.random_state(spec.dim_in, rng) for _ in range(3)]
         kernel = _kernel_starts(claimed)
         assert kernel
@@ -149,6 +148,27 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
                     # d f = 2 Re(conj(grad) . d psi) for the Wirtinger gradient.
                     want = 2.0 * np.real(np.conj(grad[k]) * unit)
                     assert abs((up - down) / (2.0 * h) - want) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [dephasing_protocol(), decoy_protocol(3), random_protocol(3, 3, 3, seed=1)],
+    ids=["dephasing", "decoy-k3", "random-3x3x3"],
+)
+def test_payoff_objective_batch_rows_equal_one_row_calls(spec):
+    rng = linalg.spawn_rng(43, spec.cardinality)
+    claimed = spec.bit1.ops
+    fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, linalg.random_unitary(spec.cardinality, rng))
+    kernel = _kernel_starts(claimed)
+    # Kernel states, where an outcome is dropped, lead each batch.
+    for count in (1, 3, 8, 17):
+        randoms = [linalg.random_state(spec.dim_in, rng) for _ in range(count)]
+        phis = np.stack((kernel + randoms)[:count])
+        values, grads = fun_grad(phis)
+        for phi, value, grad in zip(phis, values, grads):
+            (one_value,), (one_grad,) = fun_grad(phi[None])
+            assert value == one_value
+            assert np.array_equal(grad, one_grad)
 
 
 @pytest.mark.parametrize(

@@ -553,3 +553,35 @@ def test_tol_must_be_finite_and_nonnegative(command, value, dephasing_file, deco
         cli.main([command, path, "--tol", value])
     assert exc.value.code == 2
     assert "argument --tol: must be a finite, nonnegative number" in capsys.readouterr().err
+
+
+# Each command's library call, and the budget and tolerance keywords that
+# its flags set.
+FLAG_KEYWORDS = {
+    "bind": ("minimax_cheat", {"outer_restarts", "outer_iters", "inner_restarts", "tol"}),
+    "conceal": ("analyze_concealment", {"restarts", "tol"}),
+    "bounds": ("bounds_report", {"restarts", "n_states", "tol"}),
+    "scan": ("ScanBudgets", {"cb_restarts", "outer_restarts", "outer_iters", "inner_restarts", "tol"}),
+}
+
+
+@pytest.mark.parametrize("command", list(FLAG_KEYWORDS))
+def test_flagless_commands_leave_the_library_defaults(
+    command, dephasing_file, decoy_config, monkeypatch, capsys
+):
+    # The library holds the only copy of each default: without flags the
+    # CLI passes no budget or tolerance, and each given flag is passed on.
+    name, keywords = FLAG_KEYWORDS[command]
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(kwargs)
+        raise BracketInversionError("stub")
+
+    monkeypatch.setattr(cli, name, stub)
+    path = decoy_config if command == "scan" else dephasing_file
+    assert cli.main([command, path]) == 3
+    assert cli.main([command, path, "--tol", "0.001"]) == 3
+    capsys.readouterr()
+    assert not keywords & set(calls[0])
+    assert keywords & set(calls[1]) == {"tol"} and calls[1]["tol"] == 0.001

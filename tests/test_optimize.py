@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbcommit import linalg, optimize
-from qbcommit.binding import _kernel_starts, _payoff_fun_grad, _payoff_pieces, minimax_cheat
+from qbcommit.binding import _kernel_starts, _payoff_fun_grad, minimax_cheat
 from qbcommit.bounds import minimize_kraus_gap
 from qbcommit.concealment import analyze_concealment
 from qbcommit.families import dephasing_protocol, random_protocol
@@ -166,8 +166,7 @@ def test_lockstep_starts_match_one_start_searches():
     # the claimed kernels: random starts stop at once, kernel starts crawl.
     spec = dephasing_protocol()
     claimed = spec.bit1.ops
-    a = _payoff_pieces(spec.bit0.ops, claimed, np.eye(2, dtype=complex))
-    fun_grad = _payoff_fun_grad(a, claimed)
+    fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, np.eye(2, dtype=complex))
     starts = _kernel_starts(claimed) + [
         linalg.random_state(2, linalg.spawn_rng(5, r)) for r in range(6)
     ]
