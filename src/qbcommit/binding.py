@@ -7,9 +7,13 @@ reindexed committed image e_j = sum_l V_jl committed_l phi and the claimed
 image w_j = claimed_j phi, and Alice passes with probability
 sum_j |<e_j|w_j>|² / |w_j|², an outcome whose claimed image has squared norm
 at most ``ZERO_OUTCOME_TOL`` dropped. The state search, its gradient and the
-dual certificate all read these images. The protocol is binding exactly when
-no reindexing passes verification for every input state Bob might have
-sent, since Bob keeps his choice to himself.
+dual certificate all read these images. The payoff can jump down where a
+claimed branch vanishes, so the states its operator annihilates seed the
+state search; the search that scores a cheat keeps each such start on the
+unit sphere of that kernel, where the outcome is dropped exactly, so the
+values it finds there do not depend on the cut. The protocol is binding
+exactly when no reindexing passes verification for every input state Bob
+might have sent, since Bob keeps his choice to himself.
 
 The estimate is an achieved value: a cheat and the worst state a search
 found for it. Cheats are searched by polar steps: the next cheat is the
@@ -137,31 +141,33 @@ def _payoff_fun_grad(committed_stack, claimed_stack, cheat):
     return fun_grad
 
 
-def _kernel_starts(claimed_stack) -> list:
-    """States annihilated by some claimed branch.
+def _kernel_starts(claimed_stack) -> tuple:
+    """States annihilated by some claimed branch, and for each the
+    orthonormal kernel basis of its claimed operator, as columns.
 
     The payoff drops discontinuously where a claimed branch vanishes, so its
-    minimum can hide exactly there; these states seed extra descent starts.
+    minimum can hide exactly there; these states seed extra descent starts,
+    which a search may keep on their kernel.
     """
-    starts = []
+    starts, spans = [], []
     # One batched SVD: full right factors, whose rows past dim_out span the
     # kernel when dim_out < dim_in, and left factors of at most
     # min(dim_out, dim_in) columns.
     dim_out, dim_in = claimed_stack.shape[-2:]
     _, svals_stack, vh_stack = linalg.svd_or_error(claimed_stack, full_matrices=dim_out < dim_in)
     for svals, vh in zip(svals_stack, vh_stack):
-        for i in range(vh.shape[0]):
-            sval = svals[i] if i < svals.size else 0.0
-            if sval <= KERNEL_SINGULAR_TOL:
-                starts.append(vh[i].conj())
+        rows = [i for i in range(vh.shape[0]) if i >= svals.size or svals[i] <= KERNEL_SINGULAR_TOL]
+        starts += [vh[i].conj() for i in rows]
+        spans += [vh[rows].conj().T] * len(rows)
         if len(starts) >= MAX_KERNEL_STARTS:
             break
-    return starts[:MAX_KERNEL_STARTS]
+    return starts[:MAX_KERNEL_STARTS], spans[:MAX_KERNEL_STARTS]
 
 
 def _worst_state(committed_stack, claimed_stack, cheat, starts, **opts) -> SphereResult:
     """Payoff descent over states at one checked cheat, from ``starts`` and
-    ``opts["restarts"]`` seeded random states; no validation."""
+    ``opts["restarts"]`` seeded random states; no validation. ``opts`` may
+    hold ``spans`` for the starts, as ``search_sphere`` takes them."""
     return search_sphere(
         _payoff_fun_grad(committed_stack, claimed_stack, cheat),
         claimed_stack.shape[-1],
@@ -183,16 +189,19 @@ def min_over_states(
     Multi-start projected gradient descent on the state sphere, to
     ``INNER_TOL`` within ``INNER_MAX_ITER`` iterations; the achieved value is
     reported. Claimed-branch kernel states join the start list because the
-    payoff can jump down on them.
+    payoff can jump down on them; each descends on the unit sphere of the
+    kernel it came from, so a one-ray kernel is scored as it is.
     """
     require_valid(spec)
     committed, claimed = _directed(spec, direction)
     cheat = _require_cheat(cheat, spec.cardinality)
+    starts, spans = _kernel_starts(claimed.ops)
     return _worst_state(
         committed.ops,
         claimed.ops,
         cheat,
-        _kernel_starts(claimed.ops),
+        starts,
+        spans=spans,
         restarts=restarts,
         seed=seed,
         tol=INNER_TOL,
@@ -299,12 +308,14 @@ def _dual_bound(committed_stack, claimed_stack, cheat, states):
     payoffs = (np.abs(c) ** 2 * inv_d).sum(axis=1)
     active = np.flatnonzero(payoffs <= payoffs.min() + CERTIFIED_WIDTH)
     # Each gradient is the skew-Hermitian part of sum_j M_ij v_j v_j†.
-    grads = np.einsum("sj,sja,jb->sab", (c.conj() * inv_d)[active], b[active], cheat.conj())
+    # Matmul products throughout: numpy runs its einsums in its own loops.
+    grads = ((c.conj() * inv_d)[active][..., None] * b[active]).transpose(0, 2, 1) @ cheat.conj()
     skew = (grads - grads.conj().transpose(0, 2, 1)).reshape(len(active), -1)
     weights = np.zeros(len(phis))
     weights[active] = _simplex_min_norm((skew.conj() @ skew.T).real)
-    m_j = np.einsum("s,sj,sja,sjb->jab", weights, inv_d, b, b.conj())
-    y = np.einsum("jab,jb,jc->ac", m_j, cheat, cheat.conj())
+    bt = b.transpose(1, 0, 2)
+    m_j = (bt * (weights[:, None] * inv_d).T[..., None]).transpose(0, 2, 1) @ bt.conj()
+    y = (m_j @ cheat[..., None])[..., 0].T @ cheat.conj()
     y = 0.5 * (y + y.conj().T)
     tops = linalg.eigh_or_error(m_j - y)[0][:, -1]
     m = len(cheat)
@@ -361,17 +372,19 @@ def minimax_cheat(
     from seeded Haar unitaries. During the ascent the inner minimum runs on
     a reduced budget with a warm start; ``tol`` bounds the ascent's
     Riemannian gradient |V†G - G†V|. Each scored cheat gets the worst state
-    that ``min_over_states``'s full inner search (whose starts include the
-    claimed-branch kernel states) finds for it, and a dual certificate
-    built from the kernel states and that worst state. The best score is
-    the estimate, and the trace's ``best_start`` names the scored cheat that
-    holds it (the earliest on a tie); the smallest certificate, capped at 1,
-    is ``binding_upper``. The loop stops at the first scored cheat after
-    which the bound lies within ``CERTIFIED_WIDTH`` of the estimate, with a
-    note naming that cheat: no cheat can do better by more than that. An
-    estimate above the certified bound by more than ``BRACKET_GUARD`` raises
-    ``BracketInversionError``. With ``include_swapped`` the other direction
-    is estimated by the same call and reported as ``swapped``.
+    that ``min_over_states``'s full inner search finds for it (its starts
+    include the claimed-branch kernel states, each kept on its kernel; the
+    ascent's reduced searches start from them on the whole sphere), and a
+    dual certificate built from the kernel states and that worst state. The
+    best score is the estimate, and the trace's ``best_start`` names the
+    scored cheat that holds it (the earliest on a tie); the smallest
+    certificate, capped at 1, is ``binding_upper``. The loop stops at the
+    first scored cheat after which the bound lies within ``CERTIFIED_WIDTH``
+    of the estimate, with a note naming that cheat: no cheat can do better
+    by more than that. An estimate above the certified bound by more than
+    ``BRACKET_GUARD`` raises ``BracketInversionError``. With
+    ``include_swapped`` the other direction is estimated by the same call
+    and reported as ``swapped``.
     """
     require_valid(spec)
     _require_count("outer_restarts", outer_restarts, 1)
@@ -381,10 +394,14 @@ def minimax_cheat(
     committed, claimed = _directed(spec, direction)
     m = spec.cardinality
     ck, cl = committed.ops, claimed.ops
-    kernel = _kernel_starts(cl)
-    # Scores search as min_over_states does. The loose budget only steers the
-    # outer ascent; each restart's end point is re-scored with the full one.
-    full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), max_iter=INNER_MAX_ITER)
+    kernel, spans = _kernel_starts(cl)
+    # Scores search as min_over_states does, each kernel start on its kernel.
+    # The loose budget only steers the outer ascent, from whole-sphere kernel
+    # starts (kept on their kernels there, they steered a random panel to
+    # lower estimates); each restart's end point is re-scored with the full one.
+    full = dict(
+        restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), max_iter=INNER_MAX_ITER, spans=spans
+    )
     loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
     procrustes = linalg.require_unitary(

@@ -138,12 +138,17 @@ def _line_search(
     tol: float,
     max_iter: int,
     polish=None,
+    span=None,
 ):
     """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unnormalized trial
     points, and is sent (point, value, gradient) back for each, the point
     being the start itself and after that the trial point normalized.
     Returns (x, value, iterations, converged, stuck), where ``stuck`` says
-    that no step down to ``MIN_STEP`` met the Armijo condition."""
+    that no step down to ``MIN_STEP`` met the Armijo condition.
+
+    With ``span``, an orthonormal basis B whose range holds ``x``, the
+    gradient g is replaced by B B† g before the tangent projection, so every
+    trial point stays in that range: the search runs on its unit sphere."""
     x, f, g = yield x
     step = 1.0
     stalled = 0
@@ -156,6 +161,8 @@ def _line_search(
                 x, f, g = cand, fc, gc
         if stalled >= STALL_LIMIT:
             return x, f, it, True, False
+        if span is not None:
+            g = span @ (span.conj().T @ g)
         r = _project(x, g)
         gn = float(linalg.vector_norm(r))
         if gn <= tol:
@@ -222,6 +229,7 @@ def search_sphere(
     tol: float = 1e-8,
     max_iter: int = 500,
     extra_starts=(),
+    spans=None,
     polish=None,
     rng_tags=(),
 ) -> SphereResult:
@@ -234,12 +242,15 @@ def search_sphere(
     and one objective call evaluates them; a start's trajectory depends only
     on its own values, so the result equals running the starts one by one.
     ``extra_starts`` are deterministic starting vectors tried before
-    the seeded random ones. ``polish(psi, grad)`` is called at the start of
-    every iteration with the iterate and the gradient the search already
-    holds for it, and returns a candidate vector, such as a Newton point,
-    which the search normalizes and evaluates; it is accepted only on strict
-    improvement, keeping the search monotone. A run of ``STALL_LIMIT``
-    accepted steps each gaining less than ``STALL_TOL`` ends the start early.
+    the seeded random ones. ``spans``, one entry per extra start, confines
+    that start to the unit sphere of the range of an orthonormal basis that
+    holds it (``None`` for the whole sphere, and for every random start).
+    ``polish(psi, grad)`` is called at the start of every iteration with the
+    iterate and the gradient the search already holds for it, and returns a
+    candidate vector, such as a Newton point, which the search normalizes
+    and evaluates; it is accepted only on strict improvement, keeping the
+    search monotone. A run of ``STALL_LIMIT`` accepted steps each gaining
+    less than ``STALL_TOL`` ends the start early.
     """
     _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0
@@ -256,7 +267,11 @@ def search_sphere(
         tol=float(tol),
         max_iter=int(max_iter),
     )
-    searches = [_line_search(s, sgn, tol=tol, max_iter=max_iter, polish=polish) for s in starts]
+    spans = (list(spans) if spans is not None else [None] * trace.extra_starts) + [None] * restarts
+    searches = [
+        _line_search(s, sgn, tol=tol, max_iter=max_iter, polish=polish, span=b)
+        for s, b in zip(starts, spans, strict=True)
+    ]
     outcomes = _lockstep(searches, fun_grad)
 
     vectors, values, iterations, converged, stuck = zip(*outcomes)

@@ -105,20 +105,26 @@ def test_kernel_start_svd_failure_raises(monkeypatch):
 def test_kernel_starts_take_one_svd_of_the_claimed_stack(monkeypatch):
     # One batched SVD per family. With dim_out < dim_in each operator's
     # kernel is spanned by its full right factor's rows past dim_out, and the
-    # starts equal those of a full SVD taken one operator at a time.
+    # starts equal those of a full SVD taken one operator at a time. Each
+    # start comes with its operator's orthonormal kernel basis, which holds it.
     claimed = random_protocol(3, 2, 3, seed=5).bit1.ops
     want = []
     for op in claimed:
         _, svals, vh = np.linalg.svd(op)
         want += [vh[i].conj() for i in range(3) if i >= svals.size or svals[i] <= 1e-7]
     calls = _count_calls(monkeypatch, linalg, "svd_or_error")
-    got = _kernel_starts(claimed)
+    got, spans = _kernel_starts(claimed)
     assert len(calls) == 1
-    assert len(got) == len(want) == 3
-    for g, w in zip(got, want):
+    assert len(got) == len(spans) == len(want) == 3
+    for g, w, span, op in zip(got, want, spans, claimed):
         assert np.array_equal(g, w)
+        assert span.shape == (3, 1)
+        np.testing.assert_allclose(span @ (span.conj().T @ g), g, atol=1e-15)
+        assert np.linalg.norm(op @ span) <= 1e-7
     del calls[:]
-    assert len(_kernel_starts(decoy_protocol(3).bit1.ops)) == 2 and len(calls) == 1
+    starts, spans = _kernel_starts(decoy_protocol(3).bit1.ops)
+    assert len(starts) == 2 and len(calls) == 1
+    assert [span.shape for span in spans] == [(2, 1), (2, 1)]
 
 
 def test_payoff_objective_rows_match_payoff_and_finite_differences():
@@ -130,7 +136,7 @@ def test_payoff_objective_rows_match_payoff_and_finite_differences():
         v = linalg.random_unitary(spec.cardinality, rng)
         fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, v)
         generic = [linalg.random_state(spec.dim_in, rng) for _ in range(3)]
-        kernel = _kernel_starts(claimed)
+        kernel = _kernel_starts(claimed)[0]
         assert kernel
         phis = np.stack(generic[:2] + kernel + generic[2:])
         values, grads = fun_grad(phis)
@@ -159,7 +165,7 @@ def test_payoff_objective_batch_rows_equal_one_row_calls(spec):
     rng = linalg.spawn_rng(43, spec.cardinality)
     claimed = spec.bit1.ops
     fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, linalg.random_unitary(spec.cardinality, rng))
-    kernel = _kernel_starts(claimed)
+    kernel = _kernel_starts(claimed)[0]
     # Kernel states, where an outcome is dropped, lead each batch.
     for count in (1, 3, 8, 17):
         randoms = [linalg.random_state(spec.dim_in, rng) for _ in range(count)]
@@ -353,7 +359,7 @@ def test_minimax_rejects_zero_outer_restarts():
 def _certificate_inputs(spec, rep):
     committed, claimed = (spec.bit0, spec.bit1) if rep.direction == "01" else (spec.bit1, spec.bit0)
     cl = claimed.ops
-    return committed.ops, cl, _kernel_starts(cl) + [rep.worst_state]
+    return committed.ops, cl, _kernel_starts(cl)[0] + [rep.worst_state]
 
 
 @pytest.mark.parametrize(
@@ -492,7 +498,7 @@ def test_estimate_above_certificate_raises(monkeypatch):
         minimax_cheat(dephasing_protocol(), include_swapped=False)
 
 
-@pytest.mark.parametrize("zero_tol", [1e-16, 1e-14, 1e-12, 1e-10])
+@pytest.mark.parametrize("zero_tol", [1e-16, 1e-14, 1e-12, 1e-10, 1e-8])
 @pytest.mark.parametrize("spec, closed", [(decoy_protocol(1), 0.625), (dephasing_protocol(), 0.25)])
 def test_zero_outcome_tol_sweep(monkeypatch, zero_tol, spec, closed):
     # The headline values sit on claimed-branch kernel states, where an
@@ -501,11 +507,33 @@ def test_zero_outcome_tol_sweep(monkeypatch, zero_tol, spec, closed):
     rep = minimax_cheat(spec, outer_restarts=2, outer_iters=20, inner_restarts=4)
     for r in (rep, rep.swapped):
         assert r.minimax_estimate <= r.binding_upper
-        assert abs(r.minimax_estimate - closed) < 1e-4
-        assert abs(r.binding_upper - closed) < 1e-4
+        assert abs(r.minimax_estimate - closed) < 1e-12
+        assert abs(r.binding_upper - closed) < 1e-12
         # The public payoff reads the same cut as the solver that reported it.
         direct = alice_cheat_prob(spec, r.best_cheat_unitary, r.worst_state, r.direction)
         assert direct == r.minimax_estimate
+
+
+@pytest.mark.parametrize(
+    "spec, closed",
+    [(decoy_protocol(k), 1.0 - 0.75 * 2.0**-k) for k in range(6)] + [(dephasing_protocol(), 0.25)],
+    ids=[f"decoy-k{k}" for k in range(6)] + ["dephasing"],
+)
+def test_kernel_starts_score_the_closed_form(spec, closed):
+    # The worst state lies on a claimed branch's one-ray kernel. The scoring
+    # search keeps each kernel start on its kernel, so the start ends at
+    # iteration 1 on the closed form instead of walking into the layer where
+    # the dropped outcome stays dropped while the kept ones shrink.
+    rep = minimax_cheat(spec)
+    m = spec.cardinality
+    for r in (rep, rep.swapped):
+        trace = r.inner_trace
+        assert trace.extra_starts > 0
+        assert trace.iterations[: trace.extra_starts] == [1] * trace.extra_starts
+        assert abs(r.minimax_estimate - closed) <= 1e-12
+        # The certificate adds its round-off allowance, which grows as m³ eps
+        # (3.4e-12 at m = 33).
+        assert 0.0 <= r.binding_upper - closed <= 1e-12 * max(1.0, (m / 16) ** 3)
 
 
 def _count_calls(monkeypatch, module, name, *modules):

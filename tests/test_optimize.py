@@ -161,13 +161,49 @@ def test_search_sphere_stops_at_jump_minimum():
     assert res.trace.notes == []
 
 
+def test_search_sphere_keeps_spanned_starts_on_their_span():
+    # A spanned start searches the unit sphere of its span's range; an
+    # unspanned start in the same lockstep run is untouched by the other's span.
+    rng = linalg.spawn_rng(71)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = a + a.conj().T
+    span = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    inside = span @ linalg.random_state(2, rng)
+    free = linalg.random_state(4, rng)
+    rows = []
+
+    def recording(points):
+        rows.extend(points)
+        return rowwise(quadratic_form(h))(points)
+
+    opts = dict(maximize=False, restarts=0, seed=0, tol=1e-10)
+    alone = search_sphere(recording, 4, extra_starts=[inside], spans=[span], **opts)
+    assert alone.trace.iterations[0] > 1
+    for row in rows:
+        assert np.linalg.norm(row - span @ (span.conj().T @ row)) <= 1e-14
+    assert abs(alone.value - np.linalg.eigvalsh(span.conj().T @ h @ span)[0]) <= 1e-12
+
+    both = search_sphere(recording, 4, extra_starts=[inside, free], spans=[span, None], **opts)
+    plain = search_sphere(recording, 4, extra_starts=[inside, free], **opts)
+    assert both.trace.values[0] == alone.value
+    for field in ("values", "iterations", "converged"):
+        assert getattr(both.trace, field)[1] == getattr(plain.trace, field)[1]
+
+    # One column: the tangent is zero, so the start ends at iteration 1
+    # after one objective row.
+    del rows[:]
+    ray = search_sphere(recording, 4, extra_starts=[span[:, 0]], spans=[span[:, :1]], **opts)
+    assert ray.trace.iterations == [1] and len(rows) == 1
+    np.testing.assert_array_equal(ray.vector, linalg.normalize_state(span[:, 0]))
+
+
 def test_lockstep_starts_match_one_start_searches():
     # At the identity cheat the dephasing payoff is flat at 1/2 except near
     # the claimed kernels: random starts stop at once, kernel starts crawl.
     spec = dephasing_protocol()
     claimed = spec.bit1.ops
     fun_grad = _payoff_fun_grad(spec.bit0.ops, claimed, np.eye(2, dtype=complex))
-    starts = _kernel_starts(claimed) + [
+    starts = _kernel_starts(claimed)[0] + [
         linalg.random_state(2, linalg.spawn_rng(5, r)) for r in range(6)
     ]
     together = search_sphere(fun_grad, 2, maximize=False, restarts=0, seed=5, extra_starts=starts)
