@@ -17,6 +17,7 @@ both sides along a protocol family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,6 +265,18 @@ def payoff_floor(gap: float) -> float:
     return max(0.0, 1.0 - gap / 2.0) ** 2
 
 
+@lru_cache(maxsize=1)
+def _sampled_states(dim: int, n_states: int, seed: int) -> np.ndarray:
+    """The ``n_states`` seeded states ``check_bounds`` samples, stacked as
+    rows. Both checks of one ``bounds_report`` draw the same ones (padding
+    keeps dim_in), so they are drawn once and returned read-only."""
+    phis = np.array(
+        [linalg.random_state(dim, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
+    )
+    phis.flags.writeable = False
+    return phis
+
+
 def check_bounds(
     spec: ProtocolSpec,
     cheat=None,
@@ -292,9 +305,7 @@ def check_bounds(
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
 
-    phis = np.array(
-        [linalg.random_state(spec.dim_in, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
-    )
+    phis = _sampled_states(spec.dim_in, n_states, seed)
     payoffs = _payoffs(spec.bit0.ops, spec.bit1.ops, cheat, phis).tolist()
     violations = []
     for i, (phi, p) in enumerate(zip(phis, payoffs)):
@@ -304,7 +315,7 @@ def check_bounds(
                     "kind": "binding",
                     "label": spec.label,
                     "state_index": i,
-                    "state": phi,
+                    "state": phi.copy(),
                     "payoff": p,
                     "floor": floor,
                     "kraus_gap": gap,

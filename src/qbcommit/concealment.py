@@ -16,8 +16,13 @@ value, gradient and polish alike. Once per iteration the polish proposes a
 Newton point: the value depends on the state only through its reduced state
 on the committed space, where it is concave (a partial maximum of Watrous's
 SDP), so Newton steps on the quotient by reference unitaries converge
-quadratically. Where the Newton step does not apply it proposes the top
-eigenvector of the adjoint map at the sign operator instead.
+quadratically. The quotient's free directions are the complement of the
+fixed ones (the state and the reference gauge) in one complete QR, and one
+Cholesky factorization both solves the reduced Newton system and tests that
+it is negative definite. Where the Newton step does not apply it proposes the
+top eigenvector of the adjoint map at the sign operator instead. A start ends
+at a converged Newton point level with its iterate, rather than crawling on
+at round-off.
 """
 
 from __future__ import annotations
@@ -95,7 +100,9 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     homogeneous of degree 2, so the sphere adds -value |δ|². When the
     tangent gradient exceeds ``tol`` and the reduced Hessian is negative
     definite, the polish proposes the Newton point; otherwise it proposes the
-    top eigenvector of H. Either is accepted only on strict improvement.
+    top eigenvector of H. Either replaces the iterate only when it gains
+    more than 1e-15; a converged Newton point level with the iterate ends
+    the start (see ``optimize._line_search``).
     """
     din, n = spec.dim_in, spec.dim_in**2
     # The Kraus operators, bit 1 then bit 0, and A_m = K_m ⊗ I_ref: (2m, dout * din, n).
@@ -145,8 +152,8 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         live = np.flatnonzero(sigma)
         t = vecs.conj().T @ a
         c = signs[:, None] * (u.conj() @ vecs)
-        rows = np.einsum("mj,mik->ijk", c, t[:, live])  # L_ij, i live
-        cols = np.einsum("mi,mjk->ijk", c[:, live], t)  # L_ji, i live
+        rows = c.T @ t[:, live].transpose(1, 0, 2)  # L_ij, i live
+        cols = (c[:, live].T @ t.reshape(len(t), -1)).reshape(len(live), -1, n)  # L_ji, i live
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = (sigma[live, None] - sigma) / (lam[live, None] - lam)
         # 0/0 where σ_i = σ_j and λ_i = λ_j; ±inf for a round-off pair across
@@ -171,18 +178,25 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         In the coordinates ζ = (δ, conj δ) the model is γ†ζ + ½ ζ† W ζ
         with γ = (grad, conj grad), so its stationary point is W ζ = -γ on
         the free directions: the conjugation-symmetric ones orthogonal to
-        psi and the gauge.
+        psi and the gauge. They are the last n - 1 columns of a complete QR
+        of the n + 1 fixed directions, which spans their complement without
+        forming their Gram (that squares their condition number). The
+        reduced Hessian R is negative definite exactly when -R has a
+        Cholesky factor L L†, which then solves the system; without one
+        there is no step, and for din = 1 no free direction.
         """
+        if n == 1:
+            return None
         w = np.block([[hp, q.conj()], [q, hp.conj()]])
         fixed = np.concatenate([psi[None], (psi.reshape(din, din) @ gauge).reshape(-1, n)])
         fixed = np.concatenate([fixed, fixed.conj()], axis=1)
-        # The n - 1 least eigenvectors: orthogonal to the n + 1 fixed directions.
-        free = linalg.eigh_or_error(fixed.T @ fixed.conj())[1][:, : n - 1]
-        mu, y = linalg.eigh_or_error(free.conj().T @ w @ free)
-        if not mu.size or mu[-1] >= 0.0:
+        free = np.linalg.qr(fixed.T, mode="complete")[0][:, n + 1 :]
+        try:
+            low = np.linalg.cholesky(-(free.conj().T @ w @ free))
+        except np.linalg.LinAlgError:
             return None
         g = free.conj().T @ np.concatenate([grad, grad.conj()])
-        return -free[:n] @ (y @ ((y.conj().T @ g) / mu))
+        return free[:n] @ np.linalg.solve(low.conj().T, np.linalg.solve(low, g))
 
     def polish(psi: np.ndarray, grad: np.ndarray):
         u, lam, vecs, sigma, h = spectrum(psi)

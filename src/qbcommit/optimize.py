@@ -5,7 +5,8 @@ minimizer over states. The gradient is projected onto the sphere's tangent
 space and trial points are renormalized. Each iteration doubles the last
 accepted step, backtracks until the Armijo condition holds, then halves
 while smaller steps keep paying. A start ends on a small gradient, on a run
-of accepted steps that each gain almost nothing, or when no step down to
+of accepted steps that each gain almost nothing, at a polish candidate that
+is converged and level with the iterate (below), or when no step down to
 ``MIN_STEP`` meets the Armijo condition. The last case is treated as
 stationary and counted in ``SolverTrace.line_search_failures``: it happens at
 jump extrema, such as the binding payoff at a claimed branch's kernel state,
@@ -15,6 +16,14 @@ optimum that a start has reached within round-off while its gradient norm is
 still above ``tol``: there the gains the Armijo test asks for are below what
 double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
 way), so the count is not a count of stuck starts alone.
+
+A polish candidate, tried first in each iteration, replaces the iterate
+when it gains more than 1e-15. One level with the iterate within 1e-15 whose
+tangent gradient is within ``tol``, while the iterate's is not, ends the
+start as converged: past a converged Newton point, gradient steps only crawl
+at round-off. A far worse candidate is still ignored. The rule trusts the
+polish to propose only stationary points that are optima, as the
+concealment's Newton point on its concave quotient is.
 
 The engine is a generator: it yields its start, then each unnormalized
 trial point, and receives (point, value, gradient) back, the point being
@@ -87,8 +96,9 @@ class SolverTrace:
     ``line_search_failures`` counts the sphere-search starts that ended
     because no step down to ``MIN_STEP`` met the Armijo condition: stuck at
     a jump extremum, or within round-off of a smooth optimum with the
-    gradient norm above ``tol``. Binding's outer trace takes no line search
-    and reads 0.
+    gradient norm above ``tol``. A concealment start whose Newton point has
+    converged ends there instead, so it is not counted for round-off there.
+    Binding's outer trace takes no line search and reads 0.
     """
 
     seed: int
@@ -146,9 +156,19 @@ def _line_search(
     Returns (x, value, iterations, converged, stuck), where ``stuck`` says
     that no step down to ``MIN_STEP`` met the Armijo condition.
 
+    ``polish(x, g)``'s candidate replaces the iterate on a gain above 1e-15,
+    and is returned as converged when it is level within 1e-15 and only its
+    tangent gradient is within ``tol``.
+
     With ``span``, an orthonormal basis B whose range holds ``x``, the
     gradient g is replaced by B B† g before the tangent projection, so every
     trial point stays in that range: the search runs on its unit sphere."""
+
+    def tangent(x, g):
+        if span is not None:
+            g = span @ (span.conj().T @ g)
+        return _project(x, g)
+
     x, f, g = yield x
     step = 1.0
     stalled = 0
@@ -156,14 +176,17 @@ def _line_search(
     for it in range(1, max_iter + 1):
         if polish is not None:
             cand, fc, gc = yield polish(x, g)
-            if sgn * (fc - f) > 1e-15:
-                stalled = stalled + 1 if sgn * (fc - f) < STALL_TOL else 0
+            gain = sgn * (fc - f)
+            if gain > 1e-15:
+                stalled = stalled + 1 if gain < STALL_TOL else 0
                 x, f, g = cand, fc, gc
+            elif gain >= -1e-15 and (
+                linalg.vector_norm(tangent(cand, gc)) <= tol < linalg.vector_norm(tangent(x, g))
+            ):
+                return cand, fc, it, True, False
         if stalled >= STALL_LIMIT:
             return x, f, it, True, False
-        if span is not None:
-            g = span @ (span.conj().T @ g)
-        r = _project(x, g)
+        r = tangent(x, g)
         gn = float(linalg.vector_norm(r))
         if gn <= tol:
             return x, f, it, True, False
@@ -248,9 +271,11 @@ def search_sphere(
     ``polish(psi, grad)`` is called at the start of every iteration with the
     iterate and the gradient the search already holds for it, and returns a
     candidate vector, such as a Newton point, which the search normalizes
-    and evaluates; it is accepted only on strict improvement, keeping the
-    search monotone. A run of ``STALL_LIMIT`` accepted steps each gaining
-    less than ``STALL_TOL`` ends the start early.
+    and evaluates; it is accepted on a gain above 1e-15, keeping the search
+    monotone, and ends the start as converged when it is level with the
+    iterate within 1e-15 and its tangent gradient is within ``tol`` while
+    the iterate's is not. A run of ``STALL_LIMIT`` accepted steps each
+    gaining less than ``STALL_TOL`` ends the start early.
     """
     _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0

@@ -178,6 +178,24 @@ def test_bounds_report_composes_the_public_checks():
     assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
 
 
+def test_bounds_report_draws_its_sampled_states_once(monkeypatch):
+    # Both checks sample the same states (the padded protocol keeps dim_in),
+    # so one report draws them once.
+    drawn = []
+    draw = linalg.random_state
+
+    def counting(*args):
+        drawn.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(linalg, "random_state", counting)
+    bounds._sampled_states.cache_clear()
+    spec = random_protocol(3, 3, 3, seed=0)
+    report = bounds_report(spec, restarts=0, n_states=4, seed=9, minimize=True)
+    assert len(drawn) == 4
+    assert report["identity"].violations == report["minimized"].violations == []
+
+
 def test_bounds_report_flags_a_gap_lower_side_above_the_cb_norm(monkeypatch):
     # g* <= ||Phi1 - Phi0||_cb: a certified lower side on g* above cb_upper
     # is a violation of the left half of the sandwich.

@@ -108,6 +108,54 @@ def test_search_sphere_polish_only_improves():
     assert calls
 
 
+def test_search_sphere_ignores_a_lower_stationary_polish_point():
+    # From a start that is not stationary, a polish that proposes a far
+    # worse stationary point (an eigenvector of the least eigenvalue) must
+    # be ignored: the search climbs on to the true maximum.
+    h = np.diag([2.0, 1.0, 0.0])
+    calls = []
+
+    def polish(psi, grad):
+        calls.append(1)
+        return np.array([0.0, 0.0, 1.0])
+
+    res = search_sphere(
+        rowwise(quadratic_form(h)),
+        3,
+        maximize=True,
+        restarts=0,
+        seed=0,
+        polish=polish,
+        extra_starts=[np.ones(3)],
+    )
+    assert abs(res.value - 2.0) < 1e-9
+    assert res.trace.converged == [True]
+    assert len(calls) > 1
+
+
+def test_search_sphere_ends_at_a_level_converged_polish_point():
+    # The start (e1 + e3)/√2 is not stationary, but its value 1 ties the
+    # eigenvector e2 within round-off, which has no tangent gradient: that
+    # candidate is returned as converged after one iteration.
+    h = np.diag([2.0, 1.0, 0.0])
+    start = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    level = np.array([0.0, 1.0, 0.0])
+    res = search_sphere(
+        rowwise(quadratic_form(h)),
+        3,
+        maximize=True,
+        restarts=0,
+        seed=0,
+        polish=lambda psi, grad: level,
+        extra_starts=[start],
+    )
+    np.testing.assert_array_equal(res.vector, level)
+    assert res.value == 1.0
+    assert res.trace.iterations == [1]
+    assert res.trace.converged == [True]
+    assert res.trace.line_search_failures == 0
+
+
 def test_search_sphere_trace_bookkeeping():
     h = np.diag([1.0, -1.0])
     res = search_sphere(rowwise(quadratic_form(h)), 2, maximize=True, restarts=3, seed=7)
