@@ -6,13 +6,14 @@ norm from below by a variational search over pure inputs on the committed
 space extended with a reference of the same dimension, which suffices for
 exactness, and from above by Watrous's dual for the cb norm of a difference
 of channels: ||Phi1 - Phi0||_cb <= 2 ||Tr_out Z|| for every Z >= 0 with
-Z >= J, J the Choi operator of the difference. One Z is built from the
-search's witness and meets the lower bound at a stationary point, so the
-bracket closes; when it closes at the entangled start, the random restarts
-are skipped, and otherwise they alone run on. The bracket transfers to
-Bob's cheating probability directly. One routine builds the branch images
-K_m psi of a batch of states and their output difference's eigenpairs for the
-value, gradient and polish alike. Once per iteration the polish proposes a
+Z >= J, J the Choi operator of the difference. J is built once per call,
+and Z from the search's witness; Z meets the lower bound at a stationary
+point, so the bracket closes. When it closes at the entangled start, the
+random restarts are skipped, and otherwise they alone run on, Z being
+rebuilt only when one of them wins. The bracket transfers to Bob's cheating
+probability directly. One routine builds the branch images K_m psi of a
+batch of states and their output difference's eigenpairs for the value,
+gradient and polish alike. Once per iteration the polish proposes a
 Newton point: the value depends on the state only through its reduced state
 on the committed space, where it is concave (a partial maximum of Watrous's
 SDP), so Newton steps on the quotient by reference unitaries converge
@@ -254,45 +255,28 @@ def _witness_z(j: np.ndarray, witness: np.ndarray, din: int, dout: int) -> np.nd
     return _sandwich(out_plus, u.conj() / root, dout)
 
 
-def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int, j_norm: float):
+def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int):
     """Watrous's dual value 2 ||Tr_out Z|| for a candidate Z, made feasible
     and rounded up; returns (bound, repair).
 
     Any Hermitian Z becomes feasible (Z >= 0 and Z >= J) once t I is added,
     with the repair t = max(0, -λmin Z, -λmin(Z - J)); that adds 2 t dout to
     the value. A backward-stable Hermitian eigensolver errs by at most about
-    n eps times the operator norm of an n x n matrix, and the repair scales the
-    error in t by dout, so the value is raised by
-    2 (dout + 1) n eps (||Z|| + ||J||): round-off never puts the route below
-    the true norm.
+    n eps times the operator norm of an n x n matrix: n eps ||Z|| in λmin Z,
+    n eps ||Z - J|| in λmin(Z - J) and, Tr_out Z being n/dout square with
+    norm at most dout ||Z||, n eps ||Z|| in its λmax. Both norms come from
+    the two spectra the repair takes. The repair scales the error in t by
+    dout, so the value is raised by 2 (dout + 1) n eps (||Z|| + ||Z - J||):
+    round-off never puts the bound below the true norm.
     """
     n = len(z)
     (zvals, gapvals), _ = linalg.eigh_or_error(np.stack([z, z - j]))
     repair = max(0.0, -zvals[0], -gapvals[0])
     reduced, _ = linalg.eigh_or_error(linalg.partial_trace(z, (dout, n // dout), 0))
     value = 2.0 * (reduced[-1] + repair * dout)
-    z_norm = max(-zvals[0], zvals[-1])
-    allowance = 2.0 * (dout + 1) * n * np.finfo(float).eps * (z_norm + j_norm)
+    norms = max(-zvals[0], zvals[-1]) + max(-gapvals[0], gapvals[-1])
+    allowance = 2.0 * (dout + 1) * n * np.finfo(float).eps * norms
     return float(value + allowance), float(repair)
-
-
-def _dual_routes(spec: ProtocolSpec, witness: np.ndarray) -> dict:
-    """Dual upper bounds on the cb norm, {route: (bound, repair)}.
-
-    ``j_plus`` takes Z = J₊, the positive part of the Choi difference; its
-    value never exceeds the Choi trace norm, because Tr J = 0.
-    ``witness_dual`` takes the candidate built from a unit ``witness`` on the
-    committed space ⊗ a reference of any size.
-    """
-    din, dout = spec.dim_in, spec.dim_out
-    j = _choi_difference(spec)
-    w, vecs = linalg.eigh_or_error(j)
-    j_norm = max(-w[0], w[-1])
-    candidates = {
-        "j_plus": (vecs * np.maximum(w, 0.0)) @ vecs.conj().T,
-        "witness_dual": _witness_z(j, witness, din, dout),
-    }
-    return {name: _dual_bound(z, j, dout, j_norm) for name, z in candidates.items()}
 
 
 @dataclass
@@ -329,19 +313,20 @@ def analyze_concealment(
     says so and the random restarts are skipped. Otherwise the ``restarts``
     seeded starts run and extend its trace, so the report is that of one
     search over all the starts. ``cb_upper`` is the least of ``upper_routes``:
-    ``witness_dual`` (the dual built from a witness), ``j_plus`` (the dual at
-    the positive part of the Choi difference) and ``channel_pair_cap`` (2).
-    The duals are rounded up for round-off, so the cap wins where one meets
-    it exactly. They are rebuilt only when a restart wins, each route keeping
-    its smaller build, since every dual certifies; ``dual_repair`` is the
-    repair of the ``witness_dual`` kept. A lower bound above the upper one
-    beyond ``BRACKET_GUARD`` is a solver bug and raises ``BracketInversionError``;
-    smaller inversions are clipped to keep the bracket ordered.
+    ``witness_dual`` (Watrous's dual built from the witness) and
+    ``channel_pair_cap`` (2). The dual is rounded up for round-off, so the cap
+    wins where the dual meets it exactly. It is rebuilt only when a restart
+    wins, and the smaller of the two builds is kept, since each certifies;
+    ``dual_repair`` is the repair of the build kept. A lower bound above the
+    upper one beyond ``BRACKET_GUARD`` is a solver bug and raises
+    ``BracketInversionError``; smaller inversions are clipped to keep the
+    bracket ordered.
     """
     require_valid(spec)
     _require_count("restarts", restarts, 0)
     tol = _require_tolerance(tol)
-    din = spec.dim_in
+    din, dout = spec.dim_in, spec.dim_out
+    j = _choi_difference(spec)
     fun_grad, polish, _ = _difference_objective(spec, tol)
     opts = dict(maximize=True, seed=seed, tol=tol, max_iter=500, polish=polish, rng_tags=(1,))
     # Maximally entangled start; frequently already the maximizer.
@@ -349,9 +334,9 @@ def analyze_concealment(
     lower = search_sphere(fun_grad, din * din, restarts=0, extra_starts=[entangled], **opts)
     trace = lower.trace
     trace.restarts = restarts
-    duals = _dual_routes(spec, lower.vector)
+    dual = _dual_bound(_witness_z(j, lower.vector, din, dout), j, dout)
     if restarts > 0:
-        width = min(CB_NORM_CAP, *(bound for bound, _ in duals.values())) - max(0.0, lower.value)
+        width = min(CB_NORM_CAP, dual[0]) - max(0.0, lower.value)
         if width <= CERTIFIED_WIDTH:
             trace.notes.append(
                 f"entangled start certified: bracket width {width!r} <= "
@@ -363,10 +348,8 @@ def analyze_concealment(
             trace.line_search_failures += rest.trace.line_search_failures
             if trace.record(*runs, maximize=True):
                 lower = rest
-                rerun = _dual_routes(spec, rest.vector)
-                duals = {name: min(pair, duals[name]) for name, pair in rerun.items()}
-    routes = {name: bound for name, (bound, _) in duals.items()}
-    routes["channel_pair_cap"] = CB_NORM_CAP
+                dual = min(dual, _dual_bound(_witness_z(j, rest.vector, din, dout), j, dout))
+    routes = {"witness_dual": dual[0], "channel_pair_cap": CB_NORM_CAP}
     upper = min(routes.values())
     value = max(0.0, lower.value)
     if value > upper + BRACKET_GUARD:
@@ -383,6 +366,6 @@ def analyze_concealment(
         bob_cheat_upper=0.5 + 0.25 * upper,
         witness_state=lower.vector,
         upper_routes=routes,
-        dual_repair=duals["witness_dual"][1],
+        dual_repair=dual[1],
         solver_trace=trace,
     )

@@ -124,8 +124,6 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
     )
 
 
-#: Families addressable from scan configuration files, keyed by name.
-#: Each entry maps an integer family parameter to a protocol.
 def _decoy_family(param, angle: float = pi / 2) -> ProtocolSpec:
     return decoy_protocol(int(round(float(param))), angle=angle)
 
@@ -134,6 +132,10 @@ def _dephasing_family(param) -> ProtocolSpec:
     return dephasing_protocol(float(param))
 
 
+#: Families addressable from scan configuration files, keyed by name. Each
+#: entry maps one scanned number to a protocol: ``decoy`` rounds it to the
+#: decoy qubit count and takes the basis angle as an option, and
+#: ``dephasing`` reads it as bit 1's basis angle, a float in radians.
 FAMILY_REGISTRY = {
     "decoy": _decoy_family,
     "dephasing": _dephasing_family,

@@ -167,6 +167,7 @@ def test_conceal_without_restarts_matches_the_full_search(path, capsys):
     assert "entangled start certified" in full["solver_trace"]["notes"][0]
     for key in ("cb_lower", "cb_upper", "upper_routes", "witness_state"):
         assert alone[key] == full[key]
+    assert set(full["upper_routes"]) == {"channel_pair_cap", "witness_dual"}
 
 
 def test_conceal_output_file(phase_file, tmp_path, capsys):
@@ -463,11 +464,7 @@ def test_bracket_inversion_exits_three(phase_file, monkeypatch, capsys):
 def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
     # An upper route below the achieved lower bound must stop the scan with
     # exit 3, as it stops conceal, instead of being clipped away.
-    monkeypatch.setattr(
-        qbcommit.concealment,
-        "_dual_routes",
-        lambda spec, witness: {"j_plus": (-1.0, 0.0), "witness_dual": (-1.0, 0.0)},
-    )
+    monkeypatch.setattr(qbcommit.concealment, "_dual_bound", lambda *args: (-1.0, 0.0))
     code = cli.main(["scan", decoy_config, *SCAN_BUDGET_ARGS])
     captured = capsys.readouterr()
     assert code == 3

@@ -8,7 +8,7 @@ from qbcommit.concealment import (
     CERTIFIED_WIDTH,
     _choi_difference,
     _difference_objective,
-    _dual_routes,
+    _dual_bound,
     _witness_z,
     analyze_concealment,
     helstrom_prob,
@@ -69,14 +69,13 @@ def test_cb_lower_identity_is_zero():
 
 def test_cb_upper_routes_phase_flip():
     rep = analyze_concealment(phase_flip_pair(), restarts=0)
-    assert abs(rep.upper_routes["j_plus"] - 2.0) < 1e-12
     assert rep.upper_routes["channel_pair_cap"] == 2.0
     assert abs(rep.cb_upper - 2.0) < 1e-12
 
 
 def test_cb_upper_routes_dephasing():
     rep = analyze_concealment(dephasing_protocol(), restarts=0)
-    assert abs(rep.upper_routes["j_plus"] - 1.0) < 1e-12
+    assert abs(rep.upper_routes["witness_dual"] - 1.0) < 1e-12
     assert rep.cb_upper <= 2.0
 
 
@@ -89,6 +88,12 @@ def _certificate_specs():
 CERTIFICATE_SPECS = _certificate_specs()
 
 
+def _witness_dual(spec, psi):
+    """(bound, repair) of the witness dual that ``analyze_concealment`` builds at psi."""
+    j = _choi_difference(spec)
+    return _dual_bound(_witness_z(j, psi, spec.dim_in, spec.dim_out), j, spec.dim_out)
+
+
 @pytest.mark.parametrize("spec", CERTIFICATE_SPECS, ids=[s.label for s in CERTIFICATE_SPECS])
 def test_witness_dual_candidate_is_feasible_up_to_its_repair(spec):
     din, dout = spec.dim_in, spec.dim_out
@@ -96,11 +101,10 @@ def test_witness_dual_candidate_is_feasible_up_to_its_repair(spec):
     for ref_dim in (1, din, din + 1):
         for psi in _states(din * ref_dim, 2, 76, ref_dim):
             z = _witness_z(j, psi, din, dout)
-            (_, t_plus), (_, t) = _dual_routes(spec, psi).values()
+            _, t = _dual_bound(z, j, dout)
             slack = 1e-12 * max(1.0, np.abs(z).max())
             assert np.linalg.eigvalsh(z)[0] >= -t - slack
             assert np.linalg.eigvalsh(z - j)[0] >= -t - slack
-            assert 0.0 <= t_plus <= 1e-12
 
 
 _REPORTS = {}
@@ -122,8 +126,7 @@ def test_witness_dual_never_below_the_lower_bound(spec):
     for ref_dim in (1, din, din + 1):
         states = _states(din * ref_dim, 2, 77, ref_dim)
         for psi in [rep.witness_state, *states] if ref_dim == din else states:
-            for bound, _ in _dual_routes(spec, psi).values():
-                assert bound >= rep.cb_lower
+            assert _witness_dual(spec, psi)[0] >= rep.cb_lower
 
 
 REFERENCE_CASES = [
@@ -176,15 +179,14 @@ def test_restarts_only_narrow_the_bracket(din, dout, m, seed):
     assert rerun.cb_lower >= first.cb_lower
 
 
-def test_dual_routes_close_the_bracket_at_closed_forms():
-    # Both dual routes meet dephasing's 1 and every decoy value 2^-k.
+def test_witness_dual_closes_the_bracket_at_closed_forms():
+    # The witness dual meets dephasing's 1 and every decoy value 2^-k.
     for spec, exact in [(dephasing_protocol(), 1.0)] + [
         (decoy_protocol(k), 0.5**k) for k in (1, 2, 3)
     ]:
         rep = analyze_concealment(spec, restarts=4, seed=0)
         assert abs(rep.cb_lower - exact) < 1e-12
         assert exact <= rep.upper_routes["witness_dual"] <= exact + 1e-12
-        assert exact <= rep.upper_routes["j_plus"] <= exact + 1e-12
         assert rep.cb_upper - rep.cb_lower <= 1e-12
 
 
@@ -236,7 +238,7 @@ def test_restarts_never_loosen_the_certified_upper_bound():
     # The reported witness still attains the reported lower bound.
     assert abs(4.0 * (helstrom_prob(spec, rerun.witness_state) - 0.5) - rerun.cb_lower) < 1e-12
     # dual_repair belongs to the witness_dual that is reported.
-    builds = [_dual_routes(spec, r.witness_state)["witness_dual"] for r in (first, rerun)]
+    builds = [_witness_dual(spec, r.witness_state) for r in (first, rerun)]
     kept = min(builds)
     assert rerun.upper_routes["witness_dual"] == kept[0]
     assert rerun.dual_repair == kept[1]
@@ -274,12 +276,54 @@ def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, re
     rep = analyze_concealment(spec, restarts=restarts, seed=2)
     assert len(calls) == witnesses == 1 + (rep.solver_trace.best_start > 0)
     assert rep.cb_upper == min(rep.upper_routes.values())
-    final = _dual_routes(spec, rep.witness_state)
-    for name, (bound, _) in final.items():
-        assert rep.upper_routes[name] <= bound
+    final = _witness_dual(spec, rep.witness_state)
+    assert rep.upper_routes["witness_dual"] <= final[0]
     if witnesses == 1:
-        assert rep.upper_routes == {**{n: b for n, (b, _) in final.items()}, "channel_pair_cap": 2.0}
-        assert rep.dual_repair == final["witness_dual"][1]
+        assert rep.upper_routes == {"witness_dual": final[0], "channel_pair_cap": 2.0}
+        assert rep.dual_repair == final[1]
+
+
+def test_analyze_concealment_builds_the_choi_difference_once(monkeypatch):
+    # Both duals of a call where a restart wins read one J, and no
+    # eigendecomposition is taken of J itself.
+    spec = random_protocol(3, 2, 3, seed=535)
+    j = _choi_difference(spec)
+    builds, decomposed = [], []
+    choi_difference, eigh = qbcommit.concealment._choi_difference, linalg.eigh_or_error
+
+    def building(*args):
+        builds.append(1)
+        return choi_difference(*args)
+
+    def recording(h):
+        decomposed.append(h.shape == j.shape and np.array_equal(h, j))
+        return eigh(h)
+
+    monkeypatch.setattr(qbcommit.concealment, "_choi_difference", building)
+    monkeypatch.setattr(linalg, "eigh_or_error", recording)
+    rep = analyze_concealment(spec, restarts=4, seed=2)
+    assert rep.solver_trace.best_start > 0
+    assert builds == [1]
+    assert decomposed and not any(decomposed)
+
+
+@pytest.mark.parametrize(
+    "spec", [dephasing_protocol(), random_protocol(3, 2, 2, seed=7)], ids=["dephasing", "random-3x2"]
+)
+def test_dual_allowance_covers_a_large_candidate(spec):
+    # At Z = c I the dual's exact value is 2 c dout and needs no repair; the
+    # rounded-up bound sits above it by no more than its documented allowance
+    # 2 (dout + 1) n eps (||Z|| + ||Z - J||).
+    dout = spec.dim_out
+    j = _choi_difference(spec)
+    c, n = 1e6, len(j)
+    assert c >= np.abs(np.linalg.eigvalsh(j)).max()
+    bound, repair = _dual_bound(c * np.eye(n), j, dout)
+    exact = 2.0 * c * dout
+    gap_norm = np.abs(c - np.linalg.eigvalsh(j)).max()
+    allowance = 2.0 * (dout + 1) * n * np.finfo(float).eps * (c + gap_norm)
+    assert repair == 0.0
+    assert exact <= bound <= exact + allowance
 
 
 def test_uncertified_start_is_searched_once(monkeypatch):
