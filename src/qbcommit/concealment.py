@@ -6,12 +6,16 @@ norm from below by a variational search over pure inputs on the committed
 space extended with a reference of the same dimension, which suffices for
 exactness, and from above by Watrous's dual for the cb norm of a difference
 of channels: ||Phi1 - Phi0||_cb <= 2 ||Tr_out Z|| for every Z >= 0 with
-Z >= J, J the Choi operator of the difference. J is built once per call,
-and Z from the search's witness; Z meets the lower bound at a stationary
-point, so the bracket closes. When it closes at the entangled start, the
-random restarts are skipped, and otherwise they alone run on, Z being
-rebuilt only when one of them wins. The bracket transfers to Bob's cheating
-probability directly. One routine builds the branch images K_m psi of a
+Z >= J, J the Choi operator of the difference. Both sides see only the
+difference: Kraus operators both bits share cancel in it and are dropped,
+with the output rows no remaining operator reaches (each decoy point is a
+2-operator problem), and the cut map is still trace-annihilating, as
+Watrous's dual asks. J is built once per call, and Z from the search's
+witness; Z meets the lower bound at a stationary point, so the bracket
+closes. When it closes at the entangled start, the random restarts are
+skipped, and otherwise they alone run on, Z being rebuilt only when one of
+them wins. The bracket transfers to Bob's cheating probability directly.
+One routine builds the branch images K_m psi of a
 batch of states and their output difference's eigenpairs for the value,
 gradient and polish alike. Once per iteration the polish proposes a
 Newton point: the value depends on the state only through its reduced state
@@ -38,7 +42,7 @@ from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace
 from .optimize import _require_count, _require_tolerance, search_sphere
-from .protocol import ProtocolSpec, apply_extended_channel, choi, require_valid
+from .protocol import KrausFamily, ProtocolSpec, apply_extended_channel, choi, require_valid
 
 # Two trace-preserving channels can never sit further apart than this.
 CB_NORM_CAP = 2.0
@@ -213,6 +217,43 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     return _Objective(fun_grad, polish, curvature)
 
 
+def _shared_cut(spec: ProtocolSpec):
+    """The channel difference on fewer operators and output rows, exactly;
+    returns (cut spec, trace note), or (``spec`` itself, None) when nothing
+    is cut.
+
+    An index j whose two operators are equal entry for entry adds the same
+    term to both channels, so it cancels in Phi1 - Phi0 and in J. An output
+    row on which every remaining operator is zero carries none of the
+    difference, so dropping it changes no trace norm of an extended output.
+    Both tests compare the stored entries exactly, with no tolerance, so the
+    cut map is the same map on fewer output rows, still trace-annihilating,
+    and Watrous's dual holds for it unchanged. The cut families are not
+    complete and are never validated. Identical channels leave the zero map,
+    held as one zero operator on one output row. The check when nothing is
+    cut is one comparison of the two operator stacks.
+    """
+    ops1, ops0 = spec.bit1.ops, spec.bit0.ops
+    differ = ops1 != ops0
+    # Every entry differs from its partner, so every operator and row stays.
+    if differ.all():
+        return spec, None
+    kept = differ.reshape(len(differ), -1).any(axis=1)
+    rows = np.concatenate([ops1[kept], ops0[kept]]).any(axis=(0, 2))
+    if kept.all() and rows.all():
+        return spec, None
+    note = (
+        f"shared operators dropped: {np.count_nonzero(~kept)} of {len(kept)}; "
+        f"output rows kept: {np.count_nonzero(rows)} of {len(rows)}"
+    )
+    if kept.any():
+        cut = [ops[kept][:, rows] for ops in (ops1, ops0)]
+    else:
+        cut = [np.zeros((1, 1, spec.dim_in))] * 2
+    bit1, bit0 = (KrausFamily(spec.dim_in, ops.shape[1], ops) for ops in cut)
+    return ProtocolSpec(label=spec.label, bit0=bit0, bit1=bit1), note
+
+
 def _choi_difference(spec: ProtocolSpec) -> np.ndarray:
     """Choi operator of the channel difference with the output on the slow slot.
 
@@ -267,7 +308,8 @@ def _dual_bound(z: np.ndarray, j: np.ndarray, dout: int):
     norm at most dout ||Z||, n eps ||Z|| in its λmax. Both norms come from
     the two spectra the repair takes. The repair scales the error in t by
     dout, so the value is raised by 2 (dout + 1) n eps (||Z|| + ||Z - J||):
-    round-off never puts the bound below the true norm.
+    round-off never puts the bound below the true norm. ``analyze_concealment``
+    passes the shared-operator cut's J and Z, so n and dout are the cut's.
     """
     n = len(z)
     (zvals, gapvals), _ = linalg.eigh_or_error(np.stack([z, z - j]))
@@ -306,8 +348,15 @@ def analyze_concealment(
 ) -> ConcealmentReport:
     """Bracket the cb norm of the channel difference for one protocol.
 
-    ``cb_lower`` is the value that projected gradient ascent over pure states
-    of the committed space ⊗ a reference of dim_in achieves at
+    After validation the protocol is cut down to the difference it measures
+    (``_shared_cut``, counted in the trace's last note). The objective, J and
+    the witness dual are built from the cut, which is deliberately not
+    complete and never validated. The input space is never cut, so
+    ``witness_state`` and ``helstrom_prob`` stay on the full protocol.
+    Binding and the Kraus gap run on the full protocol.
+
+    ``cb_lower`` is the value that projected gradient ascent over pure
+    states of the committed space ⊗ a reference of dim_in achieves at
     ``witness_state``. The maximally entangled start runs first, alone; when
     the bracket at its witness is within ``CERTIFIED_WIDTH``, a trace note
     says so and the random restarts are skipped. Otherwise the ``restarts``
@@ -325,9 +374,10 @@ def analyze_concealment(
     require_valid(spec)
     _require_count("restarts", restarts, 0)
     tol = _require_tolerance(tol)
-    din, dout = spec.dim_in, spec.dim_out
-    j = _choi_difference(spec)
-    fun_grad, polish, _ = _difference_objective(spec, tol)
+    cut, cut_note = _shared_cut(spec)
+    din, dout = cut.dim_in, cut.dim_out
+    j = _choi_difference(cut)
+    fun_grad, polish, _ = _difference_objective(cut, tol)
     opts = dict(maximize=True, seed=seed, tol=tol, max_iter=500, polish=polish, rng_tags=(1,))
     # Maximally entangled start; frequently already the maximizer.
     entangled = np.eye(din, dtype=complex).reshape(-1) / sqrt(din)
@@ -349,6 +399,8 @@ def analyze_concealment(
             if trace.record(*runs, maximize=True):
                 lower = rest
                 dual = min(dual, _dual_bound(_witness_z(j, rest.vector, din, dout), j, dout))
+    if cut_note:
+        trace.notes.append(cut_note)
     routes = {"witness_dual": dual[0], "channel_pair_cap": CB_NORM_CAP}
     upper = min(routes.values())
     value = max(0.0, lower.value)

@@ -107,18 +107,20 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
         raise ValueError(f"decoy count must be nonnegative, got {k}")
     branches = 2**k
     weight = branches**-0.5
-    eye = np.eye(2, dtype=complex)
-
-    def embed(op: np.ndarray, branch: int) -> np.ndarray:
-        col = np.zeros((branches, 1), dtype=complex)
-        col[branch, 0] = 1.0
-        return weight * np.kron(op, col)
-
+    # Operator j as (qubit out, decoy string, qubit in), the layout of
+    # np.kron(op, e_string): the two projectors write string 0 (multiplied
+    # out as kron does, so its zeros keep their signs), and operator j > 1
+    # passes the qubit through and writes string j - 1.
+    string0 = np.zeros(branches, dtype=complex)
+    string0[0] = 1.0
+    strings = np.arange(1, branches)
     families = []
     for basis_angle in (0.0, angle):
-        ops = [embed(proj, 0) for proj in _basis_projectors(basis_angle)]
-        ops.extend(embed(eye, branch) for branch in range(1, branches))
-        families.append(KrausFamily.from_ops(ops))
+        projectors = np.array(_basis_projectors(basis_angle))[:, :, None, :]
+        ops = np.zeros((branches + 1, 2, branches, 2), dtype=complex)
+        ops[:2] = weight * (projectors * string0[:, None])
+        ops[strings + 1, :, strings, :] = weight * np.eye(2)
+        families.append(KrausFamily(2, 2 * branches, ops.reshape(branches + 1, 2 * branches, 2)))
     return ProtocolSpec(
         label=f"decoy-k{k}-angle-{angle:.6g}", bit0=families[0], bit1=families[1]
     )

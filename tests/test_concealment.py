@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qbcommit.concealment import (
     _choi_difference,
     _difference_objective,
     _dual_bound,
+    _shared_cut,
     _witness_z,
     analyze_concealment,
     helstrom_prob,
@@ -18,10 +21,13 @@ from qbcommit.families import (
     dephasing_protocol,
     identity_protocol,
     phase_flip_pair,
+    random_kraus_family,
     random_protocol,
 )
 from qbcommit.fileio import load_protocol, write_protocol_file
-from qbcommit.protocol import apply_extended_channel
+from qbcommit.protocol import KrausFamily, ProtocolSpec, apply_extended_channel
+
+PROTOCOLS = Path(__file__).resolve().parents[1] / "protocols"
 
 
 def test_helstrom_identity_pair_is_coin_flip():
@@ -614,3 +620,111 @@ def test_entangled_start_ends_at_its_converged_newton_point(tmp_path, monkeypatc
     (_,), (grad,) = build(spec, 1e-8).fun_grad(rep.witness_state[None])
     psi = rep.witness_state
     assert linalg.vector_norm(grad - np.vdot(psi, grad).real * psi) <= rep.solver_trace.tol
+
+
+def _shared_pair(din, dout, m, seed):
+    """Two Kraus forms of one random protocol whose bits share their last
+    operator, its range overlapping the others'. The second writes bit 1's
+    shared operator as two copies scaled by 1/sqrt(2), so no index matches."""
+    rng = np.random.default_rng([seed, din, dout, m])
+    bit0 = random_kraus_family(din, dout, m, rng)
+    shared = bit0.ops[-1]
+    w, u = np.linalg.eigh(np.eye(din) - shared.conj().T @ shared)
+    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
+    rest = (linalg.random_isometry(dout * (m - 1), din, rng) @ root).reshape(m - 1, dout, din)
+    ops = [np.concatenate([rest, shared[None]]), np.concatenate([rest, [shared / np.sqrt(2.0)] * 2])]
+    return [ProtocolSpec(label, bit0, KrausFamily(din, dout, o)) for label, o in zip(("shared", "split"), ops)]
+
+
+@pytest.mark.parametrize("din, dout, m", [(3, 3, 3), (2, 3, 2), (3, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_cut_is_exact(din, dout, m, seed):
+    # The cut drops the shared operator; the split form of the same channels
+    # runs uncut. Both brackets certify and their lower bounds agree, and the
+    # cut's witness reaches its value on the full protocol.
+    spec, split = _shared_pair(din, dout, m, seed)
+    cut, note = _shared_cut(spec)
+    assert note == f"shared operators dropped: 1 of {m}; output rows kept: {dout} of {dout}"
+    assert cut.cardinality == m - 1
+    split_cut, split_note = _shared_cut(split)
+    assert split_cut is split and split_note is None
+    reports = [analyze_concealment(s, restarts=4, seed=0) for s in (spec, split)]
+    for rep in reports:
+        assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
+    assert abs(reports[0].cb_lower - reports[1].cb_lower) <= 1e-9
+    assert reports[0].solver_trace.notes[-1] == note
+    assert note not in reports[1].solver_trace.notes
+    assert abs(helstrom_prob(spec, reports[0].witness_state) - 0.5 - reports[0].cb_lower / 4) <= 1e-12
+
+
+def test_decoy_points_are_cut_to_two_operators():
+    # The 2^k - 1 decoy operators are shared and cancel; the dephasing pair
+    # left writes 2 of the 2^(k+1) output rows. The bracket is 2^-k, wider
+    # only by the dual's round-off allowance, which scales with it (1.5e-14
+    # at k = 0, where nothing is cut).
+    for k in range(9):
+        rep = analyze_concealment(decoy_protocol(k), 8, 0, 1e-7)
+        exact = 0.5**k
+        assert abs(rep.cb_lower - exact) <= 1e-14 * exact
+        assert exact <= rep.cb_upper <= exact + 2e-14 * exact
+        notes = [n for n in rep.solver_trace.notes if n.startswith("shared operators")]
+        dropped = f"shared operators dropped: {2**k - 1} of {2**k + 1}; output rows kept: 2 of {2 ** (k + 1)}"
+        assert notes == ([dropped] if k else [])
+
+
+def test_decoy_concealment_decomposes_no_large_matrix(monkeypatch):
+    # Without the cut, decoy k = 6 decomposes 256 x 256 output differences.
+    sizes = []
+    eigh = linalg.eigh_or_error
+
+    def recording(h):
+        sizes.append(h.shape[-1])
+        return eigh(h)
+
+    monkeypatch.setattr(linalg, "eigh_or_error", recording)
+    rep = analyze_concealment(decoy_protocol(6), 8, 0, 1e-7)
+    assert abs(rep.cb_upper - rep.cb_lower) <= 1e-14
+    assert sizes and max(sizes) <= 4
+
+
+def test_identical_families_are_cut_entirely():
+    spec = identity_protocol(2)
+    cut, note = _shared_cut(spec)
+    assert note == "shared operators dropped: 1 of 1; output rows kept: 0 of 2"
+    assert not cut.bit0.ops.any() and not cut.bit1.ops.any()
+    rep = analyze_concealment(spec, restarts=4, seed=0)
+    assert (rep.cb_lower, rep.cb_upper) == (0.0, 0.0)
+    assert (rep.bob_cheat_lower, rep.bob_cheat_upper) == (0.5, 0.5)
+    assert rep.upper_routes == {"witness_dual": 0.0, "channel_pair_cap": 2.0}
+    assert rep.dual_repair == 0.0
+    assert rep.witness_state.shape == (4,)
+    assert abs(linalg.vector_norm(rep.witness_state) - 1.0) <= 1e-12
+    assert "entangled start certified" in rep.solver_trace.notes[0]
+    assert rep.solver_trace.notes[-1] == note
+    assert abs(helstrom_prob(spec, rep.witness_state) - 0.5) <= 1e-12
+
+
+NO_CUT_SPECS = [
+    random_protocol(d, d, m, np.random.default_rng([20020, d, m, s]), f"random-{d}x{d}-m{m}-p{s}")
+    for d in (3, 4)
+    for m in (2, 3, 4)
+    for s in (0, 1)
+] + [
+    load_protocol(PROTOCOLS / f"{name}.json")
+    for name in ("concealing-pair", "dephasing-zx", "identity-vs-phase-flip")
+] + [
+    ProtocolSpec(
+        "disjoint-outputs",
+        KrausFamily(2, 4, np.eye(4, 2)[None]),
+        KrausFamily(2, 4, np.eye(4, 2, k=-2)[None]),
+    )
+]
+
+
+@pytest.mark.parametrize("spec", NO_CUT_SPECS, ids=[s.label for s in NO_CUT_SPECS])
+def test_nothing_to_cut_returns_the_spec_itself(spec):
+    # The benchmark's random concealment panel and the shipped protocols
+    # without shared operators keep the uncut path, and so does a protocol
+    # whose bits write disjoint output rows: each row is reached by one bit.
+    cut, note = _shared_cut(spec)
+    assert cut is spec and note is None

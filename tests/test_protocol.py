@@ -356,6 +356,33 @@ def test_decoy_protocol_structure():
         assert qc.validate(spec).accepted
 
 
+def _kron_decoy_ops(k, angle):
+    """Decoy operators one np.kron at a time: weight * kron(op, e_string)."""
+    branches, eye = 2**k, np.eye(2, dtype=complex)
+    weight = branches**-0.5
+    strings = np.eye(branches, dtype=complex)[:, :, None]
+    families = []
+    for basis_angle in (0.0, angle):
+        c, s = np.cos(basis_angle / 2.0), np.sin(basis_angle / 2.0)
+        projectors = [np.outer(v, v.conj()) for v in (np.array([c, s], complex), np.array([-s, c], complex))]
+        ops = [weight * np.kron(p, strings[0]) for p in projectors]
+        ops += [weight * np.kron(eye, strings[b]) for b in range(1, branches)]
+        families.append(np.array(ops))
+    return families
+
+
+@pytest.mark.parametrize("angle", [np.pi / 2, 0.3])
+def test_decoy_operators_match_the_kron_construction(angle):
+    # The stack is built in one array; its entries are those of the kron
+    # construction to the bit, signed zeros included.
+    for k in range(6):
+        spec = qc.decoy_protocol(k, angle)
+        for fam, ref in zip((spec.bit0, spec.bit1), _kron_decoy_ops(k, angle)):
+            assert fam.ops.shape == ref.shape == (2**k + 1, 2 ** (k + 1), 2)
+            assert np.array_equal(fam.ops, ref)
+            assert fam.ops.tobytes() == ref.tobytes()
+
+
 def test_decoy_zero_matches_plain_dephasing():
     plain = qc.dephasing_protocol()
     decoy = qc.decoy_protocol(0)
