@@ -8,10 +8,11 @@ image w_j = claimed_j phi, and Alice passes with probability
 sum_j |<e_j|w_j>|² / |w_j|², an outcome whose claimed image has squared norm
 at most ``ZERO_OUTCOME_TOL`` dropped. The state search, its gradient and the
 dual certificate all read these images. The payoff can jump down where a
-claimed branch vanishes, so the states its operator annihilates seed the
-state search; the search that scores a cheat keeps each such start on the
-unit sphere of that kernel, where the outcome is dropped exactly, so the
-values it finds there do not depend on the cut. The protocol is binding
+claimed branch vanishes, so the states its operator annihilates (right
+singular vectors whose squared singular value is at most the same cut) seed
+the state search; the search that scores a cheat keeps each such start on
+the unit sphere of that kernel, where the outcome is dropped, so the values
+it finds there do not depend on the cut. The protocol is binding
 exactly when no reindexing passes verification for every input state Bob
 might have sent, since Bob keeps his choice to himself.
 
@@ -39,12 +40,11 @@ from . import linalg
 from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace, SphereResult
 from .optimize import _require_count, _require_tolerance, search_sphere
-from .protocol import ProtocolSpec, _require_cheat, align_families, require_valid
+from .protocol import ProtocolSpec, _branch_images, _require_cheat, align_families, require_valid
 
 ZERO_OUTCOME_TOL = 1e-14
-KERNEL_SINGULAR_TOL = 1e-7
 MAX_KERNEL_STARTS = 8
-# Tolerance and iteration cap of the full inner search over states.
+# Tolerance and iteration cap of the full inner search that scores a cheat.
 INNER_TOL = 1e-8
 INNER_MAX_ITER = 300
 
@@ -98,13 +98,6 @@ def _payoffs(committed_stack, claimed_stack, cheat, phis) -> np.ndarray:
     return _payoff_fun_grad(committed_stack, claimed_stack, cheat)(phis)[0]
 
 
-def _images(stack, phis) -> np.ndarray:
-    """Images of the rows of ``phis`` under each operator of the stack, as a
-    ``(rows, operators, dim_out)`` array. Each product is one row's own, so a
-    row's bits do not depend on the batch it sits in."""
-    return (stack.reshape(-1, stack.shape[-1]) @ phis[:, :, None]).reshape(len(phis), len(stack), -1)
-
-
 def _kept_inverse(w) -> np.ndarray:
     """1 / |w_j|² for the claimed images w_j on the last axis of ``w``, and 0
     where |w_j|² is at most ``ZERO_OUTCOME_TOL``: the dropped-outcome rule."""
@@ -126,7 +119,7 @@ def _payoff_fun_grad(committed_stack, claimed_stack, cheat):
     adjoint = stack.reshape(-1, dim_in).conj().T
 
     def fun_grad(phis: np.ndarray):
-        images = _images(stack, phis)
+        images = _branch_images(stack, phis)
         e, w = images[:, :m], images[:, m:]
         c = np.sum(e.conj() * w, axis=-1)
         inv_d = _kept_inverse(w)
@@ -147,7 +140,9 @@ def _kernel_starts(claimed_stack) -> tuple:
 
     The payoff drops discontinuously where a claimed branch vanishes, so its
     minimum can hide exactly there; these states seed extra descent starts,
-    which a search may keep on their kernel.
+    which a search may keep on their kernel. A kernel is spanned by the right
+    singular vectors whose squared singular value is at most
+    ``ZERO_OUTCOME_TOL``, so the payoff drops the outcome on all of it.
     """
     starts, spans = [], []
     # One batched SVD: full right factors, whose rows past dim_out span the
@@ -156,7 +151,7 @@ def _kernel_starts(claimed_stack) -> tuple:
     dim_out, dim_in = claimed_stack.shape[-2:]
     _, svals_stack, vh_stack = linalg.svd_or_error(claimed_stack, full_matrices=dim_out < dim_in)
     for svals, vh in zip(svals_stack, vh_stack):
-        rows = [i for i in range(vh.shape[0]) if i >= svals.size or svals[i] <= KERNEL_SINGULAR_TOL]
+        rows = [i for i in range(vh.shape[0]) if i >= svals.size or svals[i] ** 2 <= ZERO_OUTCOME_TOL]
         starts += [vh[i].conj() for i in rows]
         spans += [vh[rows].conj().T] * len(rows)
         if len(starts) >= MAX_KERNEL_STARTS:
@@ -164,15 +159,21 @@ def _kernel_starts(claimed_stack) -> tuple:
     return starts[:MAX_KERNEL_STARTS], spans[:MAX_KERNEL_STARTS]
 
 
-def _worst_state(committed_stack, claimed_stack, cheat, starts, **opts) -> SphereResult:
-    """Payoff descent over states at one checked cheat, from ``starts`` and
-    ``opts["restarts"]`` seeded random states; no validation. ``opts`` may
-    hold ``spans`` for the starts, as ``search_sphere`` takes them."""
+def _worst_state(
+    committed_stack, claimed_stack, cheat, starts, tol=INNER_TOL, max_iter=INNER_MAX_ITER, **opts
+) -> SphereResult:
+    """Payoff descent at one checked cheat from ``starts`` and
+    ``opts["restarts"]`` seeded random states, on the full scoring budget
+    unless ``tol`` or ``max_iter`` override it; no validation. ``opts`` may
+    hold ``spans`` for the starts: ``_kernel_starts``' kernels, the right
+    singular vectors whose squared singular values are at most ``ZERO_OUTCOME_TOL``."""
     return search_sphere(
         _payoff_fun_grad(committed_stack, claimed_stack, cheat),
         claimed_stack.shape[-1],
         maximize=False,
         extra_starts=starts,
+        tol=tol,
+        max_iter=max_iter,
         **opts,
     )
 
@@ -204,8 +205,6 @@ def min_over_states(
         spans=spans,
         restarts=restarts,
         seed=seed,
-        tol=INNER_TOL,
-        max_iter=INNER_MAX_ITER,
         rng_tags=(2,),
     )
 
@@ -242,7 +241,7 @@ def _overlaps(committed_stack, claimed_stack, cheat, phis):
     1 / d_sj from ``_kept_inverse`` and c_sj = sum_l conj(cheat_jl) b_sjl,
     so the payoff at phi_s is sum_j |c_sj|² / d_sj and its derivative in
     conj(cheat_jl) is conj(c_sj) b_sjl / d_sj."""
-    u, w = _images(committed_stack, phis), _images(claimed_stack, phis)
+    u, w = _branch_images(committed_stack, phis), _branch_images(claimed_stack, phis)
     b = w @ u.conj().transpose(0, 2, 1)
     return b, _kept_inverse(w), np.sum(cheat.conj() * b, axis=-1)
 
@@ -399,9 +398,7 @@ def minimax_cheat(
     # The loose budget only steers the outer ascent, from whole-sphere kernel
     # starts (kept on their kernels there, they steered a random panel to
     # lower estimates); each restart's end point is re-scored with the full one.
-    full = dict(
-        restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), max_iter=INNER_MAX_ITER, spans=spans
-    )
+    full = dict(restarts=inner_restarts, seed=seed, tol=min(tol, INNER_TOL), spans=spans)
     loose = dict(restarts=min(2, inner_restarts), seed=seed, tol=max(tol, 1e-6), max_iter=40)
 
     procrustes = linalg.require_unitary(

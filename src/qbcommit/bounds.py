@@ -292,7 +292,10 @@ def check_bounds(
     lower bound on the norm (``analyze_concealment``'s), against half the
     square root of the gap. The binding side evaluates Alice's payoff for
     the gap's own cheat on seeded random states and compares each against
-    the payoff floor.
+    the payoff floor, dropping outcomes as binding does (``ZERO_OUTCOME_TOL``
+    on squared claimed images and on the kernels' squared singular values).
+    Each violation carries its ``kind``, ``label``, ``kraus_gap``,
+    ``cheat_unitary`` and ``seed``.
     """
     require_valid(spec)
     _require_count("n_states", n_states, 1)
@@ -307,33 +310,16 @@ def check_bounds(
 
     phis = _sampled_states(spec.dim_in, n_states, seed)
     payoffs = _payoffs(spec.bit0.ops, spec.bit1.ops, cheat, phis).tolist()
-    violations = []
-    for i, (phi, p) in enumerate(zip(phis, payoffs)):
-        if p < floor - tol:
-            violations.append(
-                {
-                    "kind": "binding",
-                    "label": spec.label,
-                    "state_index": i,
-                    "state": phi.copy(),
-                    "payoff": p,
-                    "floor": floor,
-                    "kraus_gap": gap,
-                    "cheat_unitary": cheat,
-                    "seed": seed,
-                }
-            )
+    shared = {"label": spec.label, "kraus_gap": gap, "cheat_unitary": cheat, "seed": seed}
+    violations = [
+        {"kind": "binding", "state_index": i, "state": phi.copy(), "payoff": p, "floor": floor}
+        | shared
+        for i, (phi, p) in enumerate(zip(phis, payoffs))
+        if p < floor - tol
+    ]
     if quarter > half_sqrt + tol:
         violations.append(
-            {
-                "kind": "concealment",
-                "label": spec.label,
-                "quarter_cb_lower": quarter,
-                "half_sqrt_gap": half_sqrt,
-                "kraus_gap": gap,
-                "cheat_unitary": cheat,
-                "seed": seed,
-            }
+            {"kind": "concealment", "quarter_cb_lower": quarter, "half_sqrt_gap": half_sqrt} | shared
         )
 
     return BoundCheck(

@@ -13,6 +13,7 @@ inconsistency, not an input problem).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bounds import GAP_STEPS, ScanBudgets, bounds_report, epsilon_delta_scan, scan_to_csv
@@ -176,6 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first ``main`` call, not at import."""
+    return build_parser()
+
+
 def _given(args, *names) -> dict:
     """The named budget and tolerance flags that the user gave, as keyword
     arguments; an omitted flag is left out, so the library default holds."""
@@ -246,8 +253,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ProtocolFileError, ProtocolValidationError, OSError) as exc:

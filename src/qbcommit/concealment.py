@@ -43,6 +43,7 @@ from .errors import BracketInversionError
 from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace
 from .optimize import _require_count, _require_tolerance, search_sphere
 from .protocol import KrausFamily, ProtocolSpec, apply_extended_channel, choi, require_valid
+from .protocol import _branch_images
 
 # Two trace-preserving channels can never sit further apart than this.
 CB_NORM_CAP = 2.0
@@ -121,10 +122,8 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     gauge = 1j * linalg.hermitian_basis(din).transpose(0, 2, 1)
 
     def images(psis: np.ndarray):
-        """Images u_m = A_m psi = vec(K_m M) of each row, M being psi as a
-        din x din matrix, and the eigenpairs of X. Each product is one row's
-        own, so a row's bits do not depend on the batch it sits in."""
-        u = (ops.reshape(-1, din) @ psis.reshape(-1, din, din)).reshape(len(psis), len(ops), -1)
+        """Images u_m = A_m psi = vec(K_m M) of each row, and the eigenpairs of X."""
+        u = _branch_images(ops, psis)
         return u, *linalg.eigh_or_error((u.transpose(0, 2, 1) * signs) @ u.conj())
 
     def fun_grad(psis: np.ndarray):

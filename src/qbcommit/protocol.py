@@ -212,6 +212,16 @@ def choi_distance(fam_a: KrausFamily, fam_b: KrausFamily) -> float:
     return float(np.linalg.norm(choi(fam_a) - choi(fam_b)))
 
 
+def _branch_images(stack, states) -> np.ndarray:
+    """Images K_m M of each row of ``states`` under each operator of the
+    ``(m, dim_out, dim_in)`` stack, M being the row of dim_in·c entries read
+    as a dim_in x c matrix, as a ``(rows, m, dim_out·c)`` array. Each product
+    is one row's own, so a row's bits do not depend on the batch it sits in."""
+    dim_in = stack.shape[-1]
+    mats = states.reshape(len(states), dim_in, -1)
+    return (stack.reshape(-1, dim_in) @ mats).reshape(len(states), len(stack), -1)
+
+
 def _require_cheat(cheat, cardinality: int) -> np.ndarray:
     """``cheat`` as a finite complex ``cardinality`` x ``cardinality`` matrix,
     checked unitary; every public function that takes a cheat calls this."""

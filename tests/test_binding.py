@@ -10,6 +10,7 @@ import qbcommit.protocol
 from qbcommit import linalg
 from qbcommit.binding import (
     CERTIFIED_WIDTH,
+    MAX_KERNEL_STARTS,
     _dual_bound,
     _kernel_starts,
     _payoff_fun_grad,
@@ -125,6 +126,21 @@ def test_kernel_starts_take_one_svd_of_the_claimed_stack(monkeypatch):
     starts, spans = _kernel_starts(decoy_protocol(3).bit1.ops)
     assert len(starts) == 2 and len(calls) == 1
     assert [span.shape for span in spans] == [(2, 1), (2, 1)]
+
+
+def test_kernel_starts_stop_at_the_cap():
+    # Four 1 x 4 claimed operators have three kernel vectors each: twelve in
+    # all, of which the first MAX_KERNEL_STARTS are kept, in operator order.
+    claimed = random_protocol(4, 1, 4, seed=3).bit1.ops
+    starts, spans = _kernel_starts(claimed)
+    assert MAX_KERNEL_STARTS == 8
+    assert len(starts) == len(spans) == MAX_KERNEL_STARTS
+    for i, (start, span) in enumerate(zip(starts, spans)):
+        op = claimed[i // 3]
+        assert span.shape == (4, 3)
+        assert np.linalg.norm(op @ start) <= 1e-14
+        assert np.linalg.norm(op @ span) <= 1e-14
+        np.testing.assert_allclose(span @ (span.conj().T @ start), start, atol=1e-15)
 
 
 def test_payoff_objective_rows_match_payoff_and_finite_differences():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qbcommit.bounds import (
     scan_to_csv,
 )
 from qbcommit.binding import minimax_cheat
+from qbcommit.cli import render_report
 from qbcommit.concealment import analyze_concealment
 from qbcommit.families import (
     FAMILY_REGISTRY,
@@ -86,6 +88,43 @@ def test_check_bounds_dephasing_identity_cheat():
 def test_check_bounds_reuses_supplied_lower_bound():
     chk = check_bounds(dephasing_protocol(), n_states=3, seed=0, cb_lower=1.0)
     assert chk.quarter_cb_lower == 0.25
+
+
+SHARED_VIOLATION_KEYS = {"kind", "label", "kraus_gap", "cheat_unitary", "seed"}
+KIND_VIOLATION_KEYS = {
+    "concealment": {"quarter_cb_lower", "half_sqrt_gap"},
+    "binding": {"state_index", "state", "payoff", "floor"},
+}
+
+
+@pytest.mark.parametrize("kind", ["concealment", "binding"])
+def test_check_bounds_violations_render_with_the_shared_keys(kind, monkeypatch):
+    # A quarter of 3.9 exceeds half the root of dephasing's unit gap; a floor
+    # of 2 lies above every payoff, so each sampled state violates it.
+    cb_lower = 3.9 if kind == "concealment" else 0.0
+    if kind == "binding":
+        monkeypatch.setattr(bounds, "payoff_floor", lambda gap: 2.0)
+    spec = dephasing_protocol()
+    chk = check_bounds(spec, n_states=5, seed=3, cb_lower=cb_lower)
+    assert [v["kind"] for v in chk.violations] == [kind] * (1 if kind == "concealment" else 5)
+    if kind == "binding":
+        assert [v["state_index"] for v in chk.violations] == list(range(5))
+        assert [v["payoff"] for v in chk.violations] == chk.sampled_payoffs
+    cheat = jsonable(chk.cheat_unitary)
+    structured = json.loads(render_report(chk, "structured"))["violations"]
+    text = render_report(chk, "text")
+    for v in structured:
+        assert set(v) == SHARED_VIOLATION_KEYS | KIND_VIOLATION_KEYS[kind]
+        assert (v["label"], v["kraus_gap"], v["cheat_unitary"], v["seed"]) == (
+            spec.label,
+            chk.kraus_gap,
+            cheat,
+            3,
+        )
+    assert text.count(f"    kind: {kind}\n") == len(structured)
+    assert text.count(f"    label: {spec.label}\n") == len(structured)
+    assert text.count(f"    kraus_gap: {chk.kraus_gap!r}\n") == len(structured)
+    assert text.count("    seed: 3\n") == len(structured)
 
 
 def test_scan_decoy_closed_forms():

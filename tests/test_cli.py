@@ -419,6 +419,54 @@ def test_scan_text_output(decoy_config, capsys):
     assert "label: demo" in out
 
 
+def test_scan_dephasing_family_reads_the_basis_angle(tmp_path, capsys):
+    # Equal bases make equal channels, which Alice reopens at will; the Z
+    # and X bases sit at norm 1, and Alice passes with 1/4. The brackets
+    # hold their closed forms up to round-off.
+    path = tmp_path / "scan.json"
+    path.write_text(
+        json.dumps({"family": "dephasing", "params": [0, np.pi / 2]}), encoding="utf-8"
+    )
+    code = cli.main(["scan", str(path), *SCAN_BUDGET_ARGS, "--format", "structured"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["label"] == "dephasing-scan" and data["skipped"] == []
+    (same, zx) = data["points"]
+    assert same["eps_lo"] - 1e-12 <= 0.0 <= same["eps_hi"] + 1e-12
+    assert abs(same["minimax"] - 1.0) <= 1e-12
+    assert zx["param"] == np.pi / 2
+    assert zx["eps_lo"] - 1e-12 <= 1.0 <= zx["eps_hi"] + 1e-12
+    assert abs(zx["minimax"] - 0.25) <= 1e-12
+
+
+GOOD_OPS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("scan", [{"family": "decoy", "params": [1]}], "scan config must hold a JSON object"),
+        ("scan", {"family": "decoy", "params": [1], "options": [1.0]}, "'options' must be an object"),
+        ("scan", {"family": "decoy", "params": [1], "label": 7}, "'label' must be a string"),
+        ("validate", {"label": "p", "bit0": [], "bit1": GOOD_OPS}, "bit0: expected a nonempty list"),
+        (
+            "validate",
+            {"label": "p", "bit0": GOOD_OPS, "bit1": GOOD_OPS + [[[[0.0, 0.0], [0.0, 0.0]]]]},
+            "bit1: operator 1 has shape (1, 2), expected (2, 2)",
+        ),
+    ],
+    ids=["config-not-object", "options-not-object", "label-not-string", "empty-family", "mismatched-shapes"],
+)
+def test_malformed_input_exits_two_with_its_message(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_scan_unknown_family_exits_two(tmp_path, capsys):
     path = tmp_path / "scan.json"
     path.write_text(json.dumps({"family": "nope", "params": [1]}), encoding="utf-8")
@@ -582,3 +630,32 @@ def test_flagless_commands_leave_the_library_defaults(
     capsys.readouterr()
     assert not keywords & set(calls[0])
     assert keywords & set(calls[1]) == {"tol"} and calls[1]["tol"] == 0.001
+
+
+def test_main_builds_its_parser_once_per_process(dephasing_file, monkeypatch, capsys):
+    # The first main call builds the parser and the later ones share it;
+    # each prints what a freshly built parser makes it print.
+    argvs = [
+        ["validate", dephasing_file],
+        ["conceal", dephasing_file, "--restarts", "0", "--format", "structured"],
+        ["bind", dephasing_file, "--no-swapped", "--seed", "2"],
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    shared = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        shared.append(capsys.readouterr().out)
+    assert len(built) == 1
+    for argv, out in zip(argvs, shared):
+        cli._parser.cache_clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert len(built) == 1 + len(argvs)

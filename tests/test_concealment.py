@@ -73,6 +73,17 @@ def test_cb_lower_identity_is_zero():
     assert 0.0 <= rep.cb_lower <= 1e-8
 
 
+def test_one_dimensional_input_reads_the_output_difference():
+    # With dim_in = 1 the only input is the one state, the polish's Newton
+    # step has no free direction, and the norm is the trace norm of the
+    # difference of the two output states.
+    spec = random_protocol(1, 3, 2, seed=4)
+    out = [sum(k @ k.conj().T for k in fam.ops) for fam in (spec.bit1, spec.bit0)]
+    rep = analyze_concealment(spec)
+    assert abs(rep.cb_lower - linalg.trace_norm(out[0] - out[1])) <= 1e-12
+    assert rep.cb_lower <= rep.cb_upper
+
+
 def test_cb_upper_routes_phase_flip():
     rep = analyze_concealment(phase_flip_pair(), restarts=0)
     assert rep.upper_routes["channel_pair_cap"] == 2.0
