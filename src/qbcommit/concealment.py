@@ -15,19 +15,26 @@ witness; Z meets the lower bound at a stationary point, so the bracket
 closes. When it closes at the entangled start, the random restarts are
 skipped, and otherwise they alone run on, Z being rebuilt only when one of
 them wins. The bracket transfers to Bob's cheating probability directly.
-One routine builds the branch images K_m psi of a
-batch of states and their output difference's eigenpairs for the value,
-gradient and polish alike. Once per iteration the polish proposes a
-Newton point: the value depends on the state only through its reduced state
-on the committed space, where it is concave (a partial maximum of Watrous's
-SDP), so Newton steps on the quotient by reference unitaries converge
-quadratically. The quotient's free directions are the complement of the
-fixed ones (the state and the reference gauge) in one complete QR, and one
-Cholesky factorization both solves the reduced Newton system and tests that
-it is negative definite. Where the Newton step does not apply it proposes the
-top eigenvector of the adjoint map at the sign operator instead. A start ends
-at a converged Newton point level with its iterate, rather than crawling on
-at round-off.
+One routine builds the branch images K_m psi of a batch of states and their
+output difference's eigenpairs for the value and gradient, and the objective
+returns them too, so the polish reads the iterate's from the call that
+evaluated it. Once per iteration the polish proposes a Newton point: the
+value depends on the state only through its reduced state on the committed
+space, where it is concave (a partial maximum of Watrous's SDP), so Newton
+steps on the quotient by reference unitaries converge quadratically. Its
+maximizers need not be isolated (a product-input optimum, or a flat ridge of
+them), so the Newton model is regularized by the tangent gradient's norm:
+such a step converges quadratically to a non-isolated solution set under a
+local error bound, without running along it (Li, Fukushima, Qi and
+Yamashita, Comput. Optim. Appl. 28, 2004). The quotient's free directions
+are the complement of the fixed ones (the state and the reference gauge) in
+one complete QR, and one Cholesky factorization both solves the reduced
+Newton system and tests that it is negative definite. Where the Newton step
+does not apply it proposes the top eigenvector of the adjoint map at the
+sign operator instead. An accepted Newton point is polished again at the
+next iteration, with no gradient line search after it, and a start ends at a
+converged Newton point level with its iterate, rather than crawling on at
+round-off.
 """
 
 from __future__ import annotations
@@ -74,8 +81,8 @@ def helstrom_prob(spec: ProtocolSpec, psi) -> float:
 
 
 class _Objective(NamedTuple):
-    fun_grad: Callable  # batched value and gradient d value / d conj(psi)
-    polish: Callable  # (psi, gradient) -> Newton point or top eigenvector of H
+    fun_grad: Callable  # batched value, gradient d value / d conj(psi), then images and eigenpairs
+    polish: Callable  # (psi, gradient, u, λ, V) -> (Newton point or top eigenvector of H, newton)
     curvature: Callable  # psi -> (H + P, Q): the gradient moves by (H + P) δ + conj(Q δ)
 
 
@@ -89,8 +96,9 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     then bit 0 with s_m = -1). With S the spectral sign operator of X the
     value is <psi| D*(S) |psi>, D* the adjoint difference map, so
     d value / d conj(psi) = D*(S) psi = sum_m s_m A_m† S u_m. One helper
-    builds the u_m and the eigenpairs of X for a batch of states; the value,
-    the gradient and the polish read it.
+    builds the u_m and the eigenpairs of X for a batch of states; the value
+    and the gradient read it, and ``fun_grad`` returns (values, gradients,
+    u, λ, V) so that the search hands the polish the iterate's own.
 
     The polish works at one state from X = V Λ V†. Its signs σ are those of
     the min(2m, dout·din) largest |λ| and 0 on the rest, the structural
@@ -103,12 +111,15 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     its reduced state on the committed space, so Newton runs on the tangent
     space with psi and the reference-gauge directions vec(M (iK)^T) removed,
     M being psi as a din x din matrix and K a Hermitian basis; the value is
-    homogeneous of degree 2, so the sphere adds -value |δ|². When the
-    tangent gradient exceeds ``tol`` and the reduced Hessian is negative
-    definite, the polish proposes the Newton point; otherwise it proposes the
-    top eigenvector of H. Either replaces the iterate only when it gains
-    more than 1e-15; a converged Newton point level with the iterate ends
-    the start (see ``optimize._line_search``).
+    homogeneous of degree 2, so the sphere adds -value |δ|², and the
+    regularization subtracts |g| |δ|², g the tangent gradient (see the
+    module docstring). When |g| exceeds ``tol`` and the reduced Hessian is
+    negative definite, the polish proposes the Newton point; otherwise it
+    proposes the top eigenvector of H, and it says which. Either replaces
+    the iterate only when it gains more than 1e-15; an accepted Newton point
+    is polished again instead of being followed by a gradient step, and a
+    converged Newton point level with the iterate ends the start (see
+    ``optimize._line_search``).
     """
     din, n = spec.dim_in, spec.dim_in**2
     # The Kraus operators, bit 1 then bit 0, and A_m = K_m ⊗ I_ref: (2m, dout * din, n).
@@ -131,11 +142,11 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         sign = (vecs * np.sign(lam)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         # The rows S u_m, stacked over m, then sum_m s_m A_m† S u_m.
         su = (u @ sign.transpose(0, 2, 1)).reshape(len(psis), -1, 1)
-        return np.sum(np.abs(lam), axis=1), (signed_adjoint @ su).reshape(len(psis), n)
+        grads = (signed_adjoint @ su).reshape(len(psis), n)
+        return np.sum(np.abs(lam), axis=1), grads, u, lam, vecs
 
-    def spectrum(psi: np.ndarray):
-        """Images u_m, eigenpairs of X, rank-aware signs σ and H = D*(S_r)."""
-        (u,), (lam,), (vecs,) = images(psi[None])
+    def spectrum(lam: np.ndarray, vecs: np.ndarray):
+        """Rank-aware signs σ and H = D*(S_r) from one state's eigenpairs of X."""
         sigma = np.sign(lam)
         # The structural kernel: the window of len(lam) - rank eigenvalues,
         # contiguous in the sorted spectrum, whose largest |λ| is least.
@@ -144,7 +155,7 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
             first = np.argmin(np.maximum(np.abs(lam[: rank + 1]), np.abs(lam[kernel - 1 :])))
             sigma[first : first + kernel] = 0.0
         h = signed_adjoint @ (((vecs * sigma) @ vecs.conj().T) @ a).reshape(-1, n)
-        return u, lam, vecs, sigma, h
+        return sigma, h
 
     def pair_terms(u, lam, vecs, sigma):
         """(P, Q) with ½ sum_ij Γ_ij |Ẽ_ij(δ)|² = δ†Pδ + Re(δ^T Q δ).
@@ -170,7 +181,8 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         return left.conj().T @ left + right.conj().T @ right, q + q.T
 
     def curvature(psi: np.ndarray):
-        u, lam, vecs, sigma, h = spectrum(psi)
+        (u,), (lam,), (vecs,) = images(psi[None])
+        sigma, h = spectrum(lam, vecs)
         p, q = pair_terms(u, lam, vecs, sigma)
         return h + p, q
 
@@ -180,38 +192,45 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         negative definite.
 
         In the coordinates ζ = (δ, conj δ) the model is γ†ζ + ½ ζ† W ζ
-        with γ = (grad, conj grad), so its stationary point is W ζ = -γ on
-        the free directions: the conjugation-symmetric ones orthogonal to
-        psi and the gauge. They are the last n - 1 columns of a complete QR
-        of the n + 1 fixed directions, which spans their complement without
-        forming their Gram (that squares their condition number). The
-        reduced Hessian R is negative definite exactly when -R has a
-        Cholesky factor L L†, which then solves the system; without one
-        there is no step, and for din = 1 no free direction.
+        with γ = (grad, conj grad) and W = [[hp, conj q], [q, conj hp]], so
+        its stationary point is W ζ = -γ on the free directions: the
+        conjugation-symmetric ones orthogonal to psi and the gauge. They are
+        the last n - 1 columns of a complete QR of the n + 1 fixed
+        directions, which spans their complement without forming their Gram
+        (that squares their condition number); the reduced Hessian is formed
+        from the two n-row halves of that basis, without building W. It is
+        negative definite exactly when its negative has a Cholesky factor
+        L L†, which then solves the system; without one there is no step,
+        and for din = 1 no free direction.
         """
         if n == 1:
             return None
-        w = np.block([[hp, q.conj()], [q, hp.conj()]])
         fixed = np.concatenate([psi[None], (psi.reshape(din, din) @ gauge).reshape(-1, n)])
         fixed = np.concatenate([fixed, fixed.conj()], axis=1)
         free = np.linalg.qr(fixed.T, mode="complete")[0][:, n + 1 :]
+        top, bottom = free[:n], free[n:]
+        reduced = top.conj().T @ (hp @ top + q.conj() @ bottom) + bottom.conj().T @ (
+            q @ top + hp.conj() @ bottom
+        )
         try:
-            low = np.linalg.cholesky(-(free.conj().T @ w @ free))
+            low = np.linalg.cholesky(-reduced)
         except np.linalg.LinAlgError:
             return None
-        g = free.conj().T @ np.concatenate([grad, grad.conj()])
-        return free[:n] @ np.linalg.solve(low.conj().T, np.linalg.solve(low, g))
+        g = top.conj().T @ grad + bottom.conj().T @ grad.conj()
+        return top @ np.linalg.solve(low.conj().T, np.linalg.solve(low, g))
 
-    def polish(psi: np.ndarray, grad: np.ndarray):
-        u, lam, vecs, sigma, h = spectrum(psi)
-        if linalg.vector_norm(grad - np.vdot(psi, grad).real * psi) > tol:
+    def polish(psi: np.ndarray, grad: np.ndarray, u, lam, vecs):
+        sigma, h = spectrum(lam, vecs)
+        slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
+        if slope > tol:
             p, q = pair_terms(u, lam, vecs, sigma)
-            # The sphere adds -value |δ|², the value being homogeneous of degree 2.
-            step = newton_step(psi, grad, h + p - float(sigma @ lam) * np.eye(n), q)
+            # The sphere adds -value |δ|², the value being homogeneous of
+            # degree 2, and the regularization -slope |δ|².
+            step = newton_step(psi, grad, h + p - (float(sigma @ lam) + slope) * np.eye(n), q)
             if step is not None:
-                return psi + step
+                return psi + step, True
         _, top = linalg.eigh_or_error(0.5 * (h + h.conj().T))
-        return top[:, -1]
+        return top[:, -1], False
 
     return _Objective(fun_grad, polish, curvature)
 
@@ -385,7 +404,8 @@ def analyze_concealment(
     trace.restarts = restarts
     dual = _dual_bound(_witness_z(j, lower.vector, din, dout), j, dout)
     if restarts > 0:
-        width = min(CB_NORM_CAP, dual[0]) - max(0.0, lower.value)
+        # The width of the clipped bracket that the report returns.
+        width = max(0.0, min(CB_NORM_CAP, dual[0]) - max(0.0, lower.value))
         if width <= CERTIFIED_WIDTH:
             trace.notes.append(
                 f"entangled start certified: bracket width {width!r} <= "
@@ -395,6 +415,8 @@ def analyze_concealment(
             rest = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
             runs = rest.trace.values, rest.trace.iterations, rest.trace.converged
             trace.line_search_failures += rest.trace.line_search_failures
+            trace.evaluations += rest.trace.evaluations
+            trace.polish_calls += rest.trace.polish_calls
             if trace.record(*runs, maximize=True):
                 lower = rest
                 dual = min(dual, _dual_bound(_witness_z(j, rest.vector, din, dout), j, dout))

@@ -18,21 +18,24 @@ double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
 way), so the count is not a count of stuck starts alone.
 
 A polish candidate, tried first in each iteration, replaces the iterate
-when it gains more than 1e-15. One level with the iterate within 1e-15 whose
-tangent gradient is within ``tol``, while the iterate's is not, ends the
-start as converged: past a converged Newton point, gradient steps only crawl
-at round-off. A far worse candidate is still ignored. The rule trusts the
-polish to propose only stationary points that are optima, as the
+when it gains more than 1e-15; an accepted Newton point (the polish says
+which candidates are) stands in for the iteration's gradient step, which
+would gain almost nothing after it. One level with the iterate within 1e-15
+whose tangent gradient is within ``tol``, while the iterate's is not, ends
+the start as converged: past a converged Newton point, gradient steps only
+crawl at round-off. A far worse candidate is still ignored. The rule trusts
+the polish to propose only stationary points that are optima, as the
 concealment's Newton point on its concave quotient is.
 
 The engine is a generator: it yields its start, then each unnormalized
-trial point, and receives (point, value, gradient) back, the point being
-the trial point normalized. Gradients are the objectives' own analytic
-ones (d value / d conj(psi)), each taken from the pieces its value already
-computed; the engine takes no finite differences. ``search_sphere``
-advances all its starts in lockstep: each round after the first makes one
-normalization call on the unfinished starts' trial points and one batched
-objective call on the normalized stack. Both act row by row with the same
+trial point, and receives (point, value, gradient, *pieces) back, the point
+being the trial point normalized and ``pieces`` the objective's further
+per-row outputs, which the polish reads at the iterate. Gradients are the
+objectives' own analytic ones (d value / d conj(psi)), each taken from the
+pieces its value already computed; the engine takes no finite differences.
+``search_sphere`` advances all its starts in lockstep: each round after the
+first makes one normalization call on the unfinished starts' trial points
+and one batched objective call on the normalized stack. Both act row by row with the same
 arithmetic as on one row, and a start's trajectory depends only on its own
 values, so the result equals running the starts one by one.
 
@@ -96,9 +99,11 @@ class SolverTrace:
     ``line_search_failures`` counts the sphere-search starts that ended
     because no step down to ``MIN_STEP`` met the Armijo condition: stuck at
     a jump extremum, or within round-off of a smooth optimum with the
-    gradient norm above ``tol``. A concealment start whose Newton point has
-    converged ends there instead, so it is not counted for round-off there.
-    Binding's outer trace takes no line search and reads 0.
+    gradient norm above ``tol``. A concealment start moves mostly by Newton
+    points, with no line search after them, and ends at a converged one.
+    ``evaluations`` counts the objective rows, summed over lockstep rounds,
+    and ``polish_calls`` the polish calls. Traces that no sphere search
+    fills, such as binding's outer trace, read 0 in all three counts.
     """
 
     seed: int
@@ -111,6 +116,8 @@ class SolverTrace:
     values: list = field(default_factory=list)
     best_start: int = -1
     line_search_failures: int = 0
+    evaluations: int = 0
+    polish_calls: int = 0
     notes: list = field(default_factory=list)
 
     def record(self, values, iterations, converged, maximize: bool) -> int:
@@ -151,14 +158,16 @@ def _line_search(
     span=None,
 ):
     """Ascend ``sgn * fun`` from ``x``: yields ``x``, then unnormalized trial
-    points, and is sent (point, value, gradient) back for each, the point
-    being the start itself and after that the trial point normalized.
-    Returns (x, value, iterations, converged, stuck), where ``stuck`` says
-    that no step down to ``MIN_STEP`` met the Armijo condition.
+    points, and is sent (point, value, gradient, *pieces) back for each, the
+    point being the start itself and after that the trial point normalized,
+    and ``pieces`` the objective's further per-row outputs. Returns (x,
+    value, iterations, converged, stuck), where ``stuck`` says that no step
+    down to ``MIN_STEP`` met the Armijo condition.
 
-    ``polish(x, g)``'s candidate replaces the iterate on a gain above 1e-15,
-    and is returned as converged when it is level within 1e-15 and only its
-    tangent gradient is within ``tol``.
+    ``polish(x, g, *pieces)`` returns (candidate, newton). The candidate
+    replaces the iterate on a gain above 1e-15, a Newton one then in place
+    of the gradient step, and is returned as converged when it is level
+    within 1e-15 and only its tangent gradient is within ``tol``.
 
     With ``span``, an orthonormal basis B whose range holds ``x``, the
     gradient g is replaced by B B† g before the tangent projection, so every
@@ -169,17 +178,19 @@ def _line_search(
             g = span @ (span.conj().T @ g)
         return _project(x, g)
 
-    x, f, g = yield x
+    x, f, g, *pieces = yield x
     step = 1.0
     stalled = 0
     it = 0
     for it in range(1, max_iter + 1):
+        skip = False
         if polish is not None:
-            cand, fc, gc = yield polish(x, g)
+            cand, newton = polish(x, g, *pieces)
+            cand, fc, gc, *pc = yield cand
             gain = sgn * (fc - f)
             if gain > 1e-15:
                 stalled = stalled + 1 if gain < STALL_TOL else 0
-                x, f, g = cand, fc, gc
+                x, f, g, pieces, skip = cand, fc, gc, pc, newton
             elif gain >= -1e-15 and (
                 linalg.vector_norm(tangent(cand, gc)) <= tol < linalg.vector_norm(tangent(x, g))
             ):
@@ -190,10 +201,12 @@ def _line_search(
         gn = float(linalg.vector_norm(r))
         if gn <= tol:
             return x, f, it, True, False
+        if skip:
+            continue
         direction = sgn * r
         eta = min(step * 2.0, MAX_STEP)
         while eta > MIN_STEP:
-            cand, fc, gc = yield x + eta * direction
+            cand, fc, gc, *pc = yield x + eta * direction
             if sgn * (fc - f) >= ARMIJO * eta * gn * gn:
                 break
             eta *= 0.5
@@ -204,18 +217,19 @@ def _line_search(
         # valley with almost no progress; probing smaller steps while they
         # keep improving escapes that.
         for _ in range(6):
-            half, fh, gh = yield x + 0.5 * eta * direction
+            half, fh, gh, *ph = yield x + 0.5 * eta * direction
             if sgn * (fh - fc) <= 0.0:
                 break
-            cand, fc, gc = half, fh, gh
+            cand, fc, gc, pc = half, fh, gh, ph
             eta *= 0.5
         stalled = stalled + 1 if sgn * (fc - f) < STALL_TOL else 0
-        x, f, g, step = cand, fc, gc, eta
+        x, f, g, pieces, step = cand, fc, gc, pc, eta
     return x, f, it, False, False
 
 
-def _lockstep(searches, fun_grad) -> list:
-    """Run line-search generators together and return their outcomes.
+def _lockstep(searches, fun_grad):
+    """Run line-search generators together; return their outcomes and the
+    number of objective rows evaluated.
 
     Round 0 evaluates the starts as given. Every later round normalizes the
     pending trial points of the unfinished searches with one
@@ -227,19 +241,20 @@ def _lockstep(searches, fun_grad) -> list:
     outcomes = [None] * len(searches)
     active = list(range(len(searches)))
     points = np.array(pending)
+    rows = 0
     while active:
-        values, grads = fun_grad(points)
+        rows += len(points)
         still = []
-        for i, x, f, g in zip(active, points, values, grads):
+        for i, x, out in zip(active, points, zip(*fun_grad(points))):
             try:
-                pending[i] = searches[i].send((x, f, g))
+                pending[i] = searches[i].send((x, *out))
                 still.append(i)
             except StopIteration as done:
                 outcomes[i] = done.value
         active = still
         if active:
             points = _normalize_rows([pending[i] for i in active])
-    return outcomes
+    return outcomes, rows
 
 
 def search_sphere(
@@ -268,14 +283,17 @@ def search_sphere(
     the seeded random ones. ``spans``, one entry per extra start, confines
     that start to the unit sphere of the range of an orthonormal basis that
     holds it (``None`` for the whole sphere, and for every random start).
-    ``polish(psi, grad)`` is called at the start of every iteration with the
-    iterate and the gradient the search already holds for it, and returns a
-    candidate vector, such as a Newton point, which the search normalizes
-    and evaluates; it is accepted on a gain above 1e-15, keeping the search
-    monotone, and ends the start as converged when it is level with the
-    iterate within 1e-15 and its tangent gradient is within ``tol`` while
-    the iterate's is not. A run of ``STALL_LIMIT`` accepted steps each
-    gaining less than ``STALL_TOL`` ends the start early.
+    ``fun_grad`` may return further ``(R, ...)`` arrays after the gradients.
+    ``polish(psi, grad, *pieces)`` is called at the start of every iteration
+    with the iterate, the gradient and the iterate's rows of those arrays,
+    all as the search already holds them, and returns (candidate, newton):
+    a vector, such as a Newton point, which the search normalizes and
+    evaluates, and whether it is one. The candidate is accepted on a gain
+    above 1e-15, keeping the search monotone, a Newton one in place of the
+    iteration's gradient step; it ends the start as converged when it is
+    level with the iterate within 1e-15 and its tangent gradient is within
+    ``tol`` while the iterate's is not. A run of ``STALL_LIMIT`` accepted
+    steps each gaining less than ``STALL_TOL`` ends the start early.
     """
     _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0
@@ -297,10 +315,12 @@ def search_sphere(
         _line_search(s, sgn, tol=tol, max_iter=max_iter, polish=polish, span=b)
         for s, b in zip(starts, spans, strict=True)
     ]
-    outcomes = _lockstep(searches, fun_grad)
+    outcomes, trace.evaluations = _lockstep(searches, fun_grad)
 
     vectors, values, iterations, converged, stuck = zip(*outcomes)
     best = trace.record(values, iterations, converged, maximize)
     trace.line_search_failures += sum(stuck)
+    # Every iteration opens with one polish call.
+    trace.polish_calls = sum(iterations) if polish is not None else 0
     return SphereResult(value=trace.values[best], vector=vectors[best], trace=trace)
 

@@ -63,8 +63,9 @@ class KrausFamily:
 
     @cached_property
     def _residual(self) -> float:
-        acc = sum(op.conj().T @ op for op in self.ops)
-        return linalg.operator_norm(acc - np.eye(self.dim_in))
+        # sum_m K_m† K_m is one product of the stacked (m·dout, din) operators.
+        stacked = self.ops.reshape(-1, self.dim_in)
+        return linalg.operator_norm(stacked.conj().T @ stacked - np.eye(self.dim_in))
 
     def completeness_residual(self) -> float:
         """Operator-norm distance of the op†op sum from the identity."""
@@ -78,7 +79,8 @@ class KrausFamily:
             return self
         zeros = np.zeros((cardinality - self.cardinality, self.dim_out, self.dim_in))
         padded = KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
-        # Zero operators add exact zeros to the op†op sum: the residual carries over.
+        # Zero operators add nothing to the op†op sum: the residual carries over
+        # (one product over the longer stack may round its last bit differently).
         if "_residual" in self.__dict__:
             padded.__dict__["_residual"] = self._residual
         return padded

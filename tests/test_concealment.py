@@ -17,6 +17,7 @@ from qbcommit.concealment import (
     helstrom_prob,
 )
 from qbcommit.families import (
+    concealing_pair,
     decoy_protocol,
     dephasing_protocol,
     identity_protocol,
@@ -219,6 +220,17 @@ def test_certified_start_runs_no_random_restarts():
         assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
 
 
+def test_certified_note_reports_the_width_of_the_returned_bracket():
+    # The pair is exactly concealing, and the witness's value lies above its
+    # own rounded dual by 1.1e-16; the report clips it, and the note reads
+    # the width of that clipped bracket, never a negative one.
+    rep = analyze_concealment(concealing_pair(1, 8, 4)[0])
+    (note,) = rep.solver_trace.notes
+    width = rep.cb_upper - rep.cb_lower
+    assert width >= 0.0
+    assert note.startswith(f"entangled start certified: bracket width {width!r} <= ")
+
+
 def test_uncertified_start_runs_the_full_search_unchanged():
     # The certificate at the entangled start's witness is far wider than
     # CERTIFIED_WIDTH here, so the restarts run.
@@ -266,11 +278,26 @@ def test_report_carries_the_dual_repair():
     assert 0.0 <= rep.dual_repair <= 1e-9
 
 
+def _cap_search(monkeypatch, entangled: bool):
+    """Cut the entangled start's search (or the restarts' search) in
+    ``analyze_concealment`` to one iteration. The search reaches the same
+    value from every start of these protocols within round-off, so a clear
+    winner needs the other side cut short."""
+    search = qbcommit.concealment.search_sphere
+
+    def capped(*args, restarts, **kwargs):
+        if (restarts == 0) == entangled:
+            kwargs["max_iter"] = 1
+        return search(*args, restarts=restarts, **kwargs)
+
+    monkeypatch.setattr(qbcommit.concealment, "search_sphere", capped)
+
+
 @pytest.mark.parametrize(
     "spec, restarts, witnesses",
     [
         (dephasing_protocol(), 4, 1),
-        (random_protocol(4, 2, 2, seed=631), 4, 1),
+        (random_protocol(3, 2, 3, seed=505), 4, 1),
         (random_protocol(3, 2, 3, seed=535), 4, 2),
         (random_protocol(3, 2, 3, seed=505), 0, 1),
     ],
@@ -279,9 +306,12 @@ def test_report_carries_the_dual_repair():
 def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, restarts, witnesses):
     # The entangled start's build serves the upper routes and dual_repair
     # unless a restart beats its witness; only then is one more build made,
-    # at the restart's witness. Neither outcome rests on round-off: on 3x2 m3
-    # seed 535 every restart beats the entangled start by 8.9e-6, and on 4x2
-    # m2 seed 631 every restart ends at least 1.6e-9 below it.
+    # at the restart's witness. Neither outcome rests on round-off: with the
+    # losing side cut to one iteration, every restart ends at least 1.8e-3
+    # below the entangled start on 3x2 m3 seed 505, and beats it by 3.5e-2
+    # on seed 535.
+    if restarts:
+        _cap_search(monkeypatch, entangled=witnesses == 2)
     calls = []
     fn = qbcommit.concealment._witness_z
 
@@ -318,6 +348,7 @@ def test_analyze_concealment_builds_the_choi_difference_once(monkeypatch):
 
     monkeypatch.setattr(qbcommit.concealment, "_choi_difference", building)
     monkeypatch.setattr(linalg, "eigh_or_error", recording)
+    _cap_search(monkeypatch, entangled=True)
     rep = analyze_concealment(spec, restarts=4, seed=2)
     assert rep.solver_trace.best_start > 0
     assert builds == [1]
@@ -438,7 +469,7 @@ def _states(dim, count, *tags):
 def test_difference_objective_matches_helstrom_and_reference_adjoint(spec):
     fun_grad = _difference_objective(spec, 1e-8).fun_grad
     psis = _states(spec.dim_in**2, 4, 71, spec.dim_in)
-    values, grads = fun_grad(psis)
+    values, grads, *_ = fun_grad(psis)
     assert values.shape == (4,) and grads.shape == psis.shape
     for psi, value, grad in zip(psis, values, grads):
         assert abs(value - 4.0 * (helstrom_prob(spec, psi) - 0.5)) < 1e-12
@@ -450,7 +481,7 @@ def test_difference_objective_gradient_matches_finite_differences(spec):
     fun_grad = _difference_objective(spec, 1e-8).fun_grad
     n = spec.dim_in**2
     psis = _states(n, 2, 72, spec.dim_in)
-    _, grads = fun_grad(psis)
+    _, grads, *_ = fun_grad(psis)
     h = 1e-6
     for r, (psi, grad) in enumerate(zip(psis, grads)):
         for direction in _states(n, 3, 73, spec.dim_in, r):
@@ -467,23 +498,28 @@ def test_difference_objective_batch_rows_equal_one_row_calls(spec):
     # 17 rows: as many as the entangled start and the default 16 restarts.
     for count in (1, 3, 8, 17):
         psis = _states(spec.dim_in**2, count, 74, spec.dim_in, count)
-        values, grads = fun_grad(psis)
-        for psi, value, grad in zip(psis, values, grads):
-            (one_value,), (one_grad,) = fun_grad(psi[None])
+        values, grads, *pieces = fun_grad(psis)
+        for r, (psi, value, grad) in enumerate(zip(psis, values, grads)):
+            (one_value,), (one_grad,), *one_pieces = fun_grad(psi[None])
             assert value == one_value
             assert np.array_equal(grad, one_grad)
+            # The polish reads a row's images and eigenpairs from its batch.
+            for piece, (one_piece,) in zip(pieces, one_pieces, strict=True):
+                assert np.array_equal(piece[r], one_piece)
 
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
 def test_difference_objective_polish_is_top_eigenvector(spec):
     # A gradient with no tangent part, as at a stationary point, asks for
     # no Newton step, so the polish proposes the top eigenvector of D*(S_r).
-    polish = _difference_objective(spec, 1e-8).polish
+    objective = _difference_objective(spec, 1e-8)
     for psi in _states(spec.dim_in**2, 2, 75, spec.dim_in):
         back = _reference_adjoint(spec, psi)
         herm = 0.5 * (back + back.conj().T)
         top = np.linalg.eigvalsh(herm)[-1]
-        cand = polish(psi, 2.0 * psi)
+        _, _, *pieces = objective.fun_grad(psi[None])
+        cand, newton = objective.polish(psi, 2.0 * psi, *(p[0] for p in pieces))
+        assert not newton
         assert abs(linalg.vector_norm(cand) - 1.0) < 1e-12
         assert abs(np.vdot(cand, herm @ cand).real - top) < 1e-12
         assert np.abs(herm @ cand - top * cand).max() < 1e-10
@@ -512,7 +548,7 @@ def test_difference_objective_curvature_matches_gradient_differences(spec):
         assert np.abs(hp - hp.conj().T).max() < 1e-12
         assert np.abs(q - q.T).max() < 1e-12
         for delta in _states(n, 3, 85, spec.dim_in, r):
-            _, (up, down) = objective.fun_grad(np.stack([psi + h * delta, psi - h * delta]))
+            _, (up, down), *_ = objective.fun_grad(np.stack([psi + h * delta, psi - h * delta]))
             want = hp @ delta + np.conj(q @ delta)
             assert np.abs((up - down) / (2.0 * h) - want).max() < 1e-8
 
@@ -540,10 +576,12 @@ def test_newton_point_improves_a_generic_state_near_the_optimum():
     witness = analyze_concealment(PANEL_P0, 0, 0).witness_state
     nudge = _states(9, 1, 86)[0]
     psi = linalg.normalize_state(witness + 1e-3 * (nudge - np.vdot(witness, nudge) * witness))
-    (value,), (grad,) = objective.fun_grad(psi[None])
-    cand = linalg.normalize_state(objective.polish(psi, grad))
-    (best,), _ = objective.fun_grad(witness[None])
-    (newton,), _ = objective.fun_grad(cand[None])
+    (value,), (grad,), *pieces = objective.fun_grad(psi[None])
+    cand, is_newton = objective.polish(psi, grad, *(p[0] for p in pieces))
+    assert is_newton
+    cand = linalg.normalize_state(cand)
+    (best,), *_ = objective.fun_grad(witness[None])
+    (newton,), *_ = objective.fun_grad(cand[None])
     assert value < newton <= best + 1e-12
     assert best - newton < 1e-3 * (best - value)
 
@@ -589,10 +627,12 @@ def test_newton_point_matches_the_eigendecomposition_solve(spec):
     for r, nudge in enumerate(_states(n, 12, 94, spec.dim_in)):
         scale = (0.03, 0.1, 0.3, 1.0)[r % 4]
         psi = linalg.normalize_state(witness + scale * nudge)
-        (value,), (grad,) = objective.fun_grad(psi[None])
+        (value,), (grad,), *pieces = objective.fun_grad(psi[None])
         hp, q = objective.curvature(psi)
-        step = _eigh_newton_step(spec, psi, grad, hp - value * np.eye(n), q)
-        cand = objective.polish(psi, grad)
+        slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
+        step = _eigh_newton_step(spec, psi, grad, hp - (value + slope) * np.eye(n), q)
+        cand, newton = objective.polish(psi, grad, *(p[0] for p in pieces))
+        assert newton == (step is not None)
         if step is None:
             assert abs(linalg.vector_norm(cand) - 1.0) < 1e-12
         else:
@@ -628,7 +668,7 @@ def test_entangled_start_ends_at_its_converged_newton_point(tmp_path, monkeypatc
     assert rep.solver_trace.converged == [True]
     assert rep.solver_trace.line_search_failures == 0
     assert sum(rows) <= 30
-    (_,), (grad,) = build(spec, 1e-8).fun_grad(rep.witness_state[None])
+    (_,), (grad,), *_ = build(spec, 1e-8).fun_grad(rep.witness_state[None])
     psi = rep.witness_state
     assert linalg.vector_norm(grad - np.vdot(psi, grad).real * psi) <= rep.solver_trace.tol
 
@@ -739,3 +779,43 @@ def test_nothing_to_cut_returns_the_spec_itself(spec):
     # whose bits write disjoint output rows: each row is reached by one bit.
     cut, note = _shared_cut(spec)
     assert cut is spec and note is None
+
+
+def test_trace_counts_the_rows_and_polish_calls_of_both_searches(monkeypatch):
+    # The entangled start does not certify here, so the restarts run in a
+    # second search; the report's trace counts the rows and polish calls of
+    # both, as wrappers on the objective see them.
+    rows, polishes = [], []
+    build = qbcommit.concealment._difference_objective
+
+    def counting(*args):
+        objective = build(*args)
+
+        def fun_grad(psis):
+            rows.append(len(psis))
+            return objective.fun_grad(psis)
+
+        def polish(*args):
+            polishes.append(1)
+            return objective.polish(*args)
+
+        return objective._replace(fun_grad=fun_grad, polish=polish)
+
+    monkeypatch.setattr(qbcommit.concealment, "_difference_objective", counting)
+    rep = analyze_concealment(random_protocol(3, 2, 3, seed=505), restarts=6, seed=2)
+    assert len(rep.solver_trace.values) == 7
+    assert rep.solver_trace.evaluations == sum(rows)
+    assert rep.solver_trace.polish_calls == len(polishes)
+
+
+def test_benchmark_panel_entangled_starts_take_few_objective_rows():
+    # The benchmark's 12 random concealment protocols from their entangled
+    # starts alone. An accepted Newton point is polished again rather than
+    # followed by a gradient line search: 304 rows when it was followed by one.
+    total = 0
+    for spec in NO_CUT_SPECS[:12]:
+        trace = analyze_concealment(spec, 0, 2).solver_trace
+        assert trace.converged == [True]
+        assert trace.line_search_failures == 0
+        total += trace.evaluations
+    assert total <= 200

@@ -93,7 +93,7 @@ def test_search_sphere_polish_only_improves():
 
     def polish(psi, grad):
         calls.append(1)
-        return np.array([0.0, 1.0, 0.0])  # worse than the start, must be ignored
+        return np.array([0.0, 1.0, 0.0]), False  # worse than the start, must be ignored
 
     res = search_sphere(
         rowwise(quadratic_form(h)),
@@ -117,7 +117,7 @@ def test_search_sphere_ignores_a_lower_stationary_polish_point():
 
     def polish(psi, grad):
         calls.append(1)
-        return np.array([0.0, 0.0, 1.0])
+        return np.array([0.0, 0.0, 1.0]), False
 
     res = search_sphere(
         rowwise(quadratic_form(h)),
@@ -146,7 +146,7 @@ def test_search_sphere_ends_at_a_level_converged_polish_point():
         maximize=True,
         restarts=0,
         seed=0,
-        polish=lambda psi, grad: level,
+        polish=lambda psi, grad: (level, False),
         extra_starts=[start],
     )
     np.testing.assert_array_equal(res.vector, level)
@@ -154,6 +154,62 @@ def test_search_sphere_ends_at_a_level_converged_polish_point():
     assert res.trace.iterations == [1]
     assert res.trace.converged == [True]
     assert res.trace.line_search_failures == 0
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_search_sphere_polishes_again_after_an_accepted_newton_point(newton):
+    # Each candidate is a short ascent step, so every one gains. A Newton
+    # candidate takes the gradient step's place: the next call is the polish
+    # again. Any other candidate is followed by a gradient trial point.
+    h = np.diag([3.0, 2.0, 1.0, 0.0])
+    objective = rowwise(quadratic_form(h))
+    events = []
+
+    def fun_grad(points):
+        events.extend(["eval"] * len(points))
+        return objective(points)
+
+    def polish(psi, grad):
+        events.append("polish")
+        return psi + 0.05 * grad, newton
+
+    res = search_sphere(
+        fun_grad,
+        4,
+        maximize=True,
+        restarts=0,
+        seed=0,
+        polish=polish,
+        extra_starts=[np.ones(4)],
+    )
+    assert abs(res.value - 3.0) < 1e-9
+    if newton:
+        assert events[:9] == ["eval"] + ["polish", "eval"] * 4
+    else:
+        assert events[:4] == ["eval", "polish", "eval", "eval"]
+
+
+def test_search_sphere_counts_objective_rows_and_polish_calls():
+    # Three starts in lockstep; the trace counts every row the objective is
+    # handed, over all rounds, and every polish call.
+    h = np.diag([3.0, 2.0, 1.0, 0.0])
+    objective = rowwise(quadratic_form(h))
+    rows, polishes = [], []
+
+    def fun_grad(points):
+        rows.append(len(points))
+        return objective(points)
+
+    def polish(psi, grad):
+        polishes.append(1)
+        return psi + 0.05 * grad, len(polishes) % 2 == 0
+
+    res = search_sphere(fun_grad, 4, maximize=True, restarts=3, seed=1, polish=polish)
+    assert len(rows) > 1
+    assert res.trace.evaluations == sum(rows)
+    assert res.trace.polish_calls == len(polishes)
+    bare = search_sphere(fun_grad, 4, maximize=True, restarts=3, seed=1)
+    assert bare.trace.polish_calls == 0
 
 
 def test_search_sphere_trace_bookkeeping():
