@@ -423,12 +423,14 @@ def minimax_cheat(
 
             def surrogate(v):
                 res = _worst_state(ck, cl, v, kernel + warm, rng_tags=(4, ridx), **loose)
+                trace.count(res.trace)
                 warm[:] = [res.vector]
                 b, inv_d, c = _overlaps(ck, cl, v, res.vector[None])
                 return res.value, (c.conj() * inv_d)[0, :, None] * b[0]
 
             v, iters, converged = _polar_ascent(surrogate, start, outer_iters, tol)
         inner = _worst_state(ck, cl, v, kernel, rng_tags=(2,), **full)
+        trace.count(inner.trace)
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
         witness = min(witness, _dual_bound(ck, cl, v, kernel + [inner.vector])[0])
         scored.append((v, inner))

@@ -61,11 +61,10 @@ def _render_text(data, lines, indent=0):
 
 def render_report(data, fmt: str) -> str:
     """One report dictionary, rendered as text or structured JSON."""
-    plain = jsonable(data)
     if fmt == "structured":
-        return dump_json(plain)
+        return dump_json(data)
     lines = []
-    _render_text(plain, lines)
+    _render_text(jsonable(data), lines)
     return "\n".join(lines) + "\n"
 
 

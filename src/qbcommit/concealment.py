@@ -18,23 +18,21 @@ them wins. The bracket transfers to Bob's cheating probability directly.
 One routine builds the branch images K_m psi of a batch of states and their
 output difference's eigenpairs for the value and gradient, and the objective
 returns them too, so the polish reads the iterate's from the call that
-evaluated it. Once per iteration the polish proposes a Newton point: the
-value depends on the state only through its reduced state on the committed
-space, where it is concave (a partial maximum of Watrous's SDP), so Newton
-steps on the quotient by reference unitaries converge quadratically. Its
-maximizers need not be isolated (a product-input optimum, or a flat ridge of
-them), so the Newton model is regularized by the tangent gradient's norm:
-such a step converges quadratically to a non-isolated solution set under a
-local error bound, without running along it (Li, Fukushima, Qi and
-Yamashita, Comput. Optim. Appl. 28, 2004). The quotient's free directions
-are the complement of the fixed ones (the state and the reference gauge) in
-one complete QR, and one Cholesky factorization both solves the reduced
-Newton system and tests that it is negative definite. Where the Newton step
-does not apply it proposes the top eigenvector of the adjoint map at the
-sign operator instead. An accepted Newton point is polished again at the
-next iteration, with no gradient line search after it, and a start ends at a
-converged Newton point level with its iterate, rather than crawling on at
-round-off.
+evaluated it. Once per iteration, unless the iterate is stationary, the
+polish proposes a Newton point: the value depends on the state only through
+its reduced state on the committed space, where it is concave (a partial
+maximum of Watrous's SDP), so Newton steps on the quotient by reference
+unitaries converge quadratically. Its maximizers need not be isolated (a
+product-input optimum, or a flat ridge of them), so the Newton model is
+regularized by the tangent gradient's norm: such a step converges
+quadratically to a non-isolated solution set under a local error bound,
+without running along it (Li, Fukushima, Qi and Yamashita, Comput. Optim.
+Appl. 28, 2004). Where the model's reduced Hessian is not negative
+definite, away from the optimum, the step is saddle-free (Dauphin et al.,
+NeurIPS 2014): its eigenvalues are replaced by minus their absolute values.
+An accepted point is polished again at the next iteration, with no gradient
+line search after it, and a start ends at a converged point level with its
+iterate, rather than crawling on at round-off.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ def helstrom_prob(spec: ProtocolSpec, psi) -> float:
 
 class _Objective(NamedTuple):
     fun_grad: Callable  # batched value, gradient d value / d conj(psi), then images and eigenpairs
-    polish: Callable  # (psi, gradient, u, λ, V) -> (Newton point or top eigenvector of H, newton)
+    polish: Callable  # (psi, gradient, u, λ, V) -> Newton point, or None (stationary psi, din = 1)
     curvature: Callable  # psi -> (H + P, Q): the gradient moves by (H + P) δ + conj(Q δ)
 
 
@@ -113,13 +111,12 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
     M being psi as a din x din matrix and K a Hermitian basis; the value is
     homogeneous of degree 2, so the sphere adds -value |δ|², and the
     regularization subtracts |g| |δ|², g the tangent gradient (see the
-    module docstring). When |g| exceeds ``tol`` and the reduced Hessian is
-    negative definite, the polish proposes the Newton point; otherwise it
-    proposes the top eigenvector of H, and it says which. Either replaces
-    the iterate only when it gains more than 1e-15; an accepted Newton point
-    is polished again instead of being followed by a gradient step, and a
-    converged Newton point level with the iterate ends the start (see
-    ``optimize._line_search``).
+    module docstring). When |g| exceeds ``tol`` and din > 1, the polish
+    proposes the Newton point, saddle-free where the reduced Hessian is not
+    negative definite; otherwise it returns None. The point replaces the
+    iterate only when it gains more than 1e-15, and is then polished again
+    instead of being followed by a gradient step; a converged point level
+    with the iterate ends the start (see ``optimize._line_search``).
     """
     din, n = spec.dim_in, spec.dim_in**2
     # The Kraus operators, bit 1 then bit 0, and A_m = K_m ⊗ I_ref: (2m, dout * din, n).
@@ -186,10 +183,9 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         p, q = pair_terms(u, lam, vecs, sigma)
         return h + p, q
 
-    def newton_step(psi, grad, hp, q):
+    def newton_step(psi, grad, hp, q, slope):
         """Newton step on the quotient for the model with Hessian pieces
-        (hp, q) on the sphere, or None where its reduced Hessian is not
-        negative definite.
+        (hp, q) on the sphere and tangent gradient norm ``slope``; din > 1.
 
         In the coordinates ζ = (δ, conj δ) the model is γ†ζ + ½ ζ† W ζ
         with γ = (grad, conj grad) and W = [[hp, conj q], [q, conj hp]], so
@@ -200,11 +196,11 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         (that squares their condition number); the reduced Hessian is formed
         from the two n-row halves of that basis, without building W. It is
         negative definite exactly when its negative has a Cholesky factor
-        L L†, which then solves the system; without one there is no step,
-        and for din = 1 no free direction.
+        L L†, which then solves the system. Without one, the step is
+        saddle-free: one ``eigh`` of the reduced Hessian, each eigenvalue μ
+        replaced by -max(|μ|, slope), so that it ascends along every
+        eigendirection, and by at most 1 / slope per unit of gradient.
         """
-        if n == 1:
-            return None
         fixed = np.concatenate([psi[None], (psi.reshape(din, din) @ gauge).reshape(-1, n)])
         fixed = np.concatenate([fixed, fixed.conj()], axis=1)
         free = np.linalg.qr(fixed.T, mode="complete")[0][:, n + 1 :]
@@ -212,25 +208,23 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         reduced = top.conj().T @ (hp @ top + q.conj() @ bottom) + bottom.conj().T @ (
             q @ top + hp.conj() @ bottom
         )
+        g = top.conj().T @ grad + bottom.conj().T @ grad.conj()
         try:
             low = np.linalg.cholesky(-reduced)
         except np.linalg.LinAlgError:
-            return None
-        g = top.conj().T @ grad + bottom.conj().T @ grad.conj()
+            mu, y = linalg.eigh_or_error(reduced)
+            return top @ (y @ ((y.conj().T @ g) / np.maximum(np.abs(mu), slope)))
         return top @ np.linalg.solve(low.conj().T, np.linalg.solve(low, g))
 
     def polish(psi: np.ndarray, grad: np.ndarray, u, lam, vecs):
-        sigma, h = spectrum(lam, vecs)
         slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
-        if slope > tol:
-            p, q = pair_terms(u, lam, vecs, sigma)
-            # The sphere adds -value |δ|², the value being homogeneous of
-            # degree 2, and the regularization -slope |δ|².
-            step = newton_step(psi, grad, h + p - (float(sigma @ lam) + slope) * np.eye(n), q)
-            if step is not None:
-                return psi + step, True
-        _, top = linalg.eigh_or_error(0.5 * (h + h.conj().T))
-        return top[:, -1], False
+        if slope <= tol or n == 1:
+            return None
+        sigma, h = spectrum(lam, vecs)
+        p, q = pair_terms(u, lam, vecs, sigma)
+        # The sphere adds -value |δ|², the value being homogeneous of
+        # degree 2, and the regularization -slope |δ|².
+        return psi + newton_step(psi, grad, h + p - (float(sigma @ lam) + slope) * np.eye(n), q, slope)
 
     return _Objective(fun_grad, polish, curvature)
 
@@ -414,9 +408,7 @@ def analyze_concealment(
         else:
             rest = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
             runs = rest.trace.values, rest.trace.iterations, rest.trace.converged
-            trace.line_search_failures += rest.trace.line_search_failures
-            trace.evaluations += rest.trace.evaluations
-            trace.polish_calls += rest.trace.polish_calls
+            trace.count(rest.trace)
             if trace.record(*runs, maximize=True):
                 lower = rest
                 dual = min(dual, _dual_bound(_witness_z(j, rest.vector, din, dout), j, dout))

@@ -17,14 +17,14 @@ still above ``tol``: there the gains the Armijo test asks for are below what
 double precision resolves (3 of 8 dim-3 starts on a quadratic form end this
 way), so the count is not a count of stuck starts alone.
 
-A polish candidate, tried first in each iteration, replaces the iterate
-when it gains more than 1e-15; an accepted Newton point (the polish says
-which candidates are) stands in for the iteration's gradient step, which
-would gain almost nothing after it. One level with the iterate within 1e-15
-whose tangent gradient is within ``tol``, while the iterate's is not, ends
-the start as converged: past a converged Newton point, gradient steps only
-crawl at round-off. A far worse candidate is still ignored. The rule trusts
-the polish to propose only stationary points that are optima, as the
+A polish, tried first in each iteration, proposes a candidate or None. A
+candidate that gains more than 1e-15 replaces the iterate and stands in for
+the iteration's gradient step, which would gain almost nothing after it.
+One level with the iterate within 1e-15 whose tangent gradient is within
+``tol``, while the iterate's is not, ends the start as converged: past a
+converged Newton point, gradient steps only crawl at round-off. A far worse
+candidate is still ignored, and None costs no objective row. The rule
+trusts the polish to propose only stationary points that are optima, as the
 concealment's Newton point on its concave quotient is.
 
 The engine is a generator: it yields its start, then each unnormalized
@@ -102,8 +102,9 @@ class SolverTrace:
     gradient norm above ``tol``. A concealment start moves mostly by Newton
     points, with no line search after them, and ends at a converged one.
     ``evaluations`` counts the objective rows, summed over lockstep rounds,
-    and ``polish_calls`` the polish calls. Traces that no sphere search
-    fills, such as binding's outer trace, read 0 in all three counts.
+    and ``polish_calls`` the polish calls. Binding's outer trace sums the
+    rows and failures of every sphere search it ran, scored and surrogate;
+    it has no polish.
     """
 
     seed: int
@@ -129,6 +130,12 @@ class SolverTrace:
         pick = max if maximize else min
         self.best_start = pick(range(len(self.values)), key=self.values.__getitem__)
         return self.best_start
+
+    def count(self, other: "SolverTrace") -> None:
+        """Add the line-search failures, rows and polish calls of ``other``."""
+        self.line_search_failures += other.line_search_failures
+        self.evaluations += other.evaluations
+        self.polish_calls += other.polish_calls
 
 
 @dataclass
@@ -164,10 +171,10 @@ def _line_search(
     value, iterations, converged, stuck), where ``stuck`` says that no step
     down to ``MIN_STEP`` met the Armijo condition.
 
-    ``polish(x, g, *pieces)`` returns (candidate, newton). The candidate
-    replaces the iterate on a gain above 1e-15, a Newton one then in place
-    of the gradient step, and is returned as converged when it is level
-    within 1e-15 and only its tangent gradient is within ``tol``.
+    ``polish(x, g, *pieces)`` returns a candidate or None. The candidate
+    replaces the iterate on a gain above 1e-15, in place of the gradient
+    step, and is returned as converged when it is level within 1e-15 and
+    only its tangent gradient is within ``tol``. None costs no row.
 
     With ``span``, an orthonormal basis B whose range holds ``x``, the
     gradient g is replaced by B B† g before the tangent projection, so every
@@ -184,13 +191,13 @@ def _line_search(
     it = 0
     for it in range(1, max_iter + 1):
         skip = False
-        if polish is not None:
-            cand, newton = polish(x, g, *pieces)
+        cand = None if polish is None else polish(x, g, *pieces)
+        if cand is not None:
             cand, fc, gc, *pc = yield cand
             gain = sgn * (fc - f)
             if gain > 1e-15:
                 stalled = stalled + 1 if gain < STALL_TOL else 0
-                x, f, g, pieces, skip = cand, fc, gc, pc, newton
+                x, f, g, pieces, skip = cand, fc, gc, pc, True
             elif gain >= -1e-15 and (
                 linalg.vector_norm(tangent(cand, gc)) <= tol < linalg.vector_norm(tangent(x, g))
             ):
@@ -286,11 +293,10 @@ def search_sphere(
     ``fun_grad`` may return further ``(R, ...)`` arrays after the gradients.
     ``polish(psi, grad, *pieces)`` is called at the start of every iteration
     with the iterate, the gradient and the iterate's rows of those arrays,
-    all as the search already holds them, and returns (candidate, newton):
-    a vector, such as a Newton point, which the search normalizes and
-    evaluates, and whether it is one. The candidate is accepted on a gain
-    above 1e-15, keeping the search monotone, a Newton one in place of the
-    iteration's gradient step; it ends the start as converged when it is
+    all as the search already holds them, and returns None or a vector,
+    such as a Newton point, which the search normalizes and evaluates. It is
+    accepted on a gain above 1e-15, keeping the search monotone, in place of
+    the iteration's gradient step; it ends the start as converged when it is
     level with the iterate within 1e-15 and its tangent gradient is within
     ``tol`` while the iterate's is not. A run of ``STALL_LIMIT`` accepted
     steps each gaining less than ``STALL_TOL`` ends the start early.

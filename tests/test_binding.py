@@ -474,6 +474,45 @@ def test_uncertified_protocol_runs_outer_ascent():
         assert not any("skipped" in note for note in r.solver_trace.notes)
 
 
+@pytest.mark.parametrize(
+    "spec, budget",
+    [
+        (load_protocol(PROTOCOLS / "decoy-k2.json"), {}),
+        (random_protocol(3, 3, 3, seed=1), dict(outer_restarts=2, outer_iters=15, inner_restarts=2)),
+    ],
+    ids=["procrustes-certified", "surrogate"],
+)
+def test_outer_trace_counts_the_rows_and_failures_of_every_search(monkeypatch, spec, budget):
+    # The outer trace sums the objective rows and line-search failures of
+    # every sphere search the call ran, scored and surrogate, as wrappers on
+    # the payoff objective and on the search see them.
+    rows, searches = [], []
+    build, search = qbcommit.binding._payoff_fun_grad, qbcommit.binding.search_sphere
+
+    def counting(*args):
+        fun_grad = build(*args)
+
+        def counted(phis):
+            rows.append(len(phis))
+            return fun_grad(phis)
+
+        return counted
+
+    def recorded(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(qbcommit.binding, "_payoff_fun_grad", counting)
+    monkeypatch.setattr(qbcommit.binding, "search_sphere", recorded)
+    trace = minimax_cheat(spec, include_swapped=False, **budget).solver_trace
+    # One scored search per cheat in the trace, and the surrogate's besides
+    # where the Procrustes start does not certify.
+    assert (len(searches) > len(trace.values)) == bool(budget)
+    assert trace.evaluations == sum(rows) > 0
+    assert trace.line_search_failures == sum(r.trace.line_search_failures for r in searches)
+    assert trace.polish_calls == 0
+
+
 def trace_overlap(a):
     """Re Tr(A† V) and its gradient d / d conj(V) = A / 2, over unitaries."""
 

@@ -510,19 +510,21 @@ def test_difference_objective_batch_rows_equal_one_row_calls(spec):
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
 def test_difference_objective_polish_is_top_eigenvector(spec):
-    # A gradient with no tangent part, as at a stationary point, asks for
-    # no Newton step, so the polish proposes the top eigenvector of D*(S_r).
+    # A gradient with no tangent part, as at a stationary point, gets no
+    # candidate. At the report's witness, stationary, the top eigenvector of
+    # D*(S_r) is the witness itself, with the value as its eigenvalue: a
+    # top-eigenvector candidate would gain nothing there either.
     objective = _difference_objective(spec, 1e-8)
     for psi in _states(spec.dim_in**2, 2, 75, spec.dim_in):
-        back = _reference_adjoint(spec, psi)
-        herm = 0.5 * (back + back.conj().T)
-        top = np.linalg.eigvalsh(herm)[-1]
         _, _, *pieces = objective.fun_grad(psi[None])
-        cand, newton = objective.polish(psi, 2.0 * psi, *(p[0] for p in pieces))
-        assert not newton
-        assert abs(linalg.vector_norm(cand) - 1.0) < 1e-12
-        assert abs(np.vdot(cand, herm @ cand).real - top) < 1e-12
-        assert np.abs(herm @ cand - top * cand).max() < 1e-10
+        assert objective.polish(psi, 2.0 * psi, *(p[0] for p in pieces)) is None
+    witness = analyze_concealment(spec).witness_state
+    (value,), (grad,), *pieces = objective.fun_grad(witness[None])
+    assert objective.polish(witness, grad, *(p[0] for p in pieces)) is None
+    back = _reference_adjoint(spec, witness)
+    herm = 0.5 * (back + back.conj().T)
+    assert abs(np.linalg.eigvalsh(herm)[-1] - value) < 1e-13
+    assert np.abs(herm @ witness - value * witness).max() < 1e-7
 
 
 # Random 3x3 m3, 4x2 m2 (the output difference has a kernel), 2x3 m4
@@ -571,26 +573,25 @@ def test_newton_polish_closes_the_bracket_tightly():
 def test_newton_point_improves_a_generic_state_near_the_optimum():
     # Near the witness the reduced Hessian is negative definite and the
     # gradient is far above tol, so the polish proposes the Newton point:
-    # it gains, and it lands much closer than the top eigenvector does.
+    # it gains, and it closes more than 99.9 % of the gap to the optimum.
     objective = _difference_objective(PANEL_P0, 1e-8)
     witness = analyze_concealment(PANEL_P0, 0, 0).witness_state
     nudge = _states(9, 1, 86)[0]
     psi = linalg.normalize_state(witness + 1e-3 * (nudge - np.vdot(witness, nudge) * witness))
     (value,), (grad,), *pieces = objective.fun_grad(psi[None])
-    cand, is_newton = objective.polish(psi, grad, *(p[0] for p in pieces))
-    assert is_newton
-    cand = linalg.normalize_state(cand)
+    cand = linalg.normalize_state(objective.polish(psi, grad, *(p[0] for p in pieces)))
     (best,), *_ = objective.fun_grad(witness[None])
     (newton,), *_ = objective.fun_grad(cand[None])
     assert value < newton <= best + 1e-12
     assert best - newton < 1e-3 * (best - value)
 
 
-def _eigh_newton_step(spec, psi, grad, hp, q):
+def _eigh_newton_step(spec, psi, grad, hp, q, slope):
     """The quotient Newton step solved through two Hermitian eigensolves: the
     free directions as the n - 1 least eigenvectors of the fixed directions'
-    Gram, then the reduced Hessian's eigenpairs. None unless that reduced
-    Hessian is negative definite."""
+    Gram, then the reduced Hessian's eigenpairs. Returns (step, definite):
+    unless that reduced Hessian is negative definite, the step is
+    saddle-free, each eigenvalue μ replaced by -max(|μ|, slope)."""
     din, n = spec.dim_in, spec.dim_in**2
     w = np.block([[hp, q.conj()], [q, hp.conj()]])
     gauge = 1j * linalg.hermitian_basis(din).transpose(0, 2, 1)
@@ -598,10 +599,10 @@ def _eigh_newton_step(spec, psi, grad, hp, q):
     fixed = np.concatenate([fixed, fixed.conj()], axis=1)
     free = np.linalg.eigh(fixed.T @ fixed.conj())[1][:, : n - 1]
     mu, y = np.linalg.eigh(free.conj().T @ w @ free)
-    if mu[-1] >= 0.0:
-        return None
+    definite = mu[-1] < 0.0
+    curvature = -mu if definite else np.maximum(np.abs(mu), slope)
     g = free.conj().T @ np.concatenate([grad, grad.conj()])
-    return -free[:n] @ (y @ ((y.conj().T @ g) / mu))
+    return free[:n] @ (y @ ((y.conj().T @ g) / curvature)), definite
 
 
 NEWTON_SPECS = [
@@ -614,8 +615,8 @@ NEWTON_SPECS = [
 @pytest.mark.parametrize("spec", NEWTON_SPECS, ids=[s.label for s in NEWTON_SPECS])
 def test_newton_point_matches_the_eigendecomposition_solve(spec):
     # Around the witness, at scales where the reduced Hessian is and is not
-    # negative definite, the polish proposes psi plus the reference step
-    # exactly where that step exists, and the top eigenvector elsewhere.
+    # negative definite, the polish proposes psi plus the reference step:
+    # the Newton step where it is, the saddle-free step elsewhere.
     # Nearer the witness the reference itself drifts: its Gram squares the
     # fixed directions' condition number, so its free basis leaks into them
     # by about 1e-13 (the QR basis by 1e-16), and at 1e-3 from the witness
@@ -630,15 +631,34 @@ def test_newton_point_matches_the_eigendecomposition_solve(spec):
         (value,), (grad,), *pieces = objective.fun_grad(psi[None])
         hp, q = objective.curvature(psi)
         slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
-        step = _eigh_newton_step(spec, psi, grad, hp - (value + slope) * np.eye(n), q)
-        cand, newton = objective.polish(psi, grad, *(p[0] for p in pieces))
-        assert newton == (step is not None)
-        if step is None:
-            assert abs(linalg.vector_norm(cand) - 1.0) < 1e-12
-        else:
-            assert linalg.vector_norm(cand - psi - step) <= 1e-10 * linalg.vector_norm(step)
-        outcomes.add(step is None)
+        step, definite = _eigh_newton_step(spec, psi, grad, hp - (value + slope) * np.eye(n), q, slope)
+        cand = objective.polish(psi, grad, *(p[0] for p in pieces))
+        assert linalg.vector_norm(cand - psi - step) <= 1e-10 * linalg.vector_norm(step)
+        outcomes.add(definite)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", NEWTON_SPECS, ids=[s.label for s in NEWTON_SPECS])
+def test_saddle_free_candidate_gains_at_an_indefinite_point(spec):
+    # Where the reduced Hessian is indefinite, a plain Newton step could
+    # head for a saddle; the saddle-free step ascends along every curvature
+    # direction, and its candidate beats the iterate.
+    objective = _difference_objective(spec, 1e-8)
+    n = spec.dim_in**2
+    witness = analyze_concealment(spec, 0, 0).witness_state
+    seen = 0
+    for nudge in _states(n, 6, 96, spec.dim_in):
+        psi = linalg.normalize_state(witness + nudge)
+        (value,), (grad,), *pieces = objective.fun_grad(psi[None])
+        hp, q = objective.curvature(psi)
+        slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
+        if _eigh_newton_step(spec, psi, grad, hp - (value + slope) * np.eye(n), q, slope)[1]:
+            continue
+        seen += 1
+        cand = linalg.normalize_state(objective.polish(psi, grad, *(p[0] for p in pieces)))
+        (gained,), *_ = objective.fun_grad(cand[None])
+        assert gained > value + 1e-3
+    assert seen
 
 
 @pytest.mark.parametrize("din, m, draw", [(4, 4, 1), (3, 3, 3)])

@@ -93,7 +93,7 @@ def test_search_sphere_polish_only_improves():
 
     def polish(psi, grad):
         calls.append(1)
-        return np.array([0.0, 1.0, 0.0]), False  # worse than the start, must be ignored
+        return np.array([0.0, 1.0, 0.0])  # worse than the start, must be ignored
 
     res = search_sphere(
         rowwise(quadratic_form(h)),
@@ -117,7 +117,7 @@ def test_search_sphere_ignores_a_lower_stationary_polish_point():
 
     def polish(psi, grad):
         calls.append(1)
-        return np.array([0.0, 0.0, 1.0]), False
+        return np.array([0.0, 0.0, 1.0])
 
     res = search_sphere(
         rowwise(quadratic_form(h)),
@@ -146,7 +146,7 @@ def test_search_sphere_ends_at_a_level_converged_polish_point():
         maximize=True,
         restarts=0,
         seed=0,
-        polish=lambda psi, grad: (level, False),
+        polish=lambda psi, grad: level,
         extra_starts=[start],
     )
     np.testing.assert_array_equal(res.vector, level)
@@ -156,11 +156,12 @@ def test_search_sphere_ends_at_a_level_converged_polish_point():
     assert res.trace.line_search_failures == 0
 
 
-@pytest.mark.parametrize("newton", [True, False])
-def test_search_sphere_polishes_again_after_an_accepted_newton_point(newton):
-    # Each candidate is a short ascent step, so every one gains. A Newton
-    # candidate takes the gradient step's place: the next call is the polish
-    # again. Any other candidate is followed by a gradient trial point.
+@pytest.mark.parametrize("candidate", [True, False])
+def test_search_sphere_polishes_again_after_an_accepted_newton_point(candidate):
+    # Each candidate is a short ascent step, so every one gains, and takes
+    # the gradient step's place: the next call is the polish again. A polish
+    # that returns None costs no row, and the search then runs exactly as
+    # it does without a polish.
     h = np.diag([3.0, 2.0, 1.0, 0.0])
     objective = rowwise(quadratic_form(h))
     events = []
@@ -171,22 +172,20 @@ def test_search_sphere_polishes_again_after_an_accepted_newton_point(newton):
 
     def polish(psi, grad):
         events.append("polish")
-        return psi + 0.05 * grad, newton
+        return psi + 0.05 * grad if candidate else None
 
-    res = search_sphere(
-        fun_grad,
-        4,
-        maximize=True,
-        restarts=0,
-        seed=0,
-        polish=polish,
-        extra_starts=[np.ones(4)],
-    )
+    opts = dict(maximize=True, restarts=0, seed=0, extra_starts=[np.ones(4)])
+    res = search_sphere(fun_grad, 4, polish=polish, **opts)
     assert abs(res.value - 3.0) < 1e-9
-    if newton:
+    if candidate:
         assert events[:9] == ["eval"] + ["polish", "eval"] * 4
     else:
         assert events[:4] == ["eval", "polish", "eval", "eval"]
+        bare = search_sphere(objective, 4, **opts)
+        assert bare.value == res.value
+        assert np.array_equal(bare.vector, res.vector)
+        assert bare.trace.evaluations == res.trace.evaluations == events.count("eval")
+        assert bare.trace.iterations == res.trace.iterations
 
 
 def test_search_sphere_counts_objective_rows_and_polish_calls():
@@ -202,7 +201,7 @@ def test_search_sphere_counts_objective_rows_and_polish_calls():
 
     def polish(psi, grad):
         polishes.append(1)
-        return psi + 0.05 * grad, len(polishes) % 2 == 0
+        return psi + 0.05 * grad if len(polishes) % 2 else None
 
     res = search_sphere(fun_grad, 4, maximize=True, restarts=3, seed=1, polish=polish)
     assert len(rows) > 1

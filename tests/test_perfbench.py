@@ -50,3 +50,27 @@ def test_tracer_sees_the_public_calls_under_bounds_and_scan(monkeypatch):
         assert per_name[name][0] > 0, name
     for layer in ("bounds", "binding"):
         assert tracer.counts[f"{layer}.restarts"] > 0, layer
+
+
+def test_every_benchmark_argv_parses(monkeypatch, tmp_path):
+    # Every job the benchmark runs, warm-ups included, is a CLI argv list; a
+    # change that drops or renames a flag one of them passes fails here
+    # rather than in a benchmark run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    from qbcommit.cli import build_parser
+
+    parser = build_parser()
+    argvs = []
+    for name, build in WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        inputs = build(ROOT, workdir, 951)
+        argvs += [job.argv for job in [*inputs.jobs, inputs.warmup]]
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"the CLI rejects benchmark argv {argv}") from None
+    assert len(argvs) > len(WORKLOADS)
