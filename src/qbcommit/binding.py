@@ -374,16 +374,20 @@ def minimax_cheat(
     that ``min_over_states``'s full inner search finds for it (its starts
     include the claimed-branch kernel states, each kept on its kernel; the
     ascent's reduced searches start from them on the whole sphere), and a
-    dual certificate built from the kernel states and that worst state. The
-    best score is the estimate, and the trace's ``best_start`` names the
-    scored cheat that holds it (the earliest on a tie); the smallest
-    certificate, capped at 1, is ``binding_upper``. The loop stops at the
-    first scored cheat after which the bound lies within ``CERTIFIED_WIDTH``
-    of the estimate, with a note naming that cheat: no cheat can do better
-    by more than that. An estimate above the certified bound by more than
-    ``BRACKET_GUARD`` raises ``BracketInversionError``. With
-    ``include_swapped`` the other direction is estimated by the same call
-    and reported as ``swapped``.
+    dual certificate built from the kernel states and that worst state. A
+    certificate bounds an average over its states at every cheat, so a
+    scored cheat above the smallest one by more than ``BRACKET_GUARD`` has a
+    state its search missed: a search on the scoring budget runs at that
+    cheat from the scored worst states, the lower score is kept, and a trace
+    note gives the new search's score. The best score is the estimate, and
+    the trace's ``best_start`` names the scored cheat that holds it (the
+    earliest on a tie); the smallest certificate, capped at 1, is
+    ``binding_upper``. The loop stops at the first scored cheat after which
+    the bound lies within ``CERTIFIED_WIDTH`` of the estimate, with a note
+    naming that cheat: no cheat can do better by more than that. An
+    estimate above the certified bound by more than ``BRACKET_GUARD`` raises
+    ``BracketInversionError``. With ``include_swapped`` the other direction
+    is estimated by the same call and reported as ``swapped``.
     """
     require_valid(spec)
     _require_count("outer_restarts", outer_restarts, 1)
@@ -434,7 +438,19 @@ def minimax_cheat(
         # Every (mu, Y) certifies, so each scored cheat's certificate counts.
         witness = min(witness, _dual_bound(ck, cl, v, kernel + [inner.vector])[0])
         scored.append((v, inner))
-        best = trace.record([inner.value], [iters], [converged], maximize=True)
+        # A certificate bounds a mu-average of its states at every cheat, so a
+        # scored cheat above it missed a state. Its kernel and seeded starts
+        # would rerun as they ran, so only the scored worst states are new.
+        worst = [res.vector for _, res in scored]
+        for i, (u, res) in enumerate(scored):
+            if res.value > witness + BRACKET_GUARD:
+                again = _worst_state(ck, cl, u, worst, tol=full["tol"], restarts=0, seed=seed)
+                trace.count(again.trace)
+                trace.notes.append(f"cheat {i} rescored from the scored worst states: {again.value!r}")
+                if again.value < res.value:
+                    scored[i] = (u, again)
+        trace.values[:k] = [res.value for _, res in scored[:k]]
+        best = trace.record([scored[k][1].value], [iters], [converged], maximize=True)
         width = min(witness, PAYOFF_CAP) - trace.values[best]
         if width <= CERTIFIED_WIDTH:
             head = f"certified after restart {k - 1}" if k else "Procrustes start certified"

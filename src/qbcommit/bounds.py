@@ -30,9 +30,8 @@ from .protocol import ProtocolSpec, _require_cheat, require_valid
 
 BOUND_TOL = 1e-9
 
-# Step budget of the Kraus-gap bracket (step 1 and the Newton iterates) and
-# the factor by which its barrier's tau grows after each full Newton step.
-GAP_STEPS, GAP_TAU_GROWTH = 200, 1e3
+# Step budget of the Kraus-gap bracket (step 1 and the Newton iterates).
+GAP_STEPS = 200
 
 
 def _gap_operator(v: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -135,13 +134,13 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
 
     Step 1 is the trace bound at rho = I / dim_in against the identity and
     the Procrustes alignment. Newton then starts at C = 0,
-    t = λmax(K0 + K1) + 1 and tau = max(1, nu / w), w step 1's bracket
-    width: a centred point at tau is about nu / tau wide (nu = dim_in + m).
-    The step is 1 when the Newton decrement λ is below 1/4 and 1/(1 + λ)
-    otherwise, which self-concordance keeps inside the domain. Each full
-    step multiplies tau by ``GAP_TAU_GROWTH``, up to 10 nu /
-    ``CERTIFIED_WIDTH``: past that the lower side lags by the iterate's
-    distance from the centre, which centring, not tau, closes. Every
+    t = λmax(K0 + K1) + 1, at the one weight tau = 10 nu / ``CERTIFIED_WIDTH``
+    (nu = dim_in + m), whose centre is about nu / tau, a tenth of the
+    certified width, from g*. The step is 1 when the Newton decrement λ is
+    below 1/4 and 1/(1 + λ) otherwise, which self-concordance keeps inside
+    the domain. Damped steps cover a ratio of weights at a fixed rate however
+    it is split (Boyd and Vandenberghe, Convex Optimization, 11.3), so
+    smaller weights on the way would only add centring tails. Every
     iterate certifies from one ``eigh`` of X1 = tI - S(C): t - λmin(X1) is
     the gap at the strict contraction C (the upper side), and the density
     matrix rho = X1^-1 / Tr X1^-1 gives the lower side
@@ -194,8 +193,7 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     step, stop = 1, "certified at step 1"
     if upper - (lower - allowance) > CERTIFIED_WIDTH:
         basis = linalg.hermitian_basis(din)
-        c, nu = np.zeros((m, m), dtype=complex), din + m
-        tau, tau_max = max(1.0, nu / (upper - lower + allowance)), 10.0 * nu / CERTIFIED_WIDTH
+        c, tau = np.zeros((m, m), dtype=complex), 10.0 * (din + m) / CERTIFIED_WIDTH
         t = float(linalg.eigh_or_error(k)[0][-1]) + 1.0
         stop = f"step budget GAP_STEPS {GAP_STEPS} spent"
         for step in range(2, GAP_STEPS + 1):
@@ -222,8 +220,6 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
                 break
             eta = 1.0 if dec2 < 1.0 / 16.0 else 1.0 / (1.0 + np.sqrt(dec2))
             c, t = c + eta * dc, t + eta * dt
-            if eta == 1.0:
-                tau = min(tau * GAP_TAU_GROWTH, tau_max)
 
     padded = ProtocolSpec(spec.label, spec.bit0.padded(2 * m), spec.bit1.padded(2 * m))
     unitary = linalg.require_unitary(_halmos(best), tol=linalg.UNITARY_CONSTRUCTION_TOL)
@@ -354,8 +350,9 @@ def bounds_report(
     both checks, since the norm does not depend on the reindexing. Returns
     {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
     ``check_bounds`` at ``minimize_kraus_gap``'s 2m x 2m unitary, on the
-    protocol padded to 2m labels), "minimized_gap" and
-    "minimized_gap_lower" (its ``value`` and ``lower``). The left half of
+    protocol padded to 2m labels), "minimized_gap",
+    "minimized_gap_lower" and "minimized_gap_trace" (its ``value``,
+    ``lower`` and ``trace``: the step count and the stop). The left half of
     the sandwich, g* <= ||Phi1 - Phi0||_cb, is checked there too: a
     ``minimized_gap_lower`` above ``cb_upper`` + ``tol`` appends a
     "gap_lower" violation to the minimized check.
@@ -373,6 +370,7 @@ def bounds_report(
             report["minimized"].violations.append({"kind": "gap_lower", "label": spec.label, **sides})
         report["minimized_gap"] = gap_min.value
         report["minimized_gap_lower"] = gap_min.lower
+        report["minimized_gap_trace"] = gap_min.trace
     return report
 
 

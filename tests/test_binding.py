@@ -9,6 +9,7 @@ import qbcommit.concealment
 import qbcommit.protocol
 from qbcommit import linalg
 from qbcommit.binding import (
+    BRACKET_GUARD,
     CERTIFIED_WIDTH,
     MAX_KERNEL_STARTS,
     _dual_bound,
@@ -543,6 +544,18 @@ def test_polar_ascent_checks_the_unitary_it_returns(monkeypatch):
     a = linalg.spawn_rng(63).standard_normal((2, 2)).astype(complex)
     with pytest.raises(ValueError, match="not unitary"):
         _polar_ascent(trace_overlap(a), np.eye(2, dtype=complex), 10, 1e-8)
+
+
+@pytest.mark.parametrize("inner_restarts", [1, 2, 3, 4, 8])
+def test_certificate_below_a_scored_cheat_rescores_it(inner_restarts):
+    # Restart 0's certificate bounds a mu-average of its states at every
+    # cheat, so one of them scores at most 0.124909 at the Procrustes cheat,
+    # which its own search put at 0.167144 with 1-3 inner restarts.
+    spec = random_protocol(2, 2, 2, np.random.default_rng([515, 2, 2, 2, 2]))
+    rep = minimax_cheat(spec, "01", 2, 15, inner_restarts, seed=0, include_swapped=False)
+    assert rep.solver_trace.values[0] <= rep.binding_upper + BRACKET_GUARD
+    assert rep.minimax_estimate == pytest.approx(0.1249086, abs=1e-6)
+    assert 0.0 <= rep.binding_upper - rep.minimax_estimate <= CERTIFIED_WIDTH
 
 
 def test_estimate_above_certificate_raises(monkeypatch):

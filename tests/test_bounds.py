@@ -212,6 +212,7 @@ def test_bounds_report_composes_the_public_checks():
         "minimized": check_bounds(gap.spec, cheat=gap.unitary, **kwargs),
         "minimized_gap": gap.value,
         "minimized_gap_lower": gap.lower,
+        "minimized_gap_trace": gap.trace,
     }
     assert jsonable(report) == jsonable(composed)
     assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
@@ -356,14 +357,16 @@ def test_lower_gap_is_below_the_cb_norm(spec):
 
 
 # Shapes beyond the square 2-4 dimensional ones: dout != din, one and five
-# or six labels, 5 x 5; and three draws that end uncertified when tau grows
-# without its cap: the 5 x 5 m4 one leaves the domain at a 1e4-fold growth,
-# and at a 1e3-fold growth the lower side of 6x2 m4 stalls until an iterate
-# leaves the domain and 2x5 m1 reaches a singular Woodbury solve.
+# to eight labels, 5 x 5 and 6 x 6, where the fixed-tau start C = 0 lies
+# farthest from the centre; and three draws that end uncertified when tau
+# is raised past 10 nu / CERTIFIED_WIDTH: the 5 x 5 m4 one leaves the domain,
+# the lower side of 6x2 m4 stalls until an iterate leaves the domain, and
+# 2x5 m1 reaches a singular Woodbury solve.
 WIDER = {
     **{
         f"{din}x{dout}-m{m}": random_protocol(din, dout, m, np.random.default_rng([41, din, dout, m]))
         for din, dout, m in [(2, 4, 2), (4, 2, 3), (3, 5, 2), (2, 3, 1), (3, 3, 5), (3, 2, 6), (5, 5, 3)]
+        + [(4, 4, 8), (3, 9, 6), (6, 6, 4)]
     },
     "5x5-m4-11-4-1": random_protocol(5, 5, 4, np.random.default_rng([11, 4, 1])),
     "2x5-m1-2323": random_protocol(2, 5, 1, np.random.default_rng([2323, 2, 5, 1])),
@@ -387,11 +390,11 @@ def test_newton_bracket_certifies(spec):
 
 
 @pytest.mark.parametrize("spec", PANEL, ids=[f"p{s}" for s in range(6)])
-def test_panel_certifies_within_thirty_two_steps(spec):
-    # tau starts at step 1's bracket and grows a thousandfold per full step;
-    # growing it eightfold from 1 took 46-51 steps here.
+def test_panel_certifies_within_twenty_four_steps(spec):
+    # At the one barrier weight 10 nu / CERTIFIED_WIDTH the panel certifies
+    # at steps 21-23; smaller weights before it only add centring steps.
     res = minimize_kraus_gap(spec)
-    assert res.trace.converged == [True] and res.trace.iterations[0] <= 32
+    assert res.trace.converged == [True] and res.trace.iterations[0] <= 24
 
 
 def test_newton_bracket_certifies_at_thirty_two_labels():

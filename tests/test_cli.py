@@ -11,6 +11,7 @@ import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
 import qbcommit.cli as cli
+from qbcommit.bounds import GAP_STEPS
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import (
     concealing_pair,
@@ -217,6 +218,17 @@ def test_bind_reports_certified_upper_bound(dephasing_file, capsys):
         assert any("outer ascent skipped" in n for n in rep["solver_trace"]["notes"])
 
 
+def test_bind_rescores_a_cheat_its_certificate_undercuts(tmp_path, capsys):
+    # Start 0's inner search misses a state that restart 0's certificate
+    # holds; rescored from the scored worst states, the bracket closes.
+    path = tmp_path / "r222.json"
+    write_protocol_file(path, random_protocol(2, 2, 2, np.random.default_rng([515, 2, 2, 2, 2])))
+    argv = ["bind", str(path), "--outer-restarts", "2", "--outer-iters", "15", "--inner-restarts", "3"]
+    assert cli.main([*argv, "--no-swapped", "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert 0.0 <= data["binding_upper"] - data["minimax_estimate"] <= CERTIFIED_WIDTH
+
+
 def test_bind_inversion_exits_three(dephasing_file, monkeypatch, capsys):
     monkeypatch.setattr(qbcommit.binding, "_dual_bound", lambda *args: (0.1, np.ones(1)))
     code = cli.main(["bind", dephasing_file])
@@ -313,6 +325,18 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
     assert data["minimized_gap"] <= data["identity"]["kraus_gap"] + 1e-12
     # The trace bound certifies dephasing's gap at the first step.
     assert 0.0 <= data["minimized_gap"] - data["minimized_gap_lower"] <= CERTIFIED_WIDTH
+
+
+def test_bounds_minimize_prints_the_gap_trace(tmp_path, capsys):
+    # The text report names the Newton loop's step count and its stop.
+    path = tmp_path / "random.json"
+    write_protocol_file(path, random_protocol(3, 3, 3, seed=0))
+    assert cli.main(["bounds", str(path), "--restarts", "0", "--states", "2", "--minimize"]) == 0
+    out = capsys.readouterr().out
+    block = out[out.index("minimized_gap_trace:\n") :]
+    steps = int(block.split("  iterations: [")[1].split("]")[0])
+    assert 1 < steps < GAP_STEPS
+    assert f"  notes: [certified at step {steps}: value - lower " in block
 
 
 def test_bounds_minimize_reports_one_gap_per_unitary(tmp_path, capsys):
