@@ -152,9 +152,10 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     The loop stops within ``CERTIFIED_WIDTH``, at an iterate outside the
     domain, on a singular Newton system (its Woodbury capacitance loses the
     identity to round-off as λmin(X1) nears 0) or after ``GAP_STEPS`` steps,
-    and a trace note names the stop;
-    the bracket kept so far stays valid. The cheat is the Halmos dilation of
-    the best contraction, ``value`` its ``kraus_gap`` on ``GapResult.spec``.
+    and a trace note names the stop; the bracket kept so far stays valid.
+    The trace holds the step count in ``iterations`` and the ``eigh`` calls
+    in ``evaluations``. The cheat is the Halmos dilation of the best
+    contraction, ``value`` its ``kraus_gap`` on ``GapResult.spec``.
 
     Every computed term is a sum of at most n = m dim_out dim_in² products
     of an entry of rho (modulus at most 1) with two Kraus entries, whose
@@ -226,6 +227,9 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     value, lower = _gap(padded, unitary), max(0.0, lower - allowance)
     trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=CERTIFIED_WIDTH, max_iter=GAP_STEPS)
     trace.notes.append(f"{stop}: value - lower {value - lower!r}")
+    # eigh calls: step 1's two gap operators and the final gap, and past
+    # step 1 the eigh of K and one per Newton iterate.
+    trace.evaluations = 3 + (step if step > 1 else 0)
     trace.record([value], [step], [value - lower <= CERTIFIED_WIDTH], maximize=False)
     return GapResult(value=value, lower=lower, unitary=unitary, spec=padded, trace=trace)
 
@@ -337,7 +341,6 @@ def check_bounds(
 
 def bounds_report(
     spec: ProtocolSpec,
-    restarts: int = 8,
     n_states: int = 10,
     seed: int = 0,
     tol: float = BOUND_TOL,
@@ -346,19 +349,19 @@ def bounds_report(
     """Both inequalities at the identity reindexing and, with ``minimize``,
     at the gap-minimizing one: the ``qbcommit bounds`` report.
 
-    One norm bracket (``analyze_concealment`` with ``restarts``) serves
+    One norm bracket (``analyze_concealment``, which takes no seed) serves
     both checks, since the norm does not depend on the reindexing. Returns
     {"identity": BoundCheck} and, with ``minimize``, also "minimized" (the
     ``check_bounds`` at ``minimize_kraus_gap``'s 2m x 2m unitary, on the
     protocol padded to 2m labels), "minimized_gap",
     "minimized_gap_lower" and "minimized_gap_trace" (its ``value``,
-    ``lower`` and ``trace``: the step count and the stop). The left half of
-    the sandwich, g* <= ||Phi1 - Phi0||_cb, is checked there too: a
+    ``lower`` and ``trace``: the step count, the stop and the ``eigh``
+    calls). The left half of the sandwich, g* <= ||Phi1 - Phi0||_cb, is checked there too: a
     ``minimized_gap_lower`` above ``cb_upper`` + ``tol`` appends a
     "gap_lower" violation to the minimized check.
     """
     _require_count("n_states", n_states, 1)
-    norm = analyze_concealment(spec, restarts, seed)
+    norm = analyze_concealment(spec)
     report = {"identity": check_bounds(spec, None, n_states, seed, cb_lower=norm.cb_lower, tol=tol)}
     if minimize:
         gap_min = minimize_kraus_gap(spec)
@@ -376,9 +379,9 @@ def bounds_report(
 
 @dataclass
 class ScanBudgets:
-    """Solver budgets for one scan point; scans favor speed over polish."""
+    """Solver budgets for one scan point; scans favor speed over polish.
+    The norm bracket has none: it is one search from the entangled start."""
 
-    cb_restarts: int = 8
     outer_restarts: int = 4
     outer_iters: int = 80
     inner_restarts: int = 8
@@ -433,7 +436,8 @@ def epsilon_delta_scan(
     aborting the scan; any other exception is a bug and propagates. The
     norm bracket is ``analyze_concealment``'s and the estimate is
     ``minimax_cheat``'s in direction "01", so an inverted bracket raises
-    ``BracketInversionError`` as it does for a single protocol.
+    ``BracketInversionError`` as it does for a single protocol. ``seed``
+    drives the binding search alone; the norm bracket takes none.
     """
     if budgets is None:
         budgets = ScanBudgets()
@@ -447,7 +451,7 @@ def epsilon_delta_scan(
         except (ValueError, OverflowError, CommitmentError) as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
-        conceal = analyze_concealment(spec, budgets.cb_restarts, seed, budgets.tol)
+        conceal = analyze_concealment(spec, budgets.tol)
         lo, hi = conceal.cb_lower, conceal.cb_upper
         binding = minimax_cheat(
             spec,

@@ -96,7 +96,8 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(p, tol_help, default_format="text", formats=("text", "structured")):
-    p.add_argument("--seed", type=_count(0), default=0, help="master seed (default 0)")
+    seed_help = "master seed of bind, bounds and scan; validate and conceal read none (default 0)"
+    p.add_argument("--seed", type=_count(0), default=0, help=seed_help)
     p.add_argument("--tol", type=_tolerance, default=None, help=tol_help)
     p.add_argument(
         "--format",
@@ -107,10 +108,6 @@ def _add_common(p, tol_help, default_format="text", formats=("text", "structured
     p.add_argument("--output", default=None, help="write output to this file")
 
 
-_RESTARTS_HELP = (
-    "random restarts of the norm search; they run only while the bracket "
-    f"certified at the entangled start is wider than CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
-)
 _OUTER_RESTARTS_HELP = (
     "outer ascent restarts of the binding search; it stops at the first scored "
     f"cheat whose certified bound meets the estimate within CERTIFIED_WIDTH = {CERTIFIED_WIDTH:g}"
@@ -131,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conceal", help="bracket Bob's distinguishing advantage")
     p.add_argument("protocol")
     _add_common(p, "solver tolerance")
-    p.add_argument("--restarts", type=_count(0), help=_RESTARTS_HELP)
 
     p = sub.add_parser("bind", help="estimate Alice's best worst-case payoff")
     p.add_argument("protocol")
@@ -149,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="check both trade-off inequalities")
     p.add_argument("protocol")
     _add_common(p, "slack before an inequality counts as violated")
-    p.add_argument("--restarts", type=_count(0), help=_RESTARTS_HELP)
     p.add_argument(
         "--states", type=_count(1), dest="n_states", metavar="STATES", help="sampled states per check"
     )
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(
         p, "solver tolerance", default_format="csv", formats=("csv", "text", "structured")
     )
-    p.add_argument("--cb-restarts", type=_count(0), help=_RESTARTS_HELP)
+    p.add_argument("--cb-restarts", type=_count(0), help="ignored: the norm search has no restarts")
     p.add_argument("--outer-restarts", type=_count(1), help=_OUTER_RESTARTS_HELP)
     p.add_argument("--outer-iters", type=_count(0))
     p.add_argument("--inner-restarts", type=_count(1))
@@ -197,7 +192,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_conceal(args) -> int:
     spec = load_protocol(args.protocol)
-    report = analyze_concealment(spec, seed=args.seed, **_given(args, "restarts", "tol"))
+    report = analyze_concealment(spec, **_given(args, "tol"))
     _emit(render_report(report, args.format), args.output)
     return 0
 
@@ -217,7 +212,7 @@ def _cmd_bind(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = load_protocol(args.protocol)
-    given = _given(args, "restarts", "n_states", "tol")
+    given = _given(args, "n_states", "tol")
     report = bounds_report(spec, seed=args.seed, minimize=args.minimize, **given)
     _emit(render_report(report, args.format), args.output)
     return 0
@@ -225,9 +220,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = load_scan_config(args.config)
-    budgets = ScanBudgets(
-        **_given(args, "cb_restarts", "outer_restarts", "outer_iters", "inner_restarts", "tol")
-    )
+    budgets = ScanBudgets(**_given(args, "outer_restarts", "outer_iters", "inner_restarts", "tol"))
     result = epsilon_delta_scan(
         config.family,
         config.params,

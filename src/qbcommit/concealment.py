@@ -12,9 +12,11 @@ with the output rows no remaining operator reaches (each decoy point is a
 2-operator problem), and the cut map is still trace-annihilating, as
 Watrous's dual asks. J is built once per call, and Z from the search's
 witness; Z meets the lower bound at a stationary point, so the bracket
-closes. When it closes at the entangled start, the random restarts are
-skipped, and otherwise they alone run on, Z being rebuilt only when one of
-them wins. The bracket transfers to Bob's cheating probability directly.
+closes. The search runs once, from the maximally entangled start, and takes
+no seed: the value is concave in the reduced state (below), so a random
+restart could only escape a saddle, which the regularized Newton step
+already escapes. The bracket transfers to Bob's cheating probability
+directly.
 One routine builds the branch images K_m psi of a batch of states and their
 output difference's eigenpairs for the value and gradient, and the objective
 returns them too, so the polish reads the iterate's from the call that
@@ -45,8 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BracketInversionError
-from .optimize import BRACKET_GUARD, CERTIFIED_WIDTH, SolverTrace
-from .optimize import _require_count, _require_tolerance, search_sphere
+from .optimize import BRACKET_GUARD, SolverTrace, _require_tolerance, search_sphere
 from .protocol import KrausFamily, ProtocolSpec, apply_extended_channel, choi, require_valid
 from .protocol import _branch_images
 
@@ -352,12 +353,7 @@ class ConcealmentReport:
     solver_trace: SolverTrace
 
 
-def analyze_concealment(
-    spec: ProtocolSpec,
-    restarts: int = 16,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> ConcealmentReport:
+def analyze_concealment(spec: ProtocolSpec, tol: float = 1e-8) -> ConcealmentReport:
     """Bracket the cb norm of the channel difference for one protocol.
 
     After validation the protocol is cut down to the difference it measures
@@ -369,49 +365,35 @@ def analyze_concealment(
 
     ``cb_lower`` is the value that projected gradient ascent over pure
     states of the committed space ⊗ a reference of dim_in achieves at
-    ``witness_state``. The maximally entangled start runs first, alone; when
-    the bracket at its witness is within ``CERTIFIED_WIDTH``, a trace note
-    says so and the random restarts are skipped. Otherwise the ``restarts``
-    seeded starts run and extend its trace, so the report is that of one
-    search over all the starts. ``cb_upper`` is the least of ``upper_routes``:
-    ``witness_dual`` (Watrous's dual built from the witness) and
-    ``channel_pair_cap`` (2). The dual is rounded up for round-off, so the cap
-    wins where the dual meets it exactly. It is rebuilt only when a restart
-    wins, and the smaller of the two builds is kept, since each certifies;
-    ``dual_repair`` is the repair of the build kept. A lower bound above the
-    upper one beyond ``BRACKET_GUARD`` is a solver bug and raises
-    ``BracketInversionError``; smaller inversions are clipped to keep the
-    bracket ordered.
+    ``witness_state``, from one start, the maximally entangled state; the
+    report depends on the protocol and ``tol`` alone. ``cb_upper`` is the
+    least of ``upper_routes``: ``witness_dual`` (Watrous's dual built from
+    the witness) and ``channel_pair_cap`` (2). The dual is rounded up for
+    round-off, so the cap wins where the dual meets it exactly;
+    ``dual_repair`` is its repair. A bracket wider than
+    ``optimize.CERTIFIED_WIDTH`` is reported open, as it stands. A lower bound above the upper one beyond
+    ``BRACKET_GUARD`` is a solver bug and raises ``BracketInversionError``;
+    smaller inversions are clipped to keep the bracket ordered.
     """
     require_valid(spec)
-    _require_count("restarts", restarts, 0)
     tol = _require_tolerance(tol)
     cut, cut_note = _shared_cut(spec)
     din, dout = cut.dim_in, cut.dim_out
     j = _choi_difference(cut)
     fun_grad, polish, _ = _difference_objective(cut, tol)
-    opts = dict(maximize=True, seed=seed, tol=tol, max_iter=500, polish=polish, rng_tags=(1,))
-    # Maximally entangled start; frequently already the maximizer.
     entangled = np.eye(din, dtype=complex).reshape(-1) / sqrt(din)
-    lower = search_sphere(fun_grad, din * din, restarts=0, extra_starts=[entangled], **opts)
+    lower = search_sphere(
+        fun_grad,
+        din * din,
+        maximize=True,
+        restarts=0,
+        seed=0,
+        tol=tol,
+        extra_starts=[entangled],
+        polish=polish,
+    )
     trace = lower.trace
-    trace.restarts = restarts
     dual = _dual_bound(_witness_z(j, lower.vector, din, dout), j, dout)
-    if restarts > 0:
-        # The width of the clipped bracket that the report returns.
-        width = max(0.0, min(CB_NORM_CAP, dual[0]) - max(0.0, lower.value))
-        if width <= CERTIFIED_WIDTH:
-            trace.notes.append(
-                f"entangled start certified: bracket width {width!r} <= "
-                f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}; random restarts skipped"
-            )
-        else:
-            rest = search_sphere(fun_grad, din * din, restarts=restarts, **opts)
-            runs = rest.trace.values, rest.trace.iterations, rest.trace.converged
-            trace.count(rest.trace)
-            if trace.record(*runs, maximize=True):
-                lower = rest
-                dual = min(dual, _dual_bound(_witness_z(j, rest.vector, din, dout), j, dout))
     if cut_note:
         trace.notes.append(cut_note)
     routes = {"witness_dual": dual[0], "channel_pair_cap": CB_NORM_CAP}

@@ -102,9 +102,12 @@ class SolverTrace:
     gradient norm above ``tol``. A concealment start moves mostly by Newton
     points, with no line search after them, and ends at a converged one.
     ``evaluations`` counts the objective rows, summed over lockstep rounds,
-    and ``polish_calls`` the polish calls. Binding's outer trace sums the
-    rows and failures of every sphere search it ran, scored and surrogate;
-    it has no polish.
+    and ``polish_calls`` the polish calls. Concealment's trace is that of its
+    one search, from the entangled start, with ``restarts`` 0 and ``seed`` 0.
+    Binding's outer trace sums the rows and failures of every sphere search
+    it ran, scored and surrogate; it has no polish. The Kraus-gap bracket's
+    trace has one entry, its step count, and counts its ``eigh`` calls as
+    ``evaluations``.
     """
 
     seed: int

@@ -39,7 +39,7 @@ def test_criterion_1_perfect_concealment_breaks_binding(criterion_log):
             bit1=apply_cheat_unitary(bit0, w),
         )
         rep = minimax_cheat(spec, seed=0, include_swapped=False)
-        conceal = analyze_concealment(spec, restarts=8, seed=0)
+        conceal = analyze_concealment(spec)
         worst_payoff = min(worst_payoff, rep.minimax_estimate)
         worst_bob = max(worst_bob, conceal.bob_cheat_upper)
     elapsed = time.perf_counter() - t0
@@ -63,7 +63,7 @@ def test_criterion_2_inequalities_random_campaign(criterion_log):
         dout = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         spec = random_protocol(din, dout, m, seed=rng, label=f"campaign-{i}")
-        lo = analyze_concealment(spec, restarts=8, seed=i).cb_lower
+        lo = analyze_concealment(spec).cb_lower
         cheats = [np.eye(m, dtype=complex)] + [
             linalg.random_unitary(m, rng) for _ in range(4)
         ]
@@ -83,9 +83,9 @@ def test_criterion_2_inequalities_random_campaign(criterion_log):
 
 
 def test_criterion_3_bracket_analytic_cases(criterion_log):
-    flip = analyze_concealment(phase_flip_pair(), restarts=8, seed=0)
-    same = analyze_concealment(identity_protocol(2), restarts=8, seed=0)
-    deph = analyze_concealment(dephasing_protocol(), restarts=16, seed=0)
+    flip = analyze_concealment(phase_flip_pair())
+    same = analyze_concealment(identity_protocol(2))
+    deph = analyze_concealment(dephasing_protocol())
     flip_ok = (
         flip.cb_lower <= 2.0 <= flip.cb_upper
         and flip.cb_upper - flip.cb_lower <= 1e-4
@@ -114,7 +114,7 @@ def test_criterion_4_helstrom_capped_by_bracket(criterion_log):
         dout = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         spec = random_protocol(din, dout, m, seed=rng)
-        conceal = analyze_concealment(spec, restarts=4, seed=i)
+        conceal = analyze_concealment(spec)
         witness, upper = conceal.witness_state, conceal.cb_upper
         cap = 0.5 + 0.25 * upper + 1e-8
         states = [witness] + [
@@ -204,7 +204,7 @@ def test_criterion_6_dilation_round_trip(criterion_log):
 
 def test_criterion_7_scan_determinism_and_shape(criterion_log):
     budgets = ScanBudgets(
-        cb_restarts=6, outer_restarts=2, outer_iters=30, inner_restarts=6
+        outer_restarts=2, outer_iters=30, inner_restarts=6
     )
     runs = [
         epsilon_delta_scan(

@@ -129,7 +129,7 @@ def test_check_bounds_violations_render_with_the_shared_keys(kind, monkeypatch):
 
 def test_scan_decoy_closed_forms():
     budgets = ScanBudgets(
-        cb_restarts=6, outer_restarts=2, outer_iters=30, inner_restarts=6
+        outer_restarts=2, outer_iters=30, inner_restarts=6
     )
     result = epsilon_delta_scan(
         FAMILY_REGISTRY["decoy"], [0, 1, 2, -1], budgets=budgets, seed=0
@@ -164,14 +164,14 @@ def test_scan_skips_rejected_parameters_but_not_bugs():
             raise TypeError("family bug")
         return decoy_protocol(0)
 
-    budgets = ScanBudgets(cb_restarts=1, outer_restarts=1, outer_iters=2, inner_restarts=1)
+    budgets = ScanBudgets(outer_restarts=1, outer_iters=2, inner_restarts=1)
     with pytest.raises(TypeError, match="family bug"):
         epsilon_delta_scan(broken, [0.0, 1.0], budgets=budgets)
 
 
 def test_scan_csv_layout_and_determinism():
     budgets = ScanBudgets(
-        cb_restarts=4, outer_restarts=2, outer_iters=25, inner_restarts=4
+        outer_restarts=2, outer_iters=25, inner_restarts=4
     )
     a = epsilon_delta_scan(FAMILY_REGISTRY["decoy"], [0, 1], budgets=budgets, seed=7)
     b = epsilon_delta_scan(FAMILY_REGISTRY["decoy"], [0, 1], budgets=budgets, seed=7)
@@ -203,9 +203,9 @@ def test_kraus_gap_equals_minimized_value(seed):
 
 def test_bounds_report_composes_the_public_checks():
     spec = random_protocol(3, 3, 3, seed=0)
-    report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
+    report = bounds_report(spec, n_states=3, seed=4, minimize=True)
     gap = minimize_kraus_gap(spec)
-    cb_lower = analyze_concealment(spec, restarts=2, seed=4).cb_lower
+    cb_lower = analyze_concealment(spec).cb_lower
     kwargs = dict(n_states=3, seed=4, cb_lower=cb_lower)
     composed = {
         "identity": check_bounds(spec, **kwargs),
@@ -215,7 +215,7 @@ def test_bounds_report_composes_the_public_checks():
         "minimized_gap_trace": gap.trace,
     }
     assert jsonable(report) == jsonable(composed)
-    assert set(bounds_report(spec, restarts=2, n_states=3)) == {"identity"}
+    assert set(bounds_report(spec, n_states=3)) == {"identity"}
 
 
 def test_bounds_report_draws_its_sampled_states_once(monkeypatch):
@@ -231,7 +231,7 @@ def test_bounds_report_draws_its_sampled_states_once(monkeypatch):
     monkeypatch.setattr(linalg, "random_state", counting)
     bounds._sampled_states.cache_clear()
     spec = random_protocol(3, 3, 3, seed=0)
-    report = bounds_report(spec, restarts=0, n_states=4, seed=9, minimize=True)
+    report = bounds_report(spec, n_states=4, seed=9, minimize=True)
     assert len(drawn) == 4
     assert report["identity"].violations == report["minimized"].violations == []
 
@@ -241,10 +241,10 @@ def test_bounds_report_flags_a_gap_lower_side_above_the_cb_norm(monkeypatch):
     # is a violation of the left half of the sandwich.
     spec = random_protocol(3, 3, 3, seed=0)
     gap = minimize_kraus_gap(spec)
-    norm = analyze_concealment(spec, restarts=2, seed=4)
+    norm = analyze_concealment(spec)
     low = dataclasses.replace(norm, cb_upper=gap.lower / 2.0)
     monkeypatch.setattr(bounds, "analyze_concealment", lambda *args: low)
-    report = bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)
+    report = bounds_report(spec, n_states=3, seed=4, minimize=True)
     assert report["identity"].violations == []
     assert report["minimized"].violations == [
         {
@@ -256,7 +256,7 @@ def test_bounds_report_flags_a_gap_lower_side_above_the_cb_norm(monkeypatch):
         }
     ]
     monkeypatch.setattr(bounds, "analyze_concealment", lambda *args: dataclasses.replace(norm, cb_upper=gap.lower))
-    assert bounds_report(spec, restarts=2, n_states=3, seed=4, minimize=True)["minimized"].violations == []
+    assert bounds_report(spec, n_states=3, seed=4, minimize=True)["minimized"].violations == []
 
 
 @pytest.mark.parametrize(
@@ -351,7 +351,7 @@ def test_lower_gap_is_below_the_cb_norm(spec):
     # Left half of the Kretschmann-Schlingemann-Werner sandwich:
     # g* <= ||Phi1 - Phi0||_cb <= 2 sqrt(g*).
     res = minimize_kraus_gap(spec)
-    cb = analyze_concealment(spec, restarts=0)
+    cb = analyze_concealment(spec)
     assert res.lower <= cb.cb_upper
     assert cb.cb_lower <= 2.0 * np.sqrt(res.value)
 
@@ -401,6 +401,21 @@ def test_newton_bracket_certifies_at_thirty_two_labels():
     res = minimize_kraus_gap(random_protocol(2, 2, 32, seed=0))
     assert res.value - res.lower <= CERTIFIED_WIDTH
     assert res.trace.converged == [True] and res.trace.iterations[0] < GAP_STEPS
+
+
+@pytest.mark.parametrize("spec", [decoy_protocol(2), PANEL[0]], ids=["decoy-k2", "p0"])
+def test_gap_trace_counts_its_eigh_calls(spec, monkeypatch):
+    # decoy-k2 certifies at step 1; the panel protocol runs the Newton loop.
+    calls = []
+    eigh = linalg.eigh_or_error
+
+    def counting(h):
+        calls.append(1)
+        return eigh(h)
+
+    monkeypatch.setattr(linalg, "eigh_or_error", counting)
+    res = minimize_kraus_gap(spec)
+    assert res.trace.evaluations == len(calls)
 
 
 def test_iterate_outside_the_domain_stops_with_a_valid_bracket(monkeypatch):
@@ -493,13 +508,13 @@ def test_hermitian_basis_is_orthonormal():
 BAD_TOLS = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0}
 TOL_ENTRY_POINTS = {
     "check_bounds": lambda spec, tol: check_bounds(spec, n_states=1, cb_lower=0.5, tol=tol),
-    "bounds_report": lambda spec, tol: bounds_report(spec, restarts=0, n_states=1, tol=tol),
-    "analyze_concealment": lambda spec, tol: analyze_concealment(spec, restarts=0, tol=tol),
+    "bounds_report": lambda spec, tol: bounds_report(spec, n_states=1, tol=tol),
+    "analyze_concealment": lambda spec, tol: analyze_concealment(spec, tol=tol),
     "minimax_cheat": lambda spec, tol: minimax_cheat(
         spec, outer_restarts=1, outer_iters=1, inner_restarts=1, tol=tol
     ),
     "epsilon_delta_scan": lambda spec, tol: epsilon_delta_scan(
-        lambda _: spec, [0.0], budgets=ScanBudgets(1, 1, 1, 1, tol=tol)
+        lambda _: spec, [0.0], budgets=ScanBudgets(1, 1, 1, tol=tol)
     ),
 }
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -56,13 +58,19 @@ def test_bounds_help_names_the_inequality_slack(capsys):
     assert "slack before an inequality counts as violated" in help_text
 
 
-@pytest.mark.parametrize("command", ["conceal", "bounds", "scan"])
-def test_restarts_help_names_the_certified_width(command, capsys):
+def test_cb_restarts_help_says_it_is_ignored(capsys):
     with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
+        cli.main(["scan", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "run only while the bracket certified at the entangled start" in help_text
-    assert "CERTIFIED_WIDTH = 1e-05" in help_text
+    assert "--cb-restarts CB_RESTARTS ignored: the norm search has no restarts" in help_text
+
+
+@pytest.mark.parametrize("command", ["conceal", "bounds"])
+def test_norm_search_commands_take_no_restarts(command, dephasing_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, dephasing_file, "--restarts", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts 4" in capsys.readouterr().err
 
 
 def test_bounds_minimize_help_names_the_certified_width(capsys):
@@ -127,7 +135,7 @@ def test_undecodable_input_exits_two(tmp_path, capsys, command, content):
 
 
 def test_conceal_text_output(phase_file, capsys):
-    code = cli.main(["conceal", phase_file, "--restarts", "6"])
+    code = cli.main(["conceal", phase_file])
     out = capsys.readouterr().out
     assert code == 0
     assert "cb_lower: 2.0" in out
@@ -136,7 +144,7 @@ def test_conceal_text_output(phase_file, capsys):
 
 
 def test_conceal_structured_output(phase_file, capsys):
-    code = cli.main(["conceal", phase_file, "--restarts", "6", "--format", "structured"])
+    code = cli.main(["conceal", phase_file, "--format", "structured"])
     out = capsys.readouterr().out
     assert code == 0
     data = json.loads(out)
@@ -154,26 +162,33 @@ SHIPPED_PROTOCOLS = sorted(
 
 
 @pytest.mark.parametrize("path", SHIPPED_PROTOCOLS, ids=[p.stem for p in SHIPPED_PROTOCOLS])
-def test_conceal_without_restarts_matches_the_full_search(path, capsys):
-    # Every shipped protocol certifies at the deterministic entangled start,
-    # so --restarts 0 prints the bracket the default search prints.
-    reports = []
-    for restarts in ("0", "16"):
-        argv = ["conceal", str(path), "--restarts", restarts, "--format", "structured"]
-        assert cli.main(argv) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    alone, full = reports
-    assert alone["solver_trace"]["extra_starts"] == 1
-    assert alone["solver_trace"]["restarts"] == 0
-    assert "entangled start certified" in full["solver_trace"]["notes"][0]
-    for key in ("cb_lower", "cb_upper", "upper_routes", "witness_state"):
-        assert alone[key] == full[key]
-    assert set(full["upper_routes"]) == {"channel_pair_cap", "witness_dual"}
+def test_conceal_output_does_not_depend_on_the_seed(path, capsys):
+    # The norm search runs once, from the deterministic entangled start, so
+    # --seed changes no byte of the report.
+    outputs = []
+    for seed in ("0", "7"):
+        assert cli.main(["conceal", str(path), "--format", "structured", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["solver_trace"]["extra_starts"] == 1
+    assert report["solver_trace"]["restarts"] == 0
+    assert report["cb_upper"] - report["cb_lower"] <= CERTIFIED_WIDTH
+    assert set(report["upper_routes"]) == {"channel_pair_cap", "witness_dual"}
+
+
+def test_scan_ignores_cb_restarts(capsys):
+    config = str(Path(__file__).resolve().parents[1] / "protocols" / "decoy-scan.json")
+    outputs = []
+    for extra in ([], ["--cb-restarts", "3"]):
+        assert cli.main(["scan", config, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_conceal_output_file(phase_file, tmp_path, capsys):
     dest = tmp_path / "report.txt"
-    code = cli.main(["conceal", phase_file, "--restarts", "4", "--output", str(dest)])
+    code = cli.main(["conceal", phase_file, "--output", str(dest)])
     out = capsys.readouterr().out
     assert code == 0
     assert out == ""
@@ -246,7 +261,7 @@ def test_cli_import_leaves_scipy_optimize_out():
         "import sys, qbcommit.cli\n"
         "qbcommit.cli.main(['bind', sys.argv[1], '--no-swapped'])\n"
         "assert 'scipy' not in sys.modules, 'scipy imported by bind'\n"
-        "qbcommit.cli.main(['bounds', sys.argv[1], '--minimize', '--restarts', '0'])\n"
+        "qbcommit.cli.main(['bounds', sys.argv[1], '--minimize'])\n"
         "assert 'scipy' not in sys.modules, 'scipy imported by bounds --minimize'\n"
     )
     protocol = Path(src).parent / "protocols" / "identity.json"
@@ -288,8 +303,6 @@ def test_bounds_command(dephasing_file, capsys):
         [
             "bounds",
             dephasing_file,
-            "--restarts",
-            "4",
             "--states",
             "5",
             "--format",
@@ -309,8 +322,6 @@ def test_bounds_minimize_flag(dephasing_file, capsys):
         [
             "bounds",
             dephasing_file,
-            "--restarts",
-            "4",
             "--states",
             "3",
             "--minimize",
@@ -331,7 +342,7 @@ def test_bounds_minimize_prints_the_gap_trace(tmp_path, capsys):
     # The text report names the Newton loop's step count and its stop.
     path = tmp_path / "random.json"
     write_protocol_file(path, random_protocol(3, 3, 3, seed=0))
-    assert cli.main(["bounds", str(path), "--restarts", "0", "--states", "2", "--minimize"]) == 0
+    assert cli.main(["bounds", str(path), "--states", "2", "--minimize"]) == 0
     out = capsys.readouterr().out
     block = out[out.index("minimized_gap_trace:\n") :]
     steps = int(block.split("  iterations: [")[1].split("]")[0])
@@ -342,20 +353,20 @@ def test_bounds_minimize_prints_the_gap_trace(tmp_path, capsys):
 def test_bounds_minimize_reports_one_gap_per_unitary(tmp_path, capsys):
     path = tmp_path / "random.json"
     write_protocol_file(path, random_protocol(3, 3, 3, seed=0))
-    argv = ["bounds", str(path), "--restarts", "2", "--states", "3", "--minimize"]
+    argv = ["bounds", str(path), "--states", "3", "--minimize"]
     assert cli.main([*argv, "--format", "structured"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["minimized"]["kraus_gap"] == data["minimized_gap"]
 
 
 def test_bounds_minimize_gap_does_not_depend_on_the_seed(tmp_path, capsys):
-    # The gap bracket is one deterministic loop; only the norm search and
-    # the sampled states use the seed.
+    # The gap bracket is one deterministic loop; only the sampled states
+    # use the seed.
     path = tmp_path / "random.json"
     write_protocol_file(path, random_protocol(3, 3, 3, seed=1))
     gaps = []
     for seed in ("0", "5"):
-        argv = ["bounds", str(path), "--restarts", "2", "--states", "2", "--minimize", "--seed", seed]
+        argv = ["bounds", str(path), "--states", "2", "--minimize", "--seed", seed]
         assert cli.main([*argv, "--format", "structured"]) == 0
         data = json.loads(capsys.readouterr().out)
         gaps.append((data["minimized_gap"], data["minimized_gap_lower"]))
@@ -376,8 +387,6 @@ def test_bounds_minimize_computes_norm_bound_once(dephasing_file, capsys, monkey
         [
             "bounds",
             dephasing_file,
-            "--restarts",
-            "4",
             "--states",
             "3",
             "--minimize",
@@ -550,8 +559,6 @@ def test_scan_bracket_inversion_exits_three(decoy_config, monkeypatch, capsys):
         ("bind", "--outer-restarts", "0"),
         ("bind", "--inner-restarts", "0"),
         ("bind", "--outer-iters", "-1"),
-        ("conceal", "--restarts", "-1"),
-        ("bounds", "--restarts", "-1"),
         ("bounds", "--states", "-1"),
         ("bounds", "--states", "0"),
         ("scan", "--outer-restarts", "0"),
@@ -575,7 +582,7 @@ def test_budget_count_below_minimum_exits_two(
 
 
 def test_budget_count_minimums_are_accepted(dephasing_file, capsys):
-    assert cli.main(["bounds", dephasing_file, "--restarts", "0", "--states", "1"]) == 0
+    assert cli.main(["bounds", dephasing_file, "--states", "1"]) == 0
     assert "sampled_payoffs: [" in capsys.readouterr().out
 
 
@@ -586,7 +593,6 @@ BUDGET_ENTRY_POINTS = {
     "outer-iters": ("bind", "--outer-iters", qbcommit.binding.minimax_cheat, "outer_iters"),
     "inner-restarts": ("bind", "--inner-restarts", qbcommit.binding.minimax_cheat, "inner_restarts"),
     "outer-restarts": ("bind", "--outer-restarts", qbcommit.binding.minimax_cheat, "outer_restarts"),
-    "restarts": ("conceal", "--restarts", qbcommit.concealment.analyze_concealment, "restarts"),
 }
 
 
@@ -628,9 +634,9 @@ def test_tol_must_be_finite_and_nonnegative(command, value, dephasing_file, deco
 # its flags set.
 FLAG_KEYWORDS = {
     "bind": ("minimax_cheat", {"outer_restarts", "outer_iters", "inner_restarts", "tol"}),
-    "conceal": ("analyze_concealment", {"restarts", "tol"}),
-    "bounds": ("bounds_report", {"restarts", "n_states", "tol"}),
-    "scan": ("ScanBudgets", {"cb_restarts", "outer_restarts", "outer_iters", "inner_restarts", "tol"}),
+    "conceal": ("analyze_concealment", {"tol"}),
+    "bounds": ("bounds_report", {"n_states", "tol"}),
+    "scan": ("ScanBudgets", {"outer_restarts", "outer_iters", "inner_restarts", "tol"}),
 }
 
 
@@ -656,12 +662,42 @@ def test_flagless_commands_leave_the_library_defaults(
     assert keywords & set(calls[1]) == {"tol"} and calls[1]["tol"] == 0.001
 
 
+def test_every_scan_option_sets_a_budget_or_the_seed(decoy_config, monkeypatch, capsys):
+    # Each scan option, bar the output ones, reaches a ScanBudgets field or
+    # epsilon_delta_scan's seed. The one named exception is --cb-restarts,
+    # which is parsed and ignored; no other flag may be swallowed that way.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        action.option_strings[-1]: action.dest
+        for action in sub.choices["scan"]._actions
+        if action.option_strings and action.dest not in ("help", "format", "output")
+    }
+    budgets, scans = [], []
+
+    def budgets_stub(**kwargs):
+        budgets.append(kwargs)
+        return qbcommit.bounds.ScanBudgets(**kwargs)
+
+    def scan_stub(*args, **kwargs):
+        scans.append(kwargs)
+        raise BracketInversionError("stub")
+
+    monkeypatch.setattr(cli, "ScanBudgets", budgets_stub)
+    monkeypatch.setattr(cli, "epsilon_delta_scan", scan_stub)
+    argv = [arg for option in options for arg in (option, "1")]
+    assert cli.main(["scan", decoy_config, *argv]) == 3
+    capsys.readouterr()
+    assert set(budgets[0]) <= {field.name for field in dataclasses.fields(qbcommit.bounds.ScanBudgets)}
+    reached = set(budgets[0]) | ({"seed"} if scans[0]["seed"] == 1 else set())
+    assert set(options.values()) - reached == {"cb_restarts"}
+
+
 def test_main_builds_its_parser_once_per_process(dephasing_file, monkeypatch, capsys):
     # The first main call builds the parser and the later ones share it;
     # each prints what a freshly built parser makes it print.
     argvs = [
         ["validate", dephasing_file],
-        ["conceal", dephasing_file, "--restarts", "0", "--format", "structured"],
+        ["conceal", dephasing_file, "--format", "structured"],
         ["bind", dephasing_file, "--no-swapped", "--seed", "2"],
     ]
     built = []

@@ -5,9 +5,8 @@ import pytest
 
 import qbcommit.concealment
 from qbcommit import linalg
-from qbcommit.optimize import search_sphere
+from qbcommit.optimize import CERTIFIED_WIDTH, search_sphere
 from qbcommit.concealment import (
-    CERTIFIED_WIDTH,
     _choi_difference,
     _difference_objective,
     _dual_bound,
@@ -56,7 +55,7 @@ def test_helstrom_dephasing_oracles():
 
 def test_cb_lower_phase_flip_reaches_two():
     spec = phase_flip_pair()
-    rep = analyze_concealment(spec, restarts=8, seed=0)
+    rep = analyze_concealment(spec)
     assert abs(rep.cb_lower - 2.0) < 1e-9
     # The witness must let Bob distinguish the branches perfectly.
     assert abs(helstrom_prob(spec, rep.witness_state) - 1.0) < 1e-9
@@ -64,13 +63,13 @@ def test_cb_lower_phase_flip_reaches_two():
 
 def test_cb_lower_dephasing():
     spec = dephasing_protocol()
-    rep = analyze_concealment(spec, restarts=8, seed=0)
+    rep = analyze_concealment(spec)
     assert abs(rep.cb_lower - 1.0) < 1e-6
 
 
 def test_cb_lower_identity_is_zero():
     spec = identity_protocol(2)
-    rep = analyze_concealment(spec, restarts=4, seed=0)
+    rep = analyze_concealment(spec)
     assert 0.0 <= rep.cb_lower <= 1e-8
 
 
@@ -86,13 +85,13 @@ def test_one_dimensional_input_reads_the_output_difference():
 
 
 def test_cb_upper_routes_phase_flip():
-    rep = analyze_concealment(phase_flip_pair(), restarts=0)
+    rep = analyze_concealment(phase_flip_pair())
     assert rep.upper_routes["channel_pair_cap"] == 2.0
     assert abs(rep.cb_upper - 2.0) < 1e-12
 
 
 def test_cb_upper_routes_dephasing():
-    rep = analyze_concealment(dephasing_protocol(), restarts=0)
+    rep = analyze_concealment(dephasing_protocol())
     assert abs(rep.upper_routes["witness_dual"] - 1.0) < 1e-12
     assert rep.cb_upper <= 2.0
 
@@ -129,9 +128,9 @@ _REPORTS = {}
 
 
 def _report(spec):
-    """``analyze_concealment(spec, restarts=4, seed=3)``, once per protocol."""
+    """``analyze_concealment(spec)``, once per protocol."""
     if spec.label not in _REPORTS:
-        _REPORTS[spec.label] = analyze_concealment(spec, restarts=4, seed=3)
+        _REPORTS[spec.label] = analyze_concealment(spec)
     return _REPORTS[spec.label]
 
 
@@ -169,32 +168,41 @@ def test_input_sized_reference_suffices(spec, ref_dim):
         assert abs(4.0 * (helstrom_prob(spec, carried.reshape(-1)) - 0.5) - rep.cb_lower) < 1e-12
 
 
-# Protocols (din, dout, m, seed) whose entangled start does not certify, so
-# the seeded restarts run; at random-3x2-m3 seeds 505 and 512, random-4x2-m4
-# seed 511 and random-3x2-m2 seed 591 they tighten the dual.
-UNCERTIFIED_CASES = [
-    (3, 2, 3, 505),
-    (3, 2, 3, 512),
-    (4, 2, 4, 510),
-    (4, 2, 4, 511),
-    (3, 2, 2, 517),
-    (3, 2, 2, 591),
-]
+def _panel(din, dout, m, s):
+    """A protocol of the 250-protocol random concealment panel."""
+    return random_protocol(din, dout, m, np.random.default_rng([4242, din, dout, m, s]))
 
 
-@pytest.mark.parametrize(
-    "din, dout, m, seed",
-    UNCERTIFIED_CASES,
-    ids=[f"random-{din}x{dout}-m{m}-seed{seed}" for din, dout, m, seed in UNCERTIFIED_CASES],
-)
-def test_restarts_only_narrow_the_bracket(din, dout, m, seed):
-    spec = random_protocol(din, dout, m, seed=seed)
-    first = analyze_concealment(spec, restarts=0, seed=5)
-    rerun = analyze_concealment(spec, restarts=8, seed=5)
-    assert first.cb_upper - first.cb_lower > CERTIFIED_WIDTH
-    assert rerun.solver_trace.restarts == 8
-    assert rerun.cb_upper <= first.cb_upper
-    assert rerun.cb_lower >= first.cb_lower
+# Protocols whose entangled start does not certify, each with the bracket
+# that the search reached when it still ran seeded random restarts after
+# that start (8 restarts; 16 on 4x2-m4 seed 4242). Those restarts won on the
+# three panel protocols, by round-off. At random-3x2-m3 seeds 505 and 512,
+# random-4x2-m4 seeds 511 and 4242 and random-3x2-m2 seed 591 they
+# tightened the dual, by at most 1.8e-8.
+UNCERTIFIED_CASES = {
+    "random-3x2-m3-seed505": (random_protocol(3, 2, 3, seed=505), 1.7216298970573356, 1.8398566609003626),
+    "random-3x2-m3-seed512": (random_protocol(3, 2, 3, seed=512), 1.5454340927392658, 1.5572173633332576),
+    "random-4x2-m4-seed510": (random_protocol(4, 2, 4, seed=510), 1.7909517645427548, 2.0),
+    "random-4x2-m4-seed511": (random_protocol(4, 2, 4, seed=511), 1.7706166511896455, 1.9461687511793933),
+    "random-3x2-m2-seed517": (random_protocol(3, 2, 2, seed=517), 1.9824899283974706, 2.0),
+    "random-3x2-m2-seed591": (random_protocol(3, 2, 2, seed=591), 1.9773766175769847, 1.9937336261991394),
+    "random-4x2-m4-seed4242": (random_protocol(4, 2, 4, seed=4242), 1.5276979000516082, 1.578193381199452),
+    "panel-3x3-m3-s24": (_panel(3, 3, 3, 24), 1.7710440635465559, 1.8296924930604497),
+    "panel-3x2-m3-s15": (_panel(3, 2, 3, 15), 1.6896145118480925, 1.7039557476794582),
+    "panel-4x2-m3-s1": (_panel(4, 2, 3, 1), 1.9434633677779414, 1.997895100539293),
+}
+
+
+@pytest.mark.parametrize("spec, lower, upper", UNCERTIFIED_CASES.values(), ids=UNCERTIFIED_CASES.keys())
+def test_brackets_where_restarts_ran_hold_without_them(spec, lower, upper):
+    rep = analyze_concealment(spec)
+    assert abs(rep.cb_lower - lower) <= 1e-12
+    assert rep.cb_upper <= upper + 2e-8
+    assert rep.cb_upper - rep.cb_lower > CERTIFIED_WIDTH
+    # The reported witness attains the reported lower bound, and
+    # dual_repair belongs to the witness_dual that is reported.
+    assert abs(4.0 * (helstrom_prob(spec, rep.witness_state) - 0.5) - rep.cb_lower) < 1e-12
+    assert (rep.upper_routes["witness_dual"], rep.dual_repair) == _witness_dual(spec, rep.witness_state)
 
 
 def test_witness_dual_closes_the_bracket_at_closed_forms():
@@ -202,7 +210,7 @@ def test_witness_dual_closes_the_bracket_at_closed_forms():
     for spec, exact in [(dephasing_protocol(), 1.0)] + [
         (decoy_protocol(k), 0.5**k) for k in (1, 2, 3)
     ]:
-        rep = analyze_concealment(spec, restarts=4, seed=0)
+        rep = analyze_concealment(spec)
         assert abs(rep.cb_lower - exact) < 1e-12
         assert exact <= rep.upper_routes["witness_dual"] <= exact + 1e-12
         assert rep.cb_upper - rep.cb_lower <= 1e-12
@@ -210,108 +218,49 @@ def test_witness_dual_closes_the_bracket_at_closed_forms():
 
 def test_certified_start_runs_no_random_restarts():
     for spec in [dephasing_protocol(), random_protocol(3, 3, 2, seed=61)]:
-        rep = analyze_concealment(spec, restarts=8, seed=0)
-        # The trace keeps the restart budget asked for; only the start ran.
-        assert rep.solver_trace.restarts == 8
+        rep = analyze_concealment(spec)
+        assert rep.solver_trace.restarts == 0
         assert len(rep.solver_trace.values) == 1
-        (note,) = rep.solver_trace.notes
-        assert "entangled start certified" in note
-        assert f"CERTIFIED_WIDTH {CERTIFIED_WIDTH!r}" in note
+        assert rep.solver_trace.notes == []
         assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
-
-
-def test_certified_note_reports_the_width_of_the_returned_bracket():
-    # The pair is exactly concealing, and the witness's value lies above its
-    # own rounded dual by 1.1e-16; the report clips it, and the note reads
-    # the width of that clipped bracket, never a negative one.
-    rep = analyze_concealment(concealing_pair(1, 8, 4)[0])
-    (note,) = rep.solver_trace.notes
-    width = rep.cb_upper - rep.cb_lower
-    assert width >= 0.0
-    assert note.startswith(f"entangled start certified: bracket width {width!r} <= ")
 
 
 def test_uncertified_start_runs_the_full_search_unchanged():
     # The certificate at the entangled start's witness is far wider than
-    # CERTIFIED_WIDTH here, so the restarts run.
+    # CERTIFIED_WIDTH here; the report is still that one search's.
     spec = random_protocol(3, 2, 3, seed=505)
-    rep = analyze_concealment(spec, restarts=6, seed=2)
+    rep = analyze_concealment(spec)
     fun_grad, polish, _ = _difference_objective(spec, 1e-8)
     entangled = np.eye(3, dtype=complex).reshape(-1) / np.sqrt(3.0)
     direct = search_sphere(
         fun_grad,
         9,
         maximize=True,
-        restarts=6,
-        seed=2,
+        restarts=0,
+        seed=0,
         extra_starts=[entangled],
         polish=polish,
-        rng_tags=(1,),
     )
-    assert rep.solver_trace.restarts == 6
+    assert rep.cb_upper - rep.cb_lower > CERTIFIED_WIDTH
     assert rep.solver_trace.notes == []
     assert rep.cb_lower == max(0.0, direct.value)
     assert np.array_equal(rep.witness_state, direct.vector)
     assert rep.solver_trace == direct.trace
 
 
-def test_restarts_never_loosen_the_certified_upper_bound():
-    # The entangled start does not certify here. The rerun's witness scores
-    # higher by round-off, but its own dual is looser than the first one;
-    # every dual certifies, so the report keeps the tighter build.
-    spec = random_protocol(4, 2, 4, seed=4242)
-    first = analyze_concealment(spec, restarts=0, seed=0)
-    rerun = analyze_concealment(spec, restarts=16, seed=0)
-    assert rerun.cb_upper <= first.cb_upper
-    assert rerun.cb_lower >= first.cb_lower
-    # The reported witness still attains the reported lower bound.
-    assert abs(4.0 * (helstrom_prob(spec, rerun.witness_state) - 0.5) - rerun.cb_lower) < 1e-12
-    # dual_repair belongs to the witness_dual that is reported.
-    builds = [_witness_dual(spec, r.witness_state) for r in (first, rerun)]
-    kept = min(builds)
-    assert rerun.upper_routes["witness_dual"] == kept[0]
-    assert rerun.dual_repair == kept[1]
-
-
 def test_report_carries_the_dual_repair():
-    rep = analyze_concealment(random_protocol(3, 3, 3, seed=62), restarts=4, seed=0)
+    rep = analyze_concealment(random_protocol(3, 3, 3, seed=62))
     assert 0.0 <= rep.dual_repair <= 1e-9
 
 
-def _cap_search(monkeypatch, entangled: bool):
-    """Cut the entangled start's search (or the restarts' search) in
-    ``analyze_concealment`` to one iteration. The search reaches the same
-    value from every start of these protocols within round-off, so a clear
-    winner needs the other side cut short."""
-    search = qbcommit.concealment.search_sphere
-
-    def capped(*args, restarts, **kwargs):
-        if (restarts == 0) == entangled:
-            kwargs["max_iter"] = 1
-        return search(*args, restarts=restarts, **kwargs)
-
-    monkeypatch.setattr(qbcommit.concealment, "search_sphere", capped)
-
-
 @pytest.mark.parametrize(
-    "spec, restarts, witnesses",
-    [
-        (dephasing_protocol(), 4, 1),
-        (random_protocol(3, 2, 3, seed=505), 4, 1),
-        (random_protocol(3, 2, 3, seed=535), 4, 2),
-        (random_protocol(3, 2, 3, seed=505), 0, 1),
-    ],
-    ids=["certified", "uncertified", "restart-wins", "no-restarts"],
+    "spec",
+    [dephasing_protocol(), random_protocol(3, 2, 3, seed=505)],
+    ids=["certified", "uncertified"],
 )
-def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, restarts, witnesses):
-    # The entangled start's build serves the upper routes and dual_repair
-    # unless a restart beats its witness; only then is one more build made,
-    # at the restart's witness. Neither outcome rests on round-off: with the
-    # losing side cut to one iteration, every restart ends at least 1.8e-3
-    # below the entangled start on 3x2 m3 seed 505, and beats it by 3.5e-2
-    # on seed 535.
-    if restarts:
-        _cap_search(monkeypatch, entangled=witnesses == 2)
+def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec):
+    # The witness's one build serves the upper routes and dual_repair,
+    # whether or not the bracket certifies.
     calls = []
     fn = qbcommit.concealment._witness_z
 
@@ -320,19 +269,16 @@ def test_analyze_concealment_builds_each_witness_dual_once(monkeypatch, spec, re
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(qbcommit.concealment, "_witness_z", counting)
-    rep = analyze_concealment(spec, restarts=restarts, seed=2)
-    assert len(calls) == witnesses == 1 + (rep.solver_trace.best_start > 0)
+    rep = analyze_concealment(spec)
+    assert len(calls) == 1
     assert rep.cb_upper == min(rep.upper_routes.values())
     final = _witness_dual(spec, rep.witness_state)
-    assert rep.upper_routes["witness_dual"] <= final[0]
-    if witnesses == 1:
-        assert rep.upper_routes == {"witness_dual": final[0], "channel_pair_cap": 2.0}
-        assert rep.dual_repair == final[1]
+    assert rep.upper_routes == {"witness_dual": final[0], "channel_pair_cap": 2.0}
+    assert rep.dual_repair == final[1]
 
 
 def test_analyze_concealment_builds_the_choi_difference_once(monkeypatch):
-    # Both duals of a call where a restart wins read one J, and no
-    # eigendecomposition is taken of J itself.
+    # The dual reads one J, and no eigendecomposition is taken of J itself.
     spec = random_protocol(3, 2, 3, seed=535)
     j = _choi_difference(spec)
     builds, decomposed = [], []
@@ -348,9 +294,7 @@ def test_analyze_concealment_builds_the_choi_difference_once(monkeypatch):
 
     monkeypatch.setattr(qbcommit.concealment, "_choi_difference", building)
     monkeypatch.setattr(linalg, "eigh_or_error", recording)
-    _cap_search(monkeypatch, entangled=True)
-    rep = analyze_concealment(spec, restarts=4, seed=2)
-    assert rep.solver_trace.best_start > 0
+    analyze_concealment(spec)
     assert builds == [1]
     assert decomposed and not any(decomposed)
 
@@ -375,8 +319,8 @@ def test_dual_allowance_covers_a_large_candidate(spec):
 
 
 def test_uncertified_start_is_searched_once(monkeypatch):
-    # The restarts run without the entangled start; its outcome is already
-    # in the trace, which they extend in start order.
+    # One search from the entangled start, and no random restarts after it,
+    # even though its bracket does not certify.
     calls = []
     fn = qbcommit.concealment.search_sphere
 
@@ -385,15 +329,15 @@ def test_uncertified_start_is_searched_once(monkeypatch):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(qbcommit.concealment, "search_sphere", recording)
-    rep = analyze_concealment(random_protocol(3, 2, 3, seed=505), restarts=6, seed=2)
-    assert calls == [(1, 0), (0, 6)]
-    assert len(rep.solver_trace.values) == 7
+    rep = analyze_concealment(random_protocol(3, 2, 3, seed=505))
+    assert calls == [(1, 0)]
+    assert len(rep.solver_trace.values) == 1
 
 
 def test_bracket_ordering_random_protocols():
     for i in range(8):
         spec = random_protocol(2, 2, 2, seed=100 + i)
-        rep = analyze_concealment(spec, restarts=6, seed=1)
+        rep = analyze_concealment(spec)
         assert rep.cb_lower <= rep.cb_upper + 1e-12
         assert 0.0 <= rep.cb_lower
         assert rep.cb_upper <= 2.0 + 1e-12
@@ -403,16 +347,16 @@ def test_bracket_ordering_random_protocols():
 
 def test_analyze_concealment_report_fields():
     spec = phase_flip_pair()
-    rep = analyze_concealment(spec, restarts=6, seed=0)
+    rep = analyze_concealment(spec)
     assert rep.label == spec.label
     assert abs(rep.cb_lower - 2.0) < 1e-8
     assert abs(rep.cb_upper - 2.0) < 1e-12
     assert abs(rep.bob_cheat_upper - 1.0) < 1e-12
     assert rep.witness_state.shape == (4,)
-    # The entangled start is certified: the budget is kept, no restart ran.
-    assert rep.solver_trace.restarts == 6
+    # The entangled start is the one start, and the trace holds no seed.
+    assert (rep.solver_trace.restarts, rep.solver_trace.seed) == (0, 0)
     assert len(rep.solver_trace.values) == 1
-    assert "entangled start certified" in rep.solver_trace.notes[0]
+    assert rep.solver_trace.notes == []
 
 
 # Random 3x3 and 4x4 protocols, one with more outputs than inputs and one
@@ -495,7 +439,7 @@ def test_difference_objective_gradient_matches_finite_differences(spec):
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=OBJECTIVE_IDS)
 def test_difference_objective_batch_rows_equal_one_row_calls(spec):
     fun_grad = _difference_objective(spec, 1e-8).fun_grad
-    # 17 rows: as many as the entangled start and the default 16 restarts.
+    # Batches of 1 to 17 rows, each row checked against its own one-row call.
     for count in (1, 3, 8, 17):
         psis = _states(spec.dim_in**2, count, 74, spec.dim_in, count)
         values, grads, *pieces = fun_grad(psis)
@@ -560,13 +504,13 @@ PANEL_P0 = random_protocol(3, 3, 3, np.random.default_rng([20020, 3, 3, 0]))
 
 
 def test_newton_polish_finishes_the_entangled_start_quickly():
-    rep = analyze_concealment(PANEL_P0, 16, 0)
+    rep = analyze_concealment(PANEL_P0)
     assert len(rep.solver_trace.iterations) == 1
     assert rep.solver_trace.iterations[0] <= 10
 
 
 def test_newton_polish_closes_the_bracket_tightly():
-    rep = analyze_concealment(PANEL_P0, 16, 0)
+    rep = analyze_concealment(PANEL_P0)
     assert rep.cb_upper - rep.cb_lower <= 1e-7
 
 
@@ -575,7 +519,7 @@ def test_newton_point_improves_a_generic_state_near_the_optimum():
     # gradient is far above tol, so the polish proposes the Newton point:
     # it gains, and it closes more than 99.9 % of the gap to the optimum.
     objective = _difference_objective(PANEL_P0, 1e-8)
-    witness = analyze_concealment(PANEL_P0, 0, 0).witness_state
+    witness = analyze_concealment(PANEL_P0).witness_state
     nudge = _states(9, 1, 86)[0]
     psi = linalg.normalize_state(witness + 1e-3 * (nudge - np.vdot(witness, nudge) * witness))
     (value,), (grad,), *pieces = objective.fun_grad(psi[None])
@@ -623,7 +567,7 @@ def test_newton_point_matches_the_eigendecomposition_solve(spec):
     # that moves its step by up to 1e-8 relative.
     objective = _difference_objective(spec, 1e-8)
     n = spec.dim_in**2
-    witness = analyze_concealment(spec, 0, 0).witness_state
+    witness = analyze_concealment(spec).witness_state
     outcomes = set()
     for r, nudge in enumerate(_states(n, 12, 94, spec.dim_in)):
         scale = (0.03, 0.1, 0.3, 1.0)[r % 4]
@@ -645,7 +589,7 @@ def test_saddle_free_candidate_gains_at_an_indefinite_point(spec):
     # direction, and its candidate beats the iterate.
     objective = _difference_objective(spec, 1e-8)
     n = spec.dim_in**2
-    witness = analyze_concealment(spec, 0, 0).witness_state
+    witness = analyze_concealment(spec).witness_state
     seen = 0
     for nudge in _states(n, 6, 96, spec.dim_in):
         psi = linalg.normalize_state(witness + nudge)
@@ -684,7 +628,7 @@ def test_entangled_start_ends_at_its_converged_newton_point(tmp_path, monkeypatc
         return objective._replace(fun_grad=fun_grad)
 
     monkeypatch.setattr(qbcommit.concealment, "_difference_objective", counting)
-    rep = analyze_concealment(spec, 0, 2)
+    rep = analyze_concealment(spec)
     assert rep.solver_trace.converged == [True]
     assert rep.solver_trace.line_search_failures == 0
     assert sum(rows) <= 30
@@ -719,7 +663,7 @@ def test_shared_cut_is_exact(din, dout, m, seed):
     assert cut.cardinality == m - 1
     split_cut, split_note = _shared_cut(split)
     assert split_cut is split and split_note is None
-    reports = [analyze_concealment(s, restarts=4, seed=0) for s in (spec, split)]
+    reports = [analyze_concealment(s) for s in (spec, split)]
     for rep in reports:
         assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
     assert abs(reports[0].cb_lower - reports[1].cb_lower) <= 1e-9
@@ -734,7 +678,7 @@ def test_decoy_points_are_cut_to_two_operators():
     # only by the dual's round-off allowance, which scales with it (1.5e-14
     # at k = 0, where nothing is cut).
     for k in range(9):
-        rep = analyze_concealment(decoy_protocol(k), 8, 0, 1e-7)
+        rep = analyze_concealment(decoy_protocol(k), 1e-7)
         exact = 0.5**k
         assert abs(rep.cb_lower - exact) <= 1e-14 * exact
         assert exact <= rep.cb_upper <= exact + 2e-14 * exact
@@ -753,7 +697,7 @@ def test_decoy_concealment_decomposes_no_large_matrix(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(linalg, "eigh_or_error", recording)
-    rep = analyze_concealment(decoy_protocol(6), 8, 0, 1e-7)
+    rep = analyze_concealment(decoy_protocol(6), 1e-7)
     assert abs(rep.cb_upper - rep.cb_lower) <= 1e-14
     assert sizes and max(sizes) <= 4
 
@@ -763,15 +707,14 @@ def test_identical_families_are_cut_entirely():
     cut, note = _shared_cut(spec)
     assert note == "shared operators dropped: 1 of 1; output rows kept: 0 of 2"
     assert not cut.bit0.ops.any() and not cut.bit1.ops.any()
-    rep = analyze_concealment(spec, restarts=4, seed=0)
+    rep = analyze_concealment(spec)
     assert (rep.cb_lower, rep.cb_upper) == (0.0, 0.0)
     assert (rep.bob_cheat_lower, rep.bob_cheat_upper) == (0.5, 0.5)
     assert rep.upper_routes == {"witness_dual": 0.0, "channel_pair_cap": 2.0}
     assert rep.dual_repair == 0.0
     assert rep.witness_state.shape == (4,)
     assert abs(linalg.vector_norm(rep.witness_state) - 1.0) <= 1e-12
-    assert "entangled start certified" in rep.solver_trace.notes[0]
-    assert rep.solver_trace.notes[-1] == note
+    assert rep.solver_trace.notes == [note]
     assert abs(helstrom_prob(spec, rep.witness_state) - 0.5) <= 1e-12
 
 
@@ -801,10 +744,10 @@ def test_nothing_to_cut_returns_the_spec_itself(spec):
     assert cut is spec and note is None
 
 
-def test_trace_counts_the_rows_and_polish_calls_of_both_searches(monkeypatch):
-    # The entangled start does not certify here, so the restarts run in a
-    # second search; the report's trace counts the rows and polish calls of
-    # both, as wrappers on the objective see them.
+def test_trace_counts_the_rows_and_polish_calls_of_its_search(monkeypatch):
+    # The entangled start does not certify here; the report's trace counts
+    # the rows and polish calls of its one search, as wrappers on the
+    # objective see them.
     rows, polishes = [], []
     build = qbcommit.concealment._difference_objective
 
@@ -822,8 +765,8 @@ def test_trace_counts_the_rows_and_polish_calls_of_both_searches(monkeypatch):
         return objective._replace(fun_grad=fun_grad, polish=polish)
 
     monkeypatch.setattr(qbcommit.concealment, "_difference_objective", counting)
-    rep = analyze_concealment(random_protocol(3, 2, 3, seed=505), restarts=6, seed=2)
-    assert len(rep.solver_trace.values) == 7
+    rep = analyze_concealment(random_protocol(3, 2, 3, seed=505))
+    assert len(rep.solver_trace.values) == 1
     assert rep.solver_trace.evaluations == sum(rows)
     assert rep.solver_trace.polish_calls == len(polishes)
 
@@ -834,7 +777,7 @@ def test_benchmark_panel_entangled_starts_take_few_objective_rows():
     # followed by a gradient line search: 304 rows when it was followed by one.
     total = 0
     for spec in NO_CUT_SPECS[:12]:
-        trace = analyze_concealment(spec, 0, 2).solver_trace
+        trace = analyze_concealment(spec).solver_trace
         assert trace.converged == [True]
         assert trace.line_search_failures == 0
         total += trace.evaluations

@@ -341,11 +341,11 @@ def test_every_solver_trace_means_one_thing():
         assert r.minimax_estimate == r.solver_trace.values[r.solver_trace.best_start]
         traces.append((r.solver_trace, max))
     # The entangled start certifies on dephasing, not on the other; both
-    # traces read the restart budget asked for.
+    # traces hold that one start and no restarts.
     for spec in [dephasing_protocol(), random_protocol(3, 2, 3, seed=505)]:
-        rep = analyze_concealment(spec, restarts=8, seed=5)
+        rep = analyze_concealment(spec)
         trace = rep.solver_trace
-        assert trace.restarts == 8
+        assert trace.restarts == 0
         assert min(max(0.0, trace.values[trace.best_start]), rep.cb_upper) == rep.cb_lower
         traces.append((trace, max))
     # The first protocol of the benchmark's bounds panel.

@@ -189,7 +189,7 @@ def test_every_cheat_entry_point_rejects_bad_cheats(entry, bad):
         entry(qc.dephasing_protocol(), cheat)
 
 
-_TINY_SCAN = qc.ScanBudgets(cb_restarts=1, outer_restarts=1, outer_iters=2, inner_restarts=1)
+_TINY_SCAN = qc.ScanBudgets(outer_restarts=1, outer_iters=2, inner_restarts=1)
 
 
 def _basis(dim):
@@ -210,7 +210,7 @@ def _fresh(spec):
 PROTOCOL_ENTRY_POINTS = {
     "require_valid": qc.require_valid,
     "helstrom_prob": lambda spec: qc.helstrom_prob(spec, _basis(spec.dim_in)),
-    "analyze_concealment": lambda spec: qc.analyze_concealment(spec, restarts=2),
+    "analyze_concealment": lambda spec: qc.analyze_concealment(spec),
     "alice_cheat_prob": lambda spec: qc.alice_cheat_prob(
         spec, _identity(spec), _basis(spec.dim_in)
     ),
@@ -221,7 +221,7 @@ PROTOCOL_ENTRY_POINTS = {
     "kraus_gap": qc.kraus_gap,
     "minimize_kraus_gap": qc.minimize_kraus_gap,
     "check_bounds": lambda spec: qc.check_bounds(spec, n_states=2, cb_lower=0.5),
-    "bounds_report": lambda spec: qc.bounds_report(spec, restarts=2, n_states=2, minimize=True),
+    "bounds_report": lambda spec: qc.bounds_report(spec, n_states=2, minimize=True),
     "epsilon_delta_scan": lambda spec: qc.epsilon_delta_scan(
         lambda _: spec, [0.0, 1.0], budgets=_TINY_SCAN
     ),
@@ -229,7 +229,7 @@ PROTOCOL_ENTRY_POINTS = {
 
 
 # Dephasing certifies every search at its first start; the random protocols
-# run the binding ascent (2x2x2) and the norm search's restarts (4x2x2).
+# run the binding ascent (2x2x2) and leave the norm bracket open (4x2x2).
 @pytest.mark.parametrize(
     "spec",
     [
