@@ -209,25 +209,29 @@ def min_over_states(
     )
 
 
-def _project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold).
-
-    The vectors hold one entry per certificate state, so Python's ``sorted``
-    serves; numpy's sort would map its SIMD sort library into memory."""
-    u = np.array(sorted(y, reverse=True))
-    excess = np.cumsum(u) - 1.0
-    k = np.flatnonzero(u * np.arange(1, y.size + 1) > excess)[-1]
-    return np.maximum(y - excess[k] / (k + 1), 0.0)
+def _project_simplex(y: list) -> list:
+    """Euclidean projection of a list of floats onto the probability simplex
+    (sort and threshold). One running sum adds the sorted entries in
+    ``np.cumsum``'s order, so at a certificate's few entries Python floats
+    give the numpy projection bit for bit, without its per-call overhead."""
+    total = theta = 0.0
+    for k, u in enumerate(sorted(y, reverse=True), 1):
+        total += u
+        if u * k > total - 1.0:
+            theta = (total - 1.0) / k
+    return [max(v - theta, 0.0) for v in y]
 
 
 def _simplex_min_norm(gram: np.ndarray) -> np.ndarray:
     """Weights w on the simplex minimizing w^T gram w, by up to 1000 steps of
     projected gradient descent from the uniform weights; ``gram`` is positive
-    semidefinite, so its trace bounds its top eigenvalue and gives a safe step."""
+    semidefinite, so its trace bounds its top eigenvalue and gives a safe step.
+    Only ``gram @ w`` and the movement sum run in numpy, whose BLAS and
+    pairwise summation fix their rounding order."""
     w = np.full(len(gram), 1.0 / len(gram))
     step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
     for _ in range(1000):
-        new = _project_simplex(w - step * (gram @ w))
+        new = np.array(_project_simplex((w - step * (gram @ w)).tolist()))
         moved = np.abs(new - w).sum()
         w = new
         if moved <= 1e-12:

@@ -17,7 +17,6 @@ both sides along a protocol family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -265,18 +264,6 @@ def payoff_floor(gap: float) -> float:
     return max(0.0, 1.0 - gap / 2.0) ** 2
 
 
-@lru_cache(maxsize=1)
-def _sampled_states(dim: int, n_states: int, seed: int) -> np.ndarray:
-    """The ``n_states`` seeded states ``check_bounds`` samples, stacked as
-    rows. Both checks of one ``bounds_report`` draw the same ones (padding
-    keeps dim_in), so they are drawn once and returned read-only."""
-    phis = np.array(
-        [linalg.random_state(dim, linalg.spawn_rng(seed, 5, i)) for i in range(n_states)]
-    )
-    phis.flags.writeable = False
-    return phis
-
-
 def check_bounds(
     spec: ProtocolSpec,
     cheat=None,
@@ -291,8 +278,10 @@ def check_bounds(
     The concealment side compares a quarter of ``cb_lower``, an achieved
     lower bound on the norm (``analyze_concealment``'s), against half the
     square root of the gap. The binding side evaluates Alice's payoff for
-    the gap's own cheat on seeded random states and compares each against
-    the payoff floor, dropping outcomes as binding does (``ZERO_OUTCOME_TOL``
+    the gap's own cheat on ``n_states`` seeded random states (tag 5 of
+    ``linalg._seeded_states``, drawn once for both checks of one
+    ``bounds_report``: padding keeps dim_in) and compares each against the
+    payoff floor, dropping outcomes as binding does (``ZERO_OUTCOME_TOL``
     on squared claimed images and on the kernels' squared singular values).
     Each violation carries its ``kind``, ``label``, ``kraus_gap``,
     ``cheat_unitary`` and ``seed``.
@@ -308,7 +297,7 @@ def check_bounds(
     half_sqrt = 0.5 * float(np.sqrt(gap))
     floor = payoff_floor(gap)
 
-    phis = _sampled_states(spec.dim_in, n_states, seed)
+    phis = linalg._seeded_states(spec.dim_in, n_states, seed, (5,))
     payoffs = _payoffs(spec.bit0.ops, spec.bit1.ops, cheat, phis).tolist()
     shared = {"label": spec.label, "kraus_gap": gap, "cheat_unitary": cheat, "seed": seed}
     violations = [

@@ -8,7 +8,7 @@ the slowest-varying index, matching ``numpy.kron`` ordering.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -192,6 +192,17 @@ def random_state(dim: int, seed) -> np.ndarray:
     idx = int(np.flatnonzero(np.abs(v) > 1e-12)[0])
     v *= np.exp(-1j * np.angle(v[idx]))
     return v
+
+
+@lru_cache(maxsize=1)
+def _seeded_states(dim: int, count: int, seed: int, tags: tuple) -> np.ndarray:
+    """The ``count`` seeded states of ``dim`` drawn under ``tags``, stacked
+    read-only as rows: row r is ``random_state(dim, spawn_rng(seed, *tags, r))``.
+    The last key is kept, so consecutive draws of one key (the points of a
+    scan, two checks of one bounds report) derive their generators once."""
+    rows = np.array([random_state(dim, spawn_rng(seed, *tags, r)) for r in range(count)])
+    rows.flags.writeable = False
+    return rows
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:

@@ -41,8 +41,10 @@ values, so the result equals running the starts one by one.
 
 Determinism contract: results are a pure function of the inputs and the
 seed. Every restart derives its own generator from (seed, tags, restart
-index), and the reduction runs in start order and keeps the earliest start
-on ties, so adding restarts can only improve the result.
+index), so the seeded starts are a pure function of (dimension, count, seed,
+tags); ``linalg._seeded_states`` draws them once per key, and consecutive
+searches of one key reuse the draw. The reduction runs in start order and
+keeps the earliest start on ties, so adding restarts can only improve the result.
 """
 
 from __future__ import annotations
@@ -289,8 +291,10 @@ def search_sphere(
     call normalizes the trial points of the unfinished starts row by row,
     and one objective call evaluates them; a start's trajectory depends only
     on its own values, so the result equals running the starts one by one.
-    ``extra_starts`` are deterministic starting vectors tried before
-    the seeded random ones. ``spans``, one entry per extra start, confines
+    ``extra_starts`` are deterministic starting vectors tried before the
+    ``restarts`` seeded random ones, the rows of ``linalg._seeded_states(dim,
+    restarts, seed, rng_tags)``; with no restarts nothing is drawn, and the
+    last draw stays cached. ``spans``, one entry per extra start, confines
     that start to the unit sphere of the range of an orthonormal basis that
     holds it (``None`` for the whole sphere, and for every random start).
     ``fun_grad`` may return further ``(R, ...)`` arrays after the gradients.
@@ -307,8 +311,8 @@ def search_sphere(
     _require_count("restarts", restarts, 0)
     sgn = 1.0 if maximize else -1.0
     starts = [linalg.normalize_state(s) for s in extra_starts]
-    for r in range(restarts):
-        starts.append(linalg.random_state(dim, linalg.spawn_rng(seed, *rng_tags, r)))
+    if restarts:
+        starts.extend(linalg._seeded_states(dim, restarts, seed, tuple(rng_tags)))
     if not starts:
         raise ValueError("no starting points: need restarts or extra_starts")
 

@@ -17,6 +17,7 @@ from qbcommit.binding import (
     _payoff_fun_grad,
     _payoffs,
     _polar_ascent,
+    _simplex_min_norm,
     alice_cheat_prob,
     min_over_states,
     minimax_cheat,
@@ -647,3 +648,61 @@ def test_validation_runs_once_per_public_call(monkeypatch, residual_calls):
     del residual_calls[:], cheats[:]
     check_bounds(spec, cheat=linalg.random_unitary(3, 7), n_states=6, cb_lower=0.5)
     assert (len(residual_calls), len(cheats)) == (0, 1)
+
+
+def test_mutating_a_worst_state_leaves_the_next_bind_unchanged():
+    # The scoring searches of consecutive calls share one draw of seeded
+    # starts; no report field may alias it.
+    spec = random_protocol(2, 2, 2, np.random.default_rng([515, 2, 2, 2, 0]))
+    opts = dict(outer_restarts=2, outer_iters=15, inner_restarts=3, seed=1, include_swapped=False)
+    linalg._seeded_states.cache_clear()
+    first = minimax_cheat(spec, **opts)
+    state = first.worst_state.copy()
+    first.worst_state[:] = 0.0
+    again = minimax_cheat(spec, **opts)
+    assert again.minimax_estimate == first.minimax_estimate
+    assert again.worst_state.tobytes() == state.tobytes()
+
+
+def _numpy_simplex_min_norm(gram):
+    """The projected-gradient loop with its projection on numpy arrays: an
+    oracle for the float-list projection, which must agree bit for bit."""
+    w = np.full(len(gram), 1.0 / len(gram))
+    step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
+    for _ in range(1000):
+        y = w - step * (gram @ w)
+        u = np.array(sorted(y, reverse=True))
+        excess = np.cumsum(u) - 1.0
+        k = np.flatnonzero(u * np.arange(1, y.size + 1) > excess)[-1]
+        new = np.maximum(y - excess[k] / (k + 1), 0.0)
+        moved = np.abs(new - w).sum()
+        w = new
+        if moved <= 1e-12:
+            break
+    return w
+
+
+def _certificate_gradients(rng, case):
+    """n = 1-25 gradient rows of one of five kinds, scaled over 7 decades."""
+    n, d = int(rng.integers(1, 26)), int(rng.integers(1, 9))
+    base = rng.standard_normal((2, d)) * 10.0 ** rng.uniform(-6, 1)
+    pick = rng.integers(0, 2, n)
+    if case == 0:  # two gradients, each duplicated
+        return base[pick]
+    if case == 1:  # one gradient and its opposite
+        return base[0] * (1 - 2 * pick)[:, None]
+    if case == 2:
+        return np.zeros((n, d))
+    if case == 3:  # multiples of one gradient, of either sign
+        return rng.standard_normal((n, 1)) * base[0]
+    # Generic rows: past two they take hundreds of steps at the 1/trace step.
+    return rng.standard_normal((min(n, 2), d)) * base[0, 0]
+
+
+def test_simplex_min_norm_matches_the_numpy_loop_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for i in range(5000):
+        g = _certificate_gradients(rng, i % 5)
+        gram = g @ g.T
+        w = _simplex_min_norm(gram)
+        assert np.array_equal(w, _numpy_simplex_min_norm(gram)), (i, gram)

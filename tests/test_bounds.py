@@ -229,7 +229,7 @@ def test_bounds_report_draws_its_sampled_states_once(monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(linalg, "random_state", counting)
-    bounds._sampled_states.cache_clear()
+    linalg._seeded_states.cache_clear()
     spec = random_protocol(3, 3, 3, seed=0)
     report = bounds_report(spec, n_states=4, seed=9, minimize=True)
     assert len(drawn) == 4

@@ -13,6 +13,7 @@ import qbcommit.binding
 import qbcommit.bounds
 import qbcommit.concealment
 import qbcommit.cli as cli
+from qbcommit import linalg
 from qbcommit.bounds import GAP_STEPS
 from qbcommit.errors import BracketInversionError
 from qbcommit.families import (
@@ -184,6 +185,50 @@ def test_scan_ignores_cb_restarts(capsys):
         assert cli.main(["scan", config, *extra]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Log of ``linalg.spawn_rng`` calls, from an empty seeded-state cache."""
+    calls = []
+    spawn = linalg.spawn_rng
+
+    def counting(*args):
+        calls.append(args)
+        return spawn(*args)
+
+    monkeypatch.setattr(linalg, "spawn_rng", counting)
+    linalg._seeded_states.cache_clear()
+    return calls
+
+
+def test_decoy_scan_draws_its_seeded_starts_once(spawned, capsys):
+    # Every point certifies at the Procrustes start, so each runs one scoring
+    # search with the same 8 seeded starts: the points after the first reuse
+    # the first point's draw.
+    config = str(Path(__file__).resolve().parents[1] / "protocols" / "decoy-scan.json")
+    assert cli.main(["scan", config]) == 0
+    assert len(spawned) == 8
+
+
+def test_bind_draws_each_run_of_one_key_once(spawned, tmp_path, capsys):
+    # Scoring searches (tags 2) alternate with each outer restart's reduced
+    # searches (tags 4, r), so only consecutive searches of one key share a
+    # draw: 3 + (2 + 3) + (1 + 2 + 3) generators, the 1 the Haar start of
+    # restart 1.
+    path = tmp_path / "random.json"
+    spec = random_protocol(2, 2, 2, np.random.default_rng([515, 2, 2, 2, 0]))
+    write_protocol_file(path, spec)
+    budgets = ["--outer-restarts", "2", "--outer-iters", "15", "--inner-restarts", "3"]
+    assert cli.main(["bind", str(path), "--seed", "1", *budgets, "--no-swapped"]) == 0
+    assert len(spawned) == 14
+
+
+def test_bounds_report_draws_one_generator_per_sampled_state(spawned, tmp_path, capsys):
+    path = tmp_path / "random.json"
+    write_protocol_file(path, random_protocol(2, 2, 2, np.random.default_rng([515, 2, 2, 2, 0])))
+    assert cli.main(["bounds", str(path), "--minimize"]) == 0
+    assert len(spawned) == 10
 
 
 def test_conceal_output_file(phase_file, tmp_path, capsys):

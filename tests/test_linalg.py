@@ -137,6 +137,22 @@ def test_spawn_rng_tags_give_distinct_streams():
     assert np.abs(x - y).max() > 1e-6
 
 
+@pytest.mark.parametrize(
+    "dim, count, seed, tags",
+    [(1, 1, 0, ()), (2, 8, 0, (2,)), (3, 5, 7, (4, 1)), (4, 3, 1902, (4, 0)), (6, 10, 9, (5,))],
+)
+def test_seeded_states_are_the_per_restart_draws_read_only(dim, count, seed, tags):
+    rows = linalg._seeded_states(dim, count, seed, tags)
+    assert rows.shape == (count, dim)
+    for r, row in enumerate(rows):
+        drawn = linalg.random_state(dim, linalg.spawn_rng(seed, *tags, r))
+        assert row.tobytes() == drawn.tobytes()
+    assert linalg._seeded_states(dim, count, seed, tags) is rows
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
+
+
 def test_eigh_or_error_raises_typed():
     bad = np.full((2, 2), np.nan)
     with pytest.raises(SpectralDecompositionError):

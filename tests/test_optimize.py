@@ -211,6 +211,23 @@ def test_search_sphere_counts_objective_rows_and_polish_calls():
     assert bare.trace.polish_calls == 0
 
 
+def test_search_sphere_restarts_survive_a_mutated_result():
+    # A flat objective ends every start where it began, so the result is one
+    # of the seeded starts; writing into it must not reach the next search's.
+    seen = []
+
+    def flat(points):
+        seen.append(points.copy())
+        return np.zeros(len(points)), np.zeros_like(points)
+
+    opts = dict(maximize=False, restarts=4, seed=3, rng_tags=(2,))
+    first = search_sphere(flat, 3, **opts)
+    first.vector[:] = 0.0
+    search_sphere(flat, 3, **opts)
+    drawn = np.stack([linalg.random_state(3, linalg.spawn_rng(3, 2, r)) for r in range(4)])
+    assert seen[0].tobytes() == seen[1].tobytes() == drawn.tobytes()
+
+
 def test_search_sphere_trace_bookkeeping():
     h = np.diag([1.0, -1.0])
     res = search_sphere(rowwise(quadratic_form(h)), 2, maximize=True, restarts=3, seed=7)
