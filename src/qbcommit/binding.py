@@ -339,11 +339,12 @@ class BindingReport:
     point), each from the claimed-branch kernel states and that cheat's
     worst state, and ``payoff_cap``, which is 1. ``solver_trace`` holds one
     entry per scored cheat, the alignment at index 0; ``inner_trace`` is the
-    inner search that scored the estimate.
+    inner search that scored the estimate. Their random starts drew on ``seed``.
     """
 
     label: str
     direction: str
+    seed: int
     minimax_estimate: float
     binding_upper: float
     upper_routes: dict
@@ -412,13 +413,7 @@ def minimax_cheat(
     procrustes = linalg.require_unitary(
         align_families(committed, claimed), tol=linalg.UNITARY_CONSTRUCTION_TOL
     )
-    trace = SolverTrace(
-        seed=int(seed),
-        restarts=int(outer_restarts),
-        extra_starts=1,
-        tol=float(tol),
-        max_iter=int(outer_iters),
-    )
+    trace = SolverTrace(extra_starts=1, tol=float(tol), max_iter=int(outer_iters))
     trace.notes.append("start 0: Procrustes alignment of the two families")
     scored = []
     witness = np.inf
@@ -448,7 +443,7 @@ def minimax_cheat(
         worst = [res.vector for _, res in scored]
         for i, (u, res) in enumerate(scored):
             if res.value > witness + BRACKET_GUARD:
-                again = _worst_state(ck, cl, u, worst, tol=full["tol"], restarts=0, seed=seed)
+                again = _worst_state(ck, cl, u, worst, tol=full["tol"])
                 trace.count(again.trace)
                 trace.notes.append(f"cheat {i} rescored from the scored worst states: {again.value!r}")
                 if again.value < res.value:
@@ -478,6 +473,7 @@ def minimax_cheat(
     report = BindingReport(
         label=spec.label,
         direction=direction,
+        seed=int(seed),
         minimax_estimate=float(estimate),
         binding_upper=float(upper),
         upper_routes=routes,

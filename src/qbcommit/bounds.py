@@ -16,7 +16,7 @@ both sides along a protocol family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     padded = ProtocolSpec(spec.label, spec.bit0.padded(2 * m), spec.bit1.padded(2 * m))
     unitary = linalg.require_unitary(_halmos(best), tol=linalg.UNITARY_CONSTRUCTION_TOL)
     value, lower = _gap(padded, unitary), max(0.0, lower - allowance)
-    trace = SolverTrace(seed=0, restarts=0, extra_starts=1, tol=CERTIFIED_WIDTH, max_iter=GAP_STEPS)
+    trace = SolverTrace(extra_starts=1, tol=CERTIFIED_WIDTH, max_iter=GAP_STEPS)
     trace.notes.append(f"{stop}: value - lower {value - lower!r}")
     # eigh calls: step 1's two gap operators and the final gap, and past
     # step 1 the eigh of K and one per Newton iterate.
@@ -383,19 +383,15 @@ class EpsilonDeltaPoint:
 
     ``eps_lo`` and ``eps_hi`` bracket the norm distinguishing the two
     channels; ``delta`` is one minus Alice's achieved worst-case payoff, so
-    small delta means the protocol is close to unbinding.
+    small delta means the protocol is close to unbinding. The budgets and
+    the seed are the scan's (``ScanResult``).
     """
 
     param: float
     eps_lo: float
     eps_hi: float
-    epsilon: float
-    width: float
     delta: float
     minimax: float
-    budget_outer: int
-    budget_inner: int
-    seed: int
 
 
 @dataclass
@@ -421,12 +417,13 @@ def epsilon_delta_scan(
 
     ``family`` maps a parameter value to a protocol. A parameter that the
     family or the validation rejects (``ValueError``, ``OverflowError`` or
-    ``CommitmentError``) is recorded as skipped with the reason instead of
-    aborting the scan; any other exception is a bug and propagates. The
-    norm bracket is ``analyze_concealment``'s and the estimate is
-    ``minimax_cheat``'s in direction "01", so an inverted bracket raises
-    ``BracketInversionError`` as it does for a single protocol. ``seed``
-    drives the binding search alone; the norm bracket takes none.
+    ``CommitmentError``), or one too large to build (``MemoryError``), is
+    recorded as skipped with the reason instead of aborting the scan; any
+    other exception is a bug and propagates. The norm bracket is
+    ``analyze_concealment``'s and the estimate is ``minimax_cheat``'s in
+    direction "01", so an inverted bracket raises ``BracketInversionError``
+    as it does for a single protocol. ``seed`` drives the binding search
+    alone; the norm bracket takes none.
     """
     if budgets is None:
         budgets = ScanBudgets()
@@ -437,7 +434,7 @@ def epsilon_delta_scan(
         try:
             spec = family(param)
             require_valid(spec)
-        except (ValueError, OverflowError, CommitmentError) as exc:
+        except (ValueError, OverflowError, MemoryError, CommitmentError) as exc:
             skipped.append((param, f"{type(exc).__name__}: {exc}"))
             continue
         conceal = analyze_concealment(spec, budgets.tol)
@@ -458,13 +455,8 @@ def epsilon_delta_scan(
                 param=float(param),
                 eps_lo=float(lo),
                 eps_hi=float(hi),
-                epsilon=float((lo + hi) / 2.0),
-                width=float(hi - lo),
                 delta=float(max(0.0, 1.0 - est)),
                 minimax=float(est),
-                budget_outer=int(budgets.outer_restarts),
-                budget_inner=int(budgets.inner_restarts),
-                seed=int(seed),
             )
         )
     return ScanResult(
@@ -478,8 +470,10 @@ def epsilon_delta_scan(
 
 def scan_to_csv(result: ScanResult) -> str:
     """Deterministic CSV rendering of a scan, one row per point: the
-    ``repr`` of each field ``SCAN_CSV_HEADER`` names, in its order."""
-    fields = SCAN_CSV_HEADER.split(",")
+    ``repr`` of each of the point's fields, then of the scan's outer and
+    inner restart budgets and its seed, in ``SCAN_CSV_HEADER``'s order."""
+    b = result.budgets
+    tail = ",".join(repr(int(n)) for n in (b.outer_restarts, b.inner_restarts, result.seed))
     lines = [SCAN_CSV_HEADER]
-    lines += [",".join(repr(getattr(pt, f)) for f in fields) for pt in result.points]
+    lines += [",".join([*map(repr, astuple(pt)), tail]) for pt in result.points]
     return "\n".join(lines) + "\n"

@@ -386,8 +386,6 @@ def analyze_concealment(spec: ProtocolSpec, tol: float = 1e-8) -> ConcealmentRep
         fun_grad,
         din * din,
         maximize=True,
-        restarts=0,
-        seed=0,
         tol=tol,
         extra_starts=[entangled],
         polish=polish,

@@ -105,6 +105,10 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
     k = int(decoy_qubits)
     if k < 0:
         raise ValueError(f"decoy count must be nonnegative, got {k}")
+    # The operator stack's 16 (2^k + 1) 2^(k + 2) bytes must fit numpy's
+    # largest array; the first test keeps a huge count from forming 2^k.
+    if k >= np.iinfo(np.intp).bits or 16 * (2**k + 1) * 2 ** (k + 2) > np.iinfo(np.intp).max:
+        raise ValueError(f"decoy count {k}: its operator stack exceeds numpy's largest array")
     branches = 2**k
     weight = branches**-0.5
     # Operator j as (qubit out, decoy string, qubit in), the layout of

@@ -117,8 +117,22 @@ class ScanConfig:
     label: str
 
 
+def _finite_numbers(values, what: str) -> list:
+    """``values`` as floats, each checked to be a finite JSON number, not a bool."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ProtocolFileError(f"{what} must be JSON numbers")
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        floats = [math.inf]
+    if not all(math.isfinite(v) for v in floats):
+        raise ProtocolFileError(f"{what} must be finite")
+    return floats
+
+
 def load_scan_config(path) -> ScanConfig:
-    """Scan config from JSON: family name, parameter list, optional options."""
+    """Scan config from JSON: family name, parameter list, optional options;
+    each parameter and option value must be a finite number."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ProtocolFileError(f"{path}: scan config must hold a JSON object")
@@ -131,17 +145,11 @@ def load_scan_config(path) -> ScanConfig:
     params = data.get("params")
     if not isinstance(params, list) or not params:
         raise ProtocolFileError(f"{path}: 'params' must be a nonempty list")
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params):
-        raise ProtocolFileError(f"{path}: 'params' entries must be JSON numbers")
-    try:
-        params = [float(p) for p in params]
-    except OverflowError:
-        raise ProtocolFileError(f"{path}: 'params' entries must be finite")
-    if not all(math.isfinite(p) for p in params):
-        raise ProtocolFileError(f"{path}: 'params' entries must be finite")
+    params = _finite_numbers(params, f"{path}: 'params' entries")
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ProtocolFileError(f"{path}: 'options' must be an object")
+    options = dict(zip(options, _finite_numbers(options.values(), f"{path}: 'options' values")))
     base = FAMILY_REGISTRY[name]
     try:
         inspect.signature(base).bind(params[0], **options)

@@ -90,13 +90,13 @@ def _require_count(name: str, value: int, minimum: int) -> None:
 
 @dataclass
 class SolverTrace:
-    """Reproducibility record attached to optimizer-backed reports.
+    """How a report's search ran, read under its stop rule ``tol``, ``max_iter``.
 
     ``values``, ``iterations`` and ``converged`` hold one entry per start
-    that ran, in start order: the ``extra_starts`` fixed starts, then up to
-    ``restarts`` restarts (fewer when a certificate ends the search early).
-    ``best_start`` is the earliest start holding the best value, and the
-    report's headline is read from that value.
+    that ran, in start order: the ``extra_starts`` fixed starts, then
+    ``len(values) - extra_starts`` seeded restarts, drawn with the report's
+    seed (``BindingReport.seed``). ``best_start`` is the earliest start
+    holding the best value, and the report's headline is read from that value.
 
     ``line_search_failures`` counts the sphere-search starts that ended
     because no step down to ``MIN_STEP`` met the Armijo condition: stuck at
@@ -105,15 +105,12 @@ class SolverTrace:
     points, with no line search after them, and ends at a converged one.
     ``evaluations`` counts the objective rows, summed over lockstep rounds,
     and ``polish_calls`` the polish calls. Concealment's trace is that of its
-    one search, from the entangled start, with ``restarts`` 0 and ``seed`` 0.
-    Binding's outer trace sums the rows and failures of every sphere search
-    it ran, scored and surrogate; it has no polish. The Kraus-gap bracket's
-    trace has one entry, its step count, and counts its ``eigh`` calls as
-    ``evaluations``.
+    one search, from the entangled start. Binding's outer trace sums the rows
+    and failures of every sphere search it ran, scored and surrogate; it has
+    no polish. The Kraus-gap bracket's trace has one entry, its step count,
+    and counts its ``eigh`` calls as ``evaluations``.
     """
 
-    seed: int
-    restarts: int
     extra_starts: int
     tol: float
     max_iter: int
@@ -274,8 +271,8 @@ def search_sphere(
     dim: int,
     *,
     maximize: bool,
-    restarts: int,
-    seed: int,
+    restarts: int = 0,
+    seed: int = 0,
     tol: float = 1e-8,
     max_iter: int = 500,
     extra_starts=(),
@@ -293,10 +290,11 @@ def search_sphere(
     on its own values, so the result equals running the starts one by one.
     ``extra_starts`` are deterministic starting vectors tried before the
     ``restarts`` seeded random ones, the rows of ``linalg._seeded_states(dim,
-    restarts, seed, rng_tags)``; with no restarts nothing is drawn, and the
-    last draw stays cached. ``spans``, one entry per extra start, confines
-    that start to the unit sphere of the range of an orthonormal basis that
-    holds it (``None`` for the whole sphere, and for every random start).
+    restarts, seed, rng_tags)``; with no restarts (the default) ``seed`` is
+    unread, nothing is drawn and the last draw stays cached. ``spans``, one
+    entry per extra start, confines that start to the unit sphere of the range
+    of an orthonormal basis that holds it (``None`` for the whole sphere, and
+    for every random start).
     ``fun_grad`` may return further ``(R, ...)`` arrays after the gradients.
     ``polish(psi, grad, *pieces)`` is called at the start of every iteration
     with the iterate, the gradient and the iterate's rows of those arrays,
@@ -316,13 +314,7 @@ def search_sphere(
     if not starts:
         raise ValueError("no starting points: need restarts or extra_starts")
 
-    trace = SolverTrace(
-        seed=int(seed),
-        restarts=int(restarts),
-        extra_starts=len(starts) - restarts,
-        tol=float(tol),
-        max_iter=int(max_iter),
-    )
+    trace = SolverTrace(extra_starts=len(starts) - restarts, tol=float(tol), max_iter=int(max_iter))
     spans = (list(spans) if spans is not None else [None] * trace.extra_starts) + [None] * restarts
     searches = [
         _line_search(s, sgn, tol=tol, max_iter=max_iter, polish=polish, span=b)

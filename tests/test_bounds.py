@@ -138,6 +138,7 @@ def test_scan_decoy_closed_forms():
     assert len(result.skipped) == 1
     assert result.skipped[0][0] == -1
     assert "ValueError" in result.skipped[0][1]
+    assert (result.budgets.outer_restarts, result.budgets.inner_restarts) == (2, 6)
     for k, pt in enumerate(result.points):
         assert pt.param == float(k)
         assert abs(pt.eps_lo - 0.5**k) < 1e-6
@@ -145,8 +146,6 @@ def test_scan_decoy_closed_forms():
         assert abs(pt.minimax - (1.0 - 0.75 * 0.5**k)) < 1e-4
         assert abs(pt.delta - (1.0 - pt.minimax)) < 1e-15
         assert pt.eps_lo <= pt.eps_hi + 1e-12
-        assert pt.budget_outer == 2
-        assert pt.budget_inner == 6
     # Weaker commitments should be harder to break: delta shrinks with k.
     deltas = [pt.delta for pt in result.points]
     assert deltas == sorted(deltas, reverse=True)

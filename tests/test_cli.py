@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -173,7 +174,7 @@ def test_conceal_output_does_not_depend_on_the_seed(path, capsys):
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
     assert report["solver_trace"]["extra_starts"] == 1
-    assert report["solver_trace"]["restarts"] == 0
+    assert len(report["solver_trace"]["values"]) - report["solver_trace"]["extra_starts"] == 0
     assert report["cb_upper"] - report["cb_lower"] <= CERTIFIED_WIDTH
     assert set(report["upper_routes"]) == {"channel_pair_cap", "witness_dual"}
 
@@ -574,6 +575,101 @@ def test_scan_bad_config_exits_two(tmp_path, capsys, config, message, fmt):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("angle", ['"x"', "null", "true", "Infinity"])
+def test_scan_non_number_option_exits_two(tmp_path, capsys, angle):
+    # An option value must be a finite JSON number, as a params entry must.
+    path = tmp_path / "scan.json"
+    config = '{"family": "decoy", "params": [0, 1], "options": {"angle": %s}}' % angle
+    path.write_text(config, encoding="utf-8")
+    code = cli.main(["scan", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'options' values must be" in captured.err
+
+
+def test_decoy_counts_too_large_to_build_are_skipped(tmp_path):
+    # 2^1e308 is never formed, and the stacks of 40 and 1e308 decoys exceed
+    # numpy's largest array; both are skipped, as is 24, whose 16 PiB stack
+    # numpy fails to allocate. The scan runs under an address-space cap, so a
+    # regression fails fast instead of taking the machine's memory.
+    src = str(Path(qbcommit.binding.__file__).resolve().parents[1])
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"family": "decoy", "params": [0, 40, 1e308, 24, 1]}), encoding="utf-8")
+    cap = 3 * 2**30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "qbcommit.cli", "scan", str(path), "--format", "structured"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit,
+    )
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert [pt["param"] for pt in data["points"]] == [0.0, 1.0]
+    reasons = {param: reason.split(":")[0] for param, reason in data["skipped"]}
+    assert list(reasons) == [40.0, 1e308, 24.0]
+    assert reasons[40.0] == reasons[1e308] == "ValueError"
+    assert "MemoryError" in reasons[24.0]
+
+
+def test_scan_csv_rows_are_the_structured_points(capsys):
+    # Columns 1-5 of a row are the repr of its point's fields; columns 6-8
+    # are the scan's outer and inner restart budgets and its seed.
+    config = str(Path(__file__).resolve().parents[1] / "protocols" / "decoy-scan.json")
+    outputs = []
+    for fmt in ("csv", "structured"):
+        assert cli.main(["scan", config, "--seed", "3", "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    header, *rows = outputs[0].splitlines()
+    data = json.loads(outputs[1])
+    assert len(rows) == len(data["points"]) == 4
+    fields = header.split(",")
+    budgets = data["budgets"]
+    for row, point in zip(rows, data["points"]):
+        assert sorted(point) == sorted(fields[:5])
+        tail = [budgets["outer_restarts"], budgets["inner_restarts"], data["seed"]]
+        assert row.split(",") == [repr(point[f]) for f in fields[:5]] + [repr(v) for v in tail]
+    assert data["seed"] == 3
+
+
+def test_traces_hold_no_seed_and_bind_reports_its_seed(capsys):
+    # Only the binding report carries a seed; no trace holds a seed or a
+    # restart count, on any shipped protocol.
+    def traces(obj):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                if key.endswith("trace") and isinstance(value, dict):
+                    yield key, value
+                yield from traces(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                yield from traces(value)
+
+    small = ["--outer-restarts", "2", "--outer-iters", "15", "--inner-restarts", "4"]
+    for path in SHIPPED_PROTOCOLS:
+        reports = {}
+        for command, extra in (("conceal", []), ("bounds", ["--minimize"]), ("bind", small)):
+            argv = [command, str(path), *extra, "--format", "structured", "--seed", "3"]
+            assert cli.main(argv) == 0
+            reports[command] = json.loads(capsys.readouterr().out)
+        found = [(command, key, value) for command, rep in reports.items() for key, value in traces(rep)]
+        assert {(command, key) for command, key, _ in found} >= {
+            ("conceal", "solver_trace"),
+            ("bounds", "minimized_gap_trace"),
+            ("bind", "solver_trace"),
+            ("bind", "inner_trace"),
+        }
+        for command, key, value in found:
+            assert not {"seed", "restarts"} & set(value), (path.stem, command, key)
+        assert reports["bind"]["seed"] == reports["bind"]["swapped"]["seed"] == 3
 
 
 def test_bracket_inversion_exits_three(phase_file, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,7 @@ def test_witness_dual_closes_the_bracket_at_closed_forms():
 def test_certified_start_runs_no_random_restarts():
     for spec in [dephasing_protocol(), random_protocol(3, 3, 2, seed=61)]:
         rep = analyze_concealment(spec)
-        assert rep.solver_trace.restarts == 0
+        assert len(rep.solver_trace.values) - rep.solver_trace.extra_starts == 0
         assert len(rep.solver_trace.values) == 1
         assert rep.solver_trace.notes == []
         assert rep.cb_upper - rep.cb_lower <= CERTIFIED_WIDTH
@@ -325,7 +326,9 @@ def test_uncertified_start_is_searched_once(monkeypatch):
     fn = qbcommit.concealment.search_sphere
 
     def recording(*args, **kwargs):
-        calls.append((len(kwargs.get("extra_starts", ())), kwargs["restarts"]))
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((len(bound.arguments["extra_starts"]), bound.arguments["restarts"]))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(qbcommit.concealment, "search_sphere", recording)
@@ -354,7 +357,9 @@ def test_analyze_concealment_report_fields():
     assert abs(rep.bob_cheat_upper - 1.0) < 1e-12
     assert rep.witness_state.shape == (4,)
     # The entangled start is the one start, and the trace holds no seed.
-    assert (rep.solver_trace.restarts, rep.solver_trace.seed) == (0, 0)
+    trace = rep.solver_trace
+    assert (len(trace.values) - trace.extra_starts, trace.extra_starts) == (0, 1)
+    assert not hasattr(trace, "seed")
     assert len(rep.solver_trace.values) == 1
     assert rep.solver_trace.notes == []
 

@@ -69,7 +69,7 @@ def test_search_sphere_extra_start_is_used():
     )
     assert abs(res.value - 1.0) < 1e-12
     assert res.trace.extra_starts == 1
-    assert res.trace.restarts == 0
+    assert len(res.trace.values) - res.trace.extra_starts == 0
 
 
 def test_search_sphere_escapes_reflecting_valley():
@@ -235,7 +235,7 @@ def test_search_sphere_trace_bookkeeping():
     assert len(res.trace.iterations) == 3
     assert len(res.trace.converged) == 3
     assert 0 <= res.trace.best_start < 3
-    assert res.trace.seed == 7
+    assert len(res.trace.values) - res.trace.extra_starts == 3
 
 
 def test_batched_retractions_match_one_row_retractions():
@@ -341,9 +341,9 @@ def test_lockstep_starts_match_one_start_searches():
 
 
 def test_every_solver_trace_means_one_thing():
-    # Every report's trace holds one entry per start that ran, within its
-    # declared budget; its headline is the value of its best start, the
-    # earliest one on a tie.
+    # Every report's trace holds one entry per start that ran, within the
+    # restart budget it was called with; its headline is the value of its
+    # best start, the earliest one on a tie.
     scan = dict(outer_restarts=4, outer_iters=80, inner_restarts=8, include_swapped=False)
     binding = [
         minimax_cheat(dephasing_protocol(), seed=0),
@@ -354,22 +354,22 @@ def test_every_solver_trace_means_one_thing():
     # Certified at the Procrustes start, uncertified, certified after restart 0.
     assert [len(r.solver_trace.values) for r in binding] == [1, 5, 2, 1]
     traces = []
-    for r in binding:
+    for r, outer_restarts in zip(binding, [8, 4, 4, 8]):
         assert r.minimax_estimate == r.solver_trace.values[r.solver_trace.best_start]
-        traces.append((r.solver_trace, max))
+        traces.append((r.solver_trace, max, outer_restarts))
     # The entangled start certifies on dephasing, not on the other; both
     # traces hold that one start and no restarts.
     for spec in [dephasing_protocol(), random_protocol(3, 2, 3, seed=505)]:
         rep = analyze_concealment(spec)
         trace = rep.solver_trace
-        assert trace.restarts == 0
+        assert len(trace.values) - trace.extra_starts == 0
         assert min(max(0.0, trace.values[trace.best_start]), rep.cb_upper) == rep.cb_lower
-        traces.append((trace, max))
+        traces.append((trace, max, 0))
     # The first protocol of the benchmark's bounds panel.
     gap = minimize_kraus_gap(random_protocol(3, 3, 3, np.random.default_rng([20020, 3, 3, 0])))
     assert gap.value == gap.trace.values[gap.trace.best_start]
-    traces.append((gap.trace, min))
-    for trace, pick in traces:
+    traces.append((gap.trace, min, 0))
+    for trace, pick, restarts in traces:
         n = len(trace.values)
-        assert n == len(trace.iterations) == len(trace.converged) <= trace.restarts + trace.extra_starts
+        assert n == len(trace.iterations) == len(trace.converged) <= restarts + trace.extra_starts
         assert trace.best_start == trace.values.index(pick(trace.values))
