@@ -209,33 +209,52 @@ def min_over_states(
     )
 
 
-def _project_simplex(y: list) -> list:
-    """Euclidean projection of a list of floats onto the probability simplex
-    (sort and threshold). One running sum adds the sorted entries in
-    ``np.cumsum``'s order, so at a certificate's few entries Python floats
-    give the numpy projection bit for bit, without its per-call overhead."""
-    total = theta = 0.0
-    for k, u in enumerate(sorted(y, reverse=True), 1):
-        total += u
-        if u * k > total - 1.0:
-            theta = (total - 1.0) / k
-    return [max(v - theta, 0.0) for v in y]
-
-
 def _simplex_min_norm(gram: np.ndarray) -> np.ndarray:
-    """Weights w on the simplex minimizing w^T gram w, by up to 1000 steps of
-    projected gradient descent from the uniform weights; ``gram`` is positive
-    semidefinite, so its trace bounds its top eigenvalue and gives a safe step.
-    Only ``gram @ w`` and the movement sum run in numpy, whose BLAS and
-    pairwise summation fix their rounding order."""
-    w = np.full(len(gram), 1.0 / len(gram))
-    step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
-    for _ in range(1000):
-        new = np.array(_project_simplex((w - step * (gram @ w)).tolist()))
-        moved = np.abs(new - w).sum()
-        w = new
-        if moved <= 1e-12:
+    """Weights w on the simplex minimizing w^T gram w, for the positive
+    semidefinite Gram of some points, by Wolfe's finite min-norm-point
+    algorithm (Math. Programming 11, 1976).
+
+    A corral of active points starts at the shortest one. A major cycle
+    adds the point j that minimizes (gram w)_j while that lies below
+    w^T gram w - 1e-12 max diag(gram). Each minor cycle solves one
+    (|S| + 1)² KKT system for the affine minimizer v over the corral S, by
+    least squares where duplicate, opposite or zero points make it
+    singular. A positive v becomes w; otherwise w moves towards v until a
+    weight reaches 0, and that point leaves the corral. The search also ends
+    if round-off picks a point already in the corral, or after n² + n major
+    cycles against round-off cycling: any weights on the simplex give a
+    valid certificate, the exact ones the tightest.
+    """
+    n = len(gram)
+    diag = gram.diagonal()
+    tol = 1e-12 * diag.max()
+    corral = [int(np.argmin(diag))]
+    w = np.zeros(n)
+    w[corral[0]] = 1.0
+    for _ in range(n * n + n):
+        gw = gram @ w
+        j = int(np.argmin(gw))
+        if gw[j] >= w @ gw - tol or j in corral:
             break
+        corral.append(j)
+        while True:
+            kkt = np.ones((len(corral) + 1, len(corral) + 1))
+            kkt[:-1, :-1], kkt[-1, -1] = gram[np.ix_(corral, corral)], 0.0
+            rhs = np.eye(len(corral) + 1)[-1]
+            try:
+                v = np.linalg.solve(kkt, rhs)[:-1]
+            except np.linalg.LinAlgError:
+                v = np.linalg.lstsq(kkt, rhs)[0][:-1]
+            ws = w[corral]
+            if (v > 0.0).all():
+                w[corral] = v
+                break
+            out = v <= 0.0
+            ratio = ws[out] / (ws[out] - v[out])
+            ws += ratio.min() * (v - ws)
+            ws[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+            w[corral] = np.maximum(ws, 0.0)
+            corral = [i for i in corral if w[i] > 0.0]
     return w
 
 

@@ -17,6 +17,7 @@ both sides along a protocol family.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -83,47 +84,66 @@ def _halmos(c: np.ndarray) -> np.ndarray:
     return np.block([[(w * sig) @ vh, (w * gam) @ wh], [(v * gam) @ vh, -(v * sig) @ wh]])
 
 
+@cache
+def _transpose_perm(m: int) -> np.ndarray:
+    """Indices that transpose a row-major flat m x m matrix, built once per
+    m and returned read-only."""
+    perm = np.arange(m * m).reshape(m, m).T.reshape(-1)
+    perm.flags.writeable = False
+    return perm
+
+
 def _newton_step(pairs, basis, c_svd, half, n_w, grad_t):
     """Newton direction (dC, dt) of the barrier at one iterate, and its
-    squared decrement, from C's SVD, ``half`` = V Λ^-½ for the
+    squared decrement, from C's SVD U Σ Vh, ``half`` = V Λ^-½ for the
     eigendecomposition V Λ V† of X1 = tI - S(C), and N(X1^-1);
     ``grad_t`` is the gradient's t entry.
 
     In C's SVD basis the contraction block of the Hessian pairs Δ'_ij with
-    Δ'_ji and is inverted pair by pair. The gap block is J^T J, with a row
-    (r_k, l_k) per element B_k of ``basis``: r_k = 2 conj(N(F_k)) and
-    l_k = Tr F_k = sum_x B_k[x, x] / λ_x for F_k = V Λ^-½ B_k Λ^-½ V†
-    (half† half = Λ^-1). Woodbury folds it in
-    through one din² x din² solve, and dt comes from a scalar Schur
-    complement.
+    Δ'_ji and is inverted pair by pair, through the transpose permutation
+    of the row-major flat m x m matrices. The gap block is J^T J, with a
+    row (r_k, l_k) per element B_k of ``basis``: r_k = 2 conj(U^T N(F_k) Vh^T)
+    and l_k = Tr F_k = sum_x B_k[x, x] / λ_x for F_k = V Λ^-½ B_k Λ^-½ V†
+    (half† half = Λ^-1). Flattened row-major, vec(F_k^T) is
+    (conj(half) ⊗ half) vec(B_k^T), so one Kronecker product gives every
+    N(F_k) and every l_k. Woodbury folds the gap block in through one
+    din² x din² solve, and dt comes from a scalar Schur complement.
     """
     u, sig, vh = c_svd
     m, din = len(sig), len(half)
-    f = half @ basis @ half.conj().T
-    l = np.diagonal(basis, axis1=1, axis2=2).real @ (half.real**2 + half.imag**2).sum(axis=0)
-    rows = 2.0 * (f.transpose(0, 2, 1).reshape(-1, din * din) @ pairs.T).conj().reshape(-1, m, m)
-    rows = u.conj().T @ rows @ vh.conj().T
+    # h = conj(half) ⊗ half, without np.kron's per-call overhead; q = pairs h
+    # maps vec(B^T) to N(F), and vec(B_k^T) = conj(vec(B_k)) as B_k is Hermitian.
+    h = (half.conj()[:, None, :, None] * half[None, :, None, :]).reshape(din * din, -1)
+    q = pairs @ h
+    # rot[i, l, :] = (U^T Q Vh^T)[i, l] for the m x m slices Q of q's columns.
+    rot = vh @ (u.T @ q.reshape(m, -1)).reshape(m, m, -1)
+    flat_basis = basis.reshape(din * din, -1)
+    rows = 2.0 * flat_basis @ rot.reshape(m * m, -1).T.conj()
+    # Summed over b, the rows (b, b) of h give vec(half† half) = vec(Λ^-1).
+    l = (flat_basis.conj() @ h[:: din + 1].sum(axis=0)).real
     # The C block of the gradient, -2 conj(N(X1^-1)) + 2 C (I - C†C)^-1.
     d = (1.0 - sig) * (1.0 + sig)
-    g = -2.0 * (u.conj().T @ n_w.conj() @ vh.conj().T)
-    g.flat[:: m + 1] += 2.0 * sig / d
+    g = -2.0 * (u.T @ n_w @ vh.T).reshape(-1).conj()
+    g[:: m + 1] += 2.0 * sig / d
     # The contraction block, 2 [pp^T o D' + ss^T o conj(D'^T)] with
     # p = 1/(1 - σ²) and s = σp, inverted without squaring p.
-    ss = np.outer(sig, sig)
-    coef = np.outer(d, d) / (2.0 * (1.0 - ss * ss))
+    ss = (sig[:, None] * sig).reshape(-1)
+    coef = (d[:, None] * d).reshape(-1) / (2.0 * (1.0 - ss * ss))
+    perm = _transpose_perm(m)
 
     def inverse(x):
-        return coef * (x - ss * x.swapaxes(-1, -2).conj())
+        return coef * (x - ss * x[..., perm].conj())
 
-    z, a = inverse(rows).reshape(len(rows), -1), inverse(g)
-    flat = rows.reshape(len(rows), -1).conj()
+    z, a = inverse(rows), inverse(g)
+    flat = rows.conj()
     cap = (flat @ z.T).real
     cap.flat[:: len(rows) + 1] += 1.0
-    uw = np.linalg.solve(cap, np.stack([(flat @ a.reshape(-1)).real, l], axis=1))
-    dt = float((l @ uw[:, 0] - grad_t) / (l @ uw[:, 1]))
-    step = ((uw[:, 0] - dt * uw[:, 1]) @ z).reshape(m, m) - a
-    dec2 = -float((g.conj() * step).real.sum() + grad_t * dt)
-    return u @ step @ vh, dt, dec2
+    uw = np.linalg.solve(cap, np.array([(flat @ a).real, l]).T)
+    lu = l @ uw
+    dt = float((lu[0] - grad_t) / lu[1])
+    step = (uw[:, 0] - dt * uw[:, 1]) @ z - a
+    dec2 = -float(np.vdot(g, step).real + grad_t * dt)
+    return u @ step.reshape(m, m) @ vh, dt, dec2
 
 
 def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
@@ -146,8 +166,11 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     Tr rho (K0 + K1) - 2 ||N(rho)||_1, N(rho)_jl = Tr(rho E1_j† E0_l), which
     bounds the gap at every reindexing with any number of labels (a
     unitary's block C has |Tr(C^T N)| <= ||N||_1; no completeness is
-    assumed). A Newton step costs O(m³ + m² dim_in⁴): C's SVD, and a
-    dim_in² x dim_in² Woodbury solve for the gap block (``_newton_step``).
+    assumed). An iterate makes one batched SVD call, on C (for the domain
+    and the Newton step) stacked with N(X1^-1) = Tr X1^-1 N(rho) (for the
+    lower side). A Newton step costs O(m³ dim_in² + m² dim_in⁴): the gap
+    block's dim_in² rows, rotated into C's SVD basis, and one
+    dim_in² x dim_in² Woodbury solve (``_newton_step``).
     The loop stops within ``CERTIFIED_WIDTH``, at an iterate outside the
     domain, on a singular Newton system (its Woodbury capacitance loses the
     identity to round-off as λmin(X1) nears 0) or after ``GAP_STEPS`` steps,
@@ -175,15 +198,16 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
         y = (c.reshape(-1) @ pairs).reshape(din, din)
         return k - y - y.conj().T
 
-    def n_of(rho):
-        return (pairs @ rho.T.reshape(-1)).reshape(m, m)
+    k_flat = k.reshape(-1)
 
-    def dual(rho, sig):
-        return float((rho.T.reshape(-1) @ k.reshape(-1)).real - 2.0 * sig.sum())
+    def dual(w_t, sig):
+        """Tr(W K) - 2 ||N(W)||_1 from vec(W^T) and N(W)'s singular values:
+        the lower side at a density matrix W, linear in W."""
+        return float((w_t @ k_flat).real - 2.0 * sig.sum())
 
-    rho = np.eye(din, dtype=complex) / din
-    w, sig, vh = linalg.svd_or_error(n_of(rho))
-    lower = dual(rho, sig)
+    rho_t = np.eye(din, dtype=complex).reshape(-1) / din
+    w, sig, vh = linalg.svd_or_error((pairs @ rho_t).reshape(m, m))
+    lower = dual(rho_t, sig)
     best = np.eye(m, dtype=complex)
     upper = float(linalg.eigh_or_error(gap_operator(best))[0][-1])
     aligned = (w @ vh).conj()
@@ -197,24 +221,34 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
         t = float(linalg.eigh_or_error(k)[0][-1]) + 1.0
         stop = f"step budget GAP_STEPS {GAP_STEPS} spent"
         for step in range(2, GAP_STEPS + 1):
-            lam, vecs = linalg.eigh_or_error(t * np.eye(din) - gap_operator(c))
-            c_svd = linalg.svd_or_error(c)
-            if lam[0] <= 0.0 or c_svd[1][0] >= 1.0:
-                stop = f"step {step} left the domain: λmin(tI - S) {lam[0]!r}, ||C|| {c_svd[1][0]!r}"
+            # X1 = tI - S(C) = Y + Y† - K + tI, t added on the diagonal in place.
+            y = (c.reshape(-1) @ pairs).reshape(din, din)
+            x1 = y + y.conj().T - k
+            x1.reshape(-1)[:: din + 1] += t
+            lam, vecs = linalg.eigh_or_error(x1)
+            if lam[0] > 0.0:
+                inv = 1.0 / lam
+                half, tr = vecs * np.sqrt(inv), float(inv.sum())
+                x1_inv_t = (half.conj() @ half.T).reshape(-1)
+                n_w = (pairs @ x1_inv_t).reshape(m, m)
+                # One SVD call per iterate: C for the domain and the Newton
+                # step, N(X1^-1) for the lower side.
+                u, sig, vh = linalg.svd_or_error(np.array([c, n_w]))
+                norm = sig[0, 0]
+            else:
+                norm = linalg.svd_or_error(c, compute_uv=False)[0]
+            if lam[0] <= 0.0 or norm >= 1.0:
+                stop = f"step {step} left the domain: λmin(tI - S) {lam[0]!r}, ||C|| {norm!r}"
                 break
-            half = vecs / np.sqrt(lam)
-            x1_inv = half @ half.conj().T
-            tr = np.trace(x1_inv).real
-            rho = x1_inv / tr
-            n_rho = n_of(rho)
-            lower = max(lower, dual(rho, linalg.svd_or_error(n_rho, compute_uv=False)))
+            # The lower side at rho = X1^-1 / tr.
+            lower = max(lower, dual(x1_inv_t, sig[1]) / tr)
             if t - lam[0] < upper:
                 upper, best = float(t - lam[0]), c
             if upper - (lower - allowance) <= CERTIFIED_WIDTH:
                 stop = f"certified at step {step}"
                 break
             try:
-                dc, dt, dec2 = _newton_step(pairs, basis, c_svd, half, n_rho * tr, tau - tr)
+                dc, dt, dec2 = _newton_step(pairs, basis, (u[0], sig[0], vh[0]), half, n_w, tau - tr)
             except np.linalg.LinAlgError:
                 stop = f"step {step}: Newton system singular"
                 break

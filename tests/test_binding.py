@@ -666,8 +666,9 @@ def test_mutating_a_worst_state_leaves_the_next_bind_unchanged():
 
 
 def _numpy_simplex_min_norm(gram):
-    """The projected-gradient loop with its projection on numpy arrays: an
-    oracle for the float-list projection, which must agree bit for bit."""
+    """Projected gradient descent on the simplex from the uniform weights,
+    at the safe step 1/tr(gram), for up to 1000 steps: a comparator that
+    Wolfe's exact algorithm must never lose to."""
     w = np.full(len(gram), 1.0 / len(gram))
     step = 1.0 / max(np.trace(gram), np.finfo(float).tiny)
     for _ in range(1000):
@@ -700,10 +701,18 @@ def _certificate_gradients(rng, case):
     return rng.standard_normal((min(n, 2), d)) * base[0, 0]
 
 
-def test_simplex_min_norm_matches_the_numpy_loop_bit_for_bit():
+def test_simplex_min_norm_is_optimal_on_degenerate_and_generic_grams():
+    # Duplicate, opposite, zero and collinear gradients make Wolfe's KKT
+    # systems degenerate; the weights must still be an optimal point of the
+    # simplex, within the solver's own stopping tolerance.
     rng = np.random.default_rng(35)
     for i in range(5000):
         g = _certificate_gradients(rng, i % 5)
         gram = g @ g.T
+        tol = 1e-12 * gram.diagonal().max()
         w = _simplex_min_norm(gram)
-        assert np.array_equal(w, _numpy_simplex_min_norm(gram)), (i, gram)
+        gw = gram @ w
+        assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-14, (i, w)
+        assert gw.min() >= w @ gw - tol, (i, gram)
+        ref = _numpy_simplex_min_norm(gram)
+        assert w @ gw <= ref @ gram @ ref + tol, (i, gram)

@@ -31,6 +31,7 @@ from qbcommit.families import (
 )
 from qbcommit.fileio import jsonable
 from qbcommit.optimize import CERTIFIED_WIDTH
+from qbcommit.protocol import require_valid
 
 
 def test_kraus_gap_phase_pair_identity():
@@ -417,6 +418,26 @@ def test_gap_trace_counts_its_eigh_calls(spec, monkeypatch):
     assert res.trace.evaluations == len(calls)
 
 
+@pytest.mark.parametrize("spec", [decoy_protocol(2), PANEL[0]], ids=["decoy-k2", "p0"])
+def test_gap_loop_makes_one_svd_call_per_iterate(spec, monkeypatch):
+    # Each Newton iterate decomposes C and N(X1^-1) in one batched call; the
+    # fixed calls are step 1's N(rho), and the Halmos dilation's SVD and
+    # its unitarity check. Validation's cached residuals are read first.
+    require_valid(spec)
+    calls = []
+    svd = linalg.svd_or_error
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "svd_or_error", counting)
+    res = minimize_kraus_gap(spec)
+    m = spec.cardinality
+    assert len(calls) == res.trace.iterations[0] + 2
+    assert calls[1:-2] == [(2, m, m)] * (res.trace.iterations[0] - 1)
+
+
 def test_iterate_outside_the_domain_stops_with_a_valid_bracket(monkeypatch):
     # A step to ||C|| = 15 ends the loop at the next iterate; the bracket
     # kept so far stands.
@@ -473,7 +494,7 @@ def _dense_newton_step(spec, c, t, tau):
     return (x[: m * m] + 1j * x[m * m : -1]).reshape(m, m), x[-1], -grad @ x
 
 
-@pytest.mark.parametrize("din, m", [(2, 3), (3, 2), (3, 4)])
+@pytest.mark.parametrize("din, m", [(2, 3), (3, 2), (3, 4), (2, 1), (1, 3), (4, 2), (1, 1)])
 def test_newton_step_matches_dense_hessian(din, m):
     spec = random_protocol(din, din, m, seed=9)
     rng = linalg.spawn_rng(44, din, m)
