@@ -194,10 +194,6 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     n = m * dout * din * din
     allowance = float(4.0 * n * np.finfo(float).eps * din * np.trace(k).real)
 
-    def gap_operator(c):
-        y = (c.reshape(-1) @ pairs).reshape(din, din)
-        return k - y - y.conj().T
-
     k_flat = k.reshape(-1)
 
     def dual(w_t, sig):
@@ -208,10 +204,8 @@ def minimize_kraus_gap(spec: ProtocolSpec) -> GapResult:
     rho_t = np.eye(din, dtype=complex).reshape(-1) / din
     w, sig, vh = linalg.svd_or_error((pairs @ rho_t).reshape(m, m))
     lower = dual(rho_t, sig)
-    best = np.eye(m, dtype=complex)
-    upper = float(linalg.eigh_or_error(gap_operator(best))[0][-1])
-    aligned = (w @ vh).conj()
-    gap = float(linalg.eigh_or_error(gap_operator(aligned))[0][-1])
+    best, aligned = np.eye(m, dtype=complex), (w @ vh).conj()
+    upper, gap = _gap(spec, best), _gap(spec, aligned)
     if gap < upper:
         upper, best = gap, aligned
     step, stop = 1, "certified at step 1"

@@ -289,11 +289,11 @@ def _sandwich(x: np.ndarray, b: np.ndarray, dout: int) -> np.ndarray:
 def _witness_z(j: np.ndarray, witness: np.ndarray, din: int, dout: int) -> np.ndarray:
     """Dual candidate (I ⊗ B⁻¹) out₊ (I ⊗ B⁻¹)† from a witness state.
 
-    The witness is reduced to its Schmidt form on din x din: the eigenvectors
-    U of M M† and its Schmidt weights, zero-padded when the reference is
-    smaller than the input, with the reference isometry dropped (it does not
-    change the value). The weights are flattened by ``SCHMIDT_FLOOR`` so that
-    B = diag(s) U^T is invertible, and out₊ is the positive part of the output
+    The witness, read as a din x din matrix M, is reduced to its Schmidt
+    form: the eigenvectors U of M M† and its Schmidt weights, with the
+    reference unitary dropped (it does not change the value). The weights
+    are flattened by ``SCHMIDT_FLOOR`` so that B = diag(s) U^T is
+    invertible, and out₊ is the positive part of the output
     difference at that state. The candidate is feasible by construction: it
     is positive, and it minus J is (I ⊗ B⁻¹) out₋ (I ⊗ B⁻¹)†. Its reduced
     operator B⁻¹ σ₊ B⁻† has the spectrum of ρ_ref^-1/2 σ₊ ρ_ref^-1/2, which is

@@ -92,7 +92,7 @@ def concealing_pair(seed, dim: int = 2, cardinality: int = 2):
     return spec, relating
 
 
-def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
+def decoy_protocol(decoy_qubits: float, angle: float = pi / 2) -> ProtocolSpec:
     """Dephasing diluted by decoys Alice appends to the committed qubit.
 
     Alice draws a secret string from her ``decoy_qubits`` ancilla qubits
@@ -100,9 +100,10 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
     bit-dependent dephasing only when the string is all zeros; otherwise the
     committed qubit passes through untouched. The decoys ride along into the
     output, so the output dimension grows with the decoy count while the
-    channels for the two bits draw together geometrically.
+    channels for the two bits draw together geometrically. A fractional
+    count is rounded to the nearest integer, ties to even.
     """
-    k = int(decoy_qubits)
+    k = int(round(decoy_qubits))
     if k < 0:
         raise ValueError(f"decoy count must be nonnegative, got {k}")
     # The operator stack's 16 (2^k + 1) 2^(k + 2) bytes must fit numpy's
@@ -130,19 +131,8 @@ def decoy_protocol(decoy_qubits: int, angle: float = pi / 2) -> ProtocolSpec:
     )
 
 
-def _decoy_family(param, angle: float = pi / 2) -> ProtocolSpec:
-    return decoy_protocol(int(round(float(param))), angle=angle)
-
-
-def _dephasing_family(param) -> ProtocolSpec:
-    return dephasing_protocol(float(param))
-
-
-#: Families addressable from scan configuration files, keyed by name. Each
-#: entry maps one scanned number to a protocol: ``decoy`` rounds it to the
-#: decoy qubit count and takes the basis angle as an option, and
-#: ``dephasing`` reads it as bit 1's basis angle, a float in radians.
-FAMILY_REGISTRY = {
-    "decoy": _decoy_family,
-    "dephasing": _dephasing_family,
-}
+#: Families addressable from scan configuration files, keyed by name: each
+#: builder takes the scanned number as its first argument, so ``decoy``
+#: rounds it to the decoy qubit count and takes the basis angle as an
+#: option, and ``dephasing`` reads it as bit 1's basis angle in radians.
+FAMILY_REGISTRY = {"decoy": decoy_protocol, "dephasing": dephasing_protocol}

@@ -63,9 +63,9 @@ MAX_STEP = 1e3
 STALL_TOL = 1e-10
 STALL_LIMIT = 8
 
-# A search whose value a certified bound meets within this much skips its
-# remaining starts. Every certificate in the package (cb norm in [0, 2],
-# binding payoff in [0, 1], Kraus gap) uses this one width.
+# A search whose value a certified bound meets within this much stops: two
+# read it, binding (payoff in [0, 1]) to skip its remaining restarts and the
+# Kraus-gap bracket to skip its remaining steps.
 CERTIFIED_WIDTH = 1e-5
 
 # A search value above its certified bound by more than this is a solver bug,

@@ -15,10 +15,9 @@ from math import ceil, gcd
 import numpy as np
 
 from . import linalg
-from .errors import ProtocolValidationError, SpectralDecompositionError
+from .errors import ProtocolValidationError
 
 COMPLETENESS_TOL = 1e-9
-DILATION_UNITARITY_TOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -301,49 +300,34 @@ def dilate(family: KrausFamily) -> Dilation:
 
     For equal input and output dimensions the ancilla dimension equals the
     Kraus cardinality; unequal dimensions round the environment up so that
-    input * ancilla = output * environment holds exactly.
+    input * ancilla = output * environment holds exactly. The unitary
+    carries the family's completeness residual, so a family whose cached
+    residual exceeds ``linalg.UNITARY_CONSTRUCTION_TOL`` is refused with
+    ``ValueError``.
     """
     din, dout, m = family.dim_in, family.dim_out, family.cardinality
+    res = family.completeness_residual()
+    if res > linalg.UNITARY_CONSTRUCTION_TOL:
+        raise ValueError(
+            f"family is not complete enough to dilate: completeness residual {res!r} "
+            f"exceeds {linalg.UNITARY_CONSTRUCTION_TOL!r}"
+        )
     g = gcd(din, dout)
     t = ceil(m * g / din)
     env = (din // g) * t
     anc = (dout // g) * t
-    total = din * anc
 
     # Isometry: input -> output ⊗ environment, opening label J on the
     # environment slot.
-    w = np.zeros((total, din), dtype=complex)
-    for j, op in enumerate(family.ops):
-        e = np.zeros((env, 1), dtype=complex)
-        e[j, 0] = 1.0
-        w += np.kron(op, e)
-
-    iso_res = linalg.operator_norm(w.conj().T @ w - np.eye(din))
-    if iso_res > 1e-8:
-        raise ValueError(
-            f"family is not complete enough to dilate: isometry residual {iso_res!r}"
-        )
-
-    # Complete the isometry columns to a unitary; the embedded input columns
-    # sit where the ancilla occupies its basis-0 state.
-    q, _ = np.linalg.qr(w, mode="complete")
-    rest = q[:, din:]
-    # Re-orthogonalize the complement against the exact isometry columns to
-    # absorb the phase mixing QR applies to the leading block.
-    rest = rest - w @ (w.conj().T @ rest)
-    rest, _ = np.linalg.qr(rest)
-
-    unitary = np.zeros((total, total), dtype=complex)
-    embed_cols = [i * anc for i in range(din)]
-    other_cols = [c for c in range(total) if c not in embed_cols]
-    unitary[:, embed_cols] = w
-    unitary[:, other_cols] = rest
-
-    res = linalg.unitarity_residual(unitary)
-    if res > DILATION_UNITARITY_TOL:
-        raise SpectralDecompositionError(
-            f"dilation completion missed unitarity: residual {res!r}"
-        )
+    w = np.zeros((dout, env, din), dtype=complex)
+    w[:, :m] = family.ops.transpose(1, 0, 2)
+    w = w.reshape(-1, din)
+    # The left singular vectors past the first din span the complement of
+    # w's range; w's column i sits at i * anc, where the ancilla occupies
+    # its basis-0 state.
+    rest = linalg.svd_or_error(w)[0][:, din:]
+    unitary = np.insert(rest, np.arange(din) * (anc - 1), w, axis=1)
+    linalg.require_unitary(unitary, tol=linalg.UNITARY_CONSTRUCTION_TOL)
     return Dilation(
         dim_in=din,
         dim_out=dout,

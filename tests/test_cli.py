@@ -498,6 +498,19 @@ def test_scan_text_output(decoy_config, capsys):
     assert "label: demo" in out
 
 
+def test_scan_rounds_decoy_params_to_the_builders_count(tmp_path, capsys):
+    # Each decoy parameter is rounded (ties to even) by ``decoy_protocol``
+    # itself: only the param column tells the two scans apart.
+    rows = []
+    for params in ([0.4, 1.6, 2.5], [0, 2, 2]):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps({"family": "decoy", "params": params}), encoding="utf-8")
+        assert cli.main(["scan", str(path), *SCAN_BUDGET_ARGS]) == 0
+        rows.append([line.split(",")[1:] for line in capsys.readouterr().out.splitlines()])
+    assert len(rows[0]) == 4
+    assert rows[0] == rows[1]
+
+
 def test_scan_dephasing_family_reads_the_basis_angle(tmp_path, capsys):
     # Equal bases make equal channels, which Alice reopens at will; the Z
     # and X bases sit at norm 1, and Alice passes with 1/4. The brackets

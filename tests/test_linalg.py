@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,27 @@ def test_require_unitary():
     # One matrix only: a (k, m, m) stack is refused.
     with pytest.raises(ValueError, match="square"):
         linalg.require_unitary(np.array([v, v]))
+
+
+def _callers(name: str):
+    """(module, enclosing function) of every call to ``name`` in the package."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = getattr(node, "func", None)
+                if name in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+                    found.append((path.stem, func.name))
+    return found
+
+
+def test_require_unitary_is_the_one_unitarity_check():
+    # Every unitarity check goes through ``require_unitary``, which holds
+    # the package's one call to ``unitarity_residual``.
+    assert _callers("unitarity_residual") == [("linalg", "require_unitary")]
 
 
 def test_random_state_deterministic_and_phase_fixed():

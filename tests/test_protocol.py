@@ -323,6 +323,27 @@ def test_dilation_reproduces_channel():
         )
 
 
+@pytest.mark.parametrize("r", [5e-11, 5e-10, 5e-9, 3e-8])
+def test_dilation_holds_the_residual_to_the_unitary_tolerance(r):
+    # The unitary carries the completeness residual w†w - I, so the family
+    # is held to the unitary's tolerance: a residual above it is refused as
+    # an incomplete input, not blamed on the completion.
+    fam = qc.KrausFamily.from_ops([np.sqrt(1.0 - r) * np.eye(2)])
+    if r <= linalg.UNITARY_CONSTRUCTION_TOL:
+        dil = qc.dilate(fam)
+        assert linalg.unitarity_residual(dil.unitary) <= linalg.UNITARY_CONSTRUCTION_TOL
+    else:
+        with pytest.raises(ValueError, match="not complete enough"):
+            qc.dilate(fam)
+
+
+def test_dilation_reads_the_cached_residual(residual_calls):
+    fam = qc.random_kraus_family(2, 3, 2, linalg.spawn_rng(58))
+    qc.dilate(fam)
+    qc.dilate(fam)
+    assert residual_calls == [fam]
+
+
 def test_identity_protocol_and_phase_flip_shapes():
     ident = qc.identity_protocol(3)
     assert ident.dim_in == 3 and qc.validate(ident).accepted
@@ -388,6 +409,16 @@ def test_decoy_zero_matches_plain_dephasing():
     decoy = qc.decoy_protocol(0)
     assert qc.choi_distance(plain.bit0, decoy.bit0) < 1e-12
     assert qc.choi_distance(plain.bit1, decoy.bit1) < 1e-12
+
+
+def test_decoy_count_is_rounded_as_a_scan_rounds_it():
+    # One rule for the count: the builder, its registry entry and the
+    # integer it rounds to build the same operators under the same label.
+    specs = [qc.decoy_protocol(2.7), qc.FAMILY_REGISTRY["decoy"](2.7), qc.decoy_protocol(3)]
+    for spec in specs:
+        assert spec.label == specs[-1].label
+        for fam, ref in zip((spec.bit0, spec.bit1), (specs[-1].bit0, specs[-1].bit1)):
+            assert fam.ops.tobytes() == ref.ops.tobytes()
 
 
 def test_decoy_rejects_negative_count():
