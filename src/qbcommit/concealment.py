@@ -143,8 +143,15 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         grads = (signed_adjoint @ su).reshape(len(psis), n)
         return np.sum(np.abs(lam), axis=1), grads, u, lam, vecs
 
-    def spectrum(lam: np.ndarray, vecs: np.ndarray):
-        """Rank-aware signs σ and H = D*(S_r) from one state's eigenpairs of X."""
+    def model(u, lam, vecs):
+        """Rank-aware signs σ and the second-order pieces (H + P, Q) at one
+        state, from its images and eigenpairs of X: H = D*(S_r), and
+        ½ sum_ij Γ_ij |Ẽ_ij(δ)|² = δ†Pδ + Re(δ^T Q δ).
+
+        Ẽ_ij = L_ij δ + conj(L_ji δ) with L_ij = sum_m s_m conj(ũ_mj) (V† A_m)_i,
+        ũ_m = V† u_m. Each pair is met once from its row i in the range, at
+        half weight when j is in the range too (it is met again from j).
+        """
         sigma = np.sign(lam)
         # The structural kernel: the window of len(lam) - rank eigenvalues,
         # contiguous in the sorted spectrum, whose largest |λ| is least.
@@ -153,15 +160,6 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
             first = np.argmin(np.maximum(np.abs(lam[: rank + 1]), np.abs(lam[kernel - 1 :])))
             sigma[first : first + kernel] = 0.0
         h = signed_adjoint @ (((vecs * sigma) @ vecs.conj().T) @ a).reshape(-1, n)
-        return sigma, h
-
-    def pair_terms(u, lam, vecs, sigma):
-        """(P, Q) with ½ sum_ij Γ_ij |Ẽ_ij(δ)|² = δ†Pδ + Re(δ^T Q δ).
-
-        Ẽ_ij = L_ij δ + conj(L_ji δ) with L_ij = sum_m s_m conj(ũ_mj) (V† A_m)_i,
-        ũ_m = V† u_m. Each pair is met once from its row i in the range, at
-        half weight when j is in the range too (it is met again from j).
-        """
         live = np.flatnonzero(sigma)
         t = vecs.conj().T @ a
         c = signs[:, None] * (u.conj() @ vecs)
@@ -176,13 +174,11 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         root = np.sqrt(gamma)[..., None]
         left, right = (root * rows).reshape(-1, n), (root * cols).reshape(-1, n)
         q = left.T @ right
-        return left.conj().T @ left + right.conj().T @ right, q + q.T
+        return sigma, h + (left.conj().T @ left + right.conj().T @ right), q + q.T
 
     def curvature(psi: np.ndarray):
         (u,), (lam,), (vecs,) = images(psi[None])
-        sigma, h = spectrum(lam, vecs)
-        p, q = pair_terms(u, lam, vecs, sigma)
-        return h + p, q
+        return model(u, lam, vecs)[1:]
 
     def newton_step(psi, grad, hp, q, slope):
         """Newton step on the quotient for the model with Hessian pieces
@@ -221,11 +217,10 @@ def _difference_objective(spec: ProtocolSpec, tol: float) -> _Objective:
         slope = linalg.vector_norm(grad - np.vdot(psi, grad).real * psi)
         if slope <= tol or n == 1:
             return None
-        sigma, h = spectrum(lam, vecs)
-        p, q = pair_terms(u, lam, vecs, sigma)
+        sigma, hp, q = model(u, lam, vecs)
         # The sphere adds -value |δ|², the value being homogeneous of
         # degree 2, and the regularization -slope |δ|².
-        return psi + newton_step(psi, grad, h + p - (float(sigma @ lam) + slope) * np.eye(n), q, slope)
+        return psi + newton_step(psi, grad, hp - (float(sigma @ lam) + slope) * np.eye(n), q, slope)
 
     return _Objective(fun_grad, polish, curvature)
 

@@ -58,8 +58,7 @@ def random_kraus_family(dim_in: int, dim_out: int, cardinality: int, seed) -> Kr
             f"dim_out * cardinality = {dim_out * cardinality} < dim_in = {dim_in}"
         )
     q = linalg.random_isometry(dim_out * cardinality, dim_in, seed)
-    ops = [q[j * dim_out : (j + 1) * dim_out, :] for j in range(cardinality)]
-    return KrausFamily.from_ops(ops)
+    return KrausFamily(dim_in, dim_out, q.reshape(cardinality, dim_out, dim_in))
 
 
 def random_protocol(
@@ -95,13 +94,13 @@ def concealing_pair(seed, dim: int = 2, cardinality: int = 2):
 def decoy_protocol(decoy_qubits: float, angle: float = pi / 2) -> ProtocolSpec:
     """Dephasing diluted by decoys Alice appends to the committed qubit.
 
-    Alice draws a secret string from her ``decoy_qubits`` ancilla qubits
-    (uniform, so Bob receives them maximally mixed) and applies the
-    bit-dependent dephasing only when the string is all zeros; otherwise the
-    committed qubit passes through untouched. The decoys ride along into the
-    output, so the output dimension grows with the decoy count while the
-    channels for the two bits draw together geometrically. A fractional
-    count is rounded to the nearest integer, ties to even.
+    Each bit is a flagged mixture: Alice draws a string uniformly from her
+    ``decoy_qubits`` ancilla qubits and sends it to Bob as the flag. String
+    0 runs the bit-dependent dephasing block (the two projectors), the other
+    2^k - 1 run pass-through blocks. The flags ride into the output, so its
+    dimension grows with the decoy count while the channels for the two bits
+    draw together geometrically. A fractional count is rounded to the
+    nearest integer, ties to even.
     """
     k = int(round(decoy_qubits))
     if k < 0:
@@ -112,23 +111,18 @@ def decoy_protocol(decoy_qubits: float, angle: float = pi / 2) -> ProtocolSpec:
         raise ValueError(f"decoy count {k}: its operator stack exceeds numpy's largest array")
     branches = 2**k
     weight = branches**-0.5
-    # Operator j as (qubit out, decoy string, qubit in), the layout of
-    # np.kron(op, e_string): the two projectors write string 0 (multiplied
-    # out as kron does, so its zeros keep their signs), and operator j > 1
-    # passes the qubit through and writes string j - 1.
-    string0 = np.zeros(branches, dtype=complex)
-    string0[0] = 1.0
-    strings = np.arange(1, branches)
+    # Operator j is weight · kron(block_j, e_s), block j's string s as row j
+    # of the flag matrix, laid out as (qubit out, string, qubit in).
+    flags = np.eye(branches + 1, branches, -1, dtype=complex)
+    flags[0, 0] = 1.0
+    passes = np.eye(2)[None].repeat(branches - 1, axis=0)
     families = []
     for basis_angle in (0.0, angle):
-        projectors = np.array(_basis_projectors(basis_angle))[:, :, None, :]
-        ops = np.zeros((branches + 1, 2, branches, 2), dtype=complex)
-        ops[:2] = weight * (projectors * string0[:, None])
-        ops[strings + 1, :, strings, :] = weight * np.eye(2)
+        blocks = np.concatenate([_basis_projectors(basis_angle), passes])
+        ops = blocks[:, :, None, :] * flags[:, None, :, None]
+        ops *= weight
         families.append(KrausFamily(2, 2 * branches, ops.reshape(branches + 1, 2 * branches, 2)))
-    return ProtocolSpec(
-        label=f"decoy-k{k}-angle-{angle:.6g}", bit0=families[0], bit1=families[1]
-    )
+    return ProtocolSpec(label=f"decoy-k{k}-angle-{angle:.6g}", bit0=families[0], bit1=families[1])
 
 
 #: Families addressable from scan configuration files, keyed by name: each

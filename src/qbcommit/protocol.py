@@ -62,12 +62,15 @@ class KrausFamily:
 
     @cached_property
     def _residual(self) -> float:
+        if not np.isfinite(self.ops).all():
+            return float("inf")
         # sum_m K_m† K_m is one product of the stacked (m·dout, din) operators.
         stacked = self.ops.reshape(-1, self.dim_in)
         return linalg.operator_norm(stacked.conj().T @ stacked - np.eye(self.dim_in))
 
     def completeness_residual(self) -> float:
-        """Operator-norm distance of the op†op sum from the identity."""
+        """Operator-norm distance of the op†op sum from the identity; inf
+        when an operator has a non-finite entry."""
         return self._residual
 
     def padded(self, cardinality: int) -> "KrausFamily":

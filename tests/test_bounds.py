@@ -17,7 +17,7 @@ from qbcommit.bounds import (
     payoff_floor,
     scan_to_csv,
 )
-from qbcommit.binding import minimax_cheat
+from qbcommit.binding import alice_cheat_prob, minimax_cheat
 from qbcommit.cli import render_report
 from qbcommit.concealment import analyze_concealment
 from qbcommit.families import (
@@ -31,7 +31,7 @@ from qbcommit.families import (
 )
 from qbcommit.fileio import jsonable
 from qbcommit.optimize import CERTIFIED_WIDTH
-from qbcommit.protocol import require_valid
+from qbcommit.protocol import KrausFamily, ProtocolSpec, require_valid
 
 
 def test_kraus_gap_phase_pair_identity():
@@ -387,6 +387,94 @@ def test_newton_bracket_certifies(spec):
     assert res.value - res.lower <= CERTIFIED_WIDTH
     assert res.trace.converged == [True] and res.trace.notes[0].startswith("certified at step")
     assert res.value == kraus_gap(res.spec, res.unitary)
+
+
+def _overlap(a, b):
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+def _transformed(spec, transform):
+    """``spec``'s label with each bit's operators from ``transform(bit name)``."""
+    bit0, bit1 = (KrausFamily.from_ops(transform(bit)) for bit in ("bit0", "bit1"))
+    return ProtocolSpec(label=spec.label, bit0=bit0, bit1=bit1)
+
+
+def _flagged_mixture(weights, blocks):
+    """Block s run with probability p_s and s written to a flag Bob receives:
+    each bit's operators are sqrt(p_s) kron(K, e_s) over block s's K."""
+    flags = np.eye(len(blocks))[:, :, None]
+    return _transformed(
+        blocks[0],
+        lambda bit: [
+            np.sqrt(p) * np.kron(k, flags[s])
+            for s, (p, block) in enumerate(zip(weights, blocks))
+            for k in getattr(block, bit).ops
+        ],
+    )
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_flagged_mixture_scales_each_bracket_by_its_weight(s):
+    # A committing block at p = 1/4 beside three identity blocks. The flags
+    # keep the blocks apart: the cb norm of the difference is p times the
+    # block's, the cross-block terms E1_j† E0_l vanish so that
+    # S(C) = sum_s p_s S_s(C_ss) and g* is p times the block's, and the
+    # identity blocks pass every claim. Whether mixing helps Alice's binding
+    # estimate is open, so nothing is asserted about it.
+    p = 0.25
+    block = random_protocol(2, 2, 2, np.random.default_rng([99, s]))
+    mix = _flagged_mixture([p] * 4, [block] + [identity_protocol(2)] * 3)
+    cb_mix, cb_block = analyze_concealment(mix), analyze_concealment(block)
+    assert _overlap((cb_mix.cb_lower, cb_mix.cb_upper), (p * cb_block.cb_lower, p * cb_block.cb_upper))
+    gap_mix, gap_block = minimize_kraus_gap(mix), minimize_kraus_gap(block)
+    assert _overlap((gap_mix.lower, gap_mix.value), (p * gap_block.lower, p * gap_block.value))
+    rng = np.random.default_rng([99, s, 1])
+    for _ in range(20):
+        v, phi = linalg.random_unitary(2, rng), linalg.random_state(2, rng)
+        cheat = np.eye(5, dtype=complex)
+        cheat[:2, :2] = v
+        mixed = alice_cheat_prob(mix, cheat, phi)
+        assert abs(mixed - (p * alice_cheat_prob(block, v, phi) + 1 - p)) < 2e-15
+
+
+def _measured_by_bob(spec, strength):
+    """Both bits followed by Bob's two-outcome weak Z instrument on the
+    output, outcome kept: A_j = sum_k |k> ⊗ M_k K_j = W K_j, with
+    M_k = sqrt((I ± strength Z) / 2) and W the stacked M_k, an isometry."""
+    z = (-1.0) ** np.arange(spec.dim_out)
+    w = np.concatenate([np.diag(np.sqrt((1.0 + sign * strength * z) / 2.0)) for sign in (1.0, -1.0)])
+    return _transformed(spec, lambda bit: w @ getattr(spec, bit).ops)
+
+
+MEASURED = {
+    "dephasing": (dephasing_protocol(), 0.25),
+    "random-3x3-m3": (random_protocol(3, 3, 3, seed=1), None),
+    "decoy-k2": (decoy_protocol(2), 0.8125),
+}
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("spec, closed", MEASURED.values(), ids=MEASURED.keys())
+def test_bob_measuring_before_the_opening_changes_nothing(spec, closed, strength):
+    # Bob's early measurement is an isometry W on the output, and every
+    # solver reads the operators only through W†W = I.
+    measured = _measured_by_bob(spec, strength)
+    rng = np.random.default_rng([17, spec.dim_out, int(4 * strength)])
+    for _ in range(20):
+        v, phi = linalg.random_unitary(spec.cardinality, rng), linalg.random_state(spec.dim_in, rng)
+        assert abs(alice_cheat_prob(measured, v, phi) - alice_cheat_prob(spec, v, phi)) < 2e-15
+    assert abs(kraus_gap(measured) - kraus_gap(spec)) < 1e-13
+    cb, cb_measured = analyze_concealment(spec), analyze_concealment(measured)
+    assert _overlap((cb.cb_lower, cb.cb_upper), (cb_measured.cb_lower, cb_measured.cb_upper))
+    gap, gap_measured = minimize_kraus_gap(spec), minimize_kraus_gap(measured)
+    assert _overlap((gap.lower, gap.value), (gap_measured.lower, gap_measured.value))
+    if closed is None:
+        return
+    rep = minimax_cheat(measured, seed=0)
+    for r in (rep, rep.swapped):
+        assert abs(r.minimax_estimate - closed) < 1e-12
+        assert r.solver_trace.best_start == 0
+        assert r.solver_trace.notes[-1].startswith("Procrustes start certified")
 
 
 @pytest.mark.parametrize("spec", PANEL, ids=[f"p{s}" for s in range(6)])

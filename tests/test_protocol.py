@@ -106,6 +106,21 @@ def test_validate_accepts_and_rejects():
     assert err.value.report.label == "incomplete"
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_family_is_reported_not_raised(entry):
+    # The residual of a family with a non-finite operator is inf: validate
+    # still returns a report, and every reader of the residual refuses it.
+    fam = qc.KrausFamily(2, 2, np.full((1, 2, 2), entry))
+    spec = qc.ProtocolSpec(label="non-finite", bit0=qc.KrausFamily.from_ops([np.eye(2)]), bit1=fam)
+    rep = qc.validate(spec)
+    assert not rep.accepted
+    assert rep.completeness_residual_bit1 == fam.completeness_residual() == np.inf
+    with pytest.raises(ProtocolValidationError):
+        qc.require_valid(spec)
+    with pytest.raises(ValueError, match="not complete enough"):
+        qc.dilate(fam)
+
+
 def test_apply_channel_dephasing_kills_coherences():
     spec = qc.dephasing_protocol()
     rho = np.array([[0.6, 0.5], [0.5, 0.4]], dtype=complex)
@@ -392,11 +407,11 @@ def _kron_decoy_ops(k, angle):
     return families
 
 
-@pytest.mark.parametrize("angle", [np.pi / 2, 0.3])
+@pytest.mark.parametrize("angle", [np.pi / 2, 0.7, 0.3, 0.0])
 def test_decoy_operators_match_the_kron_construction(angle):
     # The stack is built in one array; its entries are those of the kron
     # construction to the bit, signed zeros included.
-    for k in range(6):
+    for k in range(9):
         spec = qc.decoy_protocol(k, angle)
         for fam, ref in zip((spec.bit0, spec.bit1), _kron_decoy_ops(k, angle)):
             assert fam.ops.shape == ref.shape == (2**k + 1, 2 ** (k + 1), 2)
