@@ -258,7 +258,7 @@ def _shared_cut(spec: ProtocolSpec):
         cut = [ops[kept][:, rows] for ops in (ops1, ops0)]
     else:
         cut = [np.zeros((1, 1, spec.dim_in))] * 2
-    bit1, bit0 = (KrausFamily(spec.dim_in, ops.shape[1], ops) for ops in cut)
+    bit1, bit0 = map(KrausFamily, cut)
     return ProtocolSpec(label=spec.label, bit0=bit0, bit1=bit1), note
 
 

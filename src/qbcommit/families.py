@@ -17,7 +17,7 @@ from .protocol import KrausFamily, ProtocolSpec, apply_cheat_unitary
 def identity_protocol(dim: int = 2) -> ProtocolSpec:
     """Both bits act as the identity channel; nothing is committed."""
     eye = np.eye(dim, dtype=complex)
-    fam = KrausFamily.from_ops([eye])
+    fam = KrausFamily([eye])
     return ProtocolSpec(label=f"identity-d{dim}", bit0=fam, bit1=fam)
 
 
@@ -27,8 +27,8 @@ def phase_flip_pair() -> ProtocolSpec:
     z = np.diag([1.0, -1.0]).astype(complex)
     return ProtocolSpec(
         label="identity-vs-phase-flip",
-        bit0=KrausFamily.from_ops([eye]),
-        bit1=KrausFamily.from_ops([z]),
+        bit0=KrausFamily([eye]),
+        bit1=KrausFamily([z]),
     )
 
 
@@ -45,8 +45,8 @@ def dephasing_protocol(angle: float = pi / 2) -> ProtocolSpec:
 
     The default angle pits Z-basis dephasing against X-basis dephasing.
     """
-    bit0 = KrausFamily.from_ops(_basis_projectors(0.0))
-    bit1 = KrausFamily.from_ops(_basis_projectors(angle))
+    bit0 = KrausFamily(_basis_projectors(0.0))
+    bit1 = KrausFamily(_basis_projectors(angle))
     return ProtocolSpec(label=f"dephasing-angle-{angle:.6g}", bit0=bit0, bit1=bit1)
 
 
@@ -58,7 +58,7 @@ def random_kraus_family(dim_in: int, dim_out: int, cardinality: int, seed) -> Kr
             f"dim_out * cardinality = {dim_out * cardinality} < dim_in = {dim_in}"
         )
     q = linalg.random_isometry(dim_out * cardinality, dim_in, seed)
-    return KrausFamily(dim_in, dim_out, q.reshape(cardinality, dim_out, dim_in))
+    return KrausFamily(q.reshape(cardinality, dim_out, dim_in))
 
 
 def random_protocol(
@@ -121,7 +121,7 @@ def decoy_protocol(decoy_qubits: float, angle: float = pi / 2) -> ProtocolSpec:
         blocks = np.concatenate([_basis_projectors(basis_angle), passes])
         ops = blocks[:, :, None, :] * flags[:, None, :, None]
         ops *= weight
-        families.append(KrausFamily(2, 2 * branches, ops.reshape(branches + 1, 2 * branches, 2)))
+        families.append(KrausFamily(ops.reshape(branches + 1, 2 * branches, 2)))
     return ProtocolSpec(label=f"decoy-k{k}-angle-{angle:.6g}", bit0=families[0], bit1=families[1])
 
 

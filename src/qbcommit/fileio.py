@@ -27,16 +27,28 @@ def matrix_to_pairs(mat) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def matrix_from_pairs(data, what: str = "matrix") -> np.ndarray:
-    """Complex matrix from nested [re, im] pairs; shape is checked."""
+def _finite_numbers(values, what: str) -> list:
+    """``values`` as floats, each checked to be a finite JSON number, not a bool."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ProtocolFileError(f"{what} must be JSON numbers")
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolFileError(f"{what}: entries are not numeric pairs ({exc})")
+        floats = [float(v) for v in values]
+    except OverflowError:
+        floats = [math.inf]
+    if not all(math.isfinite(v) for v in floats):
+        raise ProtocolFileError(f"{what} must be finite")
+    return floats
+
+
+def matrix_from_pairs(data, what: str = "matrix") -> np.ndarray:
+    """Complex matrix from nested [re, im] pairs; the shape is checked, and
+    each entry must be a finite JSON number."""
+    arr = np.asarray(data, dtype=object)
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ProtocolFileError(
             f"{what}: expected a matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    arr = np.array(_finite_numbers(arr.ravel().tolist(), f"{what}: entries")).reshape(arr.shape)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -44,10 +56,12 @@ def _family_from_json(data, what: str) -> KrausFamily:
     if not isinstance(data, list) or not data:
         raise ProtocolFileError(f"{what}: expected a nonempty list of matrices")
     ops = [matrix_from_pairs(op, f"{what}[{i}]") for i, op in enumerate(data)]
-    try:
-        return KrausFamily.from_ops(ops)
-    except ValueError as exc:
-        raise ProtocolFileError(f"{what}: {exc}")
+    for i, op in enumerate(ops):
+        if op.shape != ops[0].shape:
+            raise ProtocolFileError(
+                f"{what}: operator {i} has shape {op.shape}, expected {ops[0].shape}"
+            )
+    return KrausFamily(ops)
 
 
 def parse_protocol(data) -> ProtocolSpec:
@@ -115,19 +129,6 @@ class ScanConfig:
     family: object
     params: list
     label: str
-
-
-def _finite_numbers(values, what: str) -> list:
-    """``values`` as floats, each checked to be a finite JSON number, not a bool."""
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ProtocolFileError(f"{what} must be JSON numbers")
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:
-        floats = [math.inf]
-    if not all(math.isfinite(v) for v in floats):
-        raise ProtocolFileError(f"{what} must be finite")
-    return floats
 
 
 def load_scan_config(path) -> ScanConfig:

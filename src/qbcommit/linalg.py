@@ -85,15 +85,6 @@ def trace_norm(m) -> float:
     return float(np.sum(svd_or_error(m, compute_uv=False)))
 
 
-def operator_norm(m) -> float:
-    """Largest singular value of a square matrix."""
-    m = as_operator(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator norm expects a square matrix, got {m.shape}")
-    vals = svd_or_error(m, compute_uv=False)
-    return float(vals[0]) if vals.size else 0.0
-
-
 def eigh_or_error(m: np.ndarray):
     """Hermitian eigendecomposition with the package's error type.
 

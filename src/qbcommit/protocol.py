@@ -29,32 +29,27 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class KrausFamily:
     """An ordered family of Kraus operators sharing one input/output space,
-    held as one read-only ``(cardinality, dim_out, dim_in)`` array ``ops``."""
+    held as one read-only ``(cardinality, dim_out, dim_in)`` array ``ops``.
+    It is built from that stack, or from equal-shaped matrices, and refuses
+    one with no operator, an empty dimension or a non-finite entry."""
 
-    dim_in: int
-    dim_out: int
     ops: np.ndarray
 
     def __post_init__(self):
         ops = _freeze(self.ops)
-        if ops.ndim != 3 or not len(ops) or ops.shape[1:] != (self.dim_out, self.dim_in):
-            raise ValueError(
-                f"expected (m, {self.dim_out}, {self.dim_in}) operators, got {ops.shape}"
-            )
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise ValueError(f"expected a nonempty (m, dim_out, dim_in) stack, got {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise ValueError("operators have non-finite entries")
         object.__setattr__(self, "ops", ops)
 
-    @classmethod
-    def from_ops(cls, ops) -> "KrausFamily":
-        mats = [linalg.as_operator(op) for op in ops]
-        if not mats:
-            raise ValueError("a Kraus family needs at least one operator")
-        dout, din = mats[0].shape
-        for i, op in enumerate(mats):
-            if op.shape != (dout, din):
-                raise ValueError(
-                    f"operator {i} has shape {op.shape}, expected {(dout, din)}"
-                )
-        return cls(dim_in=din, dim_out=dout, ops=mats)
+    @property
+    def dim_in(self) -> int:
+        return self.ops.shape[2]
+
+    @property
+    def dim_out(self) -> int:
+        return self.ops.shape[1]
 
     @property
     def cardinality(self) -> int:
@@ -62,15 +57,13 @@ class KrausFamily:
 
     @cached_property
     def _residual(self) -> float:
-        if not np.isfinite(self.ops).all():
-            return float("inf")
         # sum_m K_m† K_m is one product of the stacked (m·dout, din) operators.
         stacked = self.ops.reshape(-1, self.dim_in)
-        return linalg.operator_norm(stacked.conj().T @ stacked - np.eye(self.dim_in))
+        gap = stacked.conj().T @ stacked - np.eye(self.dim_in)
+        return float(linalg.svd_or_error(gap, compute_uv=False)[0])
 
     def completeness_residual(self) -> float:
-        """Operator-norm distance of the op†op sum from the identity; inf
-        when an operator has a non-finite entry."""
+        """Operator-norm distance of the op†op sum from the identity."""
         return self._residual
 
     def padded(self, cardinality: int) -> "KrausFamily":
@@ -80,7 +73,7 @@ class KrausFamily:
         if cardinality == self.cardinality:
             return self
         zeros = np.zeros((cardinality - self.cardinality, self.dim_out, self.dim_in))
-        padded = KrausFamily(self.dim_in, self.dim_out, np.concatenate([self.ops, zeros]))
+        padded = KrausFamily(np.concatenate([self.ops, zeros]))
         # Zero operators add nothing to the op†op sum: the residual carries over
         # (one product over the longer stack may round its last bit differently).
         if "_residual" in self.__dict__:
@@ -244,8 +237,7 @@ def apply_cheat_unitary(family: KrausFamily, v) -> KrausFamily:
     unchanged and the cardinality is kept.
     """
     v = _require_cheat(v, family.cardinality)
-    new_ops = np.einsum("jl,lab->jab", v, family.ops)
-    return KrausFamily(family.dim_in, family.dim_out, new_ops)
+    return KrausFamily(np.einsum("jl,lab->jab", v, family.ops))
 
 
 def align_families(source: KrausFamily, target: KrausFamily) -> np.ndarray:

@@ -235,7 +235,7 @@ def test_permutation_reindexing_equivariance():
             pmat[row, col] = 1.0
         permuted = ProtocolSpec(
             label="permuted",
-            bit0=KrausFamily.from_ops([spec.bit0.ops[k] for k in perm]),
+            bit0=KrausFamily([spec.bit0.ops[k] for k in perm]),
             bit1=spec.bit1,
         )
         v = linalg.random_unitary(m, rng)
@@ -440,8 +440,8 @@ def test_certificate_closes_at_complex_reindexing(spec, closed):
     phases = np.exp(2j * np.pi * rng.random(spec.cardinality))
     scrambled = ProtocolSpec(
         label="scrambled",
-        bit0=KrausFamily.from_ops(np.einsum("lk,kab->lab", mix, spec.bit0.ops)),
-        bit1=KrausFamily.from_ops(phases[:, None, None] * spec.bit1.ops),
+        bit0=KrausFamily(np.einsum("lk,kab->lab", mix, spec.bit0.ops)),
+        bit1=KrausFamily(phases[:, None, None] * spec.bit1.ops),
     )
     rep = minimax_cheat(scrambled, outer_restarts=2, outer_iters=5, inner_restarts=2, include_swapped=False)
     assert np.abs(rep.best_cheat_unitary.imag).max() > 0.1
@@ -701,18 +701,33 @@ def _certificate_gradients(rng, case):
     return rng.standard_normal((min(n, 2), d)) * base[0, 0]
 
 
+def _simplex_optimal(gram, i):
+    """Wolfe's w^T gram w, its weights checked to lie on the simplex and to
+    meet its KKT condition (gram w)_i >= w^T gram w for every i, which is
+    optimality there, within the solver's own stopping tolerance."""
+    tol = 1e-12 * gram.diagonal().max()
+    w = _simplex_min_norm(gram)
+    gw = gram @ w
+    assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-14, (i, w)
+    assert gw.min() >= w @ gw - tol, (i, gram)
+    return w @ gw, tol
+
+
 def test_simplex_min_norm_is_optimal_on_degenerate_and_generic_grams():
     # Duplicate, opposite, zero and collinear gradients make Wolfe's KKT
     # systems degenerate; the weights must still be an optimal point of the
-    # simplex, within the solver's own stopping tolerance.
+    # simplex, and never lose to the projected-gradient comparator.
     rng = np.random.default_rng(35)
     for i in range(5000):
         g = _certificate_gradients(rng, i % 5)
         gram = g @ g.T
-        tol = 1e-12 * gram.diagonal().max()
-        w = _simplex_min_norm(gram)
-        gw = gram @ w
-        assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-14, (i, w)
-        assert gw.min() >= w @ gw - tol, (i, gram)
+        value, tol = _simplex_optimal(gram, i)
         ref = _numpy_simplex_min_norm(gram)
-        assert w @ gw <= ref @ gram @ ref + tol, (i, gram)
+        assert value <= ref @ gram @ ref + tol, (i, gram)
+    # Generic points, 3-25 of them in 1-8 dimensions, run the minor cycle
+    # that moves w towards v and drops a point from the corral; the
+    # comparator crawls here, and the KKT check alone proves optimality.
+    for i in range(2000):
+        n, d = int(rng.integers(3, 26)), int(rng.integers(1, 9))
+        g = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 1)
+        _simplex_optimal(g @ g.T, i)

@@ -289,7 +289,7 @@ def test_trace_certificate_met_only_after_steps_on_phase_flip():
 
 def _random_contraction(m, rng):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return rng.uniform(0.0, 1.0) * a / linalg.operator_norm(a)
+    return rng.uniform(0.0, 1.0) * a / np.linalg.norm(a, 2)
 
 
 @pytest.mark.parametrize("din", [2, 3, 4])
@@ -395,7 +395,7 @@ def _overlap(a, b):
 
 def _transformed(spec, transform):
     """``spec``'s label with each bit's operators from ``transform(bit name)``."""
-    bit0, bit1 = (KrausFamily.from_ops(transform(bit)) for bit in ("bit0", "bit1"))
+    bit0, bit1 = (KrausFamily(transform(bit)) for bit in ("bit0", "bit1"))
     return ProtocolSpec(label=spec.label, bit0=bit0, bit1=bit1)
 
 

@@ -534,6 +534,11 @@ def test_scan_dephasing_family_reads_the_basis_angle(tmp_path, capsys):
 GOOD_OPS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
 
 
+def _ops_with_entry(value):
+    """``GOOD_OPS`` with the real part of its first entry set to ``value``."""
+    return [[[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+
+
 @pytest.mark.parametrize(
     "command, content, message",
     [
@@ -546,8 +551,20 @@ GOOD_OPS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
             {"label": "p", "bit0": GOOD_OPS, "bit1": GOOD_OPS + [[[[0.0, 0.0], [0.0, 0.0]]]]},
             "bit1: operator 1 has shape (1, 2), expected (2, 2)",
         ),
+        *(
+            ("validate", {"label": "p", "bit0": _ops_with_entry(entry), "bit1": GOOD_OPS}, message)
+            for entry, message in (
+                (float("nan"), "bit0[0]: entries must be finite"),
+                ("1", "bit0[0]: entries must be JSON numbers"),
+                (True, "bit0[0]: entries must be JSON numbers"),
+                (10**400, "bit0[0]: entries must be finite"),
+            )
+        ),
     ],
-    ids=["config-not-object", "options-not-object", "label-not-string", "empty-family", "mismatched-shapes"],
+    ids=[
+        "config-not-object", "options-not-object", "label-not-string", "empty-family", "mismatched-shapes",
+        "nan-entry", "string-entry", "bool-entry", "huge-int-entry",
+    ],
 )
 def test_malformed_input_exits_two_with_its_message(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.json"

@@ -653,7 +653,7 @@ def _shared_pair(din, dout, m, seed):
     root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T
     rest = (linalg.random_isometry(dout * (m - 1), din, rng) @ root).reshape(m - 1, dout, din)
     ops = [np.concatenate([rest, shared[None]]), np.concatenate([rest, [shared / np.sqrt(2.0)] * 2])]
-    return [ProtocolSpec(label, bit0, KrausFamily(din, dout, o)) for label, o in zip(("shared", "split"), ops)]
+    return [ProtocolSpec(label, bit0, KrausFamily(o)) for label, o in zip(("shared", "split"), ops)]
 
 
 @pytest.mark.parametrize("din, dout, m", [(3, 3, 3), (2, 3, 2), (3, 2, 3)])
@@ -734,8 +734,8 @@ NO_CUT_SPECS = [
 ] + [
     ProtocolSpec(
         "disjoint-outputs",
-        KrausFamily(2, 4, np.eye(4, 2)[None]),
-        KrausFamily(2, 4, np.eye(4, 2, k=-2)[None]),
+        KrausFamily(np.eye(4, 2)[None]),
+        KrausFamily(np.eye(4, 2, k=-2)[None]),
     )
 ]
 

@@ -30,7 +30,6 @@ def test_partial_trace_rejects_a_third_slot():
 def test_trace_norm_hand_value():
     m = np.diag([3.0, -4.0])
     assert abs(linalg.trace_norm(m) - 7.0) < 1e-12
-    assert abs(linalg.operator_norm(m) - 4.0) < 1e-12
 
 
 def test_trace_norm_against_svd():
@@ -39,14 +38,11 @@ def test_trace_norm_against_svd():
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         s = np.linalg.svd(m, compute_uv=False)
         assert abs(linalg.trace_norm(m) - s.sum()) < 1e-10
-        assert abs(linalg.operator_norm(m) - s.max()) < 1e-10
 
 
 def test_norms_reject_nonsquare():
     with pytest.raises(ValueError):
         linalg.trace_norm(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        linalg.operator_norm(np.zeros((2, 3)))
 
 
 def test_as_state_normalization_check():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,17 +14,17 @@ def bell_state():
 
 
 def test_kraus_family_construction():
-    fam = qc.KrausFamily.from_ops([np.eye(2)])
+    fam = qc.KrausFamily([np.eye(2)])
     assert fam.dim_in == 2 and fam.dim_out == 2 and fam.cardinality == 1
     assert fam.completeness_residual() < 1e-15
     with pytest.raises(ValueError):
-        qc.KrausFamily.from_ops([])
+        qc.KrausFamily([])
     with pytest.raises(ValueError):
-        qc.KrausFamily.from_ops([np.eye(2), np.zeros((3, 2))])
+        qc.KrausFamily([np.eye(2), np.zeros((3, 2))])
 
 
 def test_kraus_family_ops_are_read_only():
-    fam = qc.KrausFamily.from_ops([np.eye(2)])
+    fam = qc.KrausFamily([np.eye(2)])
     with pytest.raises(ValueError):
         fam.ops[0][0, 0] = 5.0
 
@@ -30,7 +33,7 @@ def test_kraus_family_ops_are_read_only_on_every_construction_path():
     # Built directly from writable arrays, padded, or reindexed: the family
     # holds its own read-only copy, so its cached residual cannot go stale.
     source = np.eye(2)
-    direct = qc.KrausFamily(2, 2, (source,))
+    direct = qc.KrausFamily((source,))
     padded = direct.padded(2)
     reindexed = qc.apply_cheat_unitary(padded, np.eye(2))
     for fam in (direct, padded, reindexed):
@@ -40,14 +43,26 @@ def test_kraus_family_ops_are_read_only_on_every_construction_path():
             fam.ops[0][0, 0] = 0.5
     source[0, 0] = 0.5
     assert direct.completeness_residual() < 1e-15
-    assert qc.KrausFamily(2, 2, (source,)).completeness_residual() == pytest.approx(0.75)
+    assert qc.KrausFamily((source,)).completeness_residual() == pytest.approx(0.75)
 
 
 def test_kraus_family_rejects_ops_that_do_not_match_its_dimensions():
     with pytest.raises(ValueError, match="expected"):
-        qc.KrausFamily(2, 3, (np.eye(2),))
-    with pytest.raises(ValueError, match="expected"):
-        qc.KrausFamily(2, 2, np.zeros((0, 2, 2)))
+        qc.KrausFamily(np.zeros((0, 2, 2)))
+
+
+def test_kraus_family_has_one_constructor_taking_its_stack():
+    # Every family in the package is built as ``KrausFamily(ops)``, so the
+    # constructor's one check sees every stack; no second path is left.
+    calls = 0
+    for path in sorted(Path(qc.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "from_ops" not in text and "operator_norm" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "KrausFamily":
+                assert len(node.args) == 1 and not node.keywords, (path.name, node.lineno)
+                calls += 1
+    assert calls
 
 
 def test_array_holding_dataclasses_compare_by_identity():
@@ -62,15 +77,15 @@ def test_array_holding_dataclasses_compare_by_identity():
 
 def test_completeness_residual_hand_value():
     # A lone 0.5*identity gives sum E^dag E = 0.25*I, residual 0.75 per axis.
-    fam = qc.KrausFamily.from_ops([0.5 * np.eye(2)])
+    fam = qc.KrausFamily([0.5 * np.eye(2)])
     assert abs(fam.completeness_residual() - 0.75) < 1e-12
 
 
 def test_protocol_pads_cardinality():
     spec = qc.ProtocolSpec(
         label="pad",
-        bit0=qc.KrausFamily.from_ops([np.eye(2)]),
-        bit1=qc.KrausFamily.from_ops(qc.dephasing_protocol().bit1.ops),
+        bit0=qc.KrausFamily([np.eye(2)]),
+        bit1=qc.KrausFamily(qc.dephasing_protocol().bit1.ops),
     )
     assert spec.bit0.cardinality == 2 and spec.bit1.cardinality == 2
     assert np.abs(spec.bit0.ops[1]).max() == 0.0
@@ -83,8 +98,8 @@ def test_protocol_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         qc.ProtocolSpec(
             label="bad",
-            bit0=qc.KrausFamily.from_ops([np.eye(2)]),
-            bit1=qc.KrausFamily.from_ops([np.eye(3)]),
+            bit0=qc.KrausFamily([np.eye(2)]),
+            bit1=qc.KrausFamily([np.eye(3)]),
         )
 
 
@@ -95,8 +110,8 @@ def test_validate_accepts_and_rejects():
     assert rep.completeness_residual_bit0 < 1e-12
     bad = qc.ProtocolSpec(
         label="incomplete",
-        bit0=qc.KrausFamily.from_ops([0.5 * np.eye(2)]),
-        bit1=qc.KrausFamily.from_ops([np.eye(2)]),
+        bit0=qc.KrausFamily([0.5 * np.eye(2)]),
+        bit1=qc.KrausFamily([np.eye(2)]),
     )
     rep2 = qc.validate(bad)
     assert not rep2.accepted
@@ -106,19 +121,33 @@ def test_validate_accepts_and_rejects():
     assert err.value.report.label == "incomplete"
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_family_is_reported_not_raised(entry):
-    # The residual of a family with a non-finite operator is inf: validate
-    # still returns a report, and every reader of the residual refuses it.
-    fam = qc.KrausFamily(2, 2, np.full((1, 2, 2), entry))
-    spec = qc.ProtocolSpec(label="non-finite", bit0=qc.KrausFamily.from_ops([np.eye(2)]), bit1=fam)
-    rep = qc.validate(spec)
-    assert not rep.accepted
-    assert rep.completeness_residual_bit1 == fam.completeness_residual() == np.inf
-    with pytest.raises(ProtocolValidationError):
-        qc.require_valid(spec)
-    with pytest.raises(ValueError, match="not complete enough"):
-        qc.dilate(fam)
+def _one_entry(value):
+    """The identity as a one-operator stack, one entry set to ``value``."""
+    ops = np.eye(2, dtype=complex)[None].copy()
+    ops[0, 0, 1] = value
+    return ops
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: qc.KrausFamily(_one_entry(np.nan)),
+        lambda: qc.KrausFamily(_one_entry(np.inf)),
+        lambda: qc.KrausFamily(_one_entry(-np.inf)),
+        lambda: qc.KrausFamily(np.zeros((0, 2, 2))),
+        lambda: qc.KrausFamily(np.zeros((1, 2, 0))),
+        lambda: qc.KrausFamily(np.zeros((1, 0, 2))),
+        lambda: qc.KrausFamily(np.eye(2)),
+        lambda: qc.KrausFamily([np.eye(2), np.eye(3)]),
+        lambda: qc.random_protocol(0, 2, 2, seed=0),
+    ],
+    ids=["nan", "inf", "-inf", "no-operator", "zero-dim-in", "zero-dim-out", "bare-matrix", "ragged", "random-dim-in-0"],
+)
+def test_kraus_family_refuses_a_stack_no_reader_could_use(build):
+    # The one construction check: a family is a nonempty, finite 3-d stack
+    # from the moment it is built, so no reader is handed another kind.
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_apply_channel_dephasing_kills_coherences():
@@ -148,7 +177,7 @@ def test_apply_extended_channel_reference_is_untouched():
 
 
 def test_choi_of_identity_channel():
-    fam = qc.KrausFamily.from_ops([np.eye(2)])
+    fam = qc.KrausFamily([np.eye(2)])
     c = qc.choi(fam)
     w = np.array([1, 0, 0, 1], dtype=complex)
     np.testing.assert_allclose(c, np.outer(w, w.conj()), atol=1e-12)
@@ -217,7 +246,7 @@ def _identity(spec):
 
 def _fresh(spec):
     """``spec`` rebuilt from new families, so no residual is cached yet."""
-    bit0, bit1 = (qc.KrausFamily(f.dim_in, f.dim_out, f.ops) for f in (spec.bit0, spec.bit1))
+    bit0, bit1 = (qc.KrausFamily(f.ops) for f in (spec.bit0, spec.bit1))
     return qc.ProtocolSpec(spec.label, bit0, bit1)
 
 
@@ -271,8 +300,8 @@ def test_every_public_call_validates_once(residual_calls, spec, entry):
     "name, entry", PROTOCOL_ENTRY_POINTS.items(), ids=PROTOCOL_ENTRY_POINTS.keys()
 )
 def test_every_entry_point_rejects_incomplete_protocol(name, entry, incomplete):
-    families = {bit: qc.KrausFamily.from_ops([np.eye(2)]) for bit in ("bit0", "bit1")}
-    families[incomplete] = qc.KrausFamily.from_ops([0.5 * np.eye(2)])
+    families = {bit: qc.KrausFamily([np.eye(2)]) for bit in ("bit0", "bit1")}
+    families[incomplete] = qc.KrausFamily([0.5 * np.eye(2)])
     spec = qc.ProtocolSpec("half-identity", **families)
     if name == "epsilon_delta_scan":
         # A scan records a rejected point as skipped and goes on.
@@ -343,7 +372,7 @@ def test_dilation_holds_the_residual_to_the_unitary_tolerance(r):
     # The unitary carries the completeness residual w†w - I, so the family
     # is held to the unitary's tolerance: a residual above it is refused as
     # an incomplete input, not blamed on the completion.
-    fam = qc.KrausFamily.from_ops([np.sqrt(1.0 - r) * np.eye(2)])
+    fam = qc.KrausFamily([np.sqrt(1.0 - r) * np.eye(2)])
     if r <= linalg.UNITARY_CONSTRUCTION_TOL:
         dil = qc.dilate(fam)
         assert linalg.unitarity_residual(dil.unitary) <= linalg.UNITARY_CONSTRUCTION_TOL
